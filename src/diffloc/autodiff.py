@@ -1,16 +1,19 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A dynamic tape records each operation as it executes; ``backward`` walks the
-tape once in reverse, accumulating gradients into every tensor that asked for
-them.  The op set is small and closed: elementwise arithmetic, a few shape
-ops, matrix multiply, relu and softmax.  Broadcasting is deliberately limited
-to the leading-batch case (one operand's shape is a trailing suffix of the
-other's); anything else is a shape error rather than a silent numpy
-broadcast.
+Inside ``with GradientTape():`` each operation on a tensor that requires a
+gradient is recorded as it executes; ``backward`` walks the tape once in
+reverse, accumulating gradients into every tensor that asked for them.
+Outside a tape nothing is recorded.  The op set is small and closed:
+elementwise arithmetic, a few shape ops, matrix multiply, relu and softmax.
+Broadcasting is deliberately limited to the leading-batch case (one
+operand's shape is a trailing suffix of the other's); anything else is a
+shape error rather than a silent numpy broadcast.
 
-All values are float64 and must stay finite.  Any op producing NaN or Inf, in
-the forward or the backward direction, raises immediately instead of letting
-the poison spread.
+All values are float64 and must stay finite.  Each array is checked once,
+where it is made: a constant when it is built, an op output in
+``forward_op``, a gradient when a backward function returns it, and the sum
+of two gradients.  NaN or Inf raises immediately instead of letting the
+poison spread.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "register_op",
     "registered_ops",
     "as_tensor",
-    "constant",
     "no_grad",
     "add",
     "subtract",
@@ -67,7 +69,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(values: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteError(f"non-finite value in {where}")
 
 
@@ -107,9 +109,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
 
     def backward(self) -> None:
         backward(self)
@@ -189,14 +188,6 @@ class _ThreadState(threading.local):
 _STATE = _ThreadState()
 
 
-def _active_tape() -> GradientTape:
-    # Lazily give each thread an ambient default tape so recording works
-    # without an explicit `with GradientTape():` block.
-    if not _STATE.stack:
-        _STATE.stack.append(GradientTape())
-    return _STATE.stack[-1]
-
-
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Disable recording inside the block; values flow, gradients do not."""
@@ -212,11 +203,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x) -> Tensor:
-    """Tensor that never takes a gradient (handy for literals in formulas)."""
-    return as_tensor(x) if not isinstance(x, Tensor) else Tensor(x.values)
-
-
 # ---------------------------------------------------------------------------
 # Op registry
 
@@ -228,14 +214,10 @@ OpBuilder = Callable[[list[np.ndarray], dict], tuple[np.ndarray, Callable]]
 _REGISTRY: dict[str, OpBuilder] = {}
 
 
-def register_op(kind: str, build: OpBuilder, replace: bool = False) -> None:
-    if kind in _REGISTRY and not replace:
+def register_op(kind: str, build: OpBuilder) -> None:
+    if kind in _REGISTRY:
         raise ValueError(f"op kind already registered: {kind!r}")
     _REGISTRY[kind] = build
-
-
-def unregister_op(kind: str) -> None:
-    _REGISTRY.pop(kind, None)
 
 
 def registered_ops() -> tuple[str, ...]:
@@ -243,7 +225,8 @@ def registered_ops() -> tuple[str, ...]:
 
 
 def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
-    """Run one registered op, recording it on the active tape when needed."""
+    """Run one registered op; inside a GradientTape, record it when an input
+    requires a gradient."""
     build = _REGISTRY.get(kind)
     if build is None:
         raise ValueError(f"unknown op kind: {kind!r}")
@@ -252,13 +235,15 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     # intermediate numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         out_values, backward_fn = build([t.values for t in tensors], params)
+    out_values = np.asarray(out_values, dtype=np.float64)
     _check_finite(out_values, f"output of {kind!r}")
-    out = Tensor(out_values)
-    if _STATE.enabled and any(t.requires_grad for t in tensors):
+    # Checked just above, so bypass the constructor's copy and second check.
+    out = Tensor.__new__(Tensor)
+    out.values, out.requires_grad, out.grad, out.tape = out_values, False, None, None
+    if _STATE.enabled and _STATE.stack and any(t.requires_grad for t in tensors):
         out.requires_grad = True
-        tape = _active_tape()
-        out.tape = tape
-        tape.records.append(TapeRecord(kind, tensors, out, backward_fn))
+        out.tape = _STATE.stack[-1]
+        out.tape.records.append(TapeRecord(kind, tensors, out, backward_fn))
     return out
 
 
@@ -276,7 +261,7 @@ def backward(root: Tensor) -> None:
         raise ValueError(f"backward needs a scalar root, got shape {root.shape}")
     tape = root.tape
     if tape is None:
-        raise ValueError("root was not produced by a recorded op on any tape")
+        raise ValueError("root was not recorded on any tape; run the ops inside `with GradientTape():`")
 
     # pending maps id(tensor) -> (tensor, accumulated output-side gradient).
     # Reverse tape order guarantees every use of a tensor is processed before
@@ -303,7 +288,10 @@ def backward(root: Tensor) -> None:
                 )
             _check_finite(g_in, f"backward of {rec.kind!r}")
             prev = pending.get(id(tensor))
-            pending[id(tensor)] = (tensor, g_in if prev is None else prev[1] + g_in)
+            if prev is not None:
+                g_in = prev[1] + g_in
+                _check_finite(g_in, f"gradient sum in backward of {rec.kind!r}")
+            pending[id(tensor)] = (tensor, g_in)
     # Whatever is left belongs to leaves (or tensors produced on other tapes,
     # which this pass treats as leaves).
     for tensor, g in pending.values():
@@ -312,10 +300,13 @@ def backward(root: Tensor) -> None:
 
 
 def _accumulate(tensor: Tensor, g: np.ndarray) -> None:
-    _check_finite(g, "gradient accumulation")
+    # g is finite already; only its sum with an earlier gradient can overflow.
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.values)
-    tensor.grad += g
+        tensor.grad = np.zeros_like(tensor.values) + g
+        return
+    total = tensor.grad + g
+    _check_finite(total, "gradient accumulation")
+    tensor.grad = total
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,30 @@
 """Command-line front end: training, evaluation, and the diagnostic suites.
 
 Every option can also come from a flat JSON config file (--config); explicit
-flags win over config values, which win over built-in defaults.  All CSV
-output is UTF-8 with deterministic float formatting, so identical
-configuration and seed produce byte-identical files.
+flags win over config values, which win over the defaults of SyntheticTask,
+SamplingConfig and RunConfig.  All CSV output is UTF-8 with deterministic
+float formatting, so identical configuration and seed produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from ..operators import SamplingConfig
+from ..mixture import BASES
+from ..operators import ANNEALS, DISTANCES, SamplingConfig
 from .metrics import calibration_report, pearson
 from .model import MLPModel
 from .suites import distcheck_suite, gradcheck_suite, variance_compare
-from .tasks import SPLITS, TASK_KINDS, SyntheticTask
-from .training import LOSSES, RunConfig, evaluate, train
+from .tasks import SPLITS, TASK_KINDS, SyntheticTask, task_support
+from .training import LOSSES, LR_SCHEDULES, RunConfig, evaluate, train
 
 __all__ = ["main"]
 
@@ -93,28 +96,40 @@ def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     return merged
 
 
-_TRAIN_DEFAULTS = {
+# Option name -> the dataclass field it sets.  Each option's default is that
+# field's default; --seed seeds both the task and the run.
+_TASK_OPTIONS = {
+    "task_size": "size",
+    "task_noise": "noise",
+    "train_count": "train_count",
+    "val_count": "val_count",
+    "test_count": "test_count",
+}
+_SAMPLING_OPTIONS = {name: name for name in ("num_samples", "tau_start", "tau_end", "anneal", "distance")}
+_RUN_OPTIONS = {
+    "loss": "loss",
+    "basis": "basis",
+    "sigma_t_sq": "sigma_t_sq",
+    "reg_weight": "reg_weight",
+    "epochs": "epochs",
+    "batch": "batch_size",
+    "lr": "lr",
+    "lr_schedule": "lr_schedule",
+    "hidden": "hidden_dim",
+    "seed": "seed",
+}
+
+
+def _field_defaults(cls, options: dict) -> dict:
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {option: defaults[name] for option, name in options.items()}
+
+
+_OPTION_DEFAULTS = {
     "task": "signal1d",
-    "task_size": None,
-    "task_noise": 0.5,
-    "train_count": 256,
-    "val_count": 64,
-    "test_count": 128,
-    "loss": "samp",
-    "basis": "triangular",
-    "num_samples": 5,
-    "tau_start": 1.0,
-    "tau_end": 0.1,
-    "anneal": "exponential",
-    "distance": "l1",
-    "sigma_t_sq": 4.0,
-    "reg_weight": None,
-    "epochs": 30,
-    "batch": 16,
-    "lr": 0.05,
-    "lr_schedule": "cosine",
-    "hidden": 64,
-    "seed": 0,
+    **_field_defaults(SyntheticTask, _TASK_OPTIONS),
+    **_field_defaults(SamplingConfig, _SAMPLING_OPTIONS),
+    **_field_defaults(RunConfig, _RUN_OPTIONS),
     "out": "history.csv",
     "model_out": None,
 }
@@ -129,55 +144,37 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--val-count", type=int)
     p.add_argument("--test-count", type=int)
     p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--basis", choices=("uniform", "triangular", "gaussian"))
+    p.add_argument("--basis", choices=BASES)
     p.add_argument("--num-samples", type=int)
     p.add_argument("--tau-start", type=float)
     p.add_argument("--tau-end", type=float)
-    p.add_argument("--anneal", choices=("exponential", "linear"))
-    p.add_argument("--distance", choices=("l1", "l2-squared"))
+    p.add_argument("--anneal", choices=ANNEALS)
+    p.add_argument("--distance", choices=DISTANCES)
     p.add_argument("--sigma-t-sq", type=float)
     p.add_argument("--reg-weight", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--lr-schedule", choices=("constant", "cosine"))
+    p.add_argument("--lr-schedule", choices=LR_SCHEDULES)
     p.add_argument("--hidden", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--model-out")
 
 
+def _pick(opts: dict, options: dict) -> dict:
+    return {name: opts[option] for option, name in options.items()}
+
+
+def _task_from(opts: dict) -> SyntheticTask:
+    return SyntheticTask(kind=opts["task"], seed=opts["seed"], **_pick(opts, _TASK_OPTIONS))
+
+
 def _run_config_from(opts: dict) -> RunConfig:
-    task = SyntheticTask(
-        kind=opts["task"],
-        size=opts["task_size"],
-        noise=opts["task_noise"],
-        train_count=opts["train_count"],
-        val_count=opts["val_count"],
-        test_count=opts["test_count"],
-        seed=opts["seed"],
-    )
-    sampling = SamplingConfig(
-        num_samples=opts["num_samples"],
-        tau_start=opts["tau_start"],
-        tau_end=opts["tau_end"],
-        anneal=opts["anneal"],
-        distance=opts["distance"],
-    )
     return RunConfig(
-        task=task,
-        loss=opts["loss"],
-        basis=opts["basis"],
-        sampling=sampling,
-        sigma_t_sq=opts["sigma_t_sq"],
-        reg_weight=opts["reg_weight"],
-        lr=opts["lr"],
-        lr_schedule=opts["lr_schedule"],
-        epochs=opts["epochs"],
-        batch_size=opts["batch"],
-        hidden_dim=opts["hidden"],
-        seed=opts["seed"],
-        out_path=opts["out"],
+        task=_task_from(opts),
+        sampling=SamplingConfig(**_pick(opts, _SAMPLING_OPTIONS)),
+        **_pick(opts, _RUN_OPTIONS),
     )
 
 
@@ -186,7 +183,7 @@ def _run_config_from(opts: dict) -> RunConfig:
 
 
 def _cmd_train(args) -> int:
-    opts = _merge(args, _load_config(args.config), _TRAIN_DEFAULTS)
+    opts = _merge(args, _load_config(args.config), _OPTION_DEFAULTS)
     config = _run_config_from(opts)
     model, history = train(config)
     rows = [(h.epoch, h.loss, h.val_mean_err, h.tau) for h in history]
@@ -203,7 +200,7 @@ def _cmd_train(args) -> int:
 
 def _save_run_meta(model_path: str, opts: dict) -> None:
     meta_path = model_path + ".json"
-    keep = {k: opts[k] for k in _TRAIN_DEFAULTS}
+    keep = {k: opts[k] for k in _OPTION_DEFAULTS}
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(keep, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -211,26 +208,26 @@ def _save_run_meta(model_path: str, opts: dict) -> None:
 
 def _cmd_eval(args) -> int:
     file_config = _load_config(args.config)
-    opts = _merge(args, file_config, dict(_TRAIN_DEFAULTS, split="test", out="eval.csv"))
+    opts = _merge(args, file_config, dict(_OPTION_DEFAULTS, split="test", out="eval.csv"))
     # Task identity defaults to what the model was trained on.
     try:
         with open(args.model + ".json", "r", encoding="utf-8") as fh:
             saved = json.load(fh)
-        for key in ("task", "task_size", "task_noise", "train_count", "val_count", "test_count", "seed"):
+        for key in ("task", *_TASK_OPTIONS, "seed"):
             if getattr(args, key, None) is None and key not in file_config:
                 opts[key] = saved[key]
     except FileNotFoundError:
         pass
-    task = SyntheticTask(
-        kind=opts["task"],
-        size=opts["task_size"],
-        noise=opts["task_noise"],
-        train_count=opts["train_count"],
-        val_count=opts["val_count"],
-        test_count=opts["test_count"],
-        seed=opts["seed"],
-    )
+    task = _task_from(opts)
     model = MLPModel.load(args.model)
+    # Observations and support points are the same count for every task.
+    n = task_support(task).n
+    if (model.in_dim, model.out_dim) != (n, n):
+        raise SystemExit(
+            f"model {args.model} maps {model.in_dim} inputs to {model.out_dim} points, but task "
+            f"{task.kind} of size {task.size} has {n} of each; give the task flags it was trained "
+            f"with (its {args.model}.json sidecar holds them)"
+        )
     records, summary = evaluate(model, task, split=opts["split"])
     ndim = records[0].pred.shape[0]
     header = (
@@ -275,7 +272,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gradcheck_suite(seeds=args.seeds if args.seeds else 20)
+    report = gradcheck_suite(**({"seeds": args.seeds} if args.seeds else {}))
     header = ["loss", "basis", "ndim", "seed", "max_rel_error", "passed"]
     rows = [(r.loss, r.basis, r.ndim, r.seed, r.max_rel_error, r.passed) for r in report.rows]
     if args.out:
@@ -310,7 +307,7 @@ def _cmd_distcheck(args) -> int:
     ]
     if args.out:
         write_csv(args.out, ref_header, ref_rows)
-        rel_path = args.out.replace(".csv", "") + "_relaxed.csv"
+        rel_path = os.path.splitext(args.out)[0] + "_relaxed.csv"
         write_csv(rel_path, rel_header, rel_rows)
         print(f"rows written to {args.out} and {rel_path}")
     print(format_table(ref_header, ref_rows[:6]))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import NonFiniteError, Tensor
-from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap
+from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, draw_noise
 from ..operators import (
     SamplingConfig,
     anneal_tau,
@@ -24,6 +24,7 @@ from .tasks import SyntheticTask, generate_split, task_mixture_spec, task_suppor
 
 __all__ = [
     "LOSSES",
+    "LR_SCHEDULES",
     "RunConfig",
     "HistoryRow",
     "TrialRecord",
@@ -37,6 +38,7 @@ __all__ = [
 # Composite losses selectable from the command line: the three plain
 # families, plus expectation error with one of the two regularizers.
 LOSSES = ("soft", "discrete", "samp", "soft-vr", "soft-dr")
+LR_SCHEDULES = ("constant", "cosine")
 
 # The variance penalty is quartic in the map's spread, so its raw scale at
 # init dwarfs the base loss; the small default keeps the two comparable.
@@ -44,7 +46,12 @@ _DEFAULT_REG_WEIGHTS = {"soft-vr": 0.01, "soft-dr": 0.1}
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A non-finite value stopped training; `history` holds the rows
+    recorded before it."""
+
+    def __init__(self, message: str, history: list[HistoryRow]):
+        super().__init__(message)
+        self.history = history
 
 
 @dataclass(frozen=True)
@@ -63,12 +70,11 @@ class RunConfig:
     batch_size: int = 16
     hidden_dim: int = 64
     seed: int = 0
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss: {self.loss!r}")
-        if self.lr_schedule not in ("constant", "cosine"):
+        if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"unknown lr schedule: {self.lr_schedule!r}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
             raise ValueError("lr, epochs, batch_size and hidden_dim must be positive")
@@ -139,7 +145,8 @@ def _make_example_loss(config: RunConfig, spec: MixtureSpec, source: NoiseSource
         if config.loss == "discrete":
             return discrete_expected_error_loss(pmap, y_t, distance)
         if config.loss == "samp":
-            return sampled_expected_error_loss(pmap, spec, y_t, config.sampling, tau, source)
+            noises = [draw_noise(source, pmap.n, pmap.ndim) for _ in range(config.sampling.num_samples)]
+            return sampled_expected_error_loss(pmap, spec, y_t, noises, tau, distance)
         base = error_of_expectation_loss(pmap, y_t, distance)
         if config.loss == "soft-vr":
             reg = variance_regularizer(pmap, config.sigma_t_sq)
@@ -180,9 +187,9 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
                 raise NonFiniteError("non-finite epoch loss")
             val_err = _mean_inference_error(model, support, val_obs, val_y)
         except NonFiniteError as err:
-            raise TrainingDiverged(f"diverged at epoch {epoch}: {err}") from err
+            raise TrainingDiverged(f"diverged at epoch {epoch}: {err}", history) from err
         if not np.isfinite(val_err):
-            raise TrainingDiverged(f"diverged at epoch {epoch}: non-finite validation error")
+            raise TrainingDiverged(f"diverged at epoch {epoch}: non-finite validation error", history)
         history.append(HistoryRow(epoch, mean_loss, val_err, tau))
     return model, history
 

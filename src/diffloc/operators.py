@@ -15,6 +15,7 @@ gradient flows through the relaxed component weights only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,18 +25,14 @@ from .mixture import (
     WEIGHT_FLOOR,
     MixtureSpec,
     NoiseDraw,
-    NoiseSource,
     ProbabilityMap,
     basis_sample_all,
-    draw_noise,
 )
 
 __all__ = [
     "DISTANCES",
     "ANNEALS",
-    "LOSS_KINDS",
     "SamplingConfig",
-    "LossKind",
     "soft_argmax",
     "error_of_expectation_loss",
     "discrete_expected_error_loss",
@@ -53,13 +50,6 @@ __all__ = [
 
 DISTANCES = ("l1", "l2-squared")
 ANNEALS = ("exponential", "linear")
-LOSS_KINDS = (
-    "error-of-expectation",
-    "discrete-expected-error",
-    "sampled-expected-error",
-    "variance-regularizer",
-    "js-regularizer",
-)
 
 
 @dataclass(frozen=True)
@@ -81,21 +71,6 @@ class SamplingConfig:
             raise ValueError(f"unknown anneal schedule: {self.anneal!r}")
         if self.distance not in DISTANCES:
             raise ValueError(f"unknown distance: {self.distance!r}")
-
-
-@dataclass(frozen=True)
-class LossKind:
-    """One loss family plus the auxiliary parameter it needs, if any."""
-
-    tag: str
-    sigma_t_sq: float | None = None
-
-    def __post_init__(self):
-        if self.tag not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind: {self.tag!r}")
-        regularizer = self.tag in ("variance-regularizer", "js-regularizer")
-        if regularizer and (self.sigma_t_sq is None or not self.sigma_t_sq > 0):
-            raise ValueError(f"{self.tag} needs sigma_t_sq > 0")
 
 
 def _check_distance(distance: str) -> None:
@@ -200,22 +175,26 @@ def sampled_expected_error_loss(
     pmap: ProbabilityMap,
     spec: MixtureSpec,
     y_t,
-    config: SamplingConfig,
+    noises: Sequence[NoiseDraw],
     tau: float,
-    source: NoiseSource,
+    distance: str = "l1",
 ) -> Tensor:
-    """Mean distance between y_t and num_samples relaxed samples.
+    """Mean distance between y_t and one relaxed sample per noise draw.
 
-    Each draw consumes fresh, independent noise from the source.
+    A pure function of the draws it is given: training passes fresh draws
+    for every example, the gradient check passes the same frozen ones to
+    every evaluation.
     """
+    _check_distance(distance)
+    if not noises:
+        raise ValueError("need at least one noise draw")
     y = _target_point(pmap, y_t)
     total = None
-    for _ in range(config.num_samples):
-        noise = draw_noise(source, pmap.n, pmap.ndim)
+    for noise in noises:
         sample = sample_differentiable(pmap, spec, noise, tau)
-        term = _distance_loss(sample, y, config.distance)
+        term = _distance_loss(sample, y, distance)
         total = term if total is None else ad.add(total, term)
-    return ad.multiply(total, Tensor(1.0 / config.num_samples))
+    return ad.multiply(total, Tensor(1.0 / len(noises)))
 
 
 def anneal_tau(config: SamplingConfig, step: int, total_steps: int) -> float:

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from diffloc.harness import cli
 from diffloc.harness.cli import main
+from diffloc.harness.tasks import SyntheticTask
+from diffloc.harness.training import RunConfig
 
 
 FAST = [
@@ -76,6 +79,18 @@ class TestTrain:
         with pytest.raises(SystemExit, match="flat JSON object"):
             main(["train", "--config", str(config)])
 
+    def test_no_flags_use_dataclass_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_train(config):
+            seen.append(config)
+            return None, []
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train"]) == 0
+        assert seen == [RunConfig(task=SyntheticTask("signal1d"))]
+
     def test_unknown_loss_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--loss", "hinge"])
@@ -107,6 +122,17 @@ class TestEvalAndCalibrate:
         assert main(["eval", "--model", str(trained_model), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_eval_without_sidecar_checks_model_against_task(self, tmp_path, trained_model):
+        (tmp_path / "model.npz.json").unlink()
+        out = tmp_path / "eval.csv"
+        # The default task is signal1d of size 32; the model was trained on 16.
+        with pytest.raises(SystemExit, match="16 inputs to 16 points.*signal1d of size 32 has 32"):
+            main(["eval", "--model", str(trained_model), "--out", str(out)])
+        assert not out.exists()
+        assert main(["eval", "--model", str(trained_model), "--task-size", "16", "--seed", "3",
+                     "--test-count", "8", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 9
+
     def test_calibrate_reads_eval_records(self, tmp_path, trained_model):
         records = tmp_path / "eval.csv"
         assert main(["eval", "--model", str(trained_model), "--out", str(records)]) == 0
@@ -134,10 +160,11 @@ class TestSuiteCommands:
         assert all(line.endswith(",1") for line in lines[1:])
 
     def test_distcheck_small(self, tmp_path):
-        out = tmp_path / "dc.csv"
+        # ".csv" inside a directory name must survive in the relaxed path.
+        out = tmp_path / "runs.csv.d" / "dc.csv"
         assert main(["distcheck", "--maps", "1", "--draws", "20000", "--out", str(out)]) == 0
         assert out.exists()
-        relaxed = tmp_path / "dc_relaxed.csv"
+        relaxed = tmp_path / "runs.csv.d" / "dc_relaxed.csv"
         assert relaxed.exists()
         assert len(out.read_text().splitlines()) == 4  # header + 3 bases
         assert len(relaxed.read_text().splitlines()) == 4

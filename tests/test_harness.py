@@ -27,6 +27,7 @@ from diffloc.harness.tasks import (
     task_mixture_spec,
     task_support,
 )
+from diffloc.harness import training
 from diffloc.harness.training import (
     RunConfig,
     TrainingDiverged,
@@ -35,7 +36,7 @@ from diffloc.harness.training import (
     train,
 )
 from diffloc.mixture import NoiseSource, draw_noise_batch, gumbel_from_uniform
-from diffloc.operators import gumbel_softmax_values
+from diffloc.operators import SamplingConfig, gumbel_softmax_values
 
 
 SMALL = dict(train_count=24, val_count=8, test_count=8)
@@ -234,9 +235,34 @@ class TestTraining:
     def test_huge_learning_rate_diverges(self):
         task = small_task(train_count=16, val_count=8)
         config = RunConfig(task=task, loss="soft", epochs=3, lr=1e308, lr_schedule="constant")
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as diverged:
             with np.errstate(over="ignore", invalid="ignore"):
                 train(config)
+        assert "epoch 0" in str(diverged.value) and diverged.value.history == []
+
+    def test_divergence_keeps_earlier_history(self, monkeypatch):
+        task = small_task(train_count=16, val_count=8)
+        config = RunConfig(task=task, loss="soft", epochs=3, lr=0.05, lr_schedule="constant")
+        _, clean = train(config)
+        monkeypatch.setattr(training, "learning_rate_at", lambda c, epoch, total: 1e308 if epoch else c.lr)
+        with pytest.raises(TrainingDiverged, match="epoch 1") as diverged:
+            with np.errstate(over="ignore", invalid="ignore"):
+                train(config)
+        assert diverged.value.history == clean[:1]
+
+    def test_consumes_one_draw_per_sample(self, monkeypatch):
+        sources = []
+
+        class RecordingSource(NoiseSource):
+            def __init__(self, seed):
+                super().__init__(seed)
+                sources.append(self)
+
+        monkeypatch.setattr(training, "NoiseSource", RecordingSource)
+        task = small_task(train_count=12, val_count=4)
+        for loss in ("samp", "soft"):
+            train(RunConfig(task=task, loss=loss, epochs=2, sampling=SamplingConfig(num_samples=7)))
+        assert [s.draws_taken for s in sources] == [2 * 12 * 7, 0]
 
     def test_evaluate_summary_consistent_with_records(self):
         task = small_task(train_count=16, val_count=8, test_count=12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from diffloc.autodiff import Tensor, softmax_values
@@ -285,14 +287,27 @@ class TestNoise:
             np.testing.assert_array_equal(a.basis_uniforms, b.basis_uniforms)
         assert src.draws_taken == 5
 
-    def test_batch_matches_sequential_bitwise(self):
-        for n, ndim, count in ((8, 1, 7), (5, 3, 4)):
-            g, u = draw_noise_batch(NoiseSource(31), count, n, ndim)
-            src = NoiseSource(31)
-            for k in range(count):
-                d = draw_noise(src, n, ndim)
-                np.testing.assert_array_equal(g[k], d.gumbels)
-                np.testing.assert_array_equal(u[k], d.basis_uniforms)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        ndim=st.integers(1, 3),
+        chunks=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    )
+    def test_batch_matches_sequential_bitwise(self, seed, n, ndim, chunks):
+        # Any split of k draws into batches reads the stream exactly as k
+        # sequential draws do, so a batched training step can take the same
+        # noise the per-example step takes.
+        batched = NoiseSource(seed)
+        parts = [draw_noise_batch(batched, count, n, ndim) for count in chunks]
+        g = np.concatenate([p[0] for p in parts])
+        u = np.concatenate([p[1] for p in parts])
+        src = NoiseSource(seed)
+        for k in range(sum(chunks)):
+            d = draw_noise(src, n, ndim)
+            np.testing.assert_array_equal(g[k], d.gumbels)
+            np.testing.assert_array_equal(u[k], d.basis_uniforms)
+        assert batched.draws_taken == src.draws_taken == sum(chunks)
 
     def test_gumbel_transform_is_clamped_and_distributed(self):
         vals = gumbel_from_uniform(np.array([0.0, 1.0, 0.5]))

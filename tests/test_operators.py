@@ -15,7 +15,6 @@ from diffloc.mixture import (
     reference_sample,
 )
 from diffloc.operators import (
-    LossKind,
     SamplingConfig,
     anneal_tau,
     discrete_expected_error_loss,
@@ -67,16 +66,6 @@ class TestConfigs:
     def test_sampling_config_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SamplingConfig(**kwargs)
-
-    def test_loss_kind_validation(self):
-        assert LossKind("error-of-expectation").sigma_t_sq is None
-        assert LossKind("variance-regularizer", sigma_t_sq=4.0).sigma_t_sq == 4.0
-        with pytest.raises(ValueError, match="unknown loss kind"):
-            LossKind("cross-entropy")
-        with pytest.raises(ValueError, match="sigma_t_sq"):
-            LossKind("variance-regularizer")
-        with pytest.raises(ValueError, match="sigma_t_sq"):
-            LossKind("js-regularizer", sigma_t_sq=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +249,28 @@ class TestSampleDifferentiable:
             sample_differentiable(pmap, MixtureSpec("gaussian", sigma=1.0), noise, 1.0)
 
 
-class TestSampledExpectedErrorLoss:
-    def test_consumes_one_draw_per_sample(self):
-        pmap = make_map(seed=21)
-        spec = MixtureSpec("triangular")
-        source = NoiseSource(22)
-        cfg = SamplingConfig(num_samples=7)
-        sampled_expected_error_loss(pmap, spec, np.array([3.0]), cfg, 0.5, source)
-        assert source.draws_taken == 7
+def draws(seed, count, n, ndim=1):
+    source = NoiseSource(seed)
+    return [draw_noise(source, n, ndim) for _ in range(count)]
 
+
+class TestSampledExpectedErrorLoss:
     def test_matches_numpy_replay(self):
         pmap = make_map(seed=23)
         spec = MixtureSpec("triangular")
         y = np.array([2.6])
-        cfg = SamplingConfig(num_samples=4, distance="l1")
         tau = 0.618
-        loss = sampled_expected_error_loss(pmap, spec, y, cfg, tau, NoiseSource(24))
+        loss = sampled_expected_error_loss(pmap, spec, y, draws(24, 4, pmap.n), tau, "l1")
         source = NoiseSource(24)
         total = 0.0
-        for _ in range(cfg.num_samples):
+        for _ in range(4):
             noise = draw_noise(source, pmap.n, 1)
             relaxed = gumbel_softmax_values(pmap.weight_values, noise.gumbels, tau)
             samples = basis_sample_all(spec, pmap.support, noise.basis_uniforms)
             total = total + np.abs(relaxed @ samples - y).sum()
         assert loss.item() == pytest.approx(total * (1.0 / 4.0), rel=1e-15)
+        with pytest.raises(ValueError, match="at least one"):
+            sampled_expected_error_loss(pmap, spec, y, [], tau)
 
     def test_mean_over_many_samples_approaches_discrete_loss_at_sharp_tau(self):
         # With a sharp temperature and a narrow basis the sampled loss is a
@@ -291,8 +278,7 @@ class TestSampledExpectedErrorLoss:
         pmap = make_map(seed=25)
         spec = MixtureSpec("gaussian", sigma=0.01)
         y = np.array([2.0])
-        cfg = SamplingConfig(num_samples=4000)
-        loss = sampled_expected_error_loss(pmap, spec, y, cfg, 0.01, NoiseSource(26))
+        loss = sampled_expected_error_loss(pmap, spec, y, draws(26, 4000, pmap.n), 0.01)
         exact = discrete_expected_error_loss(pmap, y, "l1").item()
         assert loss.item() == pytest.approx(exact, abs=0.05)
 
@@ -300,21 +286,11 @@ class TestSampledExpectedErrorLoss:
         sup = Support.regular_grid(6)
         spec = MixtureSpec("triangular")
         y = np.array([2.4])
-        cfg = SamplingConfig(num_samples=3)
         frozen = [draw_noise(NoiseSource(27), 6, 1) for _ in range(3)]
 
         def f(logits):
-            w = ad.softmax_over_axis(logits, axis=-1)
-            pmap = ProbabilityMap(sup, w)
-            total = None
-            for noise in frozen:
-                term = ad.sum_over_axis(
-                    ad.absolute_value(
-                        ad.subtract(sample_differentiable(pmap, spec, noise, 0.7), Tensor(y))
-                    )
-                )
-                total = term if total is None else ad.add(total, term)
-            return ad.multiply(total, Tensor(1.0 / 3.0))
+            pmap = ProbabilityMap(sup, ad.softmax_over_axis(logits, axis=-1))
+            return sampled_expected_error_loss(pmap, spec, y, frozen, 0.7)
 
         x0 = np.random.default_rng(28).normal(0.0, 1.0, 6)
         assert grad_check(f, x0).passed
