@@ -271,8 +271,13 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options given on the command line; the suite defaults fill the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _cmd_gradcheck(args) -> int:
-    report = gradcheck_suite(**({"seeds": args.seeds} if args.seeds else {}))
+    report = gradcheck_suite(**_given(seeds=args.seeds))
     header = ["loss", "basis", "ndim", "seed", "max_rel_error", "passed"]
     rows = [(r.loss, r.basis, r.ndim, r.seed, r.max_rel_error, r.passed) for r in report.rows]
     if args.out:
@@ -287,14 +292,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_distcheck(args) -> int:
-    kwargs = {}
-    if args.maps:
-        kwargs["num_maps"] = args.maps
-    if args.draws:
-        kwargs["draws"] = args.draws
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    report = distcheck_suite(**kwargs)
+    report = distcheck_suite(**_given(num_maps=args.maps, draws=args.draws, seed=args.seed))
     ref_header = ["map", "basis", "ks", "ks_crit", "ks_passed", "mean_gap", "var_gap"]
     ref_rows = [
         (r.map_index, r.basis, r.ks, r.ks_crit, r.ks_passed, r.mean_gap, r.var_gap)
@@ -318,14 +316,7 @@ def _cmd_distcheck(args) -> int:
 
 
 def _cmd_varcompare(args) -> int:
-    kwargs = {}
-    if args.seeds:
-        kwargs["num_seeds"] = args.seeds
-    if args.draws:
-        kwargs["draws"] = args.draws
-    if args.tau:
-        kwargs["tau"] = args.tau
-    report = variance_compare(**kwargs)
+    report = variance_compare(**_given(num_seeds=args.seeds, draws=args.draws, tau=args.tau))
     header = ["seed", "trace_score", "trace_reparam", "coord_greater_frac", "trace_ordered"]
     rows = [
         (r.seed, r.trace_score, r.trace_reparam, r.coord_greater_frac, r.trace_ordered)
@@ -337,6 +328,19 @@ def _cmd_varcompare(args) -> int:
     print(format_table(header, rows))
     print("varcompare: PASS" if report.passed else "varcompare: FAIL")
     return 0 if report.passed else 1
+
+
+def _positive(kind):
+    """argparse type for a count or scale that must be above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def main(argv=None) -> int:
@@ -359,19 +363,19 @@ def main(argv=None) -> int:
     p_cal.add_argument("--out")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference checks for all losses")
-    p_gc.add_argument("--seeds", type=int)
+    p_gc.add_argument("--seeds", type=_positive(int))
     p_gc.add_argument("--out")
 
     p_dc = sub.add_parser("distcheck", help="sampler distribution checks")
-    p_dc.add_argument("--maps", type=int)
-    p_dc.add_argument("--draws", type=int)
+    p_dc.add_argument("--maps", type=_positive(int))
+    p_dc.add_argument("--draws", type=_positive(int))
     p_dc.add_argument("--seed", type=int)
     p_dc.add_argument("--out")
 
     p_vc = sub.add_parser("varcompare", help="score-function vs pathwise gradient variance")
-    p_vc.add_argument("--seeds", type=int)
-    p_vc.add_argument("--draws", type=int)
-    p_vc.add_argument("--tau", type=float)
+    p_vc.add_argument("--seeds", type=_positive(int))
+    p_vc.add_argument("--draws", type=_positive(int))
+    p_vc.add_argument("--tau", type=_positive(float))
     p_vc.add_argument("--out")
 
     args = parser.parse_args(argv)

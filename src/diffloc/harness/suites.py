@@ -21,7 +21,6 @@ from ..mixture import (
     ProbabilityMap,
     Support,
     basis_sample_all,
-    draw_noise,
     draw_noise_batch,
     ks_critical_value,
     ks_statistic,
@@ -135,14 +134,12 @@ def gradcheck_suite(
 def _loss_closure(loss_name, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0, extras):
     if loss_name == "sampled-expected-error":
         src = NoiseSource([8741, support.ndim, BASES.index(spec.basis)])
-        noises = [draw_noise(src, support.n, support.ndim) for _ in range(num_samples)]
+        gumbels, uniforms = draw_noise_batch(src, num_samples, support.n, support.ndim)
     elif loss_name == "js-regularizer":
         # Pin the target center at the unperturbed map so the finite
         # difference sees the same detached center the tape does.
         w0 = ad.softmax_values(x0, axis=-1)
         center0 = w0 @ support.positions
-    else:
-        noises = None
 
     def f(x: Tensor) -> Tensor:
         weights = ad.softmax_over_axis(x, axis=-1)
@@ -152,7 +149,7 @@ def _loss_closure(loss_name, support, spec, y_t, distance, num_samples, tau, sig
         if loss_name == "discrete-expected-error":
             return discrete_expected_error_loss(pmap, y_t, distance)
         if loss_name == "sampled-expected-error":
-            return sampled_expected_error_loss(pmap, spec, y_t, noises, tau, distance)
+            return sampled_expected_error_loss(pmap, spec, y_t, gumbels, uniforms, tau, distance)
         if loss_name == "variance-regularizer":
             return variance_regularizer(pmap, sigma_t_sq)
         if loss_name == "js-regularizer":

@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import NonFiniteError, Tensor
-from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, draw_noise
+from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, draw_noise_batch
 from ..operators import (
     SamplingConfig,
     anneal_tau,
@@ -133,21 +133,26 @@ def learning_rate_at(config: RunConfig, epoch: int, total_steps: int) -> float:
     return config.lr * float(scale)
 
 
-def _make_example_loss(config: RunConfig, spec: MixtureSpec, source: NoiseSource):
-    """Returns loss_fn(pmap, y_t, tau) -> scalar tensor for the configured
-    composite loss."""
+def _make_loss(config: RunConfig, spec: MixtureSpec, source: NoiseSource):
+    """Returns loss_fn(pmap, y, tau) -> one loss per map of the batch `pmap`
+    for the configured composite loss; y holds one target per map."""
     distance = config.sampling.distance
     weight = config.resolved_reg_weight
+    num_samples = config.sampling.num_samples
 
-    def loss_fn(pmap: ProbabilityMap, y_t: np.ndarray, tau: float) -> Tensor:
+    def loss_fn(pmap: ProbabilityMap, y: np.ndarray, tau: float) -> Tensor:
         if config.loss == "soft":
-            return error_of_expectation_loss(pmap, y_t, distance)
+            return error_of_expectation_loss(pmap, y, distance)
         if config.loss == "discrete":
-            return discrete_expected_error_loss(pmap, y_t, distance)
+            return discrete_expected_error_loss(pmap, y, distance)
         if config.loss == "samp":
-            noises = [draw_noise(source, pmap.n, pmap.ndim) for _ in range(config.sampling.num_samples)]
-            return sampled_expected_error_loss(pmap, spec, y_t, noises, tau, distance)
-        base = error_of_expectation_loss(pmap, y_t, distance)
+            # The stream holds each map's draws back to back, so the sample
+            # axis follows the batch axes.
+            lead = pmap.batch_shape + (num_samples,)
+            gumbels, uniforms = draw_noise_batch(source, int(np.prod(lead)), pmap.n, pmap.ndim)
+            noise = gumbels.reshape(lead + (pmap.n,)), uniforms.reshape(lead + (pmap.n, pmap.ndim))
+            return sampled_expected_error_loss(pmap, spec, y, *noise, tau, distance)
+        base = error_of_expectation_loss(pmap, y, distance)
         if config.loss == "soft-vr":
             reg = variance_regularizer(pmap, config.sigma_t_sq)
         else:
@@ -167,7 +172,7 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
     model = MLPModel(train_obs.shape[1], config.hidden_dim, support.n, seed=config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 5])
     source = NoiseSource([config.seed, 11])
-    loss_fn = _make_example_loss(config, spec, source)
+    loss_fn = _make_loss(config, spec, source)
 
     history: list[HistoryRow] = []
     total_steps = max(config.epochs - 1, 1)
@@ -194,17 +199,22 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
     return model, history
 
 
+def _batch_losses(model, support, loss_fn, obs, targets, tau) -> tuple[Tensor, Tensor]:
+    """(per-example losses, batch loss) of one batch, recorded on the open tape.
+
+    The logits go into the (B, 1, n) row layout, so each example's loss has
+    the bits the same loss of that example's lone (n,) map has.
+    """
+    count = obs.shape[0]
+    rows = ad.index_select(model.logits(obs), np.arange(count)[:, None], axis=0)
+    pmap = ProbabilityMap(support, ad.softmax_over_axis(rows, axis=-1))
+    losses = loss_fn(pmap, targets[:, None, :], tau)
+    return losses, ad.multiply(ad.sum_over_axis(losses), Tensor(1.0 / count))
+
+
 def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
     with ad.GradientTape():
-        logits = model.logits(obs)
-        total = None
-        for r in range(obs.shape[0]):
-            row = ad.index_select(logits, r, axis=0)
-            weights = ad.softmax_over_axis(row, axis=-1)
-            pmap = ProbabilityMap(support, weights)
-            term = loss_fn(pmap, targets[r], tau)
-            total = term if total is None else ad.add(total, term)
-        batch_loss = ad.multiply(total, Tensor(1.0 / obs.shape[0]))
+        _, batch_loss = _batch_losses(model, support, loss_fn, obs, targets, tau)
         ad.backward(batch_loss)
     for p in model.parameters():
         if p.grad is not None:

@@ -132,7 +132,12 @@ class Support:
 
 @dataclass(eq=False)
 class ProbabilityMap:
-    """Discrete distribution over a support; weights may carry a gradient."""
+    """Discrete distribution over a support; weights may carry a gradient.
+
+    Weights are (..., n): leading axes hold a batch of maps on the same
+    support, one map per row.  The losses take either form; the mixture
+    oracles and the reference sampler take a single map only.
+    """
 
     support: Support
     weights: Tensor
@@ -140,17 +145,21 @@ class ProbabilityMap:
     def __post_init__(self):
         self.weights = as_tensor(self.weights)
         w = self.weights.values
-        if w.ndim != 1 or w.shape[0] != self.support.n:
-            raise ValueError(f"weights must be ({self.support.n},), got {w.shape}")
-        if np.any(w < 0.0):
+        if w.ndim < 1 or w.shape[-1] != self.support.n:
+            raise ValueError(f"weights must be (..., {self.support.n}), got {w.shape}")
+        if (w < 0.0).any():
             raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+        off = np.abs(w.sum(axis=-1) - 1.0)
+        if not (off <= 1e-9).all():
+            raise ValueError(f"weights must sum to 1, off by {float(off.max())!r}")
 
     @property
     def weight_values(self) -> np.ndarray:
         return self.weights.values
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.weights.shape[:-1]
 
     @property
     def n(self) -> int:
@@ -273,16 +282,24 @@ def basis_pdf(spec: MixtureSpec, support: Support, i: int, y) -> np.ndarray | fl
     return float(val) if val.ndim == 0 else val
 
 
+def _single_map(pmap: ProbabilityMap, what: str) -> None:
+    if pmap.batch_shape:
+        raise ValueError(f"{what} takes a single map, got a batch of shape {pmap.batch_shape}")
+
+
 def mixture_pdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | float:
     """Mixture density at point(s) y; y is (..., ndim) or a scalar in 1-D."""
+    _single_map(pmap, "mixture_pdf")
     basis, c, sigma = _resolve(spec, pmap.support)
     off = _offsets(pmap.support, np.asarray(y, dtype=np.float64))
     per_point = _pdf_1d(basis, off, c, sigma).prod(axis=-1)
     val = per_point @ pmap.weight_values
     return float(val) if val.ndim == 0 else val
 
+
 def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | float:
     """Mixture cdf at y; defined for one-axis supports only."""
+    _single_map(pmap, "mixture_cdf")
     if pmap.ndim != 1:
         raise ValueError("mixture_cdf is defined for 1-D supports only")
     basis, c, sigma = _resolve(spec, pmap.support)
@@ -298,6 +315,7 @@ def mixture_moments(pmap: ProbabilityMap, spec: MixtureSpec) -> tuple[np.ndarray
     The mean is basis-independent: sum_i w_i y_i.  Each axis variance is
     sum_i w_i (y_id^2 + v_b) - mean_d^2 where v_b is the basis variance.
     """
+    _single_map(pmap, "mixture_moments")
     w = pmap.weight_values
     pos = pmap.support.positions
     v_b = basis_variance(spec, pmap.support)
@@ -402,6 +420,7 @@ def _floored_log_weights(w: np.ndarray) -> np.ndarray:
 def reference_sample(pmap: ProbabilityMap, spec: MixtureSpec, noise: NoiseDraw) -> np.ndarray:
     """Exact mixture sample: Gumbel-max component choice, then basis inverse
     cdf.  Non-differentiable by design; the training path never calls this."""
+    _single_map(pmap, "reference_sample")
     if noise.n != pmap.n or noise.ndim != pmap.ndim:
         raise ValueError("noise draw does not match the map's support")
     scores = noise.gumbels + _floored_log_weights(pmap.weight_values)
@@ -414,6 +433,7 @@ def reference_sample_batch(
 ) -> np.ndarray:
     """(count, ndim) reference samples, bitwise equal to a loop of
     draw_noise + reference_sample against the same source."""
+    _single_map(pmap, "reference_sample_batch")
     gumbels, uniforms = draw_noise_batch(source, count, pmap.n, pmap.ndim)
     scores = gumbels + _floored_log_weights(pmap.weight_values)
     winners = np.argmax(scores, axis=1)

@@ -8,6 +8,11 @@ target variance or pulling the map toward a discrete gaussian around its own
 mean.  At test time everything collapses to the plain expectation: no
 randomness, no temperature.
 
+Every loss and regularizer takes a map whose weights are (..., n) and returns
+one loss per map, shape (...).  A map in the (..., 1, n) row layout gets, row
+for row, the same bits a lone (n,) map gets, since each matrix product then
+runs per row.
+
 Relaxed sampling treats the per-component basis samples as constants; the
 gradient flows through the relaxed component weights only.
 """
@@ -15,19 +20,12 @@ gradient flows through the relaxed component weights only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mixture import (
-    WEIGHT_FLOOR,
-    MixtureSpec,
-    NoiseDraw,
-    ProbabilityMap,
-    basis_sample_all,
-)
+from .mixture import WEIGHT_FLOOR, MixtureSpec, ProbabilityMap, basis_sample_all
 
 __all__ = [
     "DISTANCES",
@@ -79,16 +77,22 @@ def _check_distance(distance: str) -> None:
 
 
 def _distance_loss(pred: Tensor, target: np.ndarray, distance: str) -> Tensor:
+    """d(pred, target) summed over the last (coordinate) axis."""
     diff = ad.subtract(pred, Tensor(target))
     if distance == "l1":
-        return ad.sum_over_axis(ad.absolute_value(diff))
-    return ad.sum_over_axis(ad.square(diff))
+        return ad.sum_over_axis(ad.absolute_value(diff), axis=-1)
+    return ad.sum_over_axis(ad.square(diff), axis=-1)
 
 
-def _target_point(pmap: ProbabilityMap, y_t) -> np.ndarray:
-    y = np.asarray(y_t, dtype=np.float64).reshape(-1)
-    if y.shape != (pmap.ndim,):
-        raise ValueError(f"target must have {pmap.ndim} coordinates, got {y.shape}")
+def _target_points(pmap: ProbabilityMap, y_t) -> np.ndarray:
+    """One target per map, (*batch, ndim); a single map also takes any array
+    of ndim values."""
+    y = np.asarray(y_t, dtype=np.float64)
+    if not pmap.batch_shape:
+        y = y.reshape(-1)
+    shape = pmap.batch_shape + (pmap.ndim,)
+    if y.shape != shape:
+        raise ValueError(f"targets must be {shape}: {pmap.ndim} coordinates per map, got {y.shape}")
     return y
 
 
@@ -97,14 +101,14 @@ def _target_point(pmap: ProbabilityMap, y_t) -> np.ndarray:
 
 
 def soft_argmax(pmap: ProbabilityMap) -> Tensor:
-    """Expectation of the map: weights @ positions, shape (ndim,)."""
+    """Expectation of each map: weights @ positions, shape (..., ndim)."""
     return ad.matrix_multiply(pmap.weights, Tensor(pmap.support.positions))
 
 
 def error_of_expectation_loss(pmap: ProbabilityMap, y_t, distance: str = "l1") -> Tensor:
-    """d(y_t, E[y]) as a scalar tensor."""
+    """d(y_t, E[y]) per map."""
     _check_distance(distance)
-    return _distance_loss(soft_argmax(pmap), _target_point(pmap, y_t), distance)
+    return _distance_loss(soft_argmax(pmap), _target_points(pmap, y_t), distance)
 
 
 def discrete_expected_error_loss(pmap: ProbabilityMap, y_t, distance: str = "l1") -> Tensor:
@@ -114,13 +118,13 @@ def discrete_expected_error_loss(pmap: ProbabilityMap, y_t, distance: str = "l1"
     are constants.
     """
     _check_distance(distance)
-    y = _target_point(pmap, y_t)
-    diff = pmap.support.positions - y
+    y = _target_points(pmap, y_t)
+    diff = pmap.support.positions - y[..., None, :]
     if distance == "l1":
-        per_point = np.abs(diff).sum(axis=1)
+        per_point = np.abs(diff).sum(axis=-1)
     else:
-        per_point = (diff * diff).sum(axis=1)
-    return ad.matrix_multiply(pmap.weights, Tensor(per_point))
+        per_point = (diff * diff).sum(axis=-1)
+    return ad.sum_over_axis(ad.multiply(pmap.weights, Tensor(per_point)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +137,22 @@ def _floored_log_tensor(t: Tensor) -> Tensor:
     return ad.logarithm(ad.add(ad.relu(ad.subtract(t, floor)), floor))
 
 
-def gumbel_softmax(pmap: ProbabilityMap, noise: NoiseDraw, tau: float) -> Tensor:
-    """Relaxed one-hot over components: softmax((log w + g) / tau)."""
+def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Tensor:
+    """Relaxed one-hot over components: softmax((log w + g) / tau).
+
+    gumbels is (*batch, *draws, n): the map's batch axes, then any number of
+    draw axes.  The result has the shape of gumbels.
+    """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    if noise.n != pmap.n:
-        raise ValueError("noise draw does not match the map's support")
-    scores = ad.add(_floored_log_tensor(pmap.weights), Tensor(noise.gumbels))
+    batch = pmap.batch_shape
+    if gumbels.shape[: len(batch)] != batch or gumbels.shape[-1:] != (pmap.n,):
+        raise ValueError(f"noise {gumbels.shape} does not match the map's support, {batch + (pmap.n,)}")
+    # Repeat each map's log weights once per draw, as a gather: the op set
+    # broadcasts leading axes only.
+    per_draw = np.broadcast_to(np.arange(pmap.n), gumbels.shape[len(batch) :])
+    log_w = ad.index_select(_floored_log_tensor(pmap.weights), per_draw, axis=-1)
+    scores = ad.add(log_w, Tensor(gumbels))
     return ad.softmax_over_axis(ad.divide(scores, Tensor(float(tau))), axis=-1)
 
 
@@ -157,44 +170,49 @@ def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) 
 
 
 def sample_differentiable(
-    pmap: ProbabilityMap, spec: MixtureSpec, noise: NoiseDraw, tau: float
+    pmap: ProbabilityMap, spec: MixtureSpec, gumbels: np.ndarray, basis_uniforms: np.ndarray, tau: float
 ) -> Tensor:
-    """One relaxed mixture sample: sum_i pi_hat_i * y_hat_i, shape (ndim,).
+    """Relaxed mixture samples sum_i pi_hat_i * y_hat_i, one per draw.
 
+    gumbels is (*batch, *draws, n) as for gumbel_softmax and basis_uniforms
+    is (*batch, *draws, n, ndim); the result is (*batch, *draws, ndim).
     y_hat_i are per-component inverse-cdf samples, held constant for the
     gradient; differentiability comes entirely from the relaxed weights.
     """
-    if noise.ndim != pmap.ndim:
-        raise ValueError("noise draw does not match the map's dimensionality")
-    relaxed = gumbel_softmax(pmap, noise, tau)
-    samples = basis_sample_all(spec, pmap.support, noise.basis_uniforms)
-    return ad.matrix_multiply(relaxed, Tensor(samples))
+    if basis_uniforms.shape != gumbels.shape + (pmap.ndim,):
+        raise ValueError(
+            f"noise {gumbels.shape}, {basis_uniforms.shape} does not match the map's dimensionality, {pmap.ndim}"
+        )
+    # Each draw's relaxed weights as a (1, n) row, so that the product with
+    # its (n, ndim) samples runs per draw.
+    rows = gumbel_softmax(pmap, gumbels[..., None, :], tau)
+    samples = basis_sample_all(spec, pmap.support, basis_uniforms)
+    return ad.index_select(ad.matrix_multiply(rows, Tensor(samples)), 0, axis=-2)
 
 
 def sampled_expected_error_loss(
     pmap: ProbabilityMap,
     spec: MixtureSpec,
     y_t,
-    noises: Sequence[NoiseDraw],
+    gumbels: np.ndarray,
+    basis_uniforms: np.ndarray,
     tau: float,
     distance: str = "l1",
 ) -> Tensor:
-    """Mean distance between y_t and one relaxed sample per noise draw.
+    """Mean distance between each map's target and its relaxed samples.
 
-    A pure function of the draws it is given: training passes fresh draws
-    for every example, the gradient check passes the same frozen ones to
-    every evaluation.
+    gumbels is (*batch, S, n) and basis_uniforms (*batch, S, n, ndim): S
+    draws per map.  A pure function of the draws it is given: training
+    passes fresh draws for every example, the gradient check passes the same
+    frozen ones to every evaluation.
     """
     _check_distance(distance)
-    if not noises:
-        raise ValueError("need at least one noise draw")
-    y = _target_point(pmap, y_t)
-    total = None
-    for noise in noises:
-        sample = sample_differentiable(pmap, spec, noise, tau)
-        term = _distance_loss(sample, y, distance)
-        total = term if total is None else ad.add(total, term)
-    return ad.multiply(total, Tensor(1.0 / len(noises)))
+    if gumbels.ndim != len(pmap.batch_shape) + 2 or gumbels.shape[-2] < 1:
+        raise ValueError(f"need at least one noise draw per map, (*batch, S, n) gumbels, got {gumbels.shape}")
+    y = _target_points(pmap, y_t)
+    samples = sample_differentiable(pmap, spec, gumbels, basis_uniforms, tau)
+    terms = _distance_loss(samples, np.broadcast_to(y[..., None, :], samples.shape), distance)
+    return ad.multiply(ad.sum_over_axis(terms, axis=-1), Tensor(1.0 / gumbels.shape[-2]))
 
 
 def anneal_tau(config: SamplingConfig, step: int, total_steps: int) -> float:
@@ -221,16 +239,17 @@ def variance_regularizer(pmap: ProbabilityMap, sigma_t_sq: float) -> Tensor:
     mean = ad.matrix_multiply(pmap.weights, Tensor(pos))
     second = ad.matrix_multiply(pmap.weights, Tensor(pos * pos))
     per_axis = ad.subtract(second, ad.square(mean))
-    total = ad.sum_over_axis(per_axis)
+    total = ad.sum_over_axis(per_axis, axis=-1)
     return ad.square(ad.subtract(total, Tensor(float(sigma_t_sq))))
 
 
 def gaussian_target_weights(support, center: np.ndarray, sigma_t_sq: float) -> np.ndarray:
-    """Discrete gaussian over the support points, renormalized to sum to 1."""
-    diff = support.positions - np.asarray(center, dtype=np.float64)
-    sq = (diff * diff).sum(axis=1)
+    """Discrete gaussian over the support points, renormalized to sum to 1;
+    center is (..., ndim) and the result (..., n)."""
+    diff = support.positions - np.asarray(center, dtype=np.float64)[..., None, :]
+    sq = (diff * diff).sum(axis=-1)
     q = np.exp(-0.5 * sq / float(sigma_t_sq))
-    return q / q.sum()
+    return q / q.sum(axis=-1, keepdims=True)
 
 
 def js_divergence_values(p: np.ndarray, q: np.ndarray) -> float:
@@ -251,8 +270,8 @@ def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tens
     centered on the map's own expectation.
 
     The center is detached: the gradient shapes the map toward the target, it
-    does not move the target.  Pass `center` to pin the target somewhere
-    other than the current expectation.
+    does not move the target.  Pass `center`, (..., ndim), to pin the target
+    somewhere other than the current expectation.
     """
     if not sigma_t_sq > 0:
         raise ValueError("sigma_t_sq must be positive")
@@ -263,9 +282,9 @@ def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tens
     w = pmap.weights
     m = ad.multiply(ad.add(w, Tensor(q)), Tensor(0.5))
     log_m = _floored_log_tensor(m)
-    kl_p = ad.sum_over_axis(ad.multiply(w, ad.subtract(_floored_log_tensor(w), log_m)))
+    kl_p = ad.sum_over_axis(ad.multiply(w, ad.subtract(_floored_log_tensor(w), log_m)), axis=-1)
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
-    kl_q = ad.sum_over_axis(ad.multiply(Tensor(q), ad.subtract(Tensor(log_q), log_m)))
+    kl_q = ad.sum_over_axis(ad.multiply(Tensor(q), ad.subtract(Tensor(log_q), log_m)), axis=-1)
     return ad.multiply(ad.add(kl_p, kl_q), Tensor(0.5))
 
 

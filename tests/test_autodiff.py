@@ -1,5 +1,8 @@
 """Tensor, tape, and gradient tests for the autodiff core."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,19 @@ STANDARD_OPS = (
 
 def test_standard_op_set_registered():
     assert set(STANDARD_OPS) <= set(registered_ops())
+
+
+def test_registry_matches_benchmark_op_metrics():
+    # The benchmark declares one autodiff.op.<kind>.calls metric per op kind
+    # and its traced run fails when the registry drifts from that list.
+    bench = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    prefix, suffix = "autodiff.op.", ".calls"
+    declared = [
+        m["name"][len(prefix) : -len(suffix)]
+        for m in bench["per_layer"]
+        if m["name"].startswith(prefix) and m["name"].endswith(suffix)
+    ]
+    assert sorted(registered_ops()) == sorted(declared)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from diffloc.harness import cli
 from diffloc.harness.cli import main
+from diffloc.harness.suites import variance_compare
 from diffloc.harness.tasks import SyntheticTask
 from diffloc.harness.training import RunConfig
 
@@ -175,6 +176,44 @@ class TestSuiteCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "seed,trace_score,trace_reparam,coord_greater_frac,trace_ordered"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--seeds", "0"],
+            ["distcheck", "--maps", "0"],
+            ["distcheck", "--draws", "-5"],
+            ["varcompare", "--draws", "200", "--seeds", "0"],
+            ["varcompare", "--draws", "0"],
+            ["varcompare", "--tau", "0"],
+            ["varcompare", "--tau", "nan"],
+            ["varcompare", "--seeds", "two"],
+        ],
+    )
+    def test_non_positive_sizes_are_parser_errors(self, argv, monkeypatch, capsys):
+        def never(**kwargs):
+            raise AssertionError(f"suite ran with {kwargs}")
+
+        for name in ("gradcheck_suite", "distcheck_suite", "variance_compare"):
+            monkeypatch.setattr(cli, name, never)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    def test_given_values_reach_the_suites(self, monkeypatch):
+        seen = {}
+
+        def fake_compare(**kwargs):
+            seen.update(kwargs)
+            return variance_compare(num_seeds=1, draws=100)
+
+        monkeypatch.setattr(cli, "variance_compare", fake_compare)
+        assert main(["varcompare", "--seeds", "1", "--tau", "0.25"]) == 0
+        assert seen == {"num_seeds": 1, "tau": 0.25}
+        seen.clear()
+        assert main(["varcompare"]) == 0
+        assert seen == {}
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

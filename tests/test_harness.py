@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffloc import autodiff as ad
 from diffloc.autodiff import Tensor
@@ -29,14 +31,24 @@ from diffloc.harness.tasks import (
 )
 from diffloc.harness import training
 from diffloc.harness.training import (
+    LOSSES,
     RunConfig,
     TrainingDiverged,
     evaluate,
     learning_rate_at,
     train,
 )
-from diffloc.mixture import NoiseSource, draw_noise_batch, gumbel_from_uniform
-from diffloc.operators import SamplingConfig, gumbel_softmax_values
+from diffloc.mixture import NoiseSource, ProbabilityMap, draw_noise, draw_noise_batch, gumbel_from_uniform
+from diffloc.operators import (
+    DISTANCES,
+    SamplingConfig,
+    discrete_expected_error_loss,
+    error_of_expectation_loss,
+    gumbel_softmax_values,
+    js_regularizer,
+    sampled_expected_error_loss,
+    variance_regularizer,
+)
 
 
 SMALL = dict(train_count=24, val_count=8, test_count=8)
@@ -264,6 +276,26 @@ class TestTraining:
             train(RunConfig(task=task, loss=loss, epochs=2, sampling=SamplingConfig(num_samples=7)))
         assert [s.draws_taken for s in sources] == [2 * 12 * 7, 0]
 
+    def test_tape_size_does_not_depend_on_batch_or_samples(self, monkeypatch):
+        lengths = []
+        exit_tape = ad.GradientTape.__exit__
+
+        def recording_exit(tape, *exc):
+            lengths.append(len(tape.records))
+            return exit_tape(tape, *exc)
+
+        monkeypatch.setattr(ad.GradientTape, "__exit__", recording_exit)
+        task = small_task(train_count=20, val_count=4)
+        seen = set()
+        for batch_size in (1, 3, 16):
+            for num_samples in (1, 5, 12):
+                lengths.clear()
+                sampling = SamplingConfig(num_samples=num_samples)
+                train(RunConfig(task=task, loss="samp", epochs=1, batch_size=batch_size, sampling=sampling))
+                assert len(lengths) == -(-20 // batch_size)  # one tape per batch, ragged last one too
+                seen.update(lengths)
+        assert len(seen) == 1 and seen.pop() <= 30
+
     def test_evaluate_summary_consistent_with_records(self):
         task = small_task(train_count=16, val_count=8, test_count=12)
         config = RunConfig(task=task, loss="soft", epochs=3, seed=1)
@@ -277,6 +309,92 @@ class TestTraining:
         for r in records:
             assert r.error == pytest.approx(np.abs(r.pred - r.target).sum())
             assert 0.0 < r.peak <= 1.0
+
+
+class TestBatchedStep:
+    """The batched training step against the per-example formulation: one
+    (n,) map per row, one loss call per map, summed in order."""
+
+    SIZES = {"signal1d": 16, "heat2d": 8, "scatter3d": 16}
+
+    @staticmethod
+    def reference_step(model, support, config, spec, source, obs, targets, tau):
+        distance = config.sampling.distance
+        logits = model.logits(obs)
+        terms, total = [], None
+        for r in range(obs.shape[0]):
+            weights = ad.softmax_over_axis(ad.index_select(logits, r, axis=0), axis=-1)
+            pmap, y = ProbabilityMap(support, weights), targets[r]
+            if config.loss == "soft":
+                term = error_of_expectation_loss(pmap, y, distance)
+            elif config.loss == "discrete":
+                term = discrete_expected_error_loss(pmap, y, distance)
+            elif config.loss == "samp":
+                # num_samples sequential draws per row, as the per-row loop took them
+                draws = [draw_noise(source, support.n, support.ndim) for _ in range(config.sampling.num_samples)]
+                gumbels = np.stack([d.gumbels for d in draws])
+                uniforms = np.stack([d.basis_uniforms for d in draws])
+                term = sampled_expected_error_loss(pmap, spec, y, gumbels, uniforms, tau, distance)
+            else:
+                reg = variance_regularizer if config.loss == "soft-vr" else js_regularizer
+                term = ad.add(
+                    error_of_expectation_loss(pmap, y, distance),
+                    ad.multiply(reg(pmap, config.sigma_t_sq), Tensor(config.resolved_reg_weight)),
+                )
+            terms.append(term)
+            total = term if total is None else ad.add(total, term)
+        return terms, ad.multiply(total, Tensor(1.0 / obs.shape[0]))
+
+    @staticmethod
+    def gradients(model, step):
+        with ad.GradientTape():
+            out = step()
+            ad.backward(out[1])
+        grads = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.zero_grad()
+        return out, grads
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(TASK_KINDS),
+        loss=st.sampled_from(LOSSES),
+        distance=st.sampled_from(DISTANCES),
+        count=st.integers(1, 12),
+        batch_size=st.integers(1, 8),
+        num_samples=st.integers(1, 10),
+        tau=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_example_step(self, kind, loss, distance, count, batch_size, num_samples, tau, seed):
+        task = SyntheticTask(kind=kind, size=self.SIZES[kind], noise=1.0, train_count=count, seed=seed)
+        sampling = SamplingConfig(num_samples=num_samples, distance=distance)
+        config = RunConfig(task=task, loss=loss, sampling=sampling, batch_size=batch_size, seed=seed)
+        support = task_support(task)
+        spec = task_mixture_spec(task, config.basis)
+        obs, targets = generate_split(task, "train")
+        model = MLPModel(obs.shape[1], 8, support.n, seed=seed)
+        batched_source, reference_source = NoiseSource([seed, 11]), NoiseSource([seed, 11])
+        loss_fn = training._make_loss(config, spec, batched_source)
+        for start in range(0, count, batch_size):
+            rows = slice(start, start + batch_size)
+            (losses, batch_loss), grads = self.gradients(
+                model, lambda: training._batch_losses(model, support, loss_fn, obs[rows], targets[rows], tau)
+            )
+            (terms, ref_loss), ref_grads = self.gradients(
+                model,
+                lambda: self.reference_step(
+                    model, support, config, spec, reference_source, obs[rows], targets[rows], tau
+                ),
+            )
+            assert losses.shape == (len(terms), 1)
+            np.testing.assert_array_equal(losses.values[:, 0], [t.item() for t in terms])
+            # Only the order of the sum over the batch differs (pairwise
+            # against left to right).
+            assert abs(batch_loss.item() - ref_loss.item()) <= 1e-15 * abs(ref_loss.item())
+            for g, ref in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
+        assert batched_source.draws_taken == reference_source.draws_taken
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,31 @@ class TestProbabilityMap:
         with pytest.raises(ValueError, match="weights must be"):
             ProbabilityMap(sup, Tensor([0.5, 0.5]))
 
+    def test_batch_of_maps(self):
+        sup = Support.regular_grid(4)
+        w = softmax_values(np.random.default_rng(1).normal(0.0, 1.0, (3, 1, 4)))
+        pmap = ProbabilityMap(sup, Tensor(w))
+        assert pmap.batch_shape == (3, 1) and random_map().batch_shape == ()
+        w[1, 0] = [0.5, 0.5, 0.5, 0.0]
+        with pytest.raises(ValueError, match="sum"):
+            ProbabilityMap(sup, Tensor(w))
+
+    def test_oracles_take_single_maps_only(self):
+        sup = Support.regular_grid(4)
+        pmap = ProbabilityMap(sup, Tensor(np.full((2, 4), 0.25)))
+        spec = MixtureSpec("triangular")
+        noise = draw_noise(NoiseSource(0), 4, 1)
+        calls = [
+            lambda: mixture_pdf(pmap, spec, 1.0),
+            lambda: mixture_cdf(pmap, spec, 1.0),
+            lambda: mixture_moments(pmap, spec),
+            lambda: reference_sample(pmap, spec, noise),
+            lambda: reference_sample_batch(pmap, spec, 3, NoiseSource(0)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"single map, got a batch of shape \(2,\)"):
+                call()
+
 
 class TestMixtureSpec:
     def test_defaults_and_validation(self):
@@ -203,6 +228,53 @@ class TestCdf:
         pmap = ProbabilityMap(sup, Tensor(np.full(9, 1.0 / 9.0)))
         with pytest.raises(ValueError, match="1-D"):
             mixture_cdf(pmap, MixtureSpec("gaussian"), np.array([1.0, 1.0]))
+
+
+def map_and_spec(basis, n, spacing, scale, sigma, seed):
+    weights = softmax_values(np.random.default_rng(seed).normal(0.0, scale, n))
+    support = Support.regular_grid(n, spacing=spacing)
+    spec = MixtureSpec(basis, sigma * spacing if basis == "gaussian" else None)
+    return ProbabilityMap(support, Tensor(weights)), spec
+
+
+MAPS = dict(
+    basis=st.sampled_from(BASES),
+    n=st.integers(1, 16),
+    spacing=st.floats(0.25, 4.0),
+    scale=st.floats(0.0, 4.0),
+    sigma=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestMixtureProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(**MAPS)
+    def test_cdf_is_non_decreasing_within_unit_interval(self, basis, n, spacing, scale, sigma, seed):
+        pmap, spec = map_and_spec(basis, n, spacing, scale, sigma, seed)
+        reach = 10.0 * spacing * max(sigma, 1.0)
+        ys = np.linspace(-reach, (n - 1) * spacing + reach, 2001)
+        cdf = mixture_cdf(pmap, spec, ys)
+        assert np.all(cdf >= 0.0) and np.all(cdf <= 1.0 + 1e-12)
+        assert np.all(np.diff(cdf) >= -1e-12)
+        assert cdf[0] <= 1e-9 and cdf[-1] >= 1.0 - 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(**MAPS)
+    def test_pdf_integrates_to_one(self, basis, n, spacing, scale, sigma, seed):
+        pmap, spec = map_and_spec(basis, n, spacing, scale, sigma, seed)
+        positions = pmap.support.positions[:, 0]
+        # Integrate piece by piece between the bases' kinks and jumps.
+        kinks = np.unique(np.concatenate([positions - spacing, positions - spacing / 2, positions,
+                                          positions + spacing / 2, positions + spacing]))
+        reach = 12.0 * spacing * max(sigma, 1.0)
+        edges = np.concatenate([[kinks[0] - reach], kinks, [kinks[-1] + reach]])
+        total = sum(
+            integrate.quad(lambda y: mixture_pdf(pmap, spec, y), lo, hi, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+        assert abs(total - 1.0) <= 1e-8
+        assert np.all(mixture_pdf(pmap, spec, kinks) >= 0.0)
 
 
 # ---------------------------------------------------------------------------

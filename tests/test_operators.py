@@ -12,6 +12,7 @@ from diffloc.mixture import (
     Support,
     basis_sample_all,
     draw_noise,
+    draw_noise_batch,
     reference_sample,
 )
 from diffloc.operators import (
@@ -175,7 +176,7 @@ class TestGumbelSoftmax:
         pmap = make_map(seed=7)
         for tau in (0.05, 0.5, 2.0):
             noise = draw_noise(NoiseSource(8), pmap.n, 1)
-            relaxed = gumbel_softmax(pmap, noise, tau)
+            relaxed = gumbel_softmax(pmap, noise.gumbels, tau)
             assert relaxed.values.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(relaxed.values >= 0.0)
 
@@ -183,7 +184,7 @@ class TestGumbelSoftmax:
         pmap = make_map(seed=9)
         noise = draw_noise(NoiseSource(10), pmap.n, 1)
         winner = int(np.argmax(np.log(pmap.weight_values) + noise.gumbels))
-        relaxed = gumbel_softmax(pmap, noise, 0.001).values
+        relaxed = gumbel_softmax(pmap, noise.gumbels, 0.001).values
         assert int(np.argmax(relaxed)) == winner
         assert relaxed[winner] == pytest.approx(1.0, abs=1e-6)
 
@@ -191,7 +192,7 @@ class TestGumbelSoftmax:
         pmap = make_map(seed=11)
         noise = draw_noise(NoiseSource(12), pmap.n, 1)
         for tau in (0.05, 1.0):
-            t = gumbel_softmax(pmap, noise, tau).values
+            t = gumbel_softmax(pmap, noise.gumbels, tau).values
             v = gumbel_softmax_values(pmap.weight_values, noise.gumbels, tau)
             np.testing.assert_array_equal(t, v)
 
@@ -206,10 +207,10 @@ class TestGumbelSoftmax:
         pmap = make_map()
         noise = draw_noise(NoiseSource(0), pmap.n, 1)
         with pytest.raises(ValueError, match="tau"):
-            gumbel_softmax(pmap, noise, 0.0)
+            gumbel_softmax(pmap, noise.gumbels, 0.0)
         short = draw_noise(NoiseSource(0), pmap.n - 1, 1)
         with pytest.raises(ValueError, match="support"):
-            gumbel_softmax(pmap, short, 1.0)
+            gumbel_softmax(pmap, short.gumbels, 1.0)
 
     def test_argmax_frequency_tracks_weights(self):
         # Over many draws the sharp-relaxation winner follows the weights.
@@ -219,7 +220,7 @@ class TestGumbelSoftmax:
         draws = 20_000
         for _ in range(draws):
             noise = draw_noise(source, 5, 1)
-            counts[int(np.argmax(gumbel_softmax(pmap, noise, 0.05).values))] += 1
+            counts[int(np.argmax(gumbel_softmax(pmap, noise.gumbels, 0.05).values))] += 1
         np.testing.assert_allclose(counts / draws, pmap.weight_values, atol=0.01)
 
 
@@ -229,7 +230,7 @@ class TestSampleDifferentiable:
             pmap = make_map(seed=17)
             spec = MixtureSpec(basis)
             noise = draw_noise(NoiseSource(18), pmap.n, 1)
-            relaxed = sample_differentiable(pmap, spec, noise, 1e-4).values
+            relaxed = sample_differentiable(pmap, spec, noise.gumbels, noise.basis_uniforms, 1e-4).values
             exact = reference_sample(pmap, spec, noise)
             np.testing.assert_allclose(relaxed, exact, atol=1e-8)
 
@@ -237,7 +238,7 @@ class TestSampleDifferentiable:
         pmap = make_map(seed=19)
         spec = MixtureSpec("triangular")
         noise = draw_noise(NoiseSource(20), pmap.n, 1)
-        relaxed = sample_differentiable(pmap, spec, noise, 50.0).values
+        relaxed = sample_differentiable(pmap, spec, noise.gumbels, noise.basis_uniforms, 50.0).values
         samples = basis_sample_all(spec, pmap.support, noise.basis_uniforms)
         # At very high temperature the relaxation approaches the flat average.
         np.testing.assert_allclose(relaxed, samples.mean(axis=0), atol=0.05)
@@ -246,12 +247,12 @@ class TestSampleDifferentiable:
         pmap = map_2d()
         noise = draw_noise(NoiseSource(0), pmap.n, 1)
         with pytest.raises(ValueError, match="dimensionality"):
-            sample_differentiable(pmap, MixtureSpec("gaussian", sigma=1.0), noise, 1.0)
+            sample_differentiable(pmap, MixtureSpec("gaussian", sigma=1.0), noise.gumbels, noise.basis_uniforms, 1.0)
 
 
 def draws(seed, count, n, ndim=1):
-    source = NoiseSource(seed)
-    return [draw_noise(source, n, ndim) for _ in range(count)]
+    """(count, n) gumbels and (count, n, ndim) uniforms: count draws for one map."""
+    return draw_noise_batch(NoiseSource(seed), count, n, ndim)
 
 
 class TestSampledExpectedErrorLoss:
@@ -260,7 +261,7 @@ class TestSampledExpectedErrorLoss:
         spec = MixtureSpec("triangular")
         y = np.array([2.6])
         tau = 0.618
-        loss = sampled_expected_error_loss(pmap, spec, y, draws(24, 4, pmap.n), tau, "l1")
+        loss = sampled_expected_error_loss(pmap, spec, y, *draws(24, 4, pmap.n), tau, "l1")
         source = NoiseSource(24)
         total = 0.0
         for _ in range(4):
@@ -270,7 +271,7 @@ class TestSampledExpectedErrorLoss:
             total = total + np.abs(relaxed @ samples - y).sum()
         assert loss.item() == pytest.approx(total * (1.0 / 4.0), rel=1e-15)
         with pytest.raises(ValueError, match="at least one"):
-            sampled_expected_error_loss(pmap, spec, y, [], tau)
+            sampled_expected_error_loss(pmap, spec, y, *draws(24, 0, pmap.n), tau)
 
     def test_mean_over_many_samples_approaches_discrete_loss_at_sharp_tau(self):
         # With a sharp temperature and a narrow basis the sampled loss is a
@@ -278,7 +279,7 @@ class TestSampledExpectedErrorLoss:
         pmap = make_map(seed=25)
         spec = MixtureSpec("gaussian", sigma=0.01)
         y = np.array([2.0])
-        loss = sampled_expected_error_loss(pmap, spec, y, draws(26, 4000, pmap.n), 0.01)
+        loss = sampled_expected_error_loss(pmap, spec, y, *draws(26, 4000, pmap.n), 0.01)
         exact = discrete_expected_error_loss(pmap, y, "l1").item()
         assert loss.item() == pytest.approx(exact, abs=0.05)
 
@@ -286,11 +287,11 @@ class TestSampledExpectedErrorLoss:
         sup = Support.regular_grid(6)
         spec = MixtureSpec("triangular")
         y = np.array([2.4])
-        frozen = [draw_noise(NoiseSource(27), 6, 1) for _ in range(3)]
+        frozen = draws(27, 3, 6)
 
         def f(logits):
             pmap = ProbabilityMap(sup, ad.softmax_over_axis(logits, axis=-1))
-            return sampled_expected_error_loss(pmap, spec, y, frozen, 0.7)
+            return sampled_expected_error_loss(pmap, spec, y, *frozen, 0.7)
 
         x0 = np.random.default_rng(28).normal(0.0, 1.0, 6)
         assert grad_check(f, x0).passed
@@ -428,6 +429,55 @@ class TestJsRegularizer:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="sigma_t_sq"):
             js_regularizer(make_map(), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Batches of maps
+
+
+class TestBatchedMaps:
+    LOSSES = {
+        "soft": lambda pmap, y, noise: error_of_expectation_loss(pmap, y, "l1"),
+        "discrete": lambda pmap, y, noise: discrete_expected_error_loss(pmap, y, "l2-squared"),
+        "samp": lambda pmap, y, noise: sampled_expected_error_loss(
+            pmap, MixtureSpec("gaussian", sigma=0.7), y, *noise, 0.6, "l1"
+        ),
+        "variance": lambda pmap, y, noise: variance_regularizer(pmap, 2.0),
+        "js": lambda pmap, y, noise: js_regularizer(pmap, 2.0),
+    }
+
+    @pytest.mark.parametrize("name", LOSSES)
+    def test_one_loss_per_map(self, name):
+        loss = self.LOSSES[name]
+        sup = Support.regular_grid((3, 4))
+        rng = np.random.default_rng(35)
+        weights = softmax_values(rng.normal(0.0, 1.5, (5, 1, sup.n)))
+        targets = rng.uniform(0.0, 3.0, (5, 1, 2))
+        gumbels, uniforms = draw_noise_batch(NoiseSource(36), 5 * 4, sup.n, 2)
+        noise = (gumbels.reshape(5, 1, 4, sup.n), uniforms.reshape(5, 1, 4, sup.n, 2))
+        rows = loss(ProbabilityMap(sup, Tensor(weights)), targets, noise)
+        assert rows.shape == (5, 1)
+        for r in range(5):
+            alone = loss(ProbabilityMap(sup, Tensor(weights[r, 0])), targets[r, 0], (noise[0][r, 0], noise[1][r, 0]))
+            assert alone.shape == ()
+            assert rows.values[r, 0] == alone.item()  # the row layout keeps every bit
+        flat = loss(ProbabilityMap(sup, Tensor(weights[:, 0])), targets[:, 0], (noise[0][:, 0], noise[1][:, 0]))
+        np.testing.assert_allclose(flat.values, rows.values[:, 0], rtol=1e-12)
+
+    def test_shapes_are_checked(self):
+        sup = Support.regular_grid(6)
+        pmap = ProbabilityMap(sup, Tensor(np.full((2, 6), 1.0 / 6.0)))
+        spec = MixtureSpec("triangular")
+        gumbels, uniforms = draw_noise_batch(NoiseSource(37), 6, 6, 1)
+        with pytest.raises(ValueError, match="targets must be"):
+            error_of_expectation_loss(pmap, np.array([1.0]))
+        y = np.array([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="support"):
+            sampled_expected_error_loss(pmap, spec, y, gumbels.reshape(3, 2, 6), uniforms.reshape(3, 2, 6, 1), 1.0)
+        with pytest.raises(ValueError, match="at least one"):
+            sampled_expected_error_loss(pmap, spec, y, gumbels.reshape(2, 3, 6)[:, :0], uniforms[:0], 1.0)
+        loss = sampled_expected_error_loss(pmap, spec, y, gumbels.reshape(2, 3, 6), uniforms.reshape(2, 3, 6, 1), 1.0)
+        assert loss.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
