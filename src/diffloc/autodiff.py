@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Inside ``with GradientTape():`` each operation on a tensor that requires a
-gradient is recorded as it executes; ``backward`` walks the tape once in
-reverse, accumulating gradients into every tensor that asked for them.
+gradient is recorded as it executes; ``backward``, called inside that block,
+walks the tape once in reverse and gives the leaves their gradients.  The
+block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
 elementwise arithmetic, a few shape ops, matrix multiply, relu and softmax.
 Broadcasting is deliberately limited to the leading-batch case (one
@@ -80,7 +81,7 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 class Tensor:
     """Dense float64 array with an optional accumulated gradient."""
 
-    __slots__ = ("values", "requires_grad", "grad", "tape")
+    __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.array(values, dtype=np.float64)
@@ -88,7 +89,6 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.tape: "GradientTape | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -109,9 +109,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     # Operator sugar.  Everything routes through forward_op so it is recorded.
     def __add__(self, other):
@@ -239,11 +236,10 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     _check_finite(out_values, f"output of {kind!r}")
     # Checked just above, so bypass the constructor's copy and second check.
     out = Tensor.__new__(Tensor)
-    out.values, out.requires_grad, out.grad, out.tape = out_values, False, None, None
+    out.values, out.requires_grad, out.grad = out_values, False, None
     if _STATE.enabled and _STATE.stack and any(t.requires_grad for t in tensors):
         out.requires_grad = True
-        out.tape = _STATE.stack[-1]
-        out.tape.records.append(TapeRecord(kind, tensors, out, backward_fn))
+        _STATE.stack[-1].records.append(TapeRecord(kind, tensors, out, backward_fn))
     return out
 
 
@@ -252,16 +248,22 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(t) into t.grad for every recorded tensor t.
+    """Accumulate d(root)/d(t) into t.grad for every leaf t: each tensor
+    that requires a gradient and that no record on root's tape produced.
 
-    Repeated calls add up, so the gradient of a sum of scalars equals the sum
-    of per-scalar backward passes.  Call ``zero_grad`` between steps.
+    Root's tape is the innermost open one that recorded it, so call this
+    inside the block that computed root.  Repeated calls add up, so the
+    gradient of a sum of scalars equals the sum of per-scalar backward
+    passes.  Call ``zero_grad`` between steps.
     """
     if root.size != 1:
         raise ValueError(f"backward needs a scalar root, got shape {root.shape}")
-    tape = root.tape
+    tape = next(
+        (t for t in reversed(_STATE.stack) if any(rec.output is root for rec in reversed(t.records))),
+        None,
+    )
     if tape is None:
-        raise ValueError("root was not recorded on any tape; run the ops inside `with GradientTape():`")
+        raise ValueError("root was not recorded on an open tape; call backward inside its `with GradientTape():`")
 
     # pending maps id(tensor) -> (tensor, accumulated output-side gradient).
     # Reverse tape order guarantees every use of a tensor is processed before
@@ -274,11 +276,9 @@ def backward(root: Tensor) -> None:
         if entry is None:
             continue
         g_out = entry[1]
-        if rec.output.requires_grad:
-            _accumulate(rec.output, g_out)
         for tensor, g_in in zip(rec.inputs, rec.backward_fn(g_out)):
             # Recorded outputs always require grad, so a no-grad input is a
-            # dead end: it is either a constant leaf or detached.
+            # dead end: a constant.
             if g_in is None or not tensor.requires_grad:
                 continue
             if g_in.shape != tensor.shape:
@@ -292,11 +292,9 @@ def backward(root: Tensor) -> None:
                 g_in = prev[1] + g_in
                 _check_finite(g_in, f"gradient sum in backward of {rec.kind!r}")
             pending[id(tensor)] = (tensor, g_in)
-    # Whatever is left belongs to leaves (or tensors produced on other tapes,
-    # which this pass treats as leaves).
+    # Every produced tensor was popped at its record; the rest are leaves.
     for tensor, g in pending.values():
-        if tensor.requires_grad:
-            _accumulate(tensor, g)
+        _accumulate(tensor, g)
 
 
 def _accumulate(tensor: Tensor, g: np.ndarray) -> None:

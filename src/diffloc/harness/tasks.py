@@ -134,11 +134,22 @@ def _bump(x: np.ndarray, center: float, width: float, lam_lo: float, lam_hi: flo
 
 
 def _place_distractor(rng: np.random.Generator, lo: float, hi: float, y_t: np.ndarray, min_sep: float) -> np.ndarray:
-    """Uniform point in [lo, hi]^d at least min_sep (euclidean) from y_t."""
-    while True:
+    """The first of rng's uniform points in [lo, hi]^d at least min_sep
+    (euclidean) from y_t; some point of the box must lie farther."""
+    for _ in range(16):
         cand = rng.uniform(lo, hi, size=y_t.shape)
         if np.linalg.norm(cand - y_t) >= min_sep:
             return cand
+    # A small far region: draw points in blocks, then rewind rng and redraw up
+    # to the accepted one, so point and stream match the loop above.
+    while True:
+        state = rng.bit_generator.state
+        cands = rng.uniform(lo, hi, size=(4096, y_t.size))
+        # A vectorized norm screens; the one-point norm decides.
+        for j in np.flatnonzero(np.sqrt(((cands - y_t) ** 2).sum(axis=1)) >= min_sep * (1.0 - 1e-12)):
+            if np.linalg.norm(cands[j] - y_t) >= min_sep:
+                rng.bit_generator.state = state
+                return rng.uniform(lo, hi, size=(j + 1, y_t.size))[-1]
 
 
 # Distractor amplitude, tail decay, and separation keep the distractor's
@@ -179,8 +190,10 @@ def _grid_example(task: SyntheticTask, rng: np.random.Generator, ndim: int) -> t
 
     difficulty = rng.uniform(0.1, 1.0)
     noisy = signal
-    # Skip the distractor when the box is too small to honor the separation.
-    if (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP:
+    # Skip the distractor when the box is too small to honor the separation,
+    # or when even its farthest corner from y_t is not beyond it.
+    farthest = np.linalg.norm(np.maximum(y_t - 1.0, n - 2.0 - y_t))
+    if (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP and farthest > _MIN_SEP:
         d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
         rho = rng.uniform(*_RHO_RANGE)
         d_profile = _bump_profile(rng, x, d_pos)

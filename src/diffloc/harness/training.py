@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class EvalSummary:
     within_one_cell: float
 
 
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).sum())
-
-
 # Cosine decay floor: final lr is 5% of the initial value, which damps the
 # SGD noise floor late in training without stalling early progress.
 _COSINE_FLOOR = 0.05
@@ -190,7 +186,7 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
             mean_loss = epoch_loss / count
             if not np.isfinite(mean_loss):
                 raise NonFiniteError("non-finite epoch loss")
-            val_err = _mean_inference_error(model, support, val_obs, val_y)
+            val_err = float(_predict(model, support, val_obs, val_y)[2].mean())
         except NonFiniteError as err:
             raise TrainingDiverged(f"diverged at epoch {epoch}: {err}", history) from err
         if not np.isfinite(val_err):
@@ -223,14 +219,15 @@ def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
     return batch_loss.item()
 
 
-def _weight_rows(model: MLPModel, obs: np.ndarray) -> np.ndarray:
-    return ad.softmax_values(model.logit_values(obs), axis=-1)
+def _predict(model, support, obs, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weight rows, predictions, L1 errors) of a split.
 
-
-def _mean_inference_error(model, support, obs, targets) -> float:
-    rows = _weight_rows(model, obs)
-    preds = rows @ support.positions
-    return float(np.abs(preds - targets).sum(axis=1).mean())
+    One inference_localize call on the (B, 1, n) row layout, so each
+    prediction has the bits soft_argmax gives that example's lone map.
+    """
+    rows = ad.softmax_values(model.logit_values(obs), axis=-1)
+    preds = inference_localize(ProbabilityMap(support, Tensor(rows[:, None, :])))[:, 0, :]
+    return rows, preds, np.abs(preds - targets).sum(axis=-1)
 
 
 def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple[list[TrialRecord], EvalSummary]:
@@ -239,21 +236,11 @@ def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple
     obs, targets = generate_split(task, split)
     if obs.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
-    rows = _weight_rows(model, obs)
-    records = []
-    for i in range(obs.shape[0]):
-        pmap = ProbabilityMap(support, Tensor(rows[i]))
-        pred = inference_localize(pmap)
-        records.append(
-            TrialRecord(
-                index=i,
-                pred=pred,
-                target=targets[i],
-                peak=float(rows[i].max()),
-                error=_l1(pred, targets[i]),
-            )
-        )
-    errors = np.array([r.error for r in records])
+    rows, preds, errors = _predict(model, support, obs, targets)
+    records = [
+        TrialRecord(index=i, pred=preds[i], target=targets[i], peak=float(rows[i].max()), error=float(errors[i]))
+        for i in range(obs.shape[0])
+    ]
     cell = support.spacing if support.spacing is not None else 1.0
     summary = EvalSummary(
         count=len(records),

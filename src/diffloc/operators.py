@@ -276,7 +276,7 @@ def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tens
     if not sigma_t_sq > 0:
         raise ValueError("sigma_t_sq must be positive")
     if center is None:
-        center = pmap.weight_values @ pmap.support.positions
+        center = inference_localize(pmap)
     q = gaussian_target_weights(pmap.support, center, sigma_t_sq)
 
     w = pmap.weights

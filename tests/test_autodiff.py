@@ -1,6 +1,8 @@
 """Tensor, tape, and gradient tests for the autodiff core."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -169,12 +171,13 @@ def test_backward_accumulates_across_calls():
 
 
 def test_interior_tensors_receive_gradients():
+    # Only leaves do: h is produced on the tape, so it gets no .grad.
     with GradientTape():
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
         h = ad.square(x)
         z = ad.sum_over_axis(h)
         backward(z)
-    np.testing.assert_allclose(h.grad, np.ones(3))
+    assert h.grad is None
     np.testing.assert_allclose(x.grad, 2.0 * x.values)
 
 
@@ -204,8 +207,51 @@ def test_tapes_are_independent():
 def test_ops_outside_a_tape_are_not_recorded():
     x = Tensor([1.0, 2.0], requires_grad=True)
     out = ad.softmax_over_axis(x)
-    assert out.tape is None
     assert not out.requires_grad
+    with pytest.raises(ValueError, match="tape"):
+        backward(ad.sum_over_axis(out))
+
+
+def test_finished_tape_is_freed_without_the_cycle_collector():
+    def step():
+        with GradientTape() as tape:
+            x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+            h = ad.square(x)
+            backward(ad.sum_over_axis(h))
+        assert not hasattr(h, "tape")
+        # Tensor has no __weakref__ slot, so watch the interior value array.
+        return x, weakref.ref(tape), weakref.ref(h.values)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x, tape_ref, interior_ref = step()
+        assert tape_ref() is None
+        assert interior_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.values)
+
+
+def test_backward_after_the_block_closed_raises():
+    with GradientTape():
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = ad.sum_over_axis(ad.square(x))
+    with pytest.raises(ValueError, match="GradientTape"):
+        backward(z)
+    assert x.grad is None
+
+
+def test_backward_on_an_outer_root_inside_an_inner_block():
+    with GradientTape():
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = ad.sum_over_axis(ad.square(x))
+        with GradientTape() as inner:
+            ad.square(x)
+            backward(z)
+        assert len(inner) == 1
+    np.testing.assert_array_equal(x.grad, 2.0 * x.values)
 
 
 def test_no_grad_blocks_recording_and_matches_values():

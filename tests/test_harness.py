@@ -1,10 +1,16 @@
 """Synthetic tasks, model, training loop, metrics, and diagnostic suites."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffloc
 from diffloc import autodiff as ad
 from diffloc.autodiff import Tensor
 from diffloc.harness.metrics import calibration_report, pearson
@@ -29,7 +35,7 @@ from diffloc.harness.tasks import (
     task_mixture_spec,
     task_support,
 )
-from diffloc.harness import training
+from diffloc.harness import tasks, training
 from diffloc.harness.training import (
     LOSSES,
     RunConfig,
@@ -139,6 +145,44 @@ class TestTasks:
         spec = task_mixture_spec(scatter, "triangular")
         assert spec.basis == "gaussian"
         assert spec.sigma == pytest.approx(scatter_sigma(scatter))
+
+    def test_every_small_grid_size_finishes(self):
+        # At these sizes some targets leave no point of the distractor box far
+        # enough away.  A child process with a timeout turns a hang into a
+        # failure.
+        code = (
+            "from diffloc.harness.tasks import SPLITS, SyntheticTask, generate_split\n"
+            "for kind, sizes in (('signal1d', range(8, 17)), ('heat2d', range(8, 14))):\n"
+            "    for size in sizes:\n"
+            "        for seed in (0, 3):\n"
+            "            for split in SPLITS:\n"
+            "                generate_split(SyntheticTask(kind, size=size, noise=1.0, seed=seed), split)\n"
+        )
+        src = str(Path(diffloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    def test_distractor_matches_one_point_loop(self):
+        # The reference draws one candidate at a time; the block sampler must
+        # return the same point and leave the stream at the same place.
+        def one_point_loop(rng, lo, hi, y_t, min_sep):
+            while True:
+                cand = rng.uniform(lo, hi, size=y_t.shape)
+                if np.linalg.norm(cand - y_t) >= min_sep:
+                    return cand
+
+        # Separations up to 0.98 of the farthest corner's distance leave far
+        # regions small enough that about a fifth of the cases need blocks.
+        pick = np.random.default_rng(17)
+        for case in range(200):
+            n, ndim = int(pick.integers(9, 20)), 1 + case % 3
+            y_t = pick.uniform(1.0, n - 2.0, size=ndim)
+            min_sep = np.linalg.norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) * pick.uniform(0.5, 0.98)
+            a, b = np.random.default_rng([case, 1]), np.random.default_rng([case, 1])
+            np.testing.assert_array_equal(
+                tasks._place_distractor(a, 1.0, n - 2.0, y_t, min_sep), one_point_loop(b, 1.0, n - 2.0, y_t, min_sep)
+            )
+            assert a.random() == b.random()
 
     def test_generate_example_bad_inputs(self):
         task = small_task()
@@ -295,6 +339,12 @@ class TestTraining:
                 assert len(lengths) == -(-20 // batch_size)  # one tape per batch, ragged last one too
                 seen.update(lengths)
         assert len(seen) == 1 and seen.pop() <= 30
+
+    def test_validation_error_is_evaluate_mean(self):
+        task = SyntheticTask(kind="heat2d", size=12, seed=3)
+        model, history = train(RunConfig(task=task, loss="soft", epochs=3, seed=3))
+        _, summary = evaluate(model, task, "val")
+        assert history[-1].val_mean_err == summary.mean_error
 
     def test_evaluate_summary_consistent_with_records(self):
         task = small_task(train_count=16, val_count=8, test_count=12)
