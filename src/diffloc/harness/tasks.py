@@ -133,23 +133,16 @@ def _bump(x: np.ndarray, center: float, width: float, lam_lo: float, lam_hi: flo
     return np.where(absd <= 1.0, core, tail)
 
 
-def _place_distractor(rng: np.random.Generator, lo: float, hi: float, y_t: np.ndarray, min_sep: float) -> np.ndarray:
-    """The first of rng's uniform points in [lo, hi]^d at least min_sep
-    (euclidean) from y_t; some point of the box must lie farther."""
-    for _ in range(16):
+def _place_distractor(
+    rng: np.random.Generator, lo: float, hi: float, y_t: np.ndarray, min_sep: float
+) -> np.ndarray | None:
+    """The first of rng's next _DISTRACTOR_TRIES uniform points in [lo, hi]^d
+    that lies at least min_sep (euclidean) from y_t, or None if none does."""
+    for _ in range(_DISTRACTOR_TRIES):
         cand = rng.uniform(lo, hi, size=y_t.shape)
         if np.linalg.norm(cand - y_t) >= min_sep:
             return cand
-    # A small far region: draw points in blocks, then rewind rng and redraw up
-    # to the accepted one, so point and stream match the loop above.
-    while True:
-        state = rng.bit_generator.state
-        cands = rng.uniform(lo, hi, size=(4096, y_t.size))
-        # A vectorized norm screens; the one-point norm decides.
-        for j in np.flatnonzero(np.sqrt(((cands - y_t) ** 2).sum(axis=1)) >= min_sep * (1.0 - 1e-12)):
-            if np.linalg.norm(cands[j] - y_t) >= min_sep:
-                rng.bit_generator.state = state
-                return rng.uniform(lo, hi, size=(j + 1, y_t.size))[-1]
+    return None
 
 
 # Distractor amplitude, tail decay, and separation keep the distractor's
@@ -159,6 +152,10 @@ _RHO_RANGE = (0.25, 0.45)
 _WIDTH_RANGE = (0.8, 1.1)
 _LAM_RANGE = (1.0, 2.0)
 _MIN_SEP = 6.0
+# The region beyond _MIN_SEP can be a sliver near a corner of the box; past
+# this many misses the example goes without a distractor.  At the default
+# sizes each try hits with probability above 0.5.
+_DISTRACTOR_TRIES = 1024
 _MID_BAND = (0.42, 0.58)
 
 
@@ -191,10 +188,13 @@ def _grid_example(task: SyntheticTask, rng: np.random.Generator, ndim: int) -> t
     difficulty = rng.uniform(0.1, 1.0)
     noisy = signal
     # Skip the distractor when the box is too small to honor the separation,
-    # or when even its farthest corner from y_t is not beyond it.
+    # when even its farthest corner from y_t is not beyond it, or when no try
+    # lands beyond it.
     farthest = np.linalg.norm(np.maximum(y_t - 1.0, n - 2.0 - y_t))
+    d_pos = None
     if (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP and farthest > _MIN_SEP:
         d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
+    if d_pos is not None:
         rho = rng.uniform(*_RHO_RANGE)
         d_profile = _bump_profile(rng, x, d_pos)
         signal = signal + rho * d_profile

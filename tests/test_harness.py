@@ -162,27 +162,17 @@ class TestTasks:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
-    def test_distractor_matches_one_point_loop(self):
-        # The reference draws one candidate at a time; the block sampler must
-        # return the same point and leave the stream at the same place.
-        def one_point_loop(rng, lo, hi, y_t, min_sep):
-            while True:
-                cand = rng.uniform(lo, hi, size=y_t.shape)
-                if np.linalg.norm(cand - y_t) >= min_sep:
-                    return cand
-
-        # Separations up to 0.98 of the farthest corner's distance leave far
-        # regions small enough that about a fifth of the cases need blocks.
-        pick = np.random.default_rng(17)
-        for case in range(200):
-            n, ndim = int(pick.integers(9, 20)), 1 + case % 3
-            y_t = pick.uniform(1.0, n - 2.0, size=ndim)
-            min_sep = np.linalg.norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) * pick.uniform(0.5, 0.98)
-            a, b = np.random.default_rng([case, 1]), np.random.default_rng([case, 1])
-            np.testing.assert_array_equal(
-                tasks._place_distractor(a, 1.0, n - 2.0, y_t, min_sep), one_point_loop(b, 1.0, n - 2.0, y_t, min_sep)
-            )
-            assert a.random() == b.random()
+    @pytest.mark.parametrize("hi, ndim", [(10.0, 1), (7.0, 2)])
+    def test_distractor_gives_up_on_a_sliver(self, hi, ndim):
+        # y_t lies just inside the separation from the box's corner (hi, ..),
+        # so the region beyond it is a sliver that no try hits: the loop
+        # must stop after its tries and leave the stream past them.
+        y_t = np.full(ndim, hi - (tasks._MIN_SEP + 1e-9) / np.sqrt(ndim))
+        assert np.linalg.norm(np.maximum(y_t - 1.0, hi - y_t)) > tasks._MIN_SEP
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        assert tasks._place_distractor(rng, 1.0, hi, y_t, tasks._MIN_SEP) is None
+        ref.uniform(size=(tasks._DISTRACTOR_TRIES, ndim))
+        assert rng.random() == ref.random()
 
     def test_generate_example_bad_inputs(self):
         task = small_task()
