@@ -672,25 +672,22 @@ def grad_check(
     x,
     step: float = 1e-5,
     tol: float = 1e-4,
+    *,
+    batched: bool = False,
 ) -> GradCheckResult:
     """Compare the taped gradient of a scalar-valued f against central
     finite differences, elementwise.
 
-    Relative error is |a - n| / max(|a|, |n|, 1e-8).  f must be deterministic;
-    two forward evaluations that disagree raise instead of producing a bogus
-    comparison.
+    Relative error is |a - n| / max(|a|, |n|, 1e-8).  The 2k perturbed
+    inputs x0 ± step (k = x.size) and x0 itself form one stack of shape
+    (2k + 1, *x.shape).  By default each row of the stack is one more call of
+    f.  ``batched=True`` states that f, given the stack, returns 2k + 1
+    values, each bitwise what f gives that row alone; the whole stack is then
+    one call.  Either way the x0 row must equal the taped f(x0) bitwise: a
+    nondeterministic f, or a batched f whose rows are not independent, raises
+    instead of producing a bogus comparison.
     """
     x0 = np.array(x.values if isinstance(x, Tensor) else x, dtype=np.float64)
-
-    def eval_value(arr: np.ndarray) -> float:
-        with no_grad():
-            out = f(Tensor(arr))
-        if out.size != 1:
-            raise ValueError(f"grad_check needs a scalar-valued f, got shape {out.shape}")
-        return out.item()
-
-    if eval_value(x0) != eval_value(x0):
-        raise ValueError("grad_check: f is not deterministic across evaluations")
 
     with GradientTape():
         xt = Tensor(x0, requires_grad=True)
@@ -699,19 +696,29 @@ def grad_check(
             raise ValueError(f"grad_check needs a scalar-valued f, got shape {out.shape}")
         backward(out)
         analytic = np.zeros_like(x0) if xt.grad is None else xt.grad.copy()
+    base = out.item()
 
-    numeric = np.empty_like(x0)
     flat = x0.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + step
-        up = eval_value(x0)
-        flat[i] = saved - step
-        down = eval_value(x0)
-        flat[i] = saved
-        num_flat[i] = (up - down) / (2.0 * step)
+    k = flat.size
+    coords = np.arange(k)
+    stack = np.tile(flat, (2 * k + 1, 1))
+    stack[coords, coords] = flat + step
+    stack[k + coords, coords] = flat - step
+    stack = stack.reshape((2 * k + 1,) + x0.shape)
+    with no_grad():
+        if batched:
+            values = f(Tensor(stack)).values.reshape(-1)
+            if values.size != stack.shape[0]:
+                raise ValueError(f"grad_check: batched f gave {values.size} values for a stack of {stack.shape[0]}")
+        else:
+            values = np.array([f(Tensor(row)).item() for row in stack])
+    if values[-1] != base:
+        raise ValueError(
+            "grad_check: f(x0) changed between evaluations; f is not deterministic, "
+            "or a batched f's rows are not independent"
+        )
 
+    numeric = ((values[:k] - values[k:-1]) / (2.0 * step)).reshape(x0.shape)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     rel = np.abs(analytic - numeric) / denom
     max_rel = float(rel.max()) if rel.size else 0.0

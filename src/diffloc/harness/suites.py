@@ -52,6 +52,13 @@ __all__ = [
 ]
 
 
+def _require_positive(**sizes: int) -> None:
+    """A suite over no rows would pass vacuously; refuse it."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Gradient checks
 
@@ -107,7 +114,11 @@ def gradcheck_suite(
     sampled loss uses noise frozen per row; the distribution regularizer's
     center is pinned at the unperturbed weights, matching the gradient it
     actually computes.
+
+    An extra loss has the operators' form: it takes a map with (..., n)
+    weights and the targets, (..., ndim), and returns one loss per map.
     """
+    _require_positive(seeds=seeds)
     supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
     extras = dict(extra_losses or {})
     rows: list[GradCheckRow] = []
@@ -124,7 +135,7 @@ def gradcheck_suite(
                     f = _loss_closure(
                         loss_name, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0, extras
                     )
-                    result = ad.grad_check(f, x0, step=step, tol=tol)
+                    result = ad.grad_check(f, x0, step=step, tol=tol, batched=True)
                     rows.append(
                         GradCheckRow(loss_name, basis, ndim, seed, result.max_rel_error, result.passed)
                     )
@@ -142,19 +153,28 @@ def _loss_closure(loss_name, support, spec, y_t, distance, num_samples, tau, sig
         center0 = w0 @ support.positions
 
     def f(x: Tensor) -> Tensor:
-        weights = ad.softmax_over_axis(x, axis=-1)
-        pmap = ProbabilityMap(support, weights)
+        # grad_check passes its finite-difference stack, (m, n), in one call.
+        # In the (m, 1, n) row layout each row's loss has the bits of that
+        # row's lone (n,) map, and the frozen inputs are broadcast per row.
+        if x.ndim == 2:
+            x = ad.index_select(x, np.arange(x.shape[0])[:, None], axis=0)
+        pmap = ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
+
+        def per_map(a: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(a, pmap.batch_shape + a.shape)
+
+        y = per_map(y_t)
         if loss_name == "error-of-expectation":
-            return error_of_expectation_loss(pmap, y_t, distance)
+            return error_of_expectation_loss(pmap, y, distance)
         if loss_name == "discrete-expected-error":
-            return discrete_expected_error_loss(pmap, y_t, distance)
+            return discrete_expected_error_loss(pmap, y, distance)
         if loss_name == "sampled-expected-error":
-            return sampled_expected_error_loss(pmap, spec, y_t, gumbels, uniforms, tau, distance)
+            return sampled_expected_error_loss(pmap, spec, y, per_map(gumbels), per_map(uniforms), tau, distance)
         if loss_name == "variance-regularizer":
             return variance_regularizer(pmap, sigma_t_sq)
         if loss_name == "js-regularizer":
-            return js_regularizer(pmap, sigma_t_sq, center=center0)
-        return extras[loss_name](pmap, y_t)
+            return js_regularizer(pmap, sigma_t_sq, center=per_map(center0))
+        return extras[loss_name](pmap, y)
 
     return f
 
@@ -219,6 +239,7 @@ def distcheck_suite(
     KS statistics of the relaxed sampler at a sharp and a smooth temperature
     (sharp must fit strictly better, on shared noise).
     """
+    _require_positive(num_maps=num_maps, draws=draws)
     support = Support.regular_grid(n)
     crit = ks_critical_value(draws, alpha)
     reference_rows: list[ReferenceRow] = []
@@ -335,6 +356,7 @@ def variance_compare(
     """Gradient variance of the score-function estimator vs the relaxed
     pathwise estimator, per logit coordinate and in trace, one draw per
     estimate."""
+    _require_positive(num_seeds=num_seeds, draws=draws)
     support = Support.regular_grid(n)
     positions = support.positions[:, 0]
     spec = MixtureSpec(basis)

@@ -417,3 +417,59 @@ def test_grad_check_reports_relative_errors():
     assert result.rel_errors.shape == (2,)
     np.testing.assert_allclose(result.analytic, [1.0, -0.5], atol=1e-12)
     np.testing.assert_allclose(result.numeric, [1.0, -0.5], atol=1e-8)
+
+
+def _squares(x):
+    # One value per row of a stack, and a scalar for a lone x.
+    return ad.sum_over_axis(ad.square(x), axis=-1)
+
+
+@pytest.mark.parametrize("size", [1, 3, 12])
+def test_batched_grad_check_calls_f_twice(size):
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return _squares(x)
+
+    x0 = np.linspace(-1.3, 0.9, size)
+    batched = grad_check(f, x0, batched=True)
+    assert calls == [(size,), (2 * size + 1, size)]
+    looped = grad_check(f, x0)
+    assert len(calls) == 2 + 2 * size + 2
+    assert batched.passed
+    for field in ("analytic", "numeric", "rel_errors"):
+        assert getattr(batched, field).tobytes() == getattr(looped, field).tobytes()
+
+
+def test_batched_grad_check_rejects_mixed_rows():
+    def f(x):
+        # Each row's value also depends on the whole stack.
+        return ad.add(_squares(x), ad.multiply(ad.sum_over_axis(x), Tensor(1e-3)))
+
+    with pytest.raises(ValueError, match="rows are not independent"):
+        grad_check(f, np.array([1.0, 2.0]), batched=True)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: ad.sum_over_axis(ad.square(x)),
+        lambda x: ad.index_select(_squares(x), np.arange(x.shape[0] - 1)) if x.ndim == 2 else _squares(x),
+    ],
+    ids=["sums-the-stack", "drops-a-row"],
+)
+def test_batched_grad_check_rejects_wrong_value_count(f):
+    with pytest.raises(ValueError, match="batched f gave .* values for a stack of 5"):
+        grad_check(f, np.array([1.0, 2.0]), batched=True)
+
+
+def test_batched_grad_check_rejects_nondeterministic_functions():
+    state = {"n": 0}
+
+    def f(x):
+        state["n"] += 1
+        return ad.multiply(_squares(x), Tensor(float(state["n"])))
+
+    with pytest.raises(ValueError, match="deterministic"):
+        grad_check(f, np.array([1.0, 2.0]), batched=True)

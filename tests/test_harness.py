@@ -15,7 +15,9 @@ from diffloc import autodiff as ad
 from diffloc.autodiff import Tensor
 from diffloc.harness.metrics import calibration_report, pearson
 from diffloc.harness.model import MLPModel
+from diffloc.harness import suites
 from diffloc.harness.suites import (
+    LOSS_KINDS,
     distcheck_suite,
     gradcheck_suite,
     reparam_gradients,
@@ -44,7 +46,16 @@ from diffloc.harness.training import (
     learning_rate_at,
     train,
 )
-from diffloc.mixture import NoiseSource, ProbabilityMap, draw_noise, draw_noise_batch, gumbel_from_uniform
+from diffloc.mixture import (
+    BASES,
+    MixtureSpec,
+    NoiseSource,
+    ProbabilityMap,
+    Support,
+    draw_noise,
+    draw_noise_batch,
+    gumbel_from_uniform,
+)
 from diffloc.operators import (
     DISTANCES,
     SamplingConfig,
@@ -495,7 +506,7 @@ class TestGradcheckSuite:
             # but contributes nothing to the analytic gradient
             hidden = Tensor(np.square(pmap.weights.values))
             base = ad.multiply(pmap.weights, Tensor(pmap.support.positions[:, 0]))
-            return ad.add(ad.sum_over_axis(base), ad.sum_over_axis(hidden))
+            return ad.add(ad.sum_over_axis(base, axis=-1), ad.sum_over_axis(hidden, axis=-1))
 
         report = gradcheck_suite(seeds=1, extra_losses={"crooked": crooked})
         assert not report.passed
@@ -506,6 +517,30 @@ class TestGradcheckSuite:
         report = gradcheck_suite(seeds=1)
         assert {r.ndim for r in report.rows} == {1, 2}
         assert {r.basis for r in report.rows} == {"uniform", "triangular", "gaussian"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        loss=st.sampled_from(LOSS_KINDS),
+        basis=st.sampled_from(BASES),
+        ndim=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        distance=st.sampled_from(DISTANCES),
+        num_samples=st.integers(1, 4),
+    )
+    def test_batched_check_matches_row_by_row(self, loss, basis, ndim, seed, distance, num_samples):
+        support = Support.regular_grid(8 if ndim == 1 else (4, 4))
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-2.0, 2.0, support.n)
+        y_t = rng.uniform(0.5, support.positions.max() - 1.0, size=ndim)
+        f = suites._loss_closure(loss, support, MixtureSpec(basis), y_t, distance, num_samples, 0.7, 4.0, x0, {})
+        batched = ad.grad_check(f, x0, batched=True)
+        looped = ad.grad_check(f, x0)
+        for field in ("analytic", "numeric", "rel_errors"):
+            assert getattr(batched, field).tobytes() == getattr(looped, field).tobytes(), field
+
+    def test_empty_suite_is_rejected(self):
+        with pytest.raises(ValueError, match="seeds must be at least 1, got 0"):
+            gradcheck_suite(seeds=0)
 
 
 class TestDistcheckSuite:
@@ -520,6 +555,12 @@ class TestDistcheckSuite:
             assert row.freq_gap <= 0.01 or not row.freq_passed
             assert row.ks_sharp < row.ks_smooth
 
+    @pytest.mark.parametrize("sizes", [{"num_maps": 0}, {"draws": 0}, {"num_maps": -1, "draws": 100}])
+    def test_empty_suite_is_rejected(self, sizes):
+        name, value = next(iter(sizes.items()))
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+            distcheck_suite(**sizes)
+
     def test_seed_pins_results(self):
         a = distcheck_suite(num_maps=1, draws=5_000, seed=7)
         b = distcheck_suite(num_maps=1, draws=5_000, seed=7)
@@ -527,6 +568,11 @@ class TestDistcheckSuite:
 
 
 class TestVarianceCompare:
+    @pytest.mark.parametrize("name", ["num_seeds", "draws"])
+    def test_empty_suite_is_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            variance_compare(**{name: 0})
+
     def test_default_seeds_show_score_function_penalty(self):
         report = variance_compare(num_seeds=3, draws=4_000)
         assert report.passed
