@@ -22,6 +22,7 @@ from ..mixture import (
     Support,
     basis_sample_all,
     draw_noise_batch,
+    draw_noise_blocks,
     ks_critical_value,
     ks_statistic,
     mixture_cdf,
@@ -31,6 +32,7 @@ from ..mixture import (
 from ..operators import (
     discrete_expected_error_loss,
     error_of_expectation_loss,
+    gumbel_scores,
     gumbel_softmax_values,
     js_regularizer,
     sampled_expected_error_loss,
@@ -238,15 +240,25 @@ def distcheck_suite(
     gaps, relaxed-argmax component frequencies against the weights, and the
     KS statistics of the relaxed sampler at a sharp and a smooth temperature
     (sharp must fit strictly better, on shared noise).
+
+    Noise is drawn and used in blocks of a fixed number of draws, so memory
+    is bounded by the block size; only the 1-D sample vectors that the KS
+    and moment checks take whole grow with `draws`.
     """
     _require_positive(num_maps=num_maps, draws=draws)
+    if not freq_tol > 0.0:
+        raise ValueError(f"freq_tol must be positive, got {freq_tol}")
+    if not 0.0 < tau_sharp < tau_smooth:
+        raise ValueError(f"need 0 < tau_sharp < tau_smooth, got {tau_sharp} and {tau_smooth}")
     support = Support.regular_grid(n)
     crit = ks_critical_value(draws, alpha)
+    taus = (tau_sharp, tau_smooth)
     reference_rows: list[ReferenceRow] = []
     relaxed_rows: list[RelaxedRow] = []
     for m in range(num_maps):
         rng = np.random.default_rng([seed, m])
         weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
+        log_w = np.log(weights)
         pmap = ProbabilityMap(support, Tensor(weights))
         for basis_idx, basis in enumerate(BASES):
             spec = MixtureSpec(basis)
@@ -262,26 +274,22 @@ def distcheck_suite(
             )
 
             source = NoiseSource([seed, m, basis_idx, 2])
-            gumbels, uniforms = draw_noise_batch(source, draws, n, 1)
-            winners = np.argmax(gumbels + np.log(weights), axis=1)
-            freq = np.bincount(winners, minlength=n) / draws
-            freq_gap = float(np.abs(freq - weights).max())
-            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
-            ks_by_tau = {}
-            for tau in (tau_sharp, tau_smooth):
-                relaxed = gumbel_softmax_values(weights, gumbels, tau)
-                y_relaxed = (relaxed * y_hat).sum(axis=1)
-                ks_by_tau[tau] = ks_statistic(y_relaxed, lambda y: mixture_cdf(pmap, spec, y))
+            counts = np.zeros(n, dtype=np.intp)
+            y_relaxed = np.empty((len(taus), draws))
+            start = 0
+            for gumbels, uniforms in draw_noise_blocks(source, draws, n, 1):
+                stop = start + len(gumbels)
+                counts += np.bincount(np.argmax(gumbels + log_w, axis=1), minlength=n)
+                y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
+                scores = gumbel_scores(weights, gumbels)
+                for row, tau in zip(y_relaxed, taus):
+                    relaxed = ad.softmax_values(scores / float(tau), axis=-1)
+                    row[start:stop] = (relaxed * y_hat).sum(axis=1)
+                start = stop
+            freq_gap = float(np.abs(counts / draws - weights).max())
+            ks_sharp, ks_smooth = (ks_statistic(row, lambda y: mixture_cdf(pmap, spec, y)) for row in y_relaxed)
             relaxed_rows.append(
-                RelaxedRow(
-                    m,
-                    basis,
-                    freq_gap,
-                    freq_gap <= freq_tol,
-                    ks_by_tau[tau_sharp],
-                    ks_by_tau[tau_smooth],
-                    ks_by_tau[tau_sharp] < ks_by_tau[tau_smooth],
-                )
+                RelaxedRow(m, basis, freq_gap, freq_gap <= freq_tol, ks_sharp, ks_smooth, ks_sharp < ks_smooth)
             )
     return DistCheckReport(tuple(reference_rows), tuple(relaxed_rows), draws, alpha)
 

@@ -15,7 +15,7 @@ outside and that is intentional, it keeps every formula exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -40,6 +40,7 @@ __all__ = [
     "mixture_moments",
     "draw_noise",
     "draw_noise_batch",
+    "draw_noise_blocks",
     "gumbel_from_uniform",
     "reference_sample",
     "reference_sample_batch",
@@ -54,6 +55,12 @@ WEIGHT_FLOOR = 1e-12
 
 # Mean of the standard Gumbel distribution.
 EULER_GAMMA = 0.5772156649015329
+
+# Rows per block when a long run of draws or query points is processed: every
+# (rows, n) temporary stays cache-sized and no array grows with the draw
+# count.  A multiple of 4, so that BLAS groups a block's rows in its matrix-
+# vector products exactly as it groups them in one whole-array product.
+_BLOCK_DRAWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +311,12 @@ def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | floa
         raise ValueError("mixture_cdf is defined for 1-D supports only")
     basis, c, sigma = _resolve(spec, pmap.support)
     yv = np.asarray(y, dtype=np.float64)
-    off = yv[..., None] - pmap.support.positions[:, 0]
-    val = _cdf_1d(basis, off, c, sigma) @ pmap.weight_values
-    return float(val) if val.ndim == 0 else val
+    flat = yv.reshape(-1)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK_DRAWS):
+        off = flat[start : start + _BLOCK_DRAWS, None] - pmap.support.positions[:, 0]
+        out[start : start + _BLOCK_DRAWS] = _cdf_1d(basis, off, c, sigma) @ pmap.weight_values
+    return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
 
 
 def mixture_moments(pmap: ProbabilityMap, spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -378,14 +388,34 @@ def draw_noise(source: NoiseSource, n: int, ndim: int = 1) -> NoiseDraw:
     return NoiseDraw(gumbels, basis_uniforms)
 
 
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+
+
 def draw_noise_batch(source: NoiseSource, count: int, n: int, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(count, n) gumbels and (count, n, ndim) basis uniforms, read from the
     stream exactly as `count` sequential draw_noise calls would."""
+    _require_count(count)
     blocks = source._take(count * _block_len(n, ndim)).reshape(count, _block_len(n, ndim))
     source.draws_taken += count - 1
     gumbels = gumbel_from_uniform(blocks[:, :n])
     basis_uniforms = _clip_unit(blocks[:, n:]).reshape(count, n, ndim)
     return gumbels, basis_uniforms
+
+
+def draw_noise_blocks(
+    source: NoiseSource, count: int, n: int, ndim: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """draw_noise_batch(source, count, n, ndim) in stream order, as blocks of
+    at most _BLOCK_DRAWS draws; the blocks concatenate to that one call's
+    arrays and take the same draws.  count is checked here, the stream is
+    read only as the blocks are consumed."""
+    _require_count(count)
+    return (
+        draw_noise_batch(source, min(_BLOCK_DRAWS, count - start), n, ndim)
+        for start in range(0, count, _BLOCK_DRAWS)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +464,18 @@ def reference_sample_batch(
     """(count, ndim) reference samples, bitwise equal to a loop of
     draw_noise + reference_sample against the same source."""
     _single_map(pmap, "reference_sample_batch")
-    gumbels, uniforms = draw_noise_batch(source, count, pmap.n, pmap.ndim)
-    scores = gumbels + _floored_log_weights(pmap.weight_values)
-    winners = np.argmax(scores, axis=1)
+    blocks = draw_noise_blocks(source, count, pmap.n, pmap.ndim)
+    log_w = _floored_log_weights(pmap.weight_values)
     basis, c, sigma = _resolve(spec, pmap.support)
-    u = uniforms[np.arange(count), winners]
-    return pmap.support.positions[winners] + _inverse_cdf_1d(basis, u, c, sigma)
+    out = np.empty((count, pmap.ndim))
+    start = 0
+    for gumbels, uniforms in blocks:
+        winners = np.argmax(gumbels + log_w, axis=1)
+        u = uniforms[np.arange(winners.size), winners]
+        stop = start + winners.size
+        out[start:stop] = pmap.support.positions[winners] + _inverse_cdf_1d(basis, u, c, sigma)
+        start = stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,4 +503,8 @@ def ks_statistic(samples, cdf) -> float:
 
 def ks_critical_value(n: int, alpha: float = 0.01) -> float:
     """Large-sample two-sided KS rejection threshold at level alpha."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))

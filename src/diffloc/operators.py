@@ -36,6 +36,7 @@ __all__ = [
     "discrete_expected_error_loss",
     "gumbel_softmax",
     "gumbel_softmax_values",
+    "gumbel_scores",
     "sample_differentiable",
     "sampled_expected_error_loss",
     "anneal_tau",
@@ -164,9 +165,14 @@ def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) 
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
+    return ad.softmax_values(gumbel_scores(weights, gumbels) / float(tau), axis=-1)
+
+
+def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
+    """log w + g with gumbel_softmax's floor: the relaxed scores before the
+    division by tau, which callers at several temperatures can share."""
     floored = np.maximum(weights - WEIGHT_FLOOR, 0.0) + WEIGHT_FLOOR
-    scores = (np.log(floored) + gumbels) / float(tau)
-    return ad.softmax_values(scores, axis=-1)
+    return np.log(floored) + gumbels
 
 
 def sample_differentiable(

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from diffloc.harness.model import MLPModel
 from diffloc.harness import suites
 from diffloc.harness.suites import (
     LOSS_KINDS,
+    ReferenceRow,
+    RelaxedRow,
     distcheck_suite,
     gradcheck_suite,
     reparam_gradients,
@@ -46,15 +49,20 @@ from diffloc.harness.training import (
     learning_rate_at,
     train,
 )
+from diffloc import mixture
 from diffloc.mixture import (
     BASES,
     MixtureSpec,
     NoiseSource,
     ProbabilityMap,
     Support,
+    basis_sample_all,
     draw_noise,
     draw_noise_batch,
     gumbel_from_uniform,
+    ks_critical_value,
+    ks_statistic,
+    mixture_moments,
 )
 from diffloc.operators import (
     DISTANCES,
@@ -565,6 +573,92 @@ class TestDistcheckSuite:
         a = distcheck_suite(num_maps=1, draws=5_000, seed=7)
         b = distcheck_suite(num_maps=1, draws=5_000, seed=7)
         assert a.reference == b.reference and a.relaxed == b.relaxed
+
+    def test_blocked_run_matches_whole_array_formulation(self):
+        # Two full blocks and a ragged third: every float in every row must
+        # keep the bits of the formulation that builds each array whole.
+        draws = 2 * mixture._BLOCK_DRAWS + 17
+        report = distcheck_suite(num_maps=2, draws=draws)
+        reference, relaxed = whole_array_distcheck(num_maps=2, draws=draws)
+        assert report.reference == reference
+        assert report.relaxed == relaxed
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"alpha": 0.0}, "alpha must lie in"),
+            ({"alpha": 1.0}, "alpha must lie in"),
+            ({"alpha": -0.5}, "alpha must lie in"),
+            ({"freq_tol": 0.0}, "freq_tol must be positive"),
+            ({"tau_sharp": 0.0}, "tau_sharp < tau_smooth"),
+            ({"tau_sharp": 1.0}, "tau_sharp < tau_smooth"),
+            ({"tau_sharp": 2.0, "tau_smooth": 1.0}, "tau_sharp < tau_smooth"),
+        ],
+    )
+    def test_bad_settings_are_rejected_before_drawing(self, monkeypatch, setting, message):
+        # alpha = 0 used to give an infinite KS threshold, so every
+        # reference row passed whatever its samples were.
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn before the settings were checked")
+
+        monkeypatch.setattr(suites, "NoiseSource", no_noise)
+        with pytest.raises(ValueError, match=message):
+            distcheck_suite(num_maps=1, draws=2_000, **setting)
+
+    def test_memory_is_bounded_by_the_block_size(self):
+        # Built whole, one map's (draws, n) temporaries peaked at 114.5 MiB.
+        tracemalloc.start()
+        try:
+            distcheck_suite(num_maps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def whole_array_distcheck(num_maps, draws, n=16, seed=20260814, tau_sharp=0.05, tau_smooth=1.0, alpha=0.01,
+                          freq_tol=0.01):
+    """distcheck_suite's rows computed with every (draws, n) array built whole,
+    as the suite did before it streamed its noise in blocks."""
+
+    def whole_cdf(pmap, spec):
+        basis, c, sigma = mixture._resolve(spec, pmap.support)
+        return lambda y: mixture._cdf_1d(basis, y[:, None] - pmap.support.positions[:, 0], c, sigma) @ pmap.weight_values
+
+    support = Support.regular_grid(n)
+    crit = ks_critical_value(draws, alpha)
+    reference, relaxed = [], []
+    for m in range(num_maps):
+        rng = np.random.default_rng([seed, m])
+        weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
+        pmap = ProbabilityMap(support, Tensor(weights))
+        for basis_idx, basis in enumerate(BASES):
+            spec = MixtureSpec(basis)
+            cdf = whole_cdf(pmap, spec)
+
+            gumbels, uniforms = draw_noise_batch(NoiseSource([seed, m, basis_idx, 1]), draws, n, 1)
+            winners = np.argmax(gumbels + mixture._floored_log_weights(weights), axis=1)
+            basis_name, c, sigma = mixture._resolve(spec, support)
+            u = uniforms[np.arange(draws), winners]
+            samples = (support.positions[winners] + mixture._inverse_cdf_1d(basis_name, u, c, sigma))[:, 0]
+            ks = ks_statistic(samples, cdf)
+            exact_mean, exact_var = mixture_moments(pmap, spec)
+            mean_gap = abs(float(samples.mean()) - float(exact_mean[0]))
+            var_gap = abs(float(samples.var()) - float(exact_var[0]))
+            reference.append(ReferenceRow(m, basis, ks, crit, ks <= crit, mean_gap, var_gap))
+
+            gumbels, uniforms = draw_noise_batch(NoiseSource([seed, m, basis_idx, 2]), draws, n, 1)
+            winners = np.argmax(gumbels + np.log(weights), axis=1)
+            freq_gap = float(np.abs(np.bincount(winners, minlength=n) / draws - weights).max())
+            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
+            ks_sharp, ks_smooth = (
+                ks_statistic((gumbel_softmax_values(weights, gumbels, tau) * y_hat).sum(axis=1), cdf)
+                for tau in (tau_sharp, tau_smooth)
+            )
+            relaxed.append(
+                RelaxedRow(m, basis, freq_gap, freq_gap <= freq_tol, ks_sharp, ks_smooth, ks_sharp < ks_smooth)
+            )
+    return tuple(reference), tuple(relaxed)
 
 
 class TestVarianceCompare:

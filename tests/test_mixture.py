@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from diffloc import mixture
 from diffloc.autodiff import Tensor, softmax_values
 from diffloc.mixture import (
     BASES,
@@ -20,6 +21,7 @@ from diffloc.mixture import (
     basis_variance,
     draw_noise,
     draw_noise_batch,
+    draw_noise_blocks,
     gumbel_from_uniform,
     ks_critical_value,
     ks_statistic,
@@ -29,6 +31,9 @@ from diffloc.mixture import (
     reference_sample,
     reference_sample_batch,
 )
+
+
+B = mixture._BLOCK_DRAWS
 
 
 def random_map(n=8, seed=0, scale=1.5):
@@ -223,6 +228,23 @@ class TestCdf:
         assert cdf[0] <= 1e-9 and cdf[-1] >= 1.0 - 1e-9
         assert np.all(np.diff(cdf) >= -1e-12)
 
+    @pytest.mark.parametrize("basis", BASES)
+    def test_blocked_query_matches_whole_array_product(self, basis):
+        # A query longer than a block, with a ragged last block, keeps the
+        # bits of one (m, n) @ (n,) product over the whole query.  Lone
+        # points agree to rounding only: BLAS sums the rows of a matrix in
+        # another order than the dot product a lone point takes.
+        pmap = random_map(seed=12)
+        spec = MixtureSpec(basis)
+        ys = np.random.default_rng(13).uniform(-3.0, 10.0, 2 * B + 5)
+        kind, c, sigma = mixture._resolve(spec, pmap.support)
+        whole = mixture._cdf_1d(kind, ys[:, None] - pmap.support.positions[:, 0], c, sigma) @ pmap.weight_values
+        blocked = mixture_cdf(pmap, spec, ys)
+        assert blocked.tobytes() == whole.tobytes()
+        per_point = np.array([mixture_cdf(pmap, spec, y) for y in ys])
+        np.testing.assert_allclose(blocked, per_point, rtol=0.0, atol=1e-15)
+        assert mixture_cdf(pmap, spec, ys.reshape(-1, 1)).shape == (len(ys), 1)
+
     def test_cdf_rejects_multi_axis_supports(self):
         sup = Support.regular_grid((3, 3))
         pmap = ProbabilityMap(sup, Tensor(np.full(9, 1.0 / 9.0)))
@@ -381,6 +403,38 @@ class TestNoise:
             np.testing.assert_array_equal(u[k], d.basis_uniforms)
         assert batched.draws_taken == src.draws_taken == sum(chunks)
 
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_concatenate_to_one_batch(self, count):
+        whole_source, blocked_source = NoiseSource(41), NoiseSource(41)
+        g, u = draw_noise_batch(whole_source, count, 3, 2)
+        blocks = list(draw_noise_blocks(blocked_source, count, 3, 2))
+        assert all(len(bg) <= B for bg, _ in blocks)
+        assert len(blocks) == -(-count // B)
+        if blocks:
+            np.testing.assert_array_equal(np.concatenate([bg for bg, _ in blocks]), g)
+            np.testing.assert_array_equal(np.concatenate([bu for _, bu in blocks]), u)
+        assert blocked_source.draws_taken == whole_source.draws_taken == count
+
+    def test_empty_batch(self):
+        src = NoiseSource(42)
+        g, u = draw_noise_batch(src, 0, 5, 2)
+        assert g.shape == (0, 5) and u.shape == (0, 5, 2)
+        assert reference_sample_batch(random_map(), MixtureSpec("uniform"), 0, src).shape == (0, 1)
+        assert src.draws_taken == 0
+
+    def test_negative_count_fails_before_the_stream_moves(self):
+        src = NoiseSource(43)
+        calls = [
+            lambda: draw_noise_batch(src, -1, 4, 1),
+            lambda: draw_noise_blocks(src, -1, 4, 1),
+            lambda: reference_sample_batch(random_map(n=4), MixtureSpec("uniform"), -1, src),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+                call()
+            assert src.draws_taken == 0
+        np.testing.assert_array_equal(draw_noise(src, 4).gumbels, draw_noise(NoiseSource(43), 4).gumbels)
+
     def test_gumbel_transform_is_clamped_and_distributed(self):
         vals = gumbel_from_uniform(np.array([0.0, 1.0, 0.5]))
         assert np.all(np.isfinite(vals))
@@ -463,6 +517,19 @@ class TestReferenceSampler:
             loop = np.stack([reference_sample(pmap, spec, draw_noise(src, pmap.n, 1)) for _ in range(9)])
             np.testing.assert_array_equal(batch, loop)
 
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_batch_matches_loop_across_block_boundaries(self, count):
+        pmap = random_map(seed=33)
+        for basis in BASES:
+            spec = MixtureSpec(basis)
+            batch_source, loop_source = NoiseSource(34), NoiseSource(34)
+            batch = reference_sample_batch(pmap, spec, count, batch_source)
+            loop = np.stack(
+                [reference_sample(pmap, spec, draw_noise(loop_source, pmap.n, 1)) for _ in range(count)]
+            )
+            assert batch.tobytes() == loop.tobytes()
+            assert batch_source.draws_taken == loop_source.draws_taken == count
+
     def test_noise_shape_mismatch_rejected(self):
         pmap = random_map()
         noise = draw_noise(NoiseSource(0), 5, 1)
@@ -513,6 +580,15 @@ class TestKs:
     def test_critical_value(self):
         assert ks_critical_value(100_000, 0.01) == pytest.approx(0.00514700, abs=1e-7)
         assert ks_critical_value(100, 0.05) == pytest.approx(1.3581 / 10.0, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "n, alpha, message",
+        [(0, 0.01, "n must be at least 1"), (100, 0.0, "alpha"), (100, 1.0, "alpha"), (100, -0.1, "alpha"),
+         (100, float("nan"), "alpha")],
+    )
+    def test_critical_value_rejects_bad_settings(self, n, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            ks_critical_value(n, alpha)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
