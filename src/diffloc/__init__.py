@@ -8,7 +8,7 @@ over discrete supports with exact oracles and a reference sampler
 
 from . import autodiff, mixture, operators
 from .autodiff import GradientTape, Tensor, backward, forward_op, grad_check
-from .mixture import MixtureSpec, NoiseDraw, NoiseSource, ProbabilityMap, Support
+from .mixture import MixtureSpec, NoiseSource, ProbabilityMap, Support
 from .operators import (
     SamplingConfig,
     anneal_tau,

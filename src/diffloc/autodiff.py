@@ -110,40 +110,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # Operator sugar.  Everything routes through forward_op so it is recorded.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __pow__(self, exponent_value):
-        return power(self, exponent_value)
-
-    def __matmul__(self, other):
-        return matrix_multiply(self, other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

@@ -135,7 +135,7 @@ _OPTION_DEFAULTS = {
 }
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat JSON config file; flags override its values")
     p.add_argument("--task", choices=TASK_KINDS)
     p.add_argument("--task-size", type=int)
@@ -143,6 +143,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-count", type=int)
     p.add_argument("--val-count", type=int)
     p.add_argument("--test-count", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    _add_task_flags(p)
     p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--basis", choices=BASES)
     p.add_argument("--num-samples", type=int)
@@ -157,8 +163,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float)
     p.add_argument("--lr-schedule", choices=LR_SCHEDULES)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.add_argument("--model-out")
 
 
@@ -254,12 +258,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    with open(args.records, "r", encoding="utf-8") as fh:
+    with open(args.records, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in ("peak", "err") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SystemExit(f"{args.records} has no {' or '.join(missing)} column")
         peaks, errors = [], []
         for row in reader:
-            peaks.append(float(row["peak"]))
-            errors.append(float(row["err"]))
+            for column, values in (("peak", peaks), ("err", errors)):
+                try:
+                    values.append(float(row[column]))
+                except (TypeError, ValueError):
+                    values.append(np.nan)
+                if not np.isfinite(values[-1]):
+                    raise SystemExit(
+                        f"{args.records} line {reader.line_num}: {column} {row[column]!r} is not a finite number"
+                    )
     if len(peaks) < 2:
         raise SystemExit("need at least two records to correlate")
     r = pearson(peaks, [-e for e in errors])
@@ -354,7 +368,7 @@ def main(argv=None) -> int:
     _add_train_flags(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model on one split")
-    _add_train_flags(p_eval)
+    _add_task_flags(p_eval)
     p_eval.add_argument("--model", required=True, help="model .npz written by train --model-out")
     p_eval.add_argument("--split", choices=SPLITS)
 

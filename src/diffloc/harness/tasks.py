@@ -12,7 +12,7 @@ disjoint seed streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "generate_example",
     "generate_split",
     "split_count",
-    "nearest_index",
-    "noiseless_task",
 ]
 
 TASK_KINDS = ("signal1d", "heat2d", "scatter3d")
@@ -64,10 +62,6 @@ class SyntheticTask:
             raise ValueError("task size must be at least 8")
         if self.noise < 0:
             raise ValueError("noise level must be non-negative")
-
-
-def noiseless_task(task: SyntheticTask) -> SyntheticTask:
-    return replace(task, noise=0.0)
 
 
 def split_count(task: SyntheticTask, split: str) -> int:
@@ -105,13 +99,6 @@ def task_mixture_spec(task: SyntheticTask, basis: str, sigma: float | None = Non
     if task.kind == "scatter3d":
         return MixtureSpec("gaussian", sigma if sigma is not None else scatter_sigma(task))
     return MixtureSpec(basis, sigma)
-
-
-def nearest_index(support: Support, y) -> int:
-    """Index of the support point closest to y (euclidean)."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    d2 = ((support.positions - y) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
 
 
 # ---------------------------------------------------------------------------

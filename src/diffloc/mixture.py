@@ -27,22 +27,17 @@ __all__ = [
     "ProbabilityMap",
     "MixtureSpec",
     "NoiseSource",
-    "NoiseDraw",
     "BASES",
     "WEIGHT_FLOOR",
     "EULER_GAMMA",
-    "basis_pdf",
-    "basis_sample",
     "basis_sample_all",
     "basis_variance",
     "mixture_pdf",
     "mixture_cdf",
     "mixture_moments",
-    "draw_noise",
     "draw_noise_batch",
     "draw_noise_blocks",
     "gumbel_from_uniform",
-    "reference_sample",
     "reference_sample_batch",
     "ks_statistic",
     "ks_critical_value",
@@ -280,15 +275,6 @@ def _offsets(support: Support, y) -> np.ndarray:
     return pts[..., None, :] - support.positions
 
 
-def basis_pdf(spec: MixtureSpec, support: Support, i: int, y) -> np.ndarray | float:
-    """Density of component i at point(s) y."""
-    basis, c, sigma = _resolve(spec, support)
-    off = _offsets(support, np.asarray(y, dtype=np.float64))[..., i, :]
-    per_axis = _pdf_1d(basis, off, c, sigma)
-    val = per_axis.prod(axis=-1)
-    return float(val) if val.ndim == 0 else val
-
-
 def _single_map(pmap: ProbabilityMap, what: str) -> None:
     if pmap.batch_shape:
         raise ValueError(f"{what} takes a single map, got a batch of shape {pmap.batch_shape}")
@@ -338,9 +324,9 @@ def mixture_moments(pmap: ProbabilityMap, spec: MixtureSpec) -> tuple[np.ndarray
 # Noise plumbing
 
 # Layout of one draw on the uniform stream: n gumbel seeds then n*ndim basis
-# uniforms, consumed as a single contiguous block.  draw_noise_batch reads the
-# same stream in bulk, so a batch of k draws is bitwise identical to k
-# sequential draws from an equally seeded source.
+# uniforms, consumed as a single contiguous block, so one
+# draw_noise_batch(source, k, ...) call is bitwise identical to k calls of
+# draw_noise_batch(source, 1, ...) on an equally seeded source.
 def _block_len(n: int, ndim: int) -> int:
     return n * (1 + ndim)
 
@@ -357,22 +343,6 @@ class NoiseSource:
         return self._rng.random(count)
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseDraw:
-    """All randomness for one sample: n gumbels plus n*ndim basis uniforms."""
-
-    gumbels: np.ndarray
-    basis_uniforms: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.gumbels.shape[0]
-
-    @property
-    def ndim(self) -> int:
-        return self.basis_uniforms.shape[1]
-
-
 def _clip_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
@@ -381,21 +351,14 @@ def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log(-np.log(_clip_unit(u)))
 
 
-def draw_noise(source: NoiseSource, n: int, ndim: int = 1) -> NoiseDraw:
-    block = source._take(_block_len(n, ndim))
-    gumbels = gumbel_from_uniform(block[:n])
-    basis_uniforms = _clip_unit(block[n:]).reshape(n, ndim)
-    return NoiseDraw(gumbels, basis_uniforms)
-
-
 def _require_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
 
 
 def draw_noise_batch(source: NoiseSource, count: int, n: int, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(count, n) gumbels and (count, n, ndim) basis uniforms, read from the
-    stream exactly as `count` sequential draw_noise calls would."""
+    """(count, n) gumbels and (count, n, ndim) basis uniforms: `count`
+    consecutive draws, each counted once in draws_taken."""
     _require_count(count)
     blocks = source._take(count * _block_len(n, ndim)).reshape(count, _block_len(n, ndim))
     source.draws_taken += count - 1
@@ -422,17 +385,6 @@ def draw_noise_blocks(
 # Sampling
 
 
-def basis_sample(spec: MixtureSpec, support: Support, i: int, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf sample from component i given per-axis uniforms u (ndim,)."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (support.ndim,):
-        raise ValueError(f"u must have shape ({support.ndim},), got {u.shape}")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
-    basis, c, sigma = _resolve(spec, support)
-    return support.positions[i] + _inverse_cdf_1d(basis, u, c, sigma)
-
-
 def basis_sample_all(spec: MixtureSpec, support: Support, uniforms: np.ndarray) -> np.ndarray:
     """One inverse-cdf sample per component; uniforms is (..., n, ndim) and
     leading axes batch independent draws."""
@@ -443,29 +395,14 @@ def basis_sample_all(spec: MixtureSpec, support: Support, uniforms: np.ndarray) 
     return support.positions + _inverse_cdf_1d(basis, u, c, sigma)
 
 
-def _floored_log_weights(w: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(w, WEIGHT_FLOOR))
-
-
-def reference_sample(pmap: ProbabilityMap, spec: MixtureSpec, noise: NoiseDraw) -> np.ndarray:
-    """Exact mixture sample: Gumbel-max component choice, then basis inverse
-    cdf.  Non-differentiable by design; the training path never calls this."""
-    _single_map(pmap, "reference_sample")
-    if noise.n != pmap.n or noise.ndim != pmap.ndim:
-        raise ValueError("noise draw does not match the map's support")
-    scores = noise.gumbels + _floored_log_weights(pmap.weight_values)
-    i = int(np.argmax(scores))
-    return basis_sample(spec, pmap.support, i, noise.basis_uniforms[i])
-
-
 def reference_sample_batch(
     pmap: ProbabilityMap, spec: MixtureSpec, count: int, source: NoiseSource
 ) -> np.ndarray:
-    """(count, ndim) reference samples, bitwise equal to a loop of
-    draw_noise + reference_sample against the same source."""
+    """(count, ndim) exact samples, one per draw: Gumbel-max component choice,
+    then basis inverse cdf.  Non-differentiable; training never calls this."""
     _single_map(pmap, "reference_sample_batch")
     blocks = draw_noise_blocks(source, count, pmap.n, pmap.ndim)
-    log_w = _floored_log_weights(pmap.weight_values)
+    log_w = np.log(np.maximum(pmap.weight_values, WEIGHT_FLOOR))
     basis, c, sigma = _resolve(spec, pmap.support)
     out = np.empty((count, pmap.ndim))
     start = 0

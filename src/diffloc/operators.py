@@ -42,7 +42,6 @@ __all__ = [
     "anneal_tau",
     "variance_regularizer",
     "js_regularizer",
-    "js_divergence_values",
     "gaussian_target_weights",
     "inference_localize",
 ]
@@ -256,19 +255,6 @@ def gaussian_target_weights(support, center: np.ndarray, sigma_t_sq: float) -> n
     sq = (diff * diff).sum(axis=-1)
     q = np.exp(-0.5 * sq / float(sigma_t_sq))
     return q / q.sum(axis=-1, keepdims=True)
-
-
-def js_divergence_values(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence (natural log) with 1e-12 floors inside logs."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    m = 0.5 * (p + q)
-    log_m = np.log(np.maximum(m, WEIGHT_FLOOR))
-
-    def kl(a):
-        return float(np.sum(a * (np.log(np.maximum(a, WEIGHT_FLOOR)) - log_m)))
-
-    return 0.5 * (kl(p) + kl(q))
 
 
 def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tensor:

@@ -368,17 +368,6 @@ def test_batched_matmul_reduces_shared_operand():
     np.testing.assert_allclose(m.grad, expected, atol=1e-12)
 
 
-def test_operator_sugar_matches_wrappers():
-    a = Tensor([1.0, 2.0])
-    b = Tensor([3.0, 4.0])
-    np.testing.assert_array_equal((a + b).values, ad.add(a, b).values)
-    np.testing.assert_array_equal((a - b).values, ad.subtract(a, b).values)
-    np.testing.assert_array_equal((a * b).values, ad.multiply(a, b).values)
-    np.testing.assert_array_equal((a / b).values, ad.divide(a, b).values)
-    np.testing.assert_array_equal((-a).values, ad.negate(a).values)
-    np.testing.assert_array_equal((a @ b).values, ad.matrix_multiply(a, b).values)
-
-
 # ---------------------------------------------------------------------------
 # grad_check contract
 

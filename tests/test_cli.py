@@ -1,6 +1,7 @@
 """Command-line interface: flags, config files, CSV outputs, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -149,6 +150,58 @@ class TestEvalAndCalibrate:
         records.write_text("idx,peak,err\n0,0.5,1.0\n")
         with pytest.raises(SystemExit, match="two records"):
             main(["calibrate", "--records", str(records)])
+
+    def test_calibrate_names_a_missing_column(self, tmp_path):
+        records = tmp_path / "no_peak.csv"
+        records.write_text("idx,pred_0,err\n0,1.0,0.5\n1,2.0,0.25\n")
+        with pytest.raises(SystemExit, match=re.escape(f"{records} has no peak column")):
+            main(["calibrate", "--records", str(records)])
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("1,abc,0.25", "peak 'abc'"),
+            ("1,nan,0.25", "peak 'nan'"),
+            ("1,0.5,inf", "err 'inf'"),
+            ("1,0.5", "err None"),
+        ],
+        ids=["not-a-number", "nan-peak", "infinite-err", "short-row"],
+    )
+    def test_calibrate_names_a_bad_value(self, tmp_path, capsys, row, problem):
+        records = tmp_path / "bad.csv"
+        records.write_text(f"idx,peak,err\n0,0.5,1.0\n{row}\n2,0.75,0.5\n")
+        with pytest.raises(SystemExit, match=re.escape(f"{records} line 3: {problem} is not a finite number")):
+            main(["calibrate", "--records", str(records)])
+        assert "calibration_r" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--loss", "samp"],
+            ["--basis", "gaussian"],
+            ["--num-samples", "3"],
+            ["--tau-start", "1.0"],
+            ["--tau-end", "0.1"],
+            ["--anneal", "linear"],
+            ["--distance", "l1"],
+            ["--sigma-t-sq", "1.0"],
+            ["--reg-weight", "0.5"],
+            ["--epochs", "2"],
+            ["--batch", "4"],
+            ["--lr", "9"],
+            ["--lr-schedule", "constant"],
+            ["--hidden", "3"],
+            ["--model-out", "z.npz"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_eval_rejects_training_flags(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--model", "m.npz", *flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSuiteCommands:

@@ -1,5 +1,6 @@
 """Synthetic tasks, model, training loop, metrics, and diagnostic suites."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -33,8 +34,6 @@ from diffloc.harness.tasks import (
     SyntheticTask,
     generate_example,
     generate_split,
-    nearest_index,
-    noiseless_task,
     scatter_sigma,
     split_count,
     task_mixture_spec,
@@ -52,12 +51,12 @@ from diffloc.harness.training import (
 from diffloc import mixture
 from diffloc.mixture import (
     BASES,
+    WEIGHT_FLOOR,
     MixtureSpec,
     NoiseSource,
     ProbabilityMap,
     Support,
     basis_sample_all,
-    draw_noise,
     draw_noise_batch,
     gumbel_from_uniform,
     ks_critical_value,
@@ -139,23 +138,25 @@ class TestTasks:
 
     @pytest.mark.parametrize("kind", TASK_KINDS)
     def test_noiseless_argmax_is_nearest_support_point(self, kind):
-        task = noiseless_task(
+        task = dataclasses.replace(
             SyntheticTask(kind=kind, size=64 if kind == "scatter3d" else None,
-                          noise=2.0, train_count=150, val_count=75, test_count=75)
+                          noise=2.0, train_count=150, val_count=75, test_count=75),
+            noise=0.0,
         )
         support = task_support(task)
         for split in SPLITS:
             for i in range(split_count(task, split)):
                 obs, y_t = generate_example(task, split, i)
-                assert int(np.argmax(obs)) == nearest_index(support, y_t)
+                nearest = np.argmin(((support.positions - y_t) ** 2).sum(axis=1))
+                assert int(np.argmax(obs)) == nearest
 
     def test_noise_level_scales_observation_spread(self):
         quiet = small_task(noise=0.1)
         loud = small_task(noise=2.0)
         q_obs, _ = generate_split(quiet, "train")
         l_obs, _ = generate_split(loud, "train")
-        quiet_dev = np.abs(q_obs - generate_split(noiseless_task(quiet), "train")[0]).mean()
-        loud_dev = np.abs(l_obs - generate_split(noiseless_task(loud), "train")[0]).mean()
+        quiet_dev = np.abs(q_obs - generate_split(dataclasses.replace(quiet, noise=0.0), "train")[0]).mean()
+        loud_dev = np.abs(l_obs - generate_split(dataclasses.replace(loud, noise=0.0), "train")[0]).mean()
         assert loud_dev > 4.0 * quiet_dev
 
     def test_mixture_spec_selection(self):
@@ -390,9 +391,10 @@ class TestBatchedStep:
                 term = discrete_expected_error_loss(pmap, y, distance)
             elif config.loss == "samp":
                 # num_samples sequential draws per row, as the per-row loop took them
-                draws = [draw_noise(source, support.n, support.ndim) for _ in range(config.sampling.num_samples)]
-                gumbels = np.stack([d.gumbels for d in draws])
-                uniforms = np.stack([d.basis_uniforms for d in draws])
+                draws = [draw_noise_batch(source, 1, support.n, support.ndim)
+                         for _ in range(config.sampling.num_samples)]
+                gumbels = np.concatenate([g for g, _ in draws])
+                uniforms = np.concatenate([u for _, u in draws])
                 term = sampled_expected_error_loss(pmap, spec, y, gumbels, uniforms, tau, distance)
             else:
                 reg = variance_regularizer if config.loss == "soft-vr" else js_regularizer
@@ -637,7 +639,7 @@ def whole_array_distcheck(num_maps, draws, n=16, seed=20260814, tau_sharp=0.05, 
             cdf = whole_cdf(pmap, spec)
 
             gumbels, uniforms = draw_noise_batch(NoiseSource([seed, m, basis_idx, 1]), draws, n, 1)
-            winners = np.argmax(gumbels + mixture._floored_log_weights(weights), axis=1)
+            winners = np.argmax(gumbels + np.log(np.maximum(weights, WEIGHT_FLOOR)), axis=1)
             basis_name, c, sigma = mixture._resolve(spec, support)
             u = uniforms[np.arange(draws), winners]
             samples = (support.positions[winners] + mixture._inverse_cdf_1d(basis_name, u, c, sigma))[:, 0]

@@ -11,15 +11,13 @@ from diffloc.autodiff import Tensor, softmax_values
 from diffloc.mixture import (
     BASES,
     EULER_GAMMA,
+    WEIGHT_FLOOR,
     MixtureSpec,
     NoiseSource,
     ProbabilityMap,
     Support,
-    basis_pdf,
-    basis_sample,
     basis_sample_all,
     basis_variance,
-    draw_noise,
     draw_noise_batch,
     draw_noise_blocks,
     gumbel_from_uniform,
@@ -28,7 +26,6 @@ from diffloc.mixture import (
     mixture_cdf,
     mixture_moments,
     mixture_pdf,
-    reference_sample,
     reference_sample_batch,
 )
 
@@ -39,6 +36,29 @@ B = mixture._BLOCK_DRAWS
 def random_map(n=8, seed=0, scale=1.5):
     weights = softmax_values(np.random.default_rng(seed).normal(0.0, scale, n))
     return ProbabilityMap(Support.regular_grid(n), Tensor(weights))
+
+
+def one_draw(source, n, ndim=1):
+    """One draw's (n,) gumbels and (n, ndim) basis uniforms."""
+    gumbels, uniforms = draw_noise_batch(source, 1, n, ndim)
+    return gumbels[0], uniforms[0]
+
+
+def component_pdf(spec, support, i, y):
+    """Density of component i alone: the mixture of the one-hot map at i."""
+    return mixture_pdf(ProbabilityMap(support, Tensor(np.eye(support.n)[i])), spec, y)
+
+
+def component_sample(spec, support, i, u):
+    """Inverse-cdf sample of component i from its (ndim,) uniforms."""
+    return basis_sample_all(spec, support, np.broadcast_to(u, (support.n, support.ndim)))[i]
+
+
+def gumbel_max_sample(pmap, spec, gumbels, uniforms):
+    """The reference sampler written out for one draw: the Gumbel-max winner
+    over the floored log weights, then that component's inverse-cdf sample."""
+    winner = np.argmax(gumbels + np.log(np.maximum(pmap.weight_values, WEIGHT_FLOOR)))
+    return basis_sample_all(spec, pmap.support, uniforms)[winner]
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +123,10 @@ class TestProbabilityMap:
         sup = Support.regular_grid(4)
         pmap = ProbabilityMap(sup, Tensor(np.full((2, 4), 0.25)))
         spec = MixtureSpec("triangular")
-        noise = draw_noise(NoiseSource(0), 4, 1)
         calls = [
             lambda: mixture_pdf(pmap, spec, 1.0),
             lambda: mixture_cdf(pmap, spec, 1.0),
             lambda: mixture_moments(pmap, spec),
-            lambda: reference_sample(pmap, spec, noise),
             lambda: reference_sample_batch(pmap, spec, 3, NoiseSource(0)),
         ]
         for call in calls:
@@ -156,14 +174,14 @@ class TestDensities:
         ys = np.random.default_rng(5).uniform(-1.0, 8.0, 40)
         expected = np.zeros_like(ys)
         for i in range(pmap.n):
-            expected += pmap.weight_values[i] * basis_pdf(spec, pmap.support, i, ys)
+            expected += pmap.weight_values[i] * component_pdf(spec, pmap.support, i, ys)
         np.testing.assert_allclose(mixture_pdf(pmap, spec, ys), expected, rtol=1e-12)
 
     def test_uniform_basis_height(self):
         sup = Support.regular_grid(3, spacing=2.0)
         spec = MixtureSpec("uniform")
-        assert basis_pdf(spec, sup, 1, 2.0) == pytest.approx(0.5)
-        assert basis_pdf(spec, sup, 1, 3.5) == 0.0
+        assert component_pdf(spec, sup, 1, 2.0) == pytest.approx(0.5)
+        assert component_pdf(spec, sup, 1, 3.5) == 0.0
 
     def test_triangular_mixture_interpolates_weights(self):
         # Between adjacent unit-spaced points the triangular mixture is the
@@ -184,10 +202,10 @@ class TestDensities:
 
     def test_gaussian_peak_height(self):
         sup = Support.regular_grid(3)
-        assert basis_pdf(MixtureSpec("gaussian"), sup, 0, 0.0) == pytest.approx(
+        assert component_pdf(MixtureSpec("gaussian"), sup, 0, 0.0) == pytest.approx(
             1.0 / np.sqrt(2.0 * np.pi), rel=1e-12
         )
-        assert basis_pdf(MixtureSpec("gaussian", sigma=2.0), sup, 0, 0.0) == pytest.approx(
+        assert component_pdf(MixtureSpec("gaussian", sigma=2.0), sup, 0, 0.0) == pytest.approx(
             1.0 / (2.0 * np.sqrt(2.0 * np.pi)), rel=1e-12
         )
 
@@ -202,7 +220,7 @@ class TestDensities:
         pmap = ProbabilityMap(sup, Tensor(w))
         spec = MixtureSpec("gaussian", sigma=0.8)
         y = np.array([0.7, 1.3])
-        per_point = np.array([basis_pdf(spec, sup, i, y) for i in range(9)])
+        per_point = np.array([component_pdf(spec, sup, i, y) for i in range(9)])
         manual = float(w @ per_point)
         assert mixture_pdf(pmap, spec, y) == pytest.approx(manual, rel=1e-12)
         d0 = stats.norm.pdf(y[0] - sup.positions[:, 0], scale=0.8)
@@ -281,6 +299,9 @@ class TestMixtureProperties:
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[0] <= 1e-9 and cdf[-1] >= 1.0 - 1e-9
 
+    # Touching uniform bases put two kinks a few ulps apart; quad warns on that
+    # sliver of an interval while the total stays exact, so the warning is no failure.
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @settings(max_examples=30, deadline=None)
     @given(**MAPS)
     def test_pdf_integrates_to_one(self, basis, n, spacing, scale, sigma, seed):
@@ -366,19 +387,19 @@ class TestMoments:
 
 class TestNoise:
     def test_same_seed_same_draws(self):
-        a = draw_noise(NoiseSource(99), 6, 2)
-        b = draw_noise(NoiseSource(99), 6, 2)
-        np.testing.assert_array_equal(a.gumbels, b.gumbels)
-        np.testing.assert_array_equal(a.basis_uniforms, b.basis_uniforms)
+        a = one_draw(NoiseSource(99), 6, 2)
+        b = one_draw(NoiseSource(99), 6, 2)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_draw_index_is_pinned(self):
         src = NoiseSource(7)
-        draws = [draw_noise(src, 4, 1) for _ in range(5)]
+        draws = [one_draw(src, 4, 1) for _ in range(5)]
         src2 = NoiseSource(7)
-        draws2 = [draw_noise(src2, 4, 1) for _ in range(5)]
+        draws2 = [one_draw(src2, 4, 1) for _ in range(5)]
         for a, b in zip(draws, draws2):
-            np.testing.assert_array_equal(a.gumbels, b.gumbels)
-            np.testing.assert_array_equal(a.basis_uniforms, b.basis_uniforms)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
         assert src.draws_taken == 5
 
     @settings(max_examples=60, deadline=None)
@@ -398,9 +419,9 @@ class TestNoise:
         u = np.concatenate([p[1] for p in parts])
         src = NoiseSource(seed)
         for k in range(sum(chunks)):
-            d = draw_noise(src, n, ndim)
-            np.testing.assert_array_equal(g[k], d.gumbels)
-            np.testing.assert_array_equal(u[k], d.basis_uniforms)
+            gumbels, uniforms = one_draw(src, n, ndim)
+            np.testing.assert_array_equal(g[k], gumbels)
+            np.testing.assert_array_equal(u[k], uniforms)
         assert batched.draws_taken == src.draws_taken == sum(chunks)
 
     @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
@@ -433,7 +454,7 @@ class TestNoise:
             with pytest.raises(ValueError, match="count must be non-negative, got -1"):
                 call()
             assert src.draws_taken == 0
-        np.testing.assert_array_equal(draw_noise(src, 4).gumbels, draw_noise(NoiseSource(43), 4).gumbels)
+        np.testing.assert_array_equal(one_draw(src, 4)[0], one_draw(NoiseSource(43), 4)[0])
 
     def test_gumbel_transform_is_clamped_and_distributed(self):
         vals = gumbel_from_uniform(np.array([0.0, 1.0, 0.5]))
@@ -442,12 +463,6 @@ class TestNoise:
         g = gumbel_from_uniform(rng.random(1_000_000))
         assert abs(g.mean() - EULER_GAMMA) < 5e-3
         assert abs(g.var() - np.pi**2 / 6.0) < 2e-2
-
-    def test_shapes(self):
-        d = draw_noise(NoiseSource(0), 10, 3)
-        assert d.gumbels.shape == (10,)
-        assert d.basis_uniforms.shape == (10, 3)
-        assert d.n == 10 and d.ndim == 3
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +477,19 @@ class TestBasisSampling:
             spec = MixtureSpec(basis)
             one = ProbabilityMap(sup, Tensor([0.0, 1.0, 0.0, 0.0]))
             for u in us:
-                y = basis_sample(spec, sup, 1, np.array([u]))
+                y = component_sample(spec, sup, 1, np.array([u]))
                 # cdf of the single active component equals u again
                 assert mixture_cdf(one, spec, y[0]) == pytest.approx(u, abs=1e-9)
 
     def test_uniform_sample_form(self):
         sup = Support.regular_grid(3, spacing=2.0)
-        y = basis_sample(MixtureSpec("uniform"), sup, 1, np.array([0.75]))
+        y = component_sample(MixtureSpec("uniform"), sup, 1, np.array([0.75]))
         assert y[0] == pytest.approx(2.0 + 2.0 * 0.25)
 
     def test_triangular_sample_median_is_center(self):
         sup = Support.regular_grid(3)
-        y = basis_sample(MixtureSpec("triangular"), sup, 1, np.array([0.5 - 1e-12]))
+        y = component_sample(MixtureSpec("triangular"), sup, 1, np.array([0.5 - 1e-12]))
         assert y[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_sample_requires_interior_uniforms(self):
-        sup = Support.regular_grid(3)
-        with pytest.raises(ValueError, match="inside"):
-            basis_sample(MixtureSpec("uniform"), sup, 0, np.array([0.0]))
 
     def test_basis_sample_all_matches_per_component(self):
         sup = Support.regular_grid((3, 3))
@@ -488,7 +498,7 @@ class TestBasisSampling:
             spec = MixtureSpec(basis)
             all_samples = basis_sample_all(spec, sup, u)
             for i in (0, 4, 8):
-                np.testing.assert_array_equal(all_samples[i], basis_sample(spec, sup, i, u[i]))
+                np.testing.assert_array_equal(all_samples[i], component_sample(spec, sup, i, u[i]))
 
     def test_basis_sample_all_batches(self):
         sup = Support.regular_grid(5)
@@ -502,9 +512,9 @@ class TestReferenceSampler:
     def test_component_choice_follows_gumbel_max(self):
         pmap = random_map(seed=22)
         spec = MixtureSpec("uniform")
-        noise = draw_noise(NoiseSource(23), pmap.n, 1)
-        winner = int(np.argmax(noise.gumbels + np.log(pmap.weight_values)))
-        y = reference_sample(pmap, spec, noise)
+        gumbels, _ = one_draw(NoiseSource(23), pmap.n, 1)
+        winner = int(np.argmax(gumbels + np.log(pmap.weight_values)))
+        y = reference_sample_batch(pmap, spec, 1, NoiseSource(23))[0]
         # uniform basis keeps the sample within half a cell of its center
         assert abs(y[0] - pmap.support.positions[winner, 0]) <= 0.5
 
@@ -514,7 +524,7 @@ class TestReferenceSampler:
             spec = MixtureSpec(basis)
             batch = reference_sample_batch(pmap, spec, 9, NoiseSource(25))
             src = NoiseSource(25)
-            loop = np.stack([reference_sample(pmap, spec, draw_noise(src, pmap.n, 1)) for _ in range(9)])
+            loop = np.stack([gumbel_max_sample(pmap, spec, *one_draw(src, pmap.n, 1)) for _ in range(9)])
             np.testing.assert_array_equal(batch, loop)
 
     @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 2 * B + 3])
@@ -524,17 +534,9 @@ class TestReferenceSampler:
             spec = MixtureSpec(basis)
             batch_source, loop_source = NoiseSource(34), NoiseSource(34)
             batch = reference_sample_batch(pmap, spec, count, batch_source)
-            loop = np.stack(
-                [reference_sample(pmap, spec, draw_noise(loop_source, pmap.n, 1)) for _ in range(count)]
-            )
+            loop = np.concatenate([reference_sample_batch(pmap, spec, 1, loop_source) for _ in range(count)])
             assert batch.tobytes() == loop.tobytes()
             assert batch_source.draws_taken == loop_source.draws_taken == count
-
-    def test_noise_shape_mismatch_rejected(self):
-        pmap = random_map()
-        noise = draw_noise(NoiseSource(0), 5, 1)
-        with pytest.raises(ValueError, match="support"):
-            reference_sample(pmap, MixtureSpec("uniform"), noise)
 
     @pytest.mark.parametrize("basis", BASES)
     def test_ks_against_exact_cdf(self, basis):

@@ -6,14 +6,14 @@ import pytest
 from diffloc import autodiff as ad
 from diffloc.autodiff import GradientTape, Tensor, grad_check, softmax_values
 from diffloc.mixture import (
+    WEIGHT_FLOOR,
     MixtureSpec,
     NoiseSource,
     ProbabilityMap,
     Support,
     basis_sample_all,
-    draw_noise,
     draw_noise_batch,
-    reference_sample,
+    reference_sample_batch,
 )
 from diffloc.operators import (
     SamplingConfig,
@@ -24,7 +24,6 @@ from diffloc.operators import (
     gumbel_softmax,
     gumbel_softmax_values,
     inference_localize,
-    js_divergence_values,
     js_regularizer,
     sample_differentiable,
     sampled_expected_error_loss,
@@ -36,6 +35,25 @@ from diffloc.operators import (
 def make_map(n=8, seed=0, spacing=1.0):
     weights = softmax_values(np.random.default_rng(seed).normal(0.0, 1.5, n))
     return ProbabilityMap(Support.regular_grid(n, spacing=spacing), Tensor(weights))
+
+
+def one_draw(source, n, ndim=1):
+    """One draw's (n,) gumbels and (n, ndim) basis uniforms."""
+    gumbels, uniforms = draw_noise_batch(source, 1, n, ndim)
+    return gumbels[0], uniforms[0]
+
+
+def js_divergence_values(p: np.ndarray, q: np.ndarray) -> float:
+    """Jensen-Shannon divergence (natural log) with 1e-12 floors inside logs."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    m = 0.5 * (p + q)
+    log_m = np.log(np.maximum(m, WEIGHT_FLOOR))
+
+    def kl(a):
+        return float(np.sum(a * (np.log(np.maximum(a, WEIGHT_FLOOR)) - log_m)))
+
+    return 0.5 * (kl(p) + kl(q))
 
 
 def map_2d(shape=(3, 4), seed=0):
@@ -175,25 +193,25 @@ class TestGumbelSoftmax:
     def test_rows_sum_to_one(self):
         pmap = make_map(seed=7)
         for tau in (0.05, 0.5, 2.0):
-            noise = draw_noise(NoiseSource(8), pmap.n, 1)
-            relaxed = gumbel_softmax(pmap, noise.gumbels, tau)
+            gumbels, _ = one_draw(NoiseSource(8), pmap.n)
+            relaxed = gumbel_softmax(pmap, gumbels, tau)
             assert relaxed.values.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(relaxed.values >= 0.0)
 
     def test_sharp_tau_is_one_hot_at_gumbel_max(self):
         pmap = make_map(seed=9)
-        noise = draw_noise(NoiseSource(10), pmap.n, 1)
-        winner = int(np.argmax(np.log(pmap.weight_values) + noise.gumbels))
-        relaxed = gumbel_softmax(pmap, noise.gumbels, 0.001).values
+        gumbels, _ = one_draw(NoiseSource(10), pmap.n)
+        winner = int(np.argmax(np.log(pmap.weight_values) + gumbels))
+        relaxed = gumbel_softmax(pmap, gumbels, 0.001).values
         assert int(np.argmax(relaxed)) == winner
         assert relaxed[winner] == pytest.approx(1.0, abs=1e-6)
 
     def test_values_twin_is_bitwise_equal(self):
         pmap = make_map(seed=11)
-        noise = draw_noise(NoiseSource(12), pmap.n, 1)
+        gumbels, _ = one_draw(NoiseSource(12), pmap.n)
         for tau in (0.05, 1.0):
-            t = gumbel_softmax(pmap, noise.gumbels, tau).values
-            v = gumbel_softmax_values(pmap.weight_values, noise.gumbels, tau)
+            t = gumbel_softmax(pmap, gumbels, tau).values
+            v = gumbel_softmax_values(pmap.weight_values, gumbels, tau)
             np.testing.assert_array_equal(t, v)
 
     def test_values_twin_batches_rows(self):
@@ -205,12 +223,12 @@ class TestGumbelSoftmax:
 
     def test_rejects_bad_inputs(self):
         pmap = make_map()
-        noise = draw_noise(NoiseSource(0), pmap.n, 1)
+        gumbels, _ = one_draw(NoiseSource(0), pmap.n)
         with pytest.raises(ValueError, match="tau"):
-            gumbel_softmax(pmap, noise.gumbels, 0.0)
-        short = draw_noise(NoiseSource(0), pmap.n - 1, 1)
+            gumbel_softmax(pmap, gumbels, 0.0)
+        short_gumbels, _ = one_draw(NoiseSource(0), pmap.n - 1)
         with pytest.raises(ValueError, match="support"):
-            gumbel_softmax(pmap, short.gumbels, 1.0)
+            gumbel_softmax(pmap, short_gumbels, 1.0)
 
     def test_argmax_frequency_tracks_weights(self):
         # Over many draws the sharp-relaxation winner follows the weights.
@@ -219,8 +237,8 @@ class TestGumbelSoftmax:
         source = NoiseSource(16)
         draws = 20_000
         for _ in range(draws):
-            noise = draw_noise(source, 5, 1)
-            counts[int(np.argmax(gumbel_softmax(pmap, noise.gumbels, 0.05).values))] += 1
+            gumbels, _ = one_draw(source, 5)
+            counts[int(np.argmax(gumbel_softmax(pmap, gumbels, 0.05).values))] += 1
         np.testing.assert_allclose(counts / draws, pmap.weight_values, atol=0.01)
 
 
@@ -229,25 +247,25 @@ class TestSampleDifferentiable:
         for basis in ("uniform", "triangular", "gaussian"):
             pmap = make_map(seed=17)
             spec = MixtureSpec(basis)
-            noise = draw_noise(NoiseSource(18), pmap.n, 1)
-            relaxed = sample_differentiable(pmap, spec, noise.gumbels, noise.basis_uniforms, 1e-4).values
-            exact = reference_sample(pmap, spec, noise)
+            gumbels, uniforms = one_draw(NoiseSource(18), pmap.n)
+            relaxed = sample_differentiable(pmap, spec, gumbels, uniforms, 1e-4).values
+            exact = reference_sample_batch(pmap, spec, 1, NoiseSource(18))[0]
             np.testing.assert_allclose(relaxed, exact, atol=1e-8)
 
     def test_smooth_tau_blends_components(self):
         pmap = make_map(seed=19)
         spec = MixtureSpec("triangular")
-        noise = draw_noise(NoiseSource(20), pmap.n, 1)
-        relaxed = sample_differentiable(pmap, spec, noise.gumbels, noise.basis_uniforms, 50.0).values
-        samples = basis_sample_all(spec, pmap.support, noise.basis_uniforms)
+        gumbels, uniforms = one_draw(NoiseSource(20), pmap.n)
+        relaxed = sample_differentiable(pmap, spec, gumbels, uniforms, 50.0).values
+        samples = basis_sample_all(spec, pmap.support, uniforms)
         # At very high temperature the relaxation approaches the flat average.
         np.testing.assert_allclose(relaxed, samples.mean(axis=0), atol=0.05)
 
     def test_dimension_mismatch_rejected(self):
         pmap = map_2d()
-        noise = draw_noise(NoiseSource(0), pmap.n, 1)
+        gumbels, uniforms = one_draw(NoiseSource(0), pmap.n)
         with pytest.raises(ValueError, match="dimensionality"):
-            sample_differentiable(pmap, MixtureSpec("gaussian", sigma=1.0), noise.gumbels, noise.basis_uniforms, 1.0)
+            sample_differentiable(pmap, MixtureSpec("gaussian", sigma=1.0), gumbels, uniforms, 1.0)
 
 
 def draws(seed, count, n, ndim=1):
@@ -265,9 +283,9 @@ class TestSampledExpectedErrorLoss:
         source = NoiseSource(24)
         total = 0.0
         for _ in range(4):
-            noise = draw_noise(source, pmap.n, 1)
-            relaxed = gumbel_softmax_values(pmap.weight_values, noise.gumbels, tau)
-            samples = basis_sample_all(spec, pmap.support, noise.basis_uniforms)
+            gumbels, uniforms = one_draw(source, pmap.n)
+            relaxed = gumbel_softmax_values(pmap.weight_values, gumbels, tau)
+            samples = basis_sample_all(spec, pmap.support, uniforms)
             total = total + np.abs(relaxed @ samples - y).sum()
         assert loss.item() == pytest.approx(total * (1.0 / 4.0), rel=1e-15)
         with pytest.raises(ValueError, match="at least one"):
