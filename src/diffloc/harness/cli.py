@@ -72,14 +72,28 @@ def format_table(header: list[str], rows: list[tuple]) -> str:
 # Config handling
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _unreadable(what: str, path: str, exc: OSError) -> SystemExit:
+    return SystemExit(f"{what} {path}: {exc.strerror or exc}")
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a file; anything else exits with one line naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise _unreadable(what, path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise SystemExit(
+            f"{what} {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from None
     if not isinstance(data, dict):
-        raise SystemExit(f"config file {path} must hold a flat JSON object")
+        raise SystemExit(f"{what} {path} must hold a flat JSON object")
     return data
+
+
+def _load_config(path: str | None) -> dict:
+    return {} if path is None else _read_json_object(path, "--config")
 
 
 def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
@@ -213,17 +227,23 @@ def _save_run_meta(model_path: str, opts: dict) -> None:
 def _cmd_eval(args) -> int:
     file_config = _load_config(args.config)
     opts = _merge(args, file_config, dict(_OPTION_DEFAULTS, split="test", out="eval.csv"))
-    # Task identity defaults to what the model was trained on.
-    try:
-        with open(args.model + ".json", "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        for key in ("task", *_TASK_OPTIONS, "seed"):
-            if getattr(args, key, None) is None and key not in file_config:
-                opts[key] = saved[key]
-    except FileNotFoundError:
-        pass
+    # Task identity defaults to what the model was trained on, if its sidecar is there.
+    sidecar = args.model + ".json"
+    if os.path.exists(sidecar):
+        saved = _read_json_object(sidecar, "model sidecar")
+        wanted = [
+            key for key in ("task", *_TASK_OPTIONS, "seed")
+            if getattr(args, key, None) is None and key not in file_config
+        ]
+        missing = [key for key in wanted if key not in saved]
+        if missing:
+            raise SystemExit(f"model sidecar {sidecar} has no {', '.join(missing)}; give them as flags")
+        opts.update((key, saved[key]) for key in wanted)
     task = _task_from(opts)
-    model = MLPModel.load(args.model)
+    try:
+        model = MLPModel.load(args.model)
+    except OSError as exc:
+        raise _unreadable("--model", args.model, exc) from None
     # Observations and support points are the same count for every task.
     n = task_support(task).n
     if (model.in_dim, model.out_dim) != (n, n):
@@ -258,7 +278,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    with open(args.records, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(args.records, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _unreadable("--records", args.records, exc) from None
+    with fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("peak", "err") if c not in (reader.fieldnames or ())]
         if missing:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .autodiff import Tensor, as_tensor
 
@@ -208,6 +207,9 @@ def _resolve(spec: MixtureSpec, support: Support) -> tuple[str, float | None, fl
 
 # ---------------------------------------------------------------------------
 # One-axis basis facts.  Everything multi-axis is a product of these.
+# Only the gaussian branches need scipy.special, and they import it on first
+# use: loading it with this module would double every process's start-up time
+# and add 25 MiB, whether or not the run ever evaluates a gaussian cdf.
 
 
 def _pdf_1d(basis: str, offset: np.ndarray, c: float | None, sigma: float | None) -> np.ndarray:
@@ -225,6 +227,8 @@ def _cdf_1d(basis: str, offset: np.ndarray, c: float | None, sigma: float | None
     if basis == "triangular":
         t = np.clip(offset / c, -1.0, 1.0)
         return np.where(t < 0.0, 0.5 * (1.0 + t) ** 2, 1.0 - 0.5 * (1.0 - t) ** 2)
+    from scipy.special import ndtr
+
     return ndtr(offset / sigma)
 
 
@@ -235,6 +239,8 @@ def _inverse_cdf_1d(basis: str, u: np.ndarray, c: float | None, sigma: float | N
         left = c * (np.sqrt(2.0 * u) - 1.0)
         right = c * (1.0 - np.sqrt(2.0 * (1.0 - u)))
         return np.where(u < 0.5, left, right)
+    from scipy.special import ndtri
+
     return sigma * ndtri(u)
 
 

@@ -174,6 +174,19 @@ class TestEvalAndCalibrate:
             main(["calibrate", "--records", str(records)])
         assert "calibration_r" not in capsys.readouterr().out
 
+    def test_eval_names_a_key_the_sidecar_lacks(self, tmp_path, trained_model):
+        sidecar = tmp_path / "model.npz.json"
+        saved = json.loads(sidecar.read_text())
+        del saved["task_size"]
+        sidecar.write_text(json.dumps(saved))
+        out = tmp_path / "eval.csv"
+        with pytest.raises(SystemExit, match=re.escape(f"model sidecar {sidecar} has no task_size; give them")):
+            main(["eval", "--model", str(trained_model), "--out", str(out)])
+        assert not out.exists()
+        # A flag stands in for the missing key, so the sidecar is not asked for it.
+        assert main(["eval", "--model", str(trained_model), "--task-size", "16", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 9
+
     @pytest.mark.parametrize(
         "flag",
         [
@@ -202,6 +215,35 @@ class TestEvalAndCalibrate:
         assert exited.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestInputFiles:
+    """An input file that cannot be read or parsed ends in one line naming the flag and the path."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["calibrate", "--records", "nope.csv"], "--records nope.csv"),
+            (["eval", "--model", "nope.npz"], "--model nope.npz"),
+            (["train", "--config", "missing.json"], "--config missing.json"),
+            (["eval", "--model", "nope.npz", "--config", "missing.json"], "--config missing.json"),
+        ],
+        ids=["calibrate-records", "eval-model", "train-config", "eval-config"],
+    )
+    def test_missing_file(self, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == f"{flag}: No such file or directory"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["train"], ["eval", "--model", "m.npz"]], ids=lambda c: c[0])
+    def test_config_that_is_not_json(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text('{"epochs": 2,\n "loss": }\n')
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--config", "run.json"])
+        assert exited.value.code == "--config run.json is not valid JSON: Expecting value at line 2 column 10"
 
 
 class TestSuiteCommands:

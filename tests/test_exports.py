@@ -1,7 +1,12 @@
-"""Package surface: every name a module exports must exist."""
+"""Package surface: every name a module exports must exist, and importing the
+package loads nothing heavy that a run may never use."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import diffloc
 
@@ -23,3 +28,40 @@ def test_every_all_entry_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ lists {missing}, which the module does not define"
         exec(f"from {module.__name__} import *", {})
+
+
+# Runs in a fresh interpreter: this test session has scipy.special loaded
+# already, since test_mixture imports scipy.stats.
+_SCIPY_ON_FIRST_GAUSSIAN_CDF = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    import diffloc, diffloc.harness.cli
+    from diffloc.harness.tasks import SyntheticTask
+    from diffloc.harness.training import RunConfig, evaluate, train
+    from diffloc.mixture import MixtureSpec, Support, basis_sample_all
+
+    def loaded():
+        return sorted(name for name in sys.modules if name.startswith("scipy.special"))
+
+    small = dict(train_count=16, val_count=8, test_count=8, seed=1)
+    task = SyntheticTask("signal1d", **small)
+    model, _ = train(RunConfig(task=task, loss="samp", basis="triangular", epochs=1))
+    evaluate(model, task)
+    train(RunConfig(task=SyntheticTask("scatter3d", size=32, **small), loss="soft-dr", epochs=1))
+    assert not loaded(), f"loaded before any gaussian cdf: {loaded()}"
+    basis_sample_all(MixtureSpec("gaussian"), Support.regular_grid(4), np.full((4, 1), 0.25))
+    assert "scipy.special" in sys.modules, "the gaussian inverse cdf ran without scipy.special"
+    """
+)
+
+
+def test_scipy_special_loads_on_the_first_gaussian_cdf():
+    src = os.path.dirname(os.path.dirname(diffloc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_ON_FIRST_GAUSSIAN_CDF], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

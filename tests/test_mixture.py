@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from diffloc import mixture
 from diffloc.autodiff import Tensor, softmax_values
@@ -506,6 +506,28 @@ class TestBasisSampling:
         out = basis_sample_all(MixtureSpec("triangular"), sup, u)
         assert out.shape == (4, 5, 1)
         np.testing.assert_array_equal(out[2], basis_sample_all(MixtureSpec("triangular"), sup, u[2]))
+
+
+class TestGaussianBasis:
+    """The gaussian basis is its formulas applied with scipy.special's ndtr and
+    ndtri, bit for bit, so importing them on first use changes no result."""
+
+    @pytest.mark.parametrize(
+        "support, spec, sigma",
+        [
+            (Support.regular_grid(7, spacing=1.5), MixtureSpec("gaussian"), 1.5),
+            (Support.scattered([0.3, -1.1, 2.4, 0.9, 5.2]), MixtureSpec("gaussian", sigma=0.7), 0.7),
+        ],
+        ids=["grid-default-sigma", "scattered-explicit-sigma"],
+    )
+    def test_matches_scipy_special_bitwise(self, support, spec, sigma):
+        rng = np.random.default_rng(33)
+        pmap = ProbabilityMap(support, Tensor(softmax_values(rng.normal(0.0, 1.5, support.n))))
+        ys = rng.uniform(-4.0, 12.0, 301)
+        cdf = special.ndtr((ys[:, None] - support.positions[:, 0]) / sigma) @ pmap.weight_values
+        assert np.array_equal(mixture_cdf(pmap, spec, ys), cdf)
+        u = rng.uniform(0.0, 1.0, (4, support.n, 1))
+        assert np.array_equal(basis_sample_all(spec, support, u), support.positions + sigma * special.ndtri(u))
 
 
 class TestReferenceSampler:
