@@ -76,24 +76,22 @@ def _unreadable(what: str, path: str, exc: OSError) -> SystemExit:
     return SystemExit(f"{what} {path}: {exc.strerror or exc}")
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    """The JSON object in a file; anything else exits with one line naming `what`."""
+def _load_config(path: str | None) -> dict:
+    """The JSON object in the --config file; anything else exits with one line."""
+    if path is None:
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _unreadable(what, path, exc) from None
+        raise _unreadable("--config", path, exc) from None
     except json.JSONDecodeError as exc:
         raise SystemExit(
-            f"{what} {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            f"--config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
     if not isinstance(data, dict):
-        raise SystemExit(f"{what} {path} must hold a flat JSON object")
+        raise SystemExit(f"--config {path} must hold a flat JSON object")
     return data
-
-
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else _read_json_object(path, "--config")
 
 
 def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
@@ -196,13 +194,21 @@ def _run_config_from(opts: dict) -> RunConfig:
     )
 
 
+def _checked(build, opts: dict):
+    """build(opts); a value the dataclasses reject ends the command with one line."""
+    try:
+        return build(opts)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid option value: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_train(args) -> int:
     opts = _merge(args, _load_config(args.config), _OPTION_DEFAULTS)
-    config = _run_config_from(opts)
+    config = _checked(_run_config_from, opts)
     model, history = train(config)
     rows = [(h.epoch, h.loss, h.val_mean_err, h.tau) for h in history]
     write_csv(opts["out"], ["epoch", "loss", "val_mean_err", "tau"], rows)
@@ -210,47 +216,30 @@ def _cmd_train(args) -> int:
     print(f"history written to {opts['out']}")
     if opts["model_out"]:
         _ensure_parent(opts["model_out"])
-        model.save(opts["model_out"])
-        _save_run_meta(opts["model_out"], opts)
+        model.save(opts["model_out"], config.task)
         print(f"model written to {opts['model_out']}")
     return 0
 
 
-def _save_run_meta(model_path: str, opts: dict) -> None:
-    meta_path = model_path + ".json"
-    keep = {k: opts[k] for k in _OPTION_DEFAULTS}
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(keep, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_eval(args) -> int:
-    file_config = _load_config(args.config)
-    opts = _merge(args, file_config, dict(_OPTION_DEFAULTS, split="test", out="eval.csv"))
-    # Task identity defaults to what the model was trained on, if its sidecar is there.
-    sidecar = args.model + ".json"
-    if os.path.exists(sidecar):
-        saved = _read_json_object(sidecar, "model sidecar")
-        wanted = [
-            key for key in ("task", *_TASK_OPTIONS, "seed")
-            if getattr(args, key, None) is None and key not in file_config
-        ]
-        missing = [key for key in wanted if key not in saved]
-        if missing:
-            raise SystemExit(f"model sidecar {sidecar} has no {', '.join(missing)}; give them as flags")
-        opts.update((key, saved[key]) for key in wanted)
-    task = _task_from(opts)
+    config = _load_config(args.config)
     try:
-        model = MLPModel.load(args.model)
+        model, trained_on = MLPModel.load(args.model)
     except OSError as exc:
         raise _unreadable("--model", args.model, exc) from None
+    except ValueError as exc:
+        raise SystemExit(f"--model {args.model}: {exc}") from None
+    # The task options default to the task the model was trained on.
+    saved = {option: getattr(trained_on, name) for option, name in _TASK_OPTIONS.items()}
+    saved.update(task=trained_on.kind, seed=trained_on.seed)
+    opts = _merge(args, config, dict(_OPTION_DEFAULTS, **saved, split="test", out="eval.csv"))
+    task = _checked(_task_from, opts)
     # Observations and support points are the same count for every task.
     n = task_support(task).n
     if (model.in_dim, model.out_dim) != (n, n):
         raise SystemExit(
             f"model {args.model} maps {model.in_dim} inputs to {model.out_dim} points, but task "
-            f"{task.kind} of size {task.size} has {n} of each; give the task flags it was trained "
-            f"with (its {args.model}.json sidecar holds them)"
+            f"{task.kind} of size {task.size} has {n} of each"
         )
     records, summary = evaluate(model, task, split=opts["split"])
     ndim = records[0].pred.shape[0]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import zipfile
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
+from .tasks import SyntheticTask
 
 __all__ = ["MLPModel"]
 
@@ -44,8 +47,10 @@ class MLPModel:
         with ad.no_grad():
             return self.logits(obs).values
 
-    def save(self, path) -> None:
-        meta = {"in_dim": self.in_dim, "hidden_dim": self.hidden_dim, "out_dim": self.out_dim}
+    def save(self, path, task: SyntheticTask) -> None:
+        """Write the weights and, in the `meta` entry, the task they were trained on."""
+        meta = {"in_dim": self.in_dim, "hidden_dim": self.hidden_dim, "out_dim": self.out_dim,
+                "task": dataclasses.asdict(task)}
         np.savez(
             path,
             meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
@@ -56,12 +61,42 @@ class MLPModel:
         )
 
     @classmethod
-    def load(cls, path) -> "MLPModel":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            model = cls(meta["in_dim"], meta["hidden_dim"], meta["out_dim"], _init=False)
-            model.w1 = Tensor(data["w1"], requires_grad=True)
-            model.b1 = Tensor(data["b1"], requires_grad=True)
-            model.w2 = Tensor(data["w2"], requires_grad=True)
-            model.b2 = Tensor(data["b2"], requires_grad=True)
-        return model
+    def load(cls, path) -> tuple["MLPModel", SyntheticTask]:
+        """The model save() wrote to `path` and its task.  OSError when the file
+        cannot be read; ValueError naming the fault when it is not such a model."""
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh) as data:
+                if "meta" not in data.files:
+                    raise ValueError("no meta entry")
+                try:
+                    meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+                except ValueError:
+                    meta = None
+                if not isinstance(meta, dict):
+                    raise ValueError("meta is not a JSON object")
+                missing = [key for key in ("in_dim", "hidden_dim", "out_dim") if key not in meta]
+                if missing:
+                    raise ValueError(f"meta lacks {', '.join(missing)}")
+                if "task" not in meta:
+                    raise ValueError("meta holds no task; the model predates saving it, so retrain it")
+                try:
+                    task = SyntheticTask(**meta["task"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"meta's task is not valid: {exc}") from None
+                i, h, o = meta["in_dim"], meta["hidden_dim"], meta["out_dim"]
+                weights = {}
+                for name, shape in {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}.items():
+                    if name not in data.files:
+                        raise ValueError(f"no {name} entry")
+                    weights[name] = values = data[name]
+                    if values.shape != shape:
+                        raise ValueError(f"{name} has shape {values.shape}, but meta says {shape}")
+                    if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
+                        raise ValueError(f"{name} holds values that are not finite numbers")
+        model = cls(i, h, o, _init=False)
+        for name, values in weights.items():
+            setattr(model, name, Tensor(values, requires_grad=True))
+        return model, task

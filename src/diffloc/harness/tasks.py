@@ -62,6 +62,9 @@ class SyntheticTask:
             raise ValueError("task size must be at least 8")
         if self.noise < 0:
             raise ValueError("noise level must be non-negative")
+        for name in ("train_count", "val_count", "test_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def split_count(task: SyntheticTask, split: str) -> int:
@@ -86,12 +89,18 @@ def task_support(task: SyntheticTask) -> Support:
     return Support.scattered(_cloud(task), bounds=((0.0, 2.0),) * 3)
 
 
-def scatter_sigma(task: SyntheticTask) -> float:
-    """Mean nearest-neighbor distance of the scatter cloud."""
+def _cloud_geometry(task: SyntheticTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scatter cloud, its pairwise squared distances (inf on the
+    diagonal) and each point's nearest-neighbor distance."""
     pos = _cloud(task)
     d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    return pos, d2, np.sqrt(d2.min(axis=1))
+
+
+def scatter_sigma(task: SyntheticTask) -> float:
+    """Mean nearest-neighbor distance of the scatter cloud."""
+    return float(_cloud_geometry(task)[2].mean())
 
 
 def task_mixture_spec(task: SyntheticTask, basis: str, sigma: float | None = None) -> MixtureSpec:
@@ -197,10 +206,7 @@ def _grid_example(task: SyntheticTask, rng: np.random.Generator, ndim: int) -> t
 
 
 def _scatter_example(task: SyntheticTask, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    pos = _cloud(task)
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.sqrt(d2.min(axis=1))
+    pos, d2, nn = _cloud_geometry(task)
     eligible = np.flatnonzero(nn >= 0.08)
 
     t = int(eligible[rng.integers(eligible.size)])

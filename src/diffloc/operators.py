@@ -240,8 +240,8 @@ def variance_regularizer(pmap: ProbabilityMap, sigma_t_sq: float) -> Tensor:
     """(Var(pi) - sigma_t^2)^2 where Var sums the per-axis discrete variances."""
     if not sigma_t_sq > 0:
         raise ValueError("sigma_t_sq must be positive")
+    mean = soft_argmax(pmap)
     pos = pmap.support.positions
-    mean = ad.matrix_multiply(pmap.weights, Tensor(pos))
     second = ad.matrix_multiply(pmap.weights, Tensor(pos * pos))
     per_axis = ad.subtract(second, ad.square(mean))
     total = ad.sum_over_axis(per_axis, axis=-1)

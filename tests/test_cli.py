@@ -1,15 +1,18 @@
 """Command-line interface: flags, config files, CSV outputs, exit codes."""
 
+import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from diffloc.harness import cli
 from diffloc.harness.cli import main
+from diffloc.harness.model import MLPModel
 from diffloc.harness.suites import variance_compare
-from diffloc.harness.tasks import SyntheticTask
-from diffloc.harness.training import RunConfig
+from diffloc.harness.tasks import TASK_KINDS, SyntheticTask, task_support
+from diffloc.harness.training import RunConfig, evaluate
 
 
 FAST = [
@@ -21,6 +24,12 @@ FAST = [
     "--epochs", "2",
     "--loss", "soft",
 ]
+
+
+def save_model(path, task):
+    """An untrained model that fits `task`, saved with it."""
+    n = task_support(task).n
+    MLPModel(n, 4, n).save(path, task)
 
 
 def run_train(tmp_path, name, extra=()):
@@ -106,11 +115,33 @@ class TestEvalAndCalibrate:
         return model_path
 
     def test_eval_uses_saved_task_identity(self, tmp_path, trained_model):
+        # The model file is the only artefact train writes beside its history.
+        assert not (tmp_path / "model.npz.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["history.csv", "model.npz"]
         out = tmp_path / "eval.csv"
         assert main(["eval", "--model", str(trained_model), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "idx,pred_0,gt_0,peak,err"
         assert len(lines) == 9  # header + test_count rows
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_eval_task_precedence(self, tmp_path, monkeypatch, kind):
+        """flag > --config > the model's task > the dataclass defaults."""
+        seen = []
+
+        def spy_evaluate(model, task, split):
+            seen.append(task)
+            return evaluate(model, task, split)
+
+        monkeypatch.setattr(cli, "evaluate", spy_evaluate)
+        task = SyntheticTask(kind, size=12, noise=0.25, train_count=3, val_count=2, test_count=2, seed=5)
+        model, config, out = tmp_path / "m.npz", tmp_path / "run.json", tmp_path / "eval.csv"
+        save_model(model, task)
+        assert main(["eval", "--model", str(model), "--out", str(out)]) == 0
+        config.write_text(json.dumps({"task_noise": 0.75, "test_count": 5, "seed": 7}))
+        assert main(["eval", "--model", str(model), "--config", str(config), "--test-count", "4",
+                     "--out", str(out)]) == 0
+        assert seen == [task, dataclasses.replace(task, noise=0.75, test_count=4, seed=7)]
 
     def test_eval_split_override(self, tmp_path, trained_model):
         out = tmp_path / "eval_val.csv"
@@ -124,12 +155,11 @@ class TestEvalAndCalibrate:
         assert main(["eval", "--model", str(trained_model), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_eval_without_sidecar_checks_model_against_task(self, tmp_path, trained_model):
-        (tmp_path / "model.npz.json").unlink()
+    def test_eval_checks_model_against_overridden_task(self, tmp_path, trained_model):
         out = tmp_path / "eval.csv"
-        # The default task is signal1d of size 32; the model was trained on 16.
-        with pytest.raises(SystemExit, match="16 inputs to 16 points.*signal1d of size 32 has 32"):
-            main(["eval", "--model", str(trained_model), "--out", str(out)])
+        # The model was trained on signal1d of size 16.
+        with pytest.raises(SystemExit, match="16 inputs to 16 points.*signal1d of size 32 has 32 of each$"):
+            main(["eval", "--model", str(trained_model), "--task-size", "32", "--out", str(out)])
         assert not out.exists()
         assert main(["eval", "--model", str(trained_model), "--task-size", "16", "--seed", "3",
                      "--test-count", "8", "--out", str(out)]) == 0
@@ -173,19 +203,6 @@ class TestEvalAndCalibrate:
         with pytest.raises(SystemExit, match=re.escape(f"{records} line 3: {problem} is not a finite number")):
             main(["calibrate", "--records", str(records)])
         assert "calibration_r" not in capsys.readouterr().out
-
-    def test_eval_names_a_key_the_sidecar_lacks(self, tmp_path, trained_model):
-        sidecar = tmp_path / "model.npz.json"
-        saved = json.loads(sidecar.read_text())
-        del saved["task_size"]
-        sidecar.write_text(json.dumps(saved))
-        out = tmp_path / "eval.csv"
-        with pytest.raises(SystemExit, match=re.escape(f"model sidecar {sidecar} has no task_size; give them")):
-            main(["eval", "--model", str(trained_model), "--out", str(out)])
-        assert not out.exists()
-        # A flag stands in for the missing key, so the sidecar is not asked for it.
-        assert main(["eval", "--model", str(trained_model), "--task-size", "16", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 9
 
     @pytest.mark.parametrize(
         "flag",
@@ -237,6 +254,47 @@ class TestInputFiles:
         assert exited.value.code == f"{flag}: No such file or directory"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [
+            (None, "not an .npz archive"),
+            ({"meta": None}, "no meta entry"),
+            ({"meta": np.frombuffer(b"{in_dim: 16", dtype=np.uint8)}, "meta is not a JSON object"),
+            ({"meta": {"in_dim": 16, "out_dim": 16, "task": {"kind": "signal1d"}}}, "meta lacks hidden_dim"),
+            ({"meta": {"in_dim": 16, "hidden_dim": 4, "out_dim": 16}},
+             "meta holds no task; the model predates saving it, so retrain it"),
+            ({"meta": {"in_dim": 16, "hidden_dim": 4, "out_dim": 16, "task": {"kind": "audio"}}},
+             "meta's task is not valid: unknown task kind: 'audio'"),
+            ({"w2": np.zeros((4, 15))}, "w2 has shape (4, 15), but meta says (4, 16)"),
+            ({"b1": None}, "no b1 entry"),
+            ({"b2": np.full(16, np.nan)}, "b2 holds values that are not finite numbers"),
+        ],
+        ids=["text", "no-meta", "meta-not-json", "meta-lacks-key", "no-task", "bad-task", "shape", "no-b1",
+             "nan-b2"],
+    )
+    def test_model_that_is_not_a_diffloc_model(self, tmp_path, monkeypatch, entries, reason):
+        """Each fault ends eval in one line naming the path and the fault, and writes nothing.
+
+        `entries` replaces entries of a valid model file (None drops one; a dict
+        is stored as JSON); None in its place writes a text file instead.
+        """
+        monkeypatch.chdir(tmp_path)
+        if entries is None:
+            (tmp_path / "m.npz").write_text("not a model\n")
+        else:
+            save_model(tmp_path / "m.npz", SyntheticTask("signal1d", size=16))
+            with np.load(tmp_path / "m.npz") as data:
+                arrays = {name: data[name] for name in data.files}
+            for name, value in entries.items():
+                if isinstance(value, dict):
+                    value = np.frombuffer(json.dumps(value).encode("utf-8"), dtype=np.uint8)
+                arrays[name] = value
+            np.savez(tmp_path / "m.npz", **{name: a for name, a in arrays.items() if a is not None})
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--model", "m.npz"])
+        assert exited.value.code == f"--model m.npz: {reason}"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+
     @pytest.mark.parametrize("command", [["train"], ["eval", "--model", "m.npz"]], ids=lambda c: c[0])
     def test_config_that_is_not_json(self, tmp_path, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
@@ -244,6 +302,37 @@ class TestInputFiles:
         with pytest.raises(SystemExit) as exited:
             main([*command, "--config", "run.json"])
         assert exited.value.code == "--config run.json is not valid JSON: Expecting value at line 2 column 10"
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--task-noise", "-1"], "noise level must be non-negative"),
+            (["train", "--num-samples", "0"], "num_samples must be at least 1"),
+            (["train", "--lr", "0"], "lr, epochs, batch_size and hidden_dim must be positive"),
+            (["train", "--config", "run.json"], "'<' not supported between instances of 'str' and 'int'"),
+            (["train", "--train-count", "0"], "train_count must be at least 1, got 0"),
+            (["train", "--val-count", "0"], "val_count must be at least 1, got 0"),
+            (["train", "--train-count", "-3"], "train_count must be at least 1, got -3"),
+            (["eval", "--model", "m.npz", "--test-count", "-3"], "test_count must be at least 1, got -3"),
+        ],
+        ids=["noise", "num-samples", "lr", "config-epochs-string", "train-count", "val-count",
+             "negative-train-count", "eval-test-count"],
+    )
+    def test_rejected_value_ends_in_one_line(self, tmp_path, monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a rejected option value")
+
+        monkeypatch.setattr(cli, "train", never)
+        monkeypatch.setattr(cli, "evaluate", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"epochs": "3"}))
+        save_model(tmp_path / "m.npz", SyntheticTask("signal1d", size=16))
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == f"invalid option value: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz", "run.json"]
 
 
 class TestSuiteCommands:

@@ -96,6 +96,9 @@ class TestTasks:
             SyntheticTask(kind="signal1d", size=4)
         with pytest.raises(ValueError, match="noise"):
             SyntheticTask(kind="signal1d", noise=-0.1)
+        for name, value in (("train_count", 0), ("val_count", 0), ("test_count", -3)):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+                SyntheticTask(kind="signal1d", **{name: value})
 
     def test_default_sizes_and_supports(self):
         assert SyntheticTask(kind="signal1d").size == 32
@@ -225,10 +228,13 @@ class TestModel:
     def test_save_load_round_trip(self, tmp_path):
         model = MLPModel(12, 7, 9, seed=11)
         path = str(tmp_path / "model.npz")
-        model.save(path)
-        clone = MLPModel.load(path)
         x = np.random.default_rng(1).normal(0.0, 1.0, (4, 12))
-        np.testing.assert_array_equal(model.logit_values(x), clone.logit_values(x))
+        for kind in TASK_KINDS:
+            task = SyntheticTask(kind, size=10, noise=0.3, train_count=5, val_count=4, test_count=3, seed=8)
+            model.save(path, task)
+            clone, saved = MLPModel.load(path)
+            assert saved == task
+            np.testing.assert_array_equal(model.logit_values(x), clone.logit_values(x))
 
     def test_logits_tensor_matches_values(self):
         model = MLPModel(6, 4, 5, seed=2)
