@@ -7,8 +7,10 @@ render or assert on them; nothing here prints.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -253,45 +255,111 @@ def distcheck_suite(
     support = Support.regular_grid(n)
     crit = ks_critical_value(draws, alpha)
     taus = (tau_sharp, tau_smooth)
-    reference_rows: list[ReferenceRow] = []
-    relaxed_rows: list[RelaxedRow] = []
-    for m in range(num_maps):
+
+    def check(i: int) -> tuple[ReferenceRow, RelaxedRow]:
+        # Row i is map i // |BASES| under basis i % |BASES|; its map and both
+        # noise streams are seeded from those indices alone.
+        m, basis_idx = divmod(i, len(BASES))
+        basis = BASES[basis_idx]
         rng = np.random.default_rng([seed, m])
         weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
-        log_w = np.log(weights)
         pmap = ProbabilityMap(support, Tensor(weights))
-        for basis_idx, basis in enumerate(BASES):
-            spec = MixtureSpec(basis)
+        spec = MixtureSpec(basis)
 
-            source = NoiseSource([seed, m, basis_idx, 1])
-            samples = reference_sample_batch(pmap, spec, draws, source)[:, 0]
-            ks = ks_statistic(samples, lambda y: mixture_cdf(pmap, spec, y))
-            exact_mean, exact_var = mixture_moments(pmap, spec)
-            mean_gap = abs(float(samples.mean()) - float(exact_mean[0]))
-            var_gap = abs(float(samples.var()) - float(exact_var[0]))
-            reference_rows.append(
-                ReferenceRow(m, basis, ks, crit, ks <= crit, mean_gap, var_gap)
-            )
+        def cdf(y):
+            return mixture_cdf(pmap, spec, y)
 
-            source = NoiseSource([seed, m, basis_idx, 2])
-            counts = np.zeros(n, dtype=np.intp)
-            y_relaxed = np.empty((len(taus), draws))
-            start = 0
-            for gumbels, uniforms in draw_noise_blocks(source, draws, n, 1):
-                stop = start + len(gumbels)
-                counts += np.bincount(np.argmax(gumbels + log_w, axis=1), minlength=n)
-                y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
-                scores = gumbel_scores(weights, gumbels)
-                for row, tau in zip(y_relaxed, taus):
-                    relaxed = ad.softmax_values(scores / float(tau), axis=-1)
-                    row[start:stop] = (relaxed * y_hat).sum(axis=1)
-                start = stop
-            freq_gap = float(np.abs(counts / draws - weights).max())
-            ks_sharp, ks_smooth = (ks_statistic(row, lambda y: mixture_cdf(pmap, spec, y)) for row in y_relaxed)
-            relaxed_rows.append(
-                RelaxedRow(m, basis, freq_gap, freq_gap <= freq_tol, ks_sharp, ks_smooth, ks_sharp < ks_smooth)
-            )
-    return DistCheckReport(tuple(reference_rows), tuple(relaxed_rows), draws, alpha)
+        samples = reference_sample_batch(pmap, spec, draws, NoiseSource([seed, m, basis_idx, 1]))[:, 0]
+        ks = ks_statistic(samples, cdf)
+        exact_mean, exact_var = mixture_moments(pmap, spec)
+        mean_gap = abs(float(samples.mean()) - float(exact_mean[0]))
+        var_gap = abs(float(samples.var()) - float(exact_var[0]))
+        del samples
+        reference = ReferenceRow(m, basis, ks, crit, ks <= crit, mean_gap, var_gap)
+
+        log_w = np.log(weights)
+        counts = np.zeros(n, dtype=np.intp)
+        y_relaxed = np.empty((len(taus), draws))
+        start = 0
+        for gumbels, uniforms in draw_noise_blocks(NoiseSource([seed, m, basis_idx, 2]), draws, n, 1):
+            stop = start + len(gumbels)
+            counts += np.bincount(np.argmax(gumbels + log_w, axis=1), minlength=n)
+            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
+            scores = gumbel_scores(weights, gumbels)
+            for row, tau in zip(y_relaxed, taus):
+                relaxed = ad.softmax_values(scores / float(tau), axis=-1)
+                row[start:stop] = (relaxed * y_hat).sum(axis=1)
+            start = stop
+        freq_gap = float(np.abs(counts / draws - weights).max())
+        ks_sharp, ks_smooth = (ks_statistic(row, cdf) for row in y_relaxed)
+        return reference, RelaxedRow(
+            m, basis, freq_gap, freq_gap <= freq_tol, ks_sharp, ks_smooth, ks_sharp < ks_smooth
+        )
+
+    rows = _run_rows(check, num_maps * len(BASES))
+    return DistCheckReport(tuple(r for r, _ in rows), tuple(r for _, r in rows), draws, alpha)
+
+
+T = TypeVar("T")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_rows(row: Callable[[int], T], count: int) -> list[T]:
+    """[row(i) for i in range(count)], the rows shared out among
+    min(usable CPUs, count) threads.
+
+    numpy, scipy.special and BLAS release the GIL on block-sized arrays, so
+    independent rows overlap.  The calling thread is one of the workers: it
+    draws row indices from the same counter as the helpers, so a signal
+    handler that runs in it (a timer, Ctrl-C) pauses one worker's share and
+    never leaves it idle beside the others.  Results land in row order, so
+    they do not depend on the thread count.  If a row raises, or an
+    exception such as KeyboardInterrupt reaches the calling thread, every
+    worker stops after its current row and the exception is re-raised once
+    all helpers are joined.
+    """
+    results: list = [None] * count
+    indices = iter(range(count))
+    take = threading.Lock()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        while not stop.is_set():
+            with take:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = row(i)
+
+    def helper() -> None:
+        try:
+            drain()
+        except BaseException as exc:
+            # Raised again in the calling thread, once every helper is joined.
+            errors.append(exc)
+            stop.set()
+
+    started: list[threading.Thread] = []
+    try:
+        for _ in range(min(_usable_cpus(), count) - 1):
+            thread = threading.Thread(target=helper, daemon=True)
+            thread.start()
+            started.append(thread)
+        drain()
+    finally:
+        stop.set()
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 # ---------------------------------------------------------------------------

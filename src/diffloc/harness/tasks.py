@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mixture import MixtureSpec, Support
+from ..operators import check_field_types
 
 __all__ = [
     "TASK_KINDS",
@@ -54,6 +55,9 @@ class SyntheticTask:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(
+            self, kind=str, size=(int, None), noise=float, train_count=int, val_count=int, test_count=int, seed=int
+        )
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind: {self.kind!r}")
         if self.size is None:

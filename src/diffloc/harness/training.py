@@ -12,6 +12,7 @@ from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, draw_noise_batch
 from ..operators import (
     SamplingConfig,
     anneal_tau,
+    check_field_types,
     discrete_expected_error_loss,
     error_of_expectation_loss,
     inference_localize,
@@ -72,6 +73,21 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(
+            self,
+            task=SyntheticTask,
+            loss=str,
+            basis=str,
+            sampling=SamplingConfig,
+            sigma_t_sq=float,
+            reg_weight=(float, None),
+            lr=float,
+            lr_schedule=str,
+            epochs=int,
+            batch_size=int,
+            hidden_dim=int,
+            seed=int,
+        )
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss: {self.loss!r}")
         if self.lr_schedule not in LR_SCHEDULES:

@@ -54,7 +54,7 @@ EULER_GAMMA = 0.5772156649015329
 # (rows, n) temporary stays cache-sized and no array grows with the draw
 # count.  A multiple of 4, so that BLAS groups a block's rows in its matrix-
 # vector products exactly as it groups them in one whole-array product.
-_BLOCK_DRAWS = 4096
+_BLOCK_DRAWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +436,16 @@ def ks_statistic(samples, cdf) -> float:
         x = x[:, 0]
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-D collection")
-    x = np.sort(x)
     k = x.size
-    theo = np.asarray(cdf(x), dtype=np.float64)
-    upper = np.arange(1, k + 1) / k
-    lower = np.arange(0, k) / k
-    return float(max(np.max(upper - theo), np.max(theo - lower)))
+    theo = np.asarray(cdf(np.sort(x)), dtype=np.float64)
+    # The empirical cdf's levels i / k, i = 0..k: the step above sample i is
+    # levels[i + 1], the step below it levels[i].  One buffer takes both gaps.
+    levels = np.arange(k + 1, dtype=np.float64)
+    np.divide(levels, k, out=levels)
+    gap = np.subtract(levels[1:], theo)
+    upper = gap.max()
+    lower = np.subtract(theo, levels[:-1], out=gap).max()
+    return float(max(upper, lower))
 
 
 def ks_critical_value(n: int, alpha: float = 0.01) -> float:

@@ -19,6 +19,7 @@ gradient flows through the relaxed component weights only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "DISTANCES",
     "ANNEALS",
     "SamplingConfig",
+    "check_field_types",
     "soft_argmax",
     "error_of_expectation_loss",
     "discrete_expected_error_loss",
@@ -61,6 +63,7 @@ class SamplingConfig:
     distance: str = "l1"
 
     def __post_init__(self):
+        check_field_types(self, num_samples=int, tau_start=float, tau_end=float, anneal=str, distance=str)
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
         if not (0.0 < self.tau_end <= self.tau_start):
@@ -69,6 +72,33 @@ class SamplingConfig:
             raise ValueError(f"unknown anneal schedule: {self.anneal!r}")
         if self.distance not in DISTANCES:
             raise ValueError(f"unknown distance: {self.distance!r}")
+
+
+_KIND_NAMES = {int: "an int", float: "a number", str: "a string", None: "None"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is None:
+        return value is None
+    if kind in (int, float) and isinstance(value, (bool, np.bool_)):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, kind)
+
+
+def check_field_types(config, **kinds) -> None:
+    """Raise TypeError naming the first field of `config` whose value is not
+    of its kind: int (a bool is not one), float (an int is one), str, a class,
+    or a tuple of these where None stands for an optional field."""
+    for name, kind in kinds.items():
+        value = getattr(config, name)
+        options = kind if isinstance(kind, tuple) else (kind,)
+        if not any(_is_kind(value, option) for option in options):
+            expected = " or ".join(_KIND_NAMES.get(option) or f"a {option.__name__}" for option in options)
+            raise TypeError(f"{name} must be {expected}, got {value!r}")
 
 
 def _check_distance(distance: str) -> None:

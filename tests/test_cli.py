@@ -304,6 +304,34 @@ class TestInputFiles:
         assert exited.value.code == "--config run.json is not valid JSON: Expecting value at line 2 column 10"
 
 
+# (config key, a value of the wrong type, the message that rejects it): one
+# case per key.  The message names the dataclass field the key sets and the
+# type it takes; a bool is not an int, an int is a number.
+WRONG_TYPES = [
+    ("task", 3, "kind must be a string, got 3"),
+    ("task_size", 16.5, "size must be an int or None, got 16.5"),
+    ("task_noise", "0.5", "noise must be a number, got '0.5'"),
+    ("train_count", 8.0, "train_count must be an int, got 8.0"),
+    ("val_count", True, "val_count must be an int, got True"),
+    ("test_count", "8", "test_count must be an int, got '8'"),
+    ("seed", 1.5, "seed must be an int, got 1.5"),
+    ("num_samples", 2.5, "num_samples must be an int, got 2.5"),
+    ("tau_start", [1.0], "tau_start must be a number, got [1.0]"),
+    ("tau_end", False, "tau_end must be a number, got False"),
+    ("anneal", 1, "anneal must be a string, got 1"),
+    ("distance", None, "distance must be a string, got None"),
+    ("loss", ["samp"], "loss must be a string, got ['samp']"),
+    ("basis", 0, "basis must be a string, got 0"),
+    ("sigma_t_sq", "4", "sigma_t_sq must be a number, got '4'"),
+    ("reg_weight", "0.1", "reg_weight must be a number or None, got '0.1'"),
+    ("epochs", 3.0, "epochs must be an int, got 3.0"),
+    ("batch", 2.5, "batch_size must be an int, got 2.5"),
+    ("lr", {"value": 0.1}, "lr must be a number, got {'value': 0.1}"),
+    ("lr_schedule", 2, "lr_schedule must be a string, got 2"),
+    ("hidden", "64", "hidden_dim must be an int, got '64'"),
+]
+
+
 class TestOptionValues:
     @pytest.mark.parametrize(
         "argv, message",
@@ -311,7 +339,7 @@ class TestOptionValues:
             (["train", "--task-noise", "-1"], "noise level must be non-negative"),
             (["train", "--num-samples", "0"], "num_samples must be at least 1"),
             (["train", "--lr", "0"], "lr, epochs, batch_size and hidden_dim must be positive"),
-            (["train", "--config", "run.json"], "'<' not supported between instances of 'str' and 'int'"),
+            (["train", "--config", "run.json"], "epochs must be an int, got '3'"),
             (["train", "--train-count", "0"], "train_count must be at least 1, got 0"),
             (["train", "--val-count", "0"], "val_count must be at least 1, got 0"),
             (["train", "--train-count", "-3"], "train_count must be at least 1, got -3"),
@@ -333,6 +361,20 @@ class TestOptionValues:
             main(argv)
         assert exited.value.code == f"invalid option value: {message}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz", "run.json"]
+
+
+    @pytest.mark.parametrize("key, value, message", WRONG_TYPES, ids=[key for key, _, _ in WRONG_TYPES])
+    def test_config_value_of_wrong_type(self, tmp_path, monkeypatch, key, value, message):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a value of the wrong type")
+
+        monkeypatch.setattr(cli, "train", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exited:
+            main(["train", "--config", "run.json"])
+        assert exited.value.code == f"invalid option value: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 class TestSuiteCommands:

@@ -31,7 +31,9 @@ def test_every_all_entry_resolves():
 
 
 # Runs in a fresh interpreter: this test session has scipy.special loaded
-# already, since test_mixture imports scipy.stats.
+# already, since test_mixture imports scipy.stats.  The script also checks
+# that importing the package loads neither concurrent.futures nor logging,
+# which would add their import time to every run's set-up.
 _SCIPY_ON_FIRST_GAUSSIAN_CDF = textwrap.dedent(
     """
     import sys
@@ -42,6 +44,9 @@ _SCIPY_ON_FIRST_GAUSSIAN_CDF = textwrap.dedent(
     from diffloc.harness.tasks import SyntheticTask
     from diffloc.harness.training import RunConfig, evaluate, train
     from diffloc.mixture import MixtureSpec, Support, basis_sample_all
+
+    heavy = sorted({"concurrent.futures", "logging"} & set(sys.modules))
+    assert not heavy, f"importing diffloc loaded {heavy}"
 
     def loaded():
         return sorted(name for name in sys.modules if name.startswith("scipy.special"))

@@ -4,6 +4,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -259,6 +261,10 @@ class TestTraining:
             RunConfig(task=task, lr=0.0)
         with pytest.raises(ValueError, match="sigma_t_sq"):
             RunConfig(task=task, sigma_t_sq=-1.0)
+        with pytest.raises(TypeError, match="task must be a SyntheticTask, got 'signal1d'"):
+            RunConfig(task="signal1d")
+        with pytest.raises(TypeError, match="sampling must be a SamplingConfig, got None"):
+            RunConfig(task=task, sampling=None)
 
     def test_reg_weight_defaults(self):
         task = small_task()
@@ -582,9 +588,11 @@ class TestDistcheckSuite:
         b = distcheck_suite(num_maps=1, draws=5_000, seed=7)
         assert a.reference == b.reference and a.relaxed == b.relaxed
 
-    def test_blocked_run_matches_whole_array_formulation(self):
+    def test_blocked_run_matches_whole_array_formulation(self, monkeypatch):
         # Two full blocks and a ragged third: every float in every row must
-        # keep the bits of the formulation that builds each array whole.
+        # keep the bits of the formulation that builds each array whole, with
+        # two rows in flight at a time.
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
         draws = 2 * mixture._BLOCK_DRAWS + 17
         report = distcheck_suite(num_maps=2, draws=draws)
         reference, relaxed = whole_array_distcheck(num_maps=2, draws=draws)
@@ -622,6 +630,120 @@ class TestDistcheckSuite:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: workers)
+        draws = 2 * mixture._BLOCK_DRAWS + 17
+        report = distcheck_suite(num_maps=1, draws=draws)
+        assert (report.reference, report.relaxed) == whole_array_distcheck(num_maps=1, draws=draws)
+
+    def test_two_rows_in_flight_stay_within_memory(self, monkeypatch):
+        # Two workers at the 4096-draw block peaked at 12.8 MiB.  scipy.special
+        # is loaded first: importing it allocates more than a row does.
+        import scipy.special  # noqa: F401
+
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            distcheck_suite(num_maps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_a_failing_row_propagates_and_joins_every_helper(self, monkeypatch):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+        real_source = suites.NoiseSource
+
+        def source(seed):
+            if list(seed[1:3]) == [1, 2]:
+                raise RuntimeError("row 5 failed")
+            return real_source(seed)
+
+        monkeypatch.setattr(suites, "NoiseSource", source)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row 5 failed"):
+            distcheck_suite(num_maps=3, draws=2_000)
+        assert threading.active_count() == before
+
+
+class TestRunRows:
+    def force(self, monkeypatch, workers):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: workers)
+
+    @pytest.mark.parametrize("workers, count", [(1, 5), (2, 9), (3, 2), (4, 40)])
+    def test_results_in_row_order_on_at_most_one_thread_per_row(self, monkeypatch, workers, count):
+        self.force(monkeypatch, workers)
+        before = threading.active_count()
+        ran_on = {}
+
+        def row(i):
+            ran_on[i] = threading.get_ident()
+            time.sleep(0.001)
+            return i * i
+
+        assert suites._run_rows(row, count) == [i * i for i in range(count)]
+        assert sorted(ran_on) == list(range(count))
+        assert len(set(ran_on.values())) <= min(workers, count)
+        assert threading.active_count() == before
+
+    def test_every_row_runs_once_under_frequent_thread_switches(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a
+        # race on the shared row counter would run a row twice or skip one.
+        self.force(monkeypatch, 8)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = suites._run_rows(lambda i: calls.append(i) or -i, 3000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(3000))
+        assert results == [-i for i in range(3000)]
+
+    def test_one_cpu_runs_every_row_on_the_calling_thread(self, monkeypatch):
+        self.force(monkeypatch, 1)
+        threads = set()
+        suites._run_rows(lambda i: threads.add(threading.get_ident()), 6)
+        assert threads == {threading.get_ident()}
+
+    def test_a_helper_failure_stops_the_calling_thread(self, monkeypatch):
+        self.force(monkeypatch, 2)
+        caller = threading.get_ident()
+        helper_failed = threading.Event()
+        done = []
+
+        def row(i):
+            if threading.get_ident() != caller:
+                helper_failed.set()
+                raise ValueError(f"row {i} failed")
+            # The calling thread takes rows until it sees the helper's failure.
+            helper_failed.wait(5)
+            done.append(i)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="failed"):
+            suites._run_rows(row, 100)
+        assert len(done) <= 1  # at most the row it held when the helper failed
+        assert threading.active_count() == before
+
+    def test_keyboard_interrupt_in_the_calling_thread_stops_the_helpers(self, monkeypatch):
+        self.force(monkeypatch, 3)
+        caller = threading.get_ident()
+        started = []
+
+        def row(i):
+            started.append(i)
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            suites._run_rows(row, 1000)
+        assert len(started) < 1000
+        assert threading.active_count() == before
 
 
 def whole_array_distcheck(num_maps, draws, n=16, seed=20260814, tau_sharp=0.05, tau_smooth=1.0, alpha=0.01,

@@ -31,6 +31,10 @@ from diffloc.mixture import (
 
 
 B = mixture._BLOCK_DRAWS
+# Draw counts on both sides of block edges: the first edges of the current
+# block size, and edges 4096 and 8192, which every power-of-two block size
+# up to 4096 (the size before 1024) shares.
+EDGE_COUNTS = [1, B - 1, B, B + 1, 2 * B + 3, 4095, 4096, 4097, 8195]
 
 
 def random_map(n=8, seed=0, scale=1.5):
@@ -424,7 +428,7 @@ class TestNoise:
             np.testing.assert_array_equal(u[k], uniforms)
         assert batched.draws_taken == src.draws_taken == sum(chunks)
 
-    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("count", [0, *EDGE_COUNTS])
     def test_blocks_concatenate_to_one_batch(self, count):
         whole_source, blocked_source = NoiseSource(41), NoiseSource(41)
         g, u = draw_noise_batch(whole_source, count, 3, 2)
@@ -549,7 +553,7 @@ class TestReferenceSampler:
             loop = np.stack([gumbel_max_sample(pmap, spec, *one_draw(src, pmap.n, 1)) for _ in range(9)])
             np.testing.assert_array_equal(batch, loop)
 
-    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
     def test_batch_matches_loop_across_block_boundaries(self, count):
         pmap = random_map(seed=33)
         for basis in BASES:
