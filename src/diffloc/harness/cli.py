@@ -358,12 +358,12 @@ def _cmd_varcompare(args) -> int:
 
 
 def _positive(kind):
-    """argparse type for a count or scale that must be above zero."""
+    """argparse type for a count or scale that must be finite and above zero."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"

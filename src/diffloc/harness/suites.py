@@ -7,10 +7,11 @@ render or assert on them; nothing here prints.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -31,18 +32,10 @@ from ..mixture import (
     mixture_moments,
     reference_sample_batch,
 )
-from ..operators import (
-    discrete_expected_error_loss,
-    error_of_expectation_loss,
-    gumbel_scores,
-    gumbel_softmax_values,
-    js_regularizer,
-    sampled_expected_error_loss,
-    variance_regularizer,
-)
+from ..operators import gumbel_scores, gumbel_softmax_values
+from .training import LOSS_KINDS, make_loss, row_maps
 
 __all__ = [
-    "LOSS_KINDS",
     "GradCheckRow",
     "GradCheckReport",
     "gradcheck_suite",
@@ -65,17 +58,6 @@ def _require_positive(**sizes: int) -> None:
 
 # ---------------------------------------------------------------------------
 # Gradient checks
-
-# The operator families the gradient check covers one by one; training
-# combines them into the objectives named in training.LOSSES.
-LOSS_KINDS = (
-    "error-of-expectation",
-    "discrete-expected-error",
-    "sampled-expected-error",
-    "variance-regularizer",
-    "js-regularizer",
-)
-
 
 @dataclass(frozen=True)
 class GradCheckRow:
@@ -108,37 +90,29 @@ def gradcheck_suite(
     num_samples: int = 3,
     tau: float = 0.7,
     sigma_t_sq: float = 4.0,
-    extra_losses: Mapping[str, Callable[[ProbabilityMap, np.ndarray], Tensor]] | None = None,
 ) -> GradCheckReport:
     """Check analytic gradients of every loss family against central finite
     differences, across bases, 1-D and 2-D supports, and `seeds` randomized
     logits per combination.
 
-    Row count is (|losses| + |extra_losses|) * |bases| * 2 * seeds.  The
-    sampled loss uses noise frozen per row; the distribution regularizer's
-    center is pinned at the unperturbed weights, matching the gradient it
-    actually computes.
-
-    An extra loss has the operators' form: it takes a map with (..., n)
-    weights and the targets, (..., ndim), and returns one loss per map.
+    Row count is |LOSS_KINDS| * |bases| * 2 * seeds.  The sampled loss uses
+    noise frozen per row; the distribution regularizer's center is pinned at
+    the unperturbed weights, matching the gradient it actually computes.
     """
     _require_positive(seeds=seeds)
     supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
-    extras = dict(extra_losses or {})
     rows: list[GradCheckRow] = []
     for ndim, support in supports.items():
         span = support.positions.max() - 1.0
         for basis_idx, basis in enumerate(BASES):
             spec = MixtureSpec(basis)
-            for loss_idx, loss_name in enumerate(LOSS_KINDS + tuple(extras)):
+            for loss_idx, loss_name in enumerate(LOSS_KINDS):
                 for seed in range(seeds):
                     rng = np.random.default_rng([2311, ndim, basis_idx, loss_idx, seed])
                     x0 = rng.uniform(-2.0, 2.0, support.n)
                     y_t = rng.uniform(0.5, span, size=ndim)
                     distance = "l1" if seed % 2 == 0 else "l2-squared"
-                    f = _loss_closure(
-                        loss_name, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0, extras
-                    )
+                    f = _loss_closure(loss_name, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0)
                     result = ad.grad_check(f, x0, step=step, tol=tol, batched=True)
                     rows.append(
                         GradCheckRow(loss_name, basis, ndim, seed, result.max_rel_error, result.passed)
@@ -146,39 +120,30 @@ def gradcheck_suite(
     return GradCheckReport(tuple(rows), tol)
 
 
-def _loss_closure(loss_name, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0, extras):
-    if loss_name == "sampled-expected-error":
+def _loss_closure(loss_name, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0):
+    """f(x) for grad_check: loss `loss_name` (any name make_loss takes) of
+    softmax(x), with its target, noise and JS centre frozen for every map."""
+
+    def per_map(pmap: ProbabilityMap, a: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(a, pmap.batch_shape + a.shape)
+
+    @functools.cache
+    def draws() -> tuple[np.ndarray, np.ndarray]:
         src = NoiseSource([8741, support.ndim, BASES.index(spec.basis)])
-        gumbels, uniforms = draw_noise_batch(src, num_samples, support.n, support.ndim)
-    elif loss_name == "js-regularizer":
-        # Pin the target center at the unperturbed map so the finite
-        # difference sees the same detached center the tape does.
-        w0 = ad.softmax_values(x0, axis=-1)
-        center0 = w0 @ support.positions
+        return draw_noise_batch(src, num_samples, support.n, support.ndim)
+
+    def noise(pmap: ProbabilityMap) -> tuple[np.ndarray, ...]:
+        return tuple(per_map(pmap, a) for a in draws())
+
+    def center(pmap: ProbabilityMap) -> np.ndarray:
+        return per_map(pmap, ad.softmax_values(x0, axis=-1) @ support.positions)
+
+    loss_fn = make_loss(loss_name, spec, noise, distance, sigma_t_sq, center=center)
 
     def f(x: Tensor) -> Tensor:
-        # grad_check passes its finite-difference stack, (m, n), in one call.
-        # In the (m, 1, n) row layout each row's loss has the bits of that
-        # row's lone (n,) map, and the frozen inputs are broadcast per row.
-        if x.ndim == 2:
-            x = ad.index_select(x, np.arange(x.shape[0])[:, None], axis=0)
-        pmap = ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
-
-        def per_map(a: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(a, pmap.batch_shape + a.shape)
-
-        y = per_map(y_t)
-        if loss_name == "error-of-expectation":
-            return error_of_expectation_loss(pmap, y, distance)
-        if loss_name == "discrete-expected-error":
-            return discrete_expected_error_loss(pmap, y, distance)
-        if loss_name == "sampled-expected-error":
-            return sampled_expected_error_loss(pmap, spec, y, per_map(gumbels), per_map(uniforms), tau, distance)
-        if loss_name == "variance-regularizer":
-            return variance_regularizer(pmap, sigma_t_sq)
-        if loss_name == "js-regularizer":
-            return js_regularizer(pmap, sigma_t_sq, center=per_map(center0))
-        return extras[loss_name](pmap, y)
+        # grad_check passes its (m, n) finite-difference stack in one call.
+        pmap = row_maps(support, x) if x.ndim == 2 else ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
+        return loss_fn(pmap, per_map(pmap, y_t), tau)
 
     return f
 
@@ -433,6 +398,8 @@ def variance_compare(
     pathwise estimator, per logit coordinate and in trace, one draw per
     estimate."""
     _require_positive(num_seeds=num_seeds, draws=draws)
+    if not 0.0 < tau < float("inf"):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     support = Support.regular_grid(n)
     positions = support.positions[:, 0]
     spec = MixtureSpec(basis)

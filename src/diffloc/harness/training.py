@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import NonFiniteError, Tensor
-from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, draw_noise_batch
+from ..mixture import NoiseSource, ProbabilityMap, Support, draw_noise_batch
 from ..operators import (
     SamplingConfig,
     anneal_tau,
@@ -25,6 +25,7 @@ from .tasks import SyntheticTask, generate_split, task_mixture_spec, task_suppor
 
 __all__ = [
     "LOSSES",
+    "LOSS_KINDS",
     "LR_SCHEDULES",
     "RunConfig",
     "HistoryRow",
@@ -32,18 +33,35 @@ __all__ = [
     "EvalSummary",
     "TrainingDiverged",
     "learning_rate_at",
+    "make_loss",
+    "row_maps",
     "train",
     "evaluate",
 ]
 
-# Composite losses selectable from the command line: the three plain
-# families, plus expectation error with one of the two regularizers.
-LOSSES = ("soft", "discrete", "samp", "soft-vr", "soft-dr")
-LR_SCHEDULES = ("constant", "cosine")
 
-# The variance penalty is quartic in the map's spread, so its raw scale at
-# init dwarfs the base loss; the small default keeps the two comparable.
-_DEFAULT_REG_WEIGHTS = {"soft-vr": 0.01, "soft-dr": 0.1}
+# The losses selectable from the command line, as (base family, regularizer
+# family or None, default regularizer weight).  The variance penalty is
+# quartic in the map's spread, so its raw scale at init dwarfs the base loss;
+# the small default keeps the two comparable.
+_OBJECTIVES = {
+    "soft": ("error-of-expectation", None, 0.0),
+    "discrete": ("discrete-expected-error", None, 0.0),
+    "samp": ("sampled-expected-error", None, 0.0),
+    "soft-vr": ("error-of-expectation", "variance-regularizer", 0.01),
+    "soft-dr": ("error-of-expectation", "js-regularizer", 0.1),
+}
+LOSSES = tuple(_OBJECTIVES)
+
+# The operator families the objectives combine; gradcheck checks each alone.
+LOSS_KINDS = (
+    "error-of-expectation",
+    "discrete-expected-error",
+    "sampled-expected-error",
+    "variance-regularizer",
+    "js-regularizer",
+)
+LR_SCHEDULES = ("constant", "cosine")
 
 
 class TrainingDiverged(RuntimeError):
@@ -96,12 +114,11 @@ class RunConfig:
             raise ValueError("lr, epochs, batch_size and hidden_dim must be positive")
         if self.sigma_t_sq <= 0:
             raise ValueError("sigma_t_sq must be positive")
+        _resolve(self.loss, self.reg_weight)
 
     @property
     def resolved_reg_weight(self) -> float:
-        if self.reg_weight is not None:
-            return float(self.reg_weight)
-        return _DEFAULT_REG_WEIGHTS.get(self.loss, 0.0)
+        return _resolve(self.loss, self.reg_weight)[2]
 
 
 @dataclass(frozen=True)
@@ -145,33 +162,61 @@ def learning_rate_at(config: RunConfig, epoch: int, total_steps: int) -> float:
     return config.lr * float(scale)
 
 
-def _make_loss(config: RunConfig, spec: MixtureSpec, source: NoiseSource):
-    """Returns loss_fn(pmap, y, tau) -> one loss per map of the batch `pmap`
-    for the configured composite loss; y holds one target per map."""
-    distance = config.sampling.distance
-    weight = config.resolved_reg_weight
-    num_samples = config.sampling.num_samples
+def _resolve(name: str, reg_weight: float | None) -> tuple[str, str | None, float]:
+    """(base family, regularizer family or None, regularizer weight) of an
+    objective or a lone family; reg_weight None takes the default weight."""
+    if name not in LOSSES + LOSS_KINDS:
+        raise ValueError(f"unknown loss: {name!r}")
+    base, regularizer, default = _OBJECTIVES.get(name, (name, None, 0.0))
+    if reg_weight is None:
+        return base, regularizer, default
+    if regularizer is None:
+        raise ValueError(f"loss {name!r} has no regularizer, so reg_weight must be unset, got {reg_weight}")
+    if reg_weight < 0:
+        raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
+    return base, regularizer, float(reg_weight)
 
-    def loss_fn(pmap: ProbabilityMap, y: np.ndarray, tau: float) -> Tensor:
-        if config.loss == "soft":
-            return error_of_expectation_loss(pmap, y, distance)
-        if config.loss == "discrete":
-            return discrete_expected_error_loss(pmap, y, distance)
-        if config.loss == "samp":
-            # The stream holds each map's draws back to back, so the sample
-            # axis follows the batch axes.
-            lead = pmap.batch_shape + (num_samples,)
-            gumbels, uniforms = draw_noise_batch(source, int(np.prod(lead)), pmap.n, pmap.ndim)
-            noise = gumbels.reshape(lead + (pmap.n,)), uniforms.reshape(lead + (pmap.n, pmap.ndim))
-            return sampled_expected_error_loss(pmap, spec, y, *noise, tau, distance)
-        base = error_of_expectation_loss(pmap, y, distance)
-        if config.loss == "soft-vr":
-            reg = variance_regularizer(pmap, config.sigma_t_sq)
-        else:
-            reg = js_regularizer(pmap, config.sigma_t_sq)
-        return ad.add(base, ad.multiply(reg, Tensor(weight)))
 
-    return loss_fn
+def make_loss(name, spec, noise, distance, sigma_t_sq, reg_weight=None, center=lambda pmap: None):
+    """loss_fn(pmap, y, tau) -> one loss per map of the batch `pmap` (y holds
+    one target per map) for an objective of LOSSES or a family of LOSS_KINDS.
+
+    noise(pmap) gives the sampled family the batch's (gumbels, uniforms) and
+    center(pmap) the JS target's centres (None: each map's own expectation).
+    reg_weight None takes the objective's default weight."""
+    base_family, reg_family, weight = _resolve(name, reg_weight)
+    terms = {
+        "error-of-expectation": lambda pmap, y, tau: error_of_expectation_loss(pmap, y, distance),
+        "discrete-expected-error": lambda pmap, y, tau: discrete_expected_error_loss(pmap, y, distance),
+        "sampled-expected-error": lambda pmap, y, tau: sampled_expected_error_loss(
+            pmap, spec, y, *noise(pmap), tau, distance
+        ),
+        "variance-regularizer": lambda pmap, y, tau: variance_regularizer(pmap, sigma_t_sq),
+        "js-regularizer": lambda pmap, y, tau: js_regularizer(pmap, sigma_t_sq, center=center(pmap)),
+    }
+    if reg_family is None:
+        return terms[base_family]
+    base, reg = terms[base_family], terms[reg_family]
+    return lambda pmap, y, tau: ad.add(base(pmap, y, tau), ad.multiply(reg(pmap, y, tau), Tensor(weight)))
+
+
+def _fresh_noise(source: NoiseSource, num_samples: int):
+    """make_loss's noise(pmap): num_samples fresh draws per map from `source`,
+    each map's back to back, so the sample axis follows the batch axes."""
+
+    def noise(pmap: ProbabilityMap) -> tuple[np.ndarray, np.ndarray]:
+        lead = pmap.batch_shape + (num_samples,)
+        gumbels, uniforms = draw_noise_batch(source, int(np.prod(lead)), pmap.n, pmap.ndim)
+        return gumbels.reshape(lead + (pmap.n,)), uniforms.reshape(lead + (pmap.n, pmap.ndim))
+
+    return noise
+
+
+def row_maps(support: Support, logits: Tensor) -> ProbabilityMap:
+    """The maps of (m, n) logits in the (m, 1, n) row layout, in which each
+    row's loss has the bits the same loss of that row's lone (n,) map has."""
+    rows = ad.index_select(logits, np.arange(logits.shape[0])[:, None], axis=0)
+    return ProbabilityMap(support, ad.softmax_over_axis(rows, axis=-1))
 
 
 def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
@@ -183,8 +228,8 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
 
     model = MLPModel(train_obs.shape[1], config.hidden_dim, support.n, seed=config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 5])
-    source = NoiseSource([config.seed, 11])
-    loss_fn = _make_loss(config, spec, source)
+    noise = _fresh_noise(NoiseSource([config.seed, 11]), config.sampling.num_samples)
+    loss_fn = make_loss(config.loss, spec, noise, config.sampling.distance, config.sigma_t_sq, config.reg_weight)
 
     history: list[HistoryRow] = []
     total_steps = max(config.epochs - 1, 1)
@@ -212,16 +257,10 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
 
 
 def _batch_losses(model, support, loss_fn, obs, targets, tau) -> tuple[Tensor, Tensor]:
-    """(per-example losses, batch loss) of one batch, recorded on the open tape.
-
-    The logits go into the (B, 1, n) row layout, so each example's loss has
-    the bits the same loss of that example's lone (n,) map has.
-    """
-    count = obs.shape[0]
-    rows = ad.index_select(model.logits(obs), np.arange(count)[:, None], axis=0)
-    pmap = ProbabilityMap(support, ad.softmax_over_axis(rows, axis=-1))
-    losses = loss_fn(pmap, targets[:, None, :], tau)
-    return losses, ad.multiply(ad.sum_over_axis(losses), Tensor(1.0 / count))
+    """(per-example losses, batch loss) of one batch, recorded on the open
+    tape; the logits go into the (B, 1, n) row layout."""
+    losses = loss_fn(row_maps(support, model.logits(obs)), targets[:, None, :], tau)
+    return losses, ad.multiply(ad.sum_over_axis(losses), Tensor(1.0 / obs.shape[0]))
 
 
 def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:

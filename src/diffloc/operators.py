@@ -92,13 +92,16 @@ def _is_kind(value, kind) -> bool:
 def check_field_types(config, **kinds) -> None:
     """Raise TypeError naming the first field of `config` whose value is not
     of its kind: int (a bool is not one), float (an int is one), str, a class,
-    or a tuple of these where None stands for an optional field."""
+    or a tuple of these where None stands for an optional field.  A float
+    field must also be finite, or ValueError names it."""
     for name, kind in kinds.items():
         value = getattr(config, name)
         options = kind if isinstance(kind, tuple) else (kind,)
         if not any(_is_kind(value, option) for option in options):
             expected = " or ".join(_KIND_NAMES.get(option) or f"a {option.__name__}" for option in options)
             raise TypeError(f"{name} must be {expected}, got {value!r}")
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_distance(distance: str) -> None:

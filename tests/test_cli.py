@@ -344,9 +344,19 @@ class TestOptionValues:
             (["train", "--val-count", "0"], "val_count must be at least 1, got 0"),
             (["train", "--train-count", "-3"], "train_count must be at least 1, got -3"),
             (["eval", "--model", "m.npz", "--test-count", "-3"], "test_count must be at least 1, got -3"),
+            (["train", "--lr", "nan"], "lr must be finite, got nan"),
+            (["train", "--tau-start", "inf"], "tau_start must be finite, got inf"),
+            (["train", "--loss", "soft-vr", "--sigma-t-sq", "nan"], "sigma_t_sq must be finite, got nan"),
+            (["train", "--task-noise", "nan"], "noise must be finite, got nan"),
+            (["eval", "--model", "m.npz", "--task-noise", "inf"], "noise must be finite, got inf"),
+            (["train", "--loss", "soft-dr", "--reg-weight=-inf"], "reg_weight must be finite, got -inf"),
+            (["train", "--loss", "soft-dr", "--reg-weight", "-0.5"], "reg_weight must be non-negative, got -0.5"),
+            (["train", "--loss", "soft", "--reg-weight", "0.5"],
+             "loss 'soft' has no regularizer, so reg_weight must be unset, got 0.5"),
         ],
         ids=["noise", "num-samples", "lr", "config-epochs-string", "train-count", "val-count",
-             "negative-train-count", "eval-test-count"],
+             "negative-train-count", "eval-test-count", "nan-lr", "inf-tau-start", "nan-sigma-t-sq",
+             "nan-noise", "eval-inf-noise", "inf-reg-weight", "negative-reg-weight", "reg-weight-without-regularizer"],
     )
     def test_rejected_value_ends_in_one_line(self, tmp_path, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -413,6 +423,7 @@ class TestSuiteCommands:
             ["varcompare", "--draws", "0"],
             ["varcompare", "--tau", "0"],
             ["varcompare", "--tau", "nan"],
+            ["varcompare", "--tau", "inf"],
             ["varcompare", "--seeds", "two"],
         ],
     )

@@ -1,6 +1,7 @@
 """Synthetic tasks, model, training loop, metrics, and diagnostic suites."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from diffloc.harness.metrics import calibration_report, pearson
 from diffloc.harness.model import MLPModel
 from diffloc.harness import suites
 from diffloc.harness.suites import (
-    LOSS_KINDS,
     ReferenceRow,
     RelaxedRow,
     distcheck_suite,
@@ -43,11 +43,13 @@ from diffloc.harness.tasks import (
 )
 from diffloc.harness import tasks, training
 from diffloc.harness.training import (
+    LOSS_KINDS,
     LOSSES,
     RunConfig,
     TrainingDiverged,
     evaluate,
     learning_rate_at,
+    make_loss,
     train,
 )
 from diffloc import mixture
@@ -265,6 +267,11 @@ class TestTraining:
             RunConfig(task="signal1d")
         with pytest.raises(TypeError, match="sampling must be a SamplingConfig, got None"):
             RunConfig(task=task, sampling=None)
+        for loss in ("soft", "discrete", "samp"):
+            with pytest.raises(ValueError, match=f"loss '{loss}' has no regularizer, so reg_weight must be unset"):
+                RunConfig(task=task, loss=loss, reg_weight=0.5)
+        with pytest.raises(ValueError, match="reg_weight must be non-negative, got -1.0"):
+            RunConfig(task=task, loss="soft-dr", reg_weight=-1.0)
 
     def test_reg_weight_defaults(self):
         task = small_task()
@@ -448,7 +455,8 @@ class TestBatchedStep:
         obs, targets = generate_split(task, "train")
         model = MLPModel(obs.shape[1], 8, support.n, seed=seed)
         batched_source, reference_source = NoiseSource([seed, 11]), NoiseSource([seed, 11])
-        loss_fn = training._make_loss(config, spec, batched_source)
+        noise = training._fresh_noise(batched_source, num_samples)
+        loss_fn = make_loss(loss, spec, noise, distance, config.sigma_t_sq, config.reg_weight)
         for start in range(0, count, batch_size):
             rows = slice(start, start + batch_size)
             (losses, batch_loss), grads = self.gradients(
@@ -522,18 +530,40 @@ class TestGradcheckSuite:
         assert report.passed
         assert report.worst < report.tol
 
-    def test_detects_wrong_gradients(self):
-        def crooked(pmap, y_t):
+    def test_detects_wrong_gradients(self, monkeypatch):
+        def crooked(pmap, sigma_t_sq):
             # a term hidden from the tape: its value moves with the weights
             # but contributes nothing to the analytic gradient
-            hidden = Tensor(np.square(pmap.weights.values))
-            base = ad.multiply(pmap.weights, Tensor(pmap.support.positions[:, 0]))
-            return ad.add(ad.sum_over_axis(base, axis=-1), ad.sum_over_axis(hidden, axis=-1))
+            hidden = Tensor(np.square(pmap.weights.values).sum(axis=-1))
+            return ad.add(variance_regularizer(pmap, sigma_t_sq), hidden)
 
-        report = gradcheck_suite(seeds=1, extra_losses={"crooked": crooked})
-        assert not report.passed
+        # Replaced where make_loss looks the family up, so only its rows see it.
+        monkeypatch.setattr(training, "variance_regularizer", crooked)
+        report = gradcheck_suite(seeds=1)
         bad = [r for r in report.rows if not r.passed]
-        assert bad and all(r.loss == "crooked" for r in bad)
+        assert {r.loss for r in bad} == {"variance-regularizer"}
+        assert len(bad) == len([r for r in report.rows if r.loss == "variance-regularizer"])
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_training_objectives_pass(self, loss):
+        # Each objective as make_loss builds it for training, default reg
+        # weight included, with gradcheck's frozen noise and pinned centre.
+        supports = (Support.regular_grid(8), Support.regular_grid((4, 4)))
+        for support, basis, distance, seed in itertools.product(supports, BASES, DISTANCES, range(2)):
+            rng = np.random.default_rng([support.ndim, seed])
+            x0 = rng.uniform(-2.0, 2.0, support.n)
+            y_t = rng.uniform(0.5, support.positions.max() - 1.0, size=support.ndim)
+            f = suites._loss_closure(loss, support, MixtureSpec(basis), y_t, distance, 3, 0.7, 4.0, x0)
+            result = ad.grad_check(f, x0, batched=True)
+            assert result.passed, (support.ndim, basis, distance, seed, result.max_rel_error)
+
+    def test_make_loss_rejects_what_it_cannot_build(self):
+        spec = MixtureSpec("triangular")
+        with pytest.raises(ValueError, match="unknown loss: 'hinge'"):
+            make_loss("hinge", spec, None, "l1", 4.0)
+        for name in ("soft", "js-regularizer"):
+            with pytest.raises(ValueError, match=f"loss '{name}' has no regularizer"):
+                make_loss(name, spec, None, "l1", 4.0, reg_weight=0.5)
 
     def test_row_metadata(self):
         report = gradcheck_suite(seeds=1)
@@ -554,7 +584,7 @@ class TestGradcheckSuite:
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-2.0, 2.0, support.n)
         y_t = rng.uniform(0.5, support.positions.max() - 1.0, size=ndim)
-        f = suites._loss_closure(loss, support, MixtureSpec(basis), y_t, distance, num_samples, 0.7, 4.0, x0, {})
+        f = suites._loss_closure(loss, support, MixtureSpec(basis), y_t, distance, num_samples, 0.7, 4.0, x0)
         batched = ad.grad_check(f, x0, batched=True)
         looped = ad.grad_check(f, x0)
         for field in ("analytic", "numeric", "rel_errors"):
@@ -796,6 +826,17 @@ class TestVarianceCompare:
     def test_empty_suite_is_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
             variance_compare(**{name: 0})
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_tau_is_rejected_before_drawing(self, monkeypatch, tau):
+        # tau = inf made every relaxed sample the plain mean, so trace_reparam
+        # read 0.0 and the comparison passed whatever the estimators did.
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn before tau was checked")
+
+        monkeypatch.setattr(suites, "NoiseSource", no_noise)
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
+            variance_compare(num_seeds=1, draws=100, tau=tau)
 
     def test_default_seeds_show_score_function_penalty(self):
         report = variance_compare(num_seeds=3, draws=4_000)
