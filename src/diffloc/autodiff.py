@@ -34,6 +34,7 @@ __all__ = [
     "forward_op",
     "backward",
     "grad_check",
+    "grad_check_rows",
     "GradCheckResult",
     "register_op",
     "registered_ops",
@@ -638,21 +639,17 @@ def grad_check(
     x,
     step: float = 1e-5,
     tol: float = 1e-4,
-    *,
-    batched: bool = False,
 ) -> GradCheckResult:
     """Compare the taped gradient of a scalar-valued f against central
     finite differences, elementwise.
 
     Relative error is |a - n| / max(|a|, |n|, 1e-8).  The 2k perturbed
     inputs x0 ± step (k = x.size) and x0 itself form one stack of shape
-    (2k + 1, *x.shape).  By default each row of the stack is one more call of
-    f.  ``batched=True`` states that f, given the stack, returns 2k + 1
-    values, each bitwise what f gives that row alone; the whole stack is then
-    one call.  Either way the x0 row must equal the taped f(x0) bitwise: a
-    nondeterministic f, or a batched f whose rows are not independent, raises
-    instead of producing a bogus comparison.
+    (2k + 1, *x.shape), and each row of it is one more call of f.  The x0 row
+    must equal the taped f(x0) bitwise: a nondeterministic f raises instead
+    of producing a bogus comparison.
     """
+    _check_step_and_tol(step, tol)
     x0 = np.array(x.values if isinstance(x, Tensor) else x, dtype=np.float64)
 
     with GradientTape():
@@ -662,30 +659,92 @@ def grad_check(
             raise ValueError(f"grad_check needs a scalar-valued f, got shape {out.shape}")
         backward(out)
         analytic = np.zeros_like(x0) if xt.grad is None else xt.grad.copy()
-    base = out.item()
 
-    flat = x0.reshape(-1)
-    k = flat.size
-    coords = np.arange(k)
-    stack = np.tile(flat, (2 * k + 1, 1))
-    stack[coords, coords] = flat + step
-    stack[k + coords, coords] = flat - step
-    stack = stack.reshape((2 * k + 1,) + x0.shape)
     with no_grad():
-        if batched:
-            values = f(Tensor(stack)).values.reshape(-1)
-            if values.size != stack.shape[0]:
-                raise ValueError(f"grad_check: batched f gave {values.size} values for a stack of {stack.shape[0]}")
-        else:
-            values = np.array([f(Tensor(row)).item() for row in stack])
-    if values[-1] != base:
-        raise ValueError(
-            "grad_check: f(x0) changed between evaluations; f is not deterministic, "
-            "or a batched f's rows are not independent"
-        )
+        values = np.array([f(Tensor(row)).item() for row in _difference_stack(x0[None], step)])
+    return _compare(analytic[None], out.values.reshape(1), values[None], step, tol)[0]
 
-    numeric = ((values[:k] - values[k:-1]) / (2.0 * step)).reshape(x0.shape)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
-    max_rel = float(rel.max()) if rel.size else 0.0
-    return GradCheckResult(analytic, numeric, rel, max_rel, bool(max_rel <= tol))
+
+def grad_check_rows(
+    f: Callable[[Tensor], Tensor],
+    xs,
+    step: float = 1e-5,
+    tol: float = 1e-4,
+) -> list[GradCheckResult]:
+    """grad_check of R independent points xs, shape (R, *shape), in two
+    calls of f; one result per point.
+
+    Given a (m, *shape) stack whose rows are points, f must return m values,
+    each bitwise what f gives that row alone.  The taped call gets xs, and
+    the gradients come from one backward pass of the sum of its R values.
+    The finite differences come from one no_grad call on the point-major
+    (R (2k + 1), *shape) stack: point r's rows are grad_check's stack for
+    xs[r].  Each point's x0 row must equal its taped value bitwise, or a
+    ValueError names the point: f is nondeterministic, or its rows are not
+    independent.  A wrong number of values raises ValueError too.
+    """
+    _check_step_and_tol(step, tol)
+    x0 = np.array(xs.values if isinstance(xs, Tensor) else xs, dtype=np.float64)
+    if x0.ndim < 2 or x0.shape[0] < 1:
+        raise ValueError(f"grad_check_rows needs points of shape (R, *shape) with R >= 1, got {x0.shape}")
+    count = x0.shape[0]
+
+    with GradientTape():
+        xt = Tensor(x0, requires_grad=True)
+        out = f(xt)
+        _require_values(out, count, "points")
+        backward(sum_over_axis(out))
+        analytic = np.zeros_like(x0) if xt.grad is None else xt.grad.copy()
+
+    stack = _difference_stack(x0, step)
+    with no_grad():
+        values = f(Tensor(stack))
+    _require_values(values, stack.shape[0], "stack rows")
+    return _compare(analytic, out.values.reshape(-1), values.values.reshape(count, -1), step, tol)
+
+
+def _check_step_and_tol(step: float, tol: float) -> None:
+    if not 0.0 < step < float("inf"):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+
+
+def _require_values(out: Tensor, count: int, what: str) -> None:
+    if out.size != count:
+        raise ValueError(f"grad_check_rows: f gave {out.size} values for {count} {what}")
+
+
+def _difference_stack(x0: np.ndarray, step: float) -> np.ndarray:
+    """The (R (2k + 1), *shape) stack of R points x0 (R, *shape), k values
+    each, point-major: per point the k inputs x0 + step (one coordinate
+    moved each), the k inputs x0 - step, then x0 itself."""
+    count, shape = x0.shape[0], x0.shape[1:]
+    flat = x0.reshape(count, -1)
+    k = flat.shape[1]
+    coords = np.arange(k)
+    stack = np.repeat(flat[:, None, :], 2 * k + 1, axis=1)
+    stack[:, coords, coords] = flat + step
+    stack[:, k + coords, coords] = flat - step
+    return stack.reshape((count * (2 * k + 1),) + shape)
+
+
+def _compare(
+    analytic: np.ndarray, base: np.ndarray, values: np.ndarray, step: float, tol: float
+) -> list[GradCheckResult]:
+    """One result per point from its taped gradient analytic[r], its taped
+    value base[r] and the values[r] f gave its difference stack."""
+    results = []
+    for r, (a, row) in enumerate(zip(analytic, values)):
+        if row[-1] != base[r]:
+            raise ValueError(
+                f"grad_check: f(x0) of point {r} changed between evaluations; f is not deterministic, "
+                "or its rows are not independent"
+            )
+        k = a.size
+        numeric = ((row[:k] - row[k:-1]) / (2.0 * step)).reshape(a.shape)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+        rel = np.abs(a - numeric) / denom
+        max_rel = float(rel.max()) if rel.size else 0.0
+        results.append(GradCheckResult(a, numeric, rel, max_rel, bool(max_rel <= tol)))
+    return results

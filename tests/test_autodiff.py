@@ -17,6 +17,7 @@ from diffloc.autodiff import (
     backward,
     forward_op,
     grad_check,
+    grad_check_rows,
     registered_ops,
 )
 
@@ -447,14 +448,17 @@ def test_batched_grad_check_calls_f_twice(size):
         calls.append(x.shape)
         return _squares(x)
 
-    x0 = np.linspace(-1.3, 0.9, size)
-    batched = grad_check(f, x0, batched=True)
-    assert calls == [(size,), (2 * size + 1, size)]
-    looped = grad_check(f, x0)
-    assert len(calls) == 2 + 2 * size + 2
-    assert batched.passed
-    for field in ("analytic", "numeric", "rel_errors"):
-        assert getattr(batched, field).tobytes() == getattr(looped, field).tobytes()
+    xs = np.stack([np.linspace(-1.3, 0.9, size), np.linspace(0.4, -2.2, size), np.full(size, 0.3)])
+    results = grad_check_rows(f, xs)
+    assert calls == [(3, size), (3 * (2 * size + 1), size)]
+    assert len(results) == 3
+    for x0, result in zip(xs, results):
+        looped = grad_check(f, x0)
+        assert result.passed
+        for field in ("analytic", "numeric", "rel_errors"):
+            assert getattr(result, field).tobytes() == getattr(looped, field).tobytes()
+        assert result.max_rel_error == looped.max_rel_error
+    assert len(calls) == 2 + 3 * (2 + 2 * size)
 
 
 def test_batched_grad_check_rejects_mixed_rows():
@@ -462,21 +466,26 @@ def test_batched_grad_check_rejects_mixed_rows():
         # Each row's value also depends on the whole stack.
         return ad.add(_squares(x), ad.multiply(ad.sum_over_axis(x), Tensor(1e-3)))
 
-    with pytest.raises(ValueError, match="rows are not independent"):
-        grad_check(f, np.array([1.0, 2.0]), batched=True)
+    with pytest.raises(ValueError, match="point 0 changed .* rows are not independent"):
+        grad_check_rows(f, np.array([[1.0, 2.0], [0.5, -1.0]]))
 
 
 @pytest.mark.parametrize(
-    "f",
+    "f, message",
     [
-        lambda x: ad.sum_over_axis(ad.square(x)),
-        lambda x: ad.index_select(_squares(x), np.arange(x.shape[0] - 1)) if x.ndim == 2 else _squares(x),
+        (lambda x: ad.sum_over_axis(ad.square(x)), "f gave 1 values for 5 stack rows"),
+        (
+            lambda x: ad.index_select(_squares(x), np.arange(x.shape[0] - 1)) if x.shape[0] > 1 else _squares(x),
+            "f gave 4 values for 5 stack rows",
+        ),
+        (lambda x: ad.sum_over_axis(ad.square(x)), "f gave 1 values for 2 points"),
     ],
-    ids=["sums-the-stack", "drops-a-row"],
+    ids=["sums-the-stack", "drops-a-row", "sums-the-points"],
 )
-def test_batched_grad_check_rejects_wrong_value_count(f):
-    with pytest.raises(ValueError, match="batched f gave .* values for a stack of 5"):
-        grad_check(f, np.array([1.0, 2.0]), batched=True)
+def test_batched_grad_check_rejects_wrong_value_count(f, message):
+    points = [[1.0, 2.0]] if "stack" in message else [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(ValueError, match=message):
+        grad_check_rows(f, np.array(points))
 
 
 def test_batched_grad_check_rejects_nondeterministic_functions():
@@ -486,5 +495,26 @@ def test_batched_grad_check_rejects_nondeterministic_functions():
         state["n"] += 1
         return ad.multiply(_squares(x), Tensor(float(state["n"])))
 
-    with pytest.raises(ValueError, match="deterministic"):
-        grad_check(f, np.array([1.0, 2.0]), batched=True)
+    with pytest.raises(ValueError, match="point 0 changed .* not deterministic"):
+        grad_check_rows(f, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("check", [grad_check, grad_check_rows])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"step": 0.0}, "step must be positive and finite, got 0.0"),
+        ({"step": -1e-5}, "step must be positive and finite, got -1e-05"),
+        ({"step": float("nan")}, "step must be positive and finite, got nan"),
+        ({"step": float("inf")}, "step must be positive and finite, got inf"),
+        ({"tol": -1e-4}, "tol must be non-negative, got -0.0001"),
+        ({"tol": float("nan")}, "tol must be non-negative, got nan"),
+    ],
+)
+def test_bad_step_and_tol_are_rejected_before_f_runs(check, setting, message):
+    # step = 0 used to divide by zero and give NaN rows that read as failed.
+    def f(x):
+        raise AssertionError("f ran before step and tol were checked")
+
+    with pytest.raises(ValueError, match=message):
+        check(f, np.array([[1.0, 2.0]]), **setting)

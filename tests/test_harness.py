@@ -22,8 +22,10 @@ from diffloc.harness.metrics import calibration_report, pearson
 from diffloc.harness.model import MLPModel
 from diffloc.harness import suites
 from diffloc.harness.suites import (
+    GradCheckRow,
     ReferenceRow,
     RelaxedRow,
+    VarianceCompareRow,
     distcheck_suite,
     gradcheck_suite,
     reparam_gradients,
@@ -549,13 +551,13 @@ class TestGradcheckSuite:
         # Each objective as make_loss builds it for training, default reg
         # weight included, with gradcheck's frozen noise and pinned centre.
         supports = (Support.regular_grid(8), Support.regular_grid((4, 4)))
-        for support, basis, distance, seed in itertools.product(supports, BASES, DISTANCES, range(2)):
-            rng = np.random.default_rng([support.ndim, seed])
-            x0 = rng.uniform(-2.0, 2.0, support.n)
-            y_t = rng.uniform(0.5, support.positions.max() - 1.0, size=support.ndim)
-            f = suites._loss_closure(loss, support, MixtureSpec(basis), y_t, distance, 3, 0.7, 4.0, x0)
-            result = ad.grad_check(f, x0, batched=True)
-            assert result.passed, (support.ndim, basis, distance, seed, result.max_rel_error)
+        for support, basis, distance in itertools.product(supports, BASES, DISTANCES):
+            rngs = [np.random.default_rng([support.ndim, seed]) for seed in range(2)]
+            x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
+            y_ts = np.stack([rng.uniform(0.5, support.positions.max() - 1.0, size=support.ndim) for rng in rngs])
+            f = suites._loss_closure(loss, support, MixtureSpec(basis), y_ts, distance, 3, 0.7, 4.0, x0s)
+            for seed, result in enumerate(ad.grad_check_rows(f, x0s)):
+                assert result.passed, (support.ndim, basis, distance, seed, result.max_rel_error)
 
     def test_make_loss_rejects_what_it_cannot_build(self):
         spec = MixtureSpec("triangular")
@@ -578,21 +580,74 @@ class TestGradcheckSuite:
         seed=st.integers(0, 2**32 - 1),
         distance=st.sampled_from(DISTANCES),
         num_samples=st.integers(1, 4),
+        points=st.integers(1, 4),
     )
-    def test_batched_check_matches_row_by_row(self, loss, basis, ndim, seed, distance, num_samples):
+    def test_batched_check_matches_row_by_row(self, loss, basis, ndim, seed, distance, num_samples, points):
+        # Each point of one grad_check_rows call against the looped
+        # grad_check of that point alone, on its lone (n,) map.
         support = Support.regular_grid(8 if ndim == 1 else (4, 4))
         rng = np.random.default_rng(seed)
-        x0 = rng.uniform(-2.0, 2.0, support.n)
-        y_t = rng.uniform(0.5, support.positions.max() - 1.0, size=ndim)
-        f = suites._loss_closure(loss, support, MixtureSpec(basis), y_t, distance, num_samples, 0.7, 4.0, x0)
-        batched = ad.grad_check(f, x0, batched=True)
-        looped = ad.grad_check(f, x0)
-        for field in ("analytic", "numeric", "rel_errors"):
-            assert getattr(batched, field).tobytes() == getattr(looped, field).tobytes(), field
+        x0s = rng.uniform(-2.0, 2.0, (points, support.n))
+        y_ts = rng.uniform(0.5, support.positions.max() - 1.0, size=(points, ndim))
+        spec = MixtureSpec(basis)
+        f = suites._loss_closure(loss, support, spec, y_ts, distance, num_samples, 0.7, 4.0, x0s)
+        for r, result in enumerate(ad.grad_check_rows(f, x0s)):
+            point = slice(r, r + 1)
+            lone = suites._loss_closure(loss, support, spec, y_ts[point], distance, num_samples, 0.7, 4.0, x0s[point])
+            looped = ad.grad_check(lone, x0s[r])
+            for field in ("analytic", "numeric", "rel_errors"):
+                assert getattr(result, field).tobytes() == getattr(looped, field).tobytes(), (r, field)
+
+    def test_suite_matches_one_check_per_seed(self):
+        # Every row, max_rel_error bits included, against one single-point
+        # check per seed in the suite's row order.
+        assert gradcheck_suite(seeds=20).rows == single_point_gradcheck(seeds=20)
+
+    def test_suite_op_count_is_bounded(self, monkeypatch):
+        # One check per seed made 12 840 op calls; one per cell of seeds, 1 404.
+        calls = []
+
+        def counted(kind, build):
+            def run(arrays, params):
+                calls.append(kind)
+                return build(arrays, params)
+
+            return run
+
+        for kind, build in list(ad._REGISTRY.items()):
+            monkeypatch.setitem(ad._REGISTRY, kind, counted(kind, build))
+        gradcheck_suite()
+        assert len(calls) <= 1500, len(calls)
 
     def test_empty_suite_is_rejected(self):
         with pytest.raises(ValueError, match="seeds must be at least 1, got 0"):
             gradcheck_suite(seeds=0)
+
+
+@pytest.mark.parametrize("row_type", [GradCheckRow, ReferenceRow, RelaxedRow, VarianceCompareRow])
+def test_suite_rows_are_slotted(row_type):
+    # A caller may keep many reports; 600 gradcheck rows without a __dict__
+    # take about 66 KiB instead of 94 KiB.
+    assert "__slots__" in vars(row_type)
+
+
+def single_point_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
+    """gradcheck_suite's rows with one grad_check_rows call per seed, each on
+    a one-point closure."""
+    rows = []
+    for support in (Support.regular_grid(8), Support.regular_grid((4, 4))):
+        ndim, span = support.ndim, support.positions.max() - 1.0
+        for (basis_idx, basis), (loss_idx, loss) in itertools.product(enumerate(BASES), enumerate(LOSS_KINDS)):
+            for seed in range(seeds):
+                rng = np.random.default_rng([2311, ndim, basis_idx, loss_idx, seed])
+                x0 = rng.uniform(-2.0, 2.0, (1, support.n))
+                y_t = rng.uniform(0.5, span, size=(1, ndim))
+                distance = "l1" if seed % 2 == 0 else "l2-squared"
+                spec = MixtureSpec(basis)
+                f = suites._loss_closure(loss, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0)
+                (result,) = ad.grad_check_rows(f, x0)
+                rows.append(GradCheckRow(loss, basis, ndim, seed, result.max_rel_error, result.passed))
+    return tuple(rows)
 
 
 class TestDistcheckSuite:
@@ -838,6 +893,30 @@ class TestVarianceCompare:
         with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
             variance_compare(num_seeds=1, draws=100, tau=tau)
 
+    def test_huge_tau_fails_instead_of_passing_vacuously(self):
+        # Every relaxed sample collapses to the plain mean, so the pathwise
+        # gradient is exactly 0: a zero trace is no evidence of low variance.
+        report = variance_compare(num_seeds=1, draws=2_000, tau=1e300)
+        assert report.rows[0].trace_reparam == 0.0
+        assert not report.rows[0].trace_ordered
+        assert not report.passed
+
+    def test_blocked_run_matches_whole_array_formulation(self):
+        # Two full blocks and a ragged third, every float's bits kept.
+        draws = 2 * mixture._BLOCK_DRAWS + 17
+        assert variance_compare(num_seeds=2, draws=draws).rows == whole_array_variance_compare(2, draws)
+
+    def test_memory_is_bounded_by_the_block_size(self):
+        # Built whole, the default call's (draws, n) temporaries peaked at
+        # 13.6 MiB.
+        tracemalloc.start()
+        try:
+            variance_compare()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
     def test_default_seeds_show_score_function_penalty(self):
         report = variance_compare(num_seeds=3, draws=4_000)
         assert report.passed
@@ -896,3 +975,25 @@ class TestVarianceCompare:
             grads = reparam_gradients(weights, positions, 4.2, gumbels, y_hat, tau)
             traces.append(float(grads.var(axis=0).sum()))
         assert traces[0] > traces[1] > traces[2]
+
+
+def whole_array_variance_compare(num_seeds, draws, n=16, tau=1.0, basis="triangular"):
+    """variance_compare's rows with every (draws, n) array built whole, as the
+    suite did before it streamed its noise in blocks."""
+    support = Support.regular_grid(n)
+    positions = support.positions[:, 0]
+    rows = []
+    for s in range(num_seeds):
+        rng = np.random.default_rng([4171, s])
+        weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
+        y_t = float(rng.uniform(0.5, n - 1.5))
+        g_sf, _ = draw_noise_batch(NoiseSource([4171, s, 1]), draws, n, 1)
+        var_sf = score_function_gradients(weights, positions, y_t, g_sf).var(axis=0)
+        g_rp, u_rp = draw_noise_batch(NoiseSource([4171, s, 2]), draws, n, 1)
+        y_hat = basis_sample_all(MixtureSpec(basis), support, u_rp)[..., 0]
+        var_rp = reparam_gradients(weights, positions, y_t, g_rp, y_hat, tau).var(axis=0)
+        trace_sf, trace_rp = float(var_sf.sum()), float(var_rp.sum())
+        rows.append(
+            VarianceCompareRow(s, trace_sf, trace_rp, float((var_sf > var_rp).mean()), trace_sf > trace_rp > 0.0)
+        )
+    return tuple(rows)
