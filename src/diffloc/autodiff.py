@@ -733,18 +733,21 @@ def _compare(
     analytic: np.ndarray, base: np.ndarray, values: np.ndarray, step: float, tol: float
 ) -> list[GradCheckResult]:
     """One result per point from its taped gradient analytic[r], its taped
-    value base[r] and the values[r] f gave its difference stack."""
-    results = []
-    for r, (a, row) in enumerate(zip(analytic, values)):
-        if row[-1] != base[r]:
-            raise ValueError(
-                f"grad_check: f(x0) of point {r} changed between evaluations; f is not deterministic, "
-                "or its rows are not independent"
-            )
-        k = a.size
-        numeric = ((row[:k] - row[k:-1]) / (2.0 * step)).reshape(a.shape)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        rel = np.abs(a - numeric) / denom
-        max_rel = float(rel.max()) if rel.size else 0.0
-        results.append(GradCheckResult(a, numeric, rel, max_rel, bool(max_rel <= tol)))
-    return results
+    value base[r] and the values[r] f gave its difference stack; every
+    point's arrays are computed together, elementwise."""
+    count = analytic.shape[0]
+    changed = np.flatnonzero(values[:, -1] != base)
+    if changed.size:
+        raise ValueError(
+            f"grad_check: f(x0) of point {changed[0]} changed between evaluations; f is not deterministic, "
+            "or its rows are not independent"
+        )
+    k = analytic[0].size
+    numeric = ((values[:, :k] - values[:, k:-1]) / (2.0 * step)).reshape(analytic.shape)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    rel = np.abs(analytic - numeric) / denom
+    max_rel = rel.reshape(count, -1).max(axis=1, initial=0.0)
+    return [
+        GradCheckResult(analytic[r], numeric[r], rel[r], float(max_rel[r]), bool(max_rel[r] <= tol))
+        for r in range(count)
+    ]

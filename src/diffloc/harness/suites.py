@@ -8,6 +8,7 @@ render or assert on them; nothing here prints.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -49,11 +50,21 @@ __all__ = [
 ]
 
 
-def _require_positive(**sizes: int) -> None:
-    """A suite over no rows would pass vacuously; refuse it."""
-    for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+def _require_counts(least: int = 1, **counts: int) -> None:
+    """Each count must be an int (a bool is not one) of at least `least`: a
+    suite over no rows would pass vacuously."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _require_scales(**scales: float) -> None:
+    """Each scale must be positive and finite."""
+    for name, value in scales.items():
+        if not 0.0 < value < float("inf"):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +94,11 @@ class GradCheckReport:
         return max(r.max_rel_error for r in self.rows)
 
 
+# The families of LOSS_KINDS whose loss reads the mixture spec: its frozen
+# noise and its basis samples.
+_READS_BASIS = frozenset({"sampled-expected-error"})
+
+
 def gradcheck_suite(
     seeds: int = 20,
     step: float = 1e-5,
@@ -95,35 +111,46 @@ def gradcheck_suite(
     differences, across bases, 1-D and 2-D supports, and `seeds` randomized
     logits per combination.
 
-    Row count is |LOSS_KINDS| * |bases| * 2 * seeds.  Even seeds use the l1
-    distance and odd seeds l2-squared; each such cell of seeds is one
-    grad_check_rows call.  The sampled loss uses noise frozen per cell; the
+    Row count is |LOSS_KINDS| * |bases| * 2 * seeds, in the order support,
+    basis, family, seed.  Even seeds use the l1 distance and odd seeds
+    l2-squared.  Each grad_check_rows call takes one support, family and
+    distance: the sampled family's calls take one basis each, since its
+    frozen noise and basis samples depend on the basis; the other families
+    never read the basis, so each of their calls takes every basis's points.
+    A point's logits and target are seeded by its (support, basis, family,
+    seed) alone, so its row does not depend on how points are grouped.  The
     distribution regularizer's center is pinned at each point's unperturbed
-    weights, matching the gradient it actually computes.
+    weights, matching the gradient it actually computes.  Bad arguments are
+    rejected before any check runs.
     """
-    _require_positive(seeds=seeds)
+    _require_counts(seeds=seeds, num_samples=num_samples)
+    _require_scales(tau=tau, sigma_t_sq=sigma_t_sq)
     supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
-    rows: list[GradCheckRow] = []
+    checked: dict[tuple[int, int, int, int], tuple[float, bool]] = {}
     for ndim, support in supports.items():
         span = support.positions.max() - 1.0
-        for basis_idx, basis in enumerate(BASES):
-            spec = MixtureSpec(basis)
-            for loss_idx, loss_name in enumerate(LOSS_KINDS):
-                results: dict[int, ad.GradCheckResult] = {}
-                for parity, distance in enumerate(DISTANCES):
-                    cell = range(parity, seeds, len(DISTANCES))
-                    if not cell:
-                        continue
-                    rngs = [np.random.default_rng([2311, ndim, basis_idx, loss_idx, seed]) for seed in cell]
-                    x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
-                    y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
-                    f = _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s)
-                    results.update(zip(cell, ad.grad_check_rows(f, x0s, step=step, tol=tol)))
-                rows.extend(
-                    GradCheckRow(loss_name, basis, ndim, seed, results[seed].max_rel_error, results[seed].passed)
-                    for seed in range(seeds)
-                )
-    return GradCheckReport(tuple(rows), tol)
+        for loss_idx, loss_name in enumerate(LOSS_KINDS):
+            reads_basis = loss_name in _READS_BASIS
+            groups = [(b,) for b in range(len(BASES))] if reads_basis else [range(len(BASES))]
+            for group, (parity, distance) in itertools.product(groups, enumerate(DISTANCES)):
+                points = [(b, seed) for b in group for seed in range(parity, seeds, len(DISTANCES))]
+                if not points:
+                    continue
+                rngs = [np.random.default_rng([2311, ndim, b, loss_idx, seed]) for b, seed in points]
+                x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
+                y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
+                spec = MixtureSpec(BASES[group[0]]) if reads_basis else None
+                f = _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s)
+                for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
+                    checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
+    rows = tuple(
+        GradCheckRow(loss_name, basis, ndim, seed, *checked[ndim, basis_idx, loss_idx, seed])
+        for ndim in supports
+        for basis_idx, basis in enumerate(BASES)
+        for loss_idx, loss_name in enumerate(LOSS_KINDS)
+        for seed in range(seeds)
+    )
+    return GradCheckReport(rows, tol)
 
 
 def _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s):
@@ -133,9 +160,11 @@ def _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, si
     Given (m, n) logits, m a multiple of R, the rows go point-major: each
     point's m / R rows get its target and its JS centre, pinned at its own
     unperturbed weights.  The noise is frozen, the same for every map.  A
-    lone (n,) x is the map of a one-point closure, for grad_check."""
+    lone (n,) x is the map of a one-point closure, for grad_check.  spec may
+    be None for a loss that never reads it."""
     count = len(x0s)
-    centres = np.stack([ad.softmax_values(x0, axis=-1) @ support.positions for x0 in x0s])
+    # The (R, 1, n) row layout gives each centre the bits of its own (n,) product.
+    centres = (ad.softmax_values(x0s[:, None, :], axis=-1) @ support.positions)[:, 0]
 
     @functools.cache
     def draws() -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +253,7 @@ def distcheck_suite(
     is bounded by the block size; only the 1-D sample vectors that the KS
     and moment checks take whole grow with `draws`.
     """
-    _require_positive(num_maps=num_maps, draws=draws)
+    _require_counts(num_maps=num_maps, draws=draws)
     if not freq_tol > 0.0:
         raise ValueError(f"freq_tol must be positive, got {freq_tol}")
     if not 0.0 < tau_sharp < tau_smooth:
@@ -414,11 +443,12 @@ def variance_compare(
     and the pathwise trace is positive: at a huge tau every relaxed sample
     is the plain mean, and a zero trace says nothing about the estimator.
     Noise is drawn in blocks; only the two (draws, n) gradient arrays that
-    the variances take whole grow with `draws`.
+    the variances take whole grow with `draws`.  n and draws must be at
+    least 2: one draw has no variance.
     """
-    _require_positive(num_seeds=num_seeds, draws=draws)
-    if not 0.0 < tau < float("inf"):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _require_counts(num_seeds=num_seeds)
+    _require_counts(2, n=n, draws=draws)
+    _require_scales(tau=tau)
     support = Support.regular_grid(n)
     positions = support.positions[:, 0]
     spec = MixtureSpec(basis)

@@ -28,7 +28,6 @@ __all__ = [
     "NoiseSource",
     "BASES",
     "WEIGHT_FLOOR",
-    "EULER_GAMMA",
     "basis_sample_all",
     "basis_variance",
     "mixture_pdf",
@@ -46,9 +45,6 @@ BASES = ("uniform", "triangular", "gaussian")
 
 # Weights pass through a log during sampling; exact zeros are floored here.
 WEIGHT_FLOOR = 1e-12
-
-# Mean of the standard Gumbel distribution.
-EULER_GAMMA = 0.5772156649015329
 
 # Rows per block when a long run of draws or query points is processed: every
 # (rows, n) temporary stays cache-sized and no array grows with the draw

@@ -499,6 +499,50 @@ def test_batched_grad_check_rejects_nondeterministic_functions():
         grad_check_rows(f, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+def looped_compare(analytic, base, values, step, tol):
+    """_compare with one pass per point, as it was before its array form."""
+    results = []
+    for r, (a, row) in enumerate(zip(analytic, values)):
+        if row[-1] != base[r]:
+            raise ValueError(f"point {r} changed")
+        k = a.size
+        numeric = ((row[:k] - row[k:-1]) / (2.0 * step)).reshape(a.shape)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+        rel = np.abs(a - numeric) / denom
+        max_rel = float(rel.max()) if rel.size else 0.0
+        results.append(ad.GradCheckResult(a, numeric, rel, max_rel, bool(max_rel <= tol)))
+    return results
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 3), (4, 4)])
+@pytest.mark.parametrize("count", [1, 3, 30])
+def test_compare_matches_one_pass_per_point(shape, count):
+    rng = np.random.default_rng([len(shape), count, *shape])
+    k = int(np.prod(shape))
+    step = 1e-5
+    analytic = rng.normal(size=(count, *shape))
+    analytic.reshape(count, -1)[:, 0] = 0.0  # rows whose floor is 1e-8
+    values = rng.normal(size=(count, 2 * k + 1))
+    values[:, :k] = values[:, k:-1] + 2.0 * step * analytic.reshape(count, k) * rng.uniform(0.99, 1.01, (count, k))
+    values[0, 0] = np.nan  # a NaN difference fails its point in both forms
+    base = values[:, -1].copy()
+    results = ad._compare(analytic, base, values, step, 1e-2)
+    assert not results[0].passed
+    for result, looped in zip(results, looped_compare(analytic, base, values, step, 1e-2), strict=True):
+        for field in ("analytic", "numeric", "rel_errors"):
+            assert getattr(result, field).tobytes() == getattr(looped, field).tobytes(), field
+        assert np.float64(result.max_rel_error).tobytes() == np.float64(looped.max_rel_error).tobytes()
+        assert result.passed == looped.passed
+
+
+def test_compare_names_the_first_changed_point():
+    values = np.zeros((6, 5))
+    base = np.zeros(6)
+    values[[2, 4], -1] = 1.0
+    with pytest.raises(ValueError, match="f\\(x0\\) of point 2 changed"):
+        ad._compare(np.zeros((6, 2)), base, values, 1e-5, 1e-4)
+
+
 @pytest.mark.parametrize("check", [grad_check, grad_check_rows])
 @pytest.mark.parametrize(
     "setting, message",

@@ -623,12 +623,92 @@ class TestGradcheckSuite:
         with pytest.raises(ValueError, match="seeds must be at least 1, got 0"):
             gradcheck_suite(seeds=0)
 
+    @pytest.mark.parametrize("seeds", [1, 3, 4])
+    def test_suite_matches_per_basis_cells(self, seeds):
+        # Every row, max_rel_error bits included, against one call per
+        # (support, basis, family, distance) cell, in the suite's row order.
+        def bits(rows):
+            return [(r.loss, r.basis, r.ndim, r.seed, r.max_rel_error.hex(), r.passed) for r in rows]
+
+        assert bits(gradcheck_suite(seeds=seeds).rows) == bits(per_basis_cell_gradcheck(seeds))
+
+    @pytest.mark.parametrize("seeds, checks, ops", [(20, 28, 748), (1, 14, 374)])
+    def test_suite_call_counts(self, monkeypatch, seeds, checks, ops):
+        # Per support and distance: one call per basis for the sampled family
+        # and one call for each of the other four.  One call per cell made
+        # 60 calls and 1 404 op calls at 20 seeds.
+        counts = {"checks": 0, "ops": 0}
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(ad, "grad_check_rows", counted("checks", ad.grad_check_rows))
+        monkeypatch.setattr(ad, "forward_op", counted("ops", ad.forward_op))
+        gradcheck_suite(seeds=seeds)
+        assert counts == {"checks": checks, "ops": ops}
+
+    @pytest.mark.parametrize(
+        "setting, error, message",
+        [
+            ({"seeds": True}, TypeError, "seeds must be an int, got True"),
+            ({"seeds": 1.5}, TypeError, "seeds must be an int, got 1.5"),
+            ({"num_samples": 0}, ValueError, "num_samples must be at least 1, got 0"),
+            ({"num_samples": 2.0}, TypeError, "num_samples must be an int, got 2.0"),
+            ({"tau": 0.0}, ValueError, "tau must be positive and finite, got 0.0"),
+            ({"tau": -0.7}, ValueError, "tau must be positive and finite, got -0.7"),
+            ({"tau": float("inf")}, ValueError, "tau must be positive and finite, got inf"),
+            ({"tau": float("nan")}, ValueError, "tau must be positive and finite, got nan"),
+            ({"sigma_t_sq": 0.0}, ValueError, "sigma_t_sq must be positive and finite, got 0.0"),
+            ({"sigma_t_sq": float("inf")}, ValueError, "sigma_t_sq must be positive and finite, got inf"),
+            ({"sigma_t_sq": float("nan")}, ValueError, "sigma_t_sq must be positive and finite, got nan"),
+        ],
+    )
+    def test_bad_arguments_are_rejected_before_any_check(self, monkeypatch, setting, error, message):
+        # tau = 0 used to fail only after two families had run, and
+        # seeds = True ran 30 rows.
+        def no_closure(*args, **kwargs):
+            raise AssertionError("a loss closure was built before the arguments were checked")
+
+        monkeypatch.setattr(suites, "_loss_closure", no_closure)
+        with pytest.raises(error, match=message):
+            gradcheck_suite(**setting)
+
 
 @pytest.mark.parametrize("row_type", [GradCheckRow, ReferenceRow, RelaxedRow, VarianceCompareRow])
 def test_suite_rows_are_slotted(row_type):
     # A caller may keep many reports; 600 gradcheck rows without a __dict__
     # take about 66 KiB instead of 94 KiB.
     assert "__slots__" in vars(row_type)
+
+
+def per_basis_cell_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
+    """gradcheck_suite's rows with one grad_check_rows call per (support,
+    basis, family, distance) cell of seeds, every family on its own basis."""
+    rows = []
+    for support in (Support.regular_grid(8), Support.regular_grid((4, 4))):
+        ndim, span = support.ndim, support.positions.max() - 1.0
+        for basis_idx, basis in enumerate(BASES):
+            spec = MixtureSpec(basis)
+            for loss_idx, loss in enumerate(LOSS_KINDS):
+                results = {}
+                for parity, distance in enumerate(DISTANCES):
+                    cell = range(parity, seeds, len(DISTANCES))
+                    if not cell:
+                        continue
+                    rngs = [np.random.default_rng([2311, ndim, basis_idx, loss_idx, seed]) for seed in cell]
+                    x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
+                    y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
+                    f = suites._loss_closure(loss, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s)
+                    results.update(zip(cell, ad.grad_check_rows(f, x0s)))
+                rows.extend(
+                    GradCheckRow(loss, basis, ndim, seed, results[seed].max_rel_error, results[seed].passed)
+                    for seed in range(seeds)
+                )
+    return tuple(rows)
 
 
 def single_point_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
@@ -879,8 +959,20 @@ def whole_array_distcheck(num_maps, draws, n=16, seed=20260814, tau_sharp=0.05, 
 class TestVarianceCompare:
     @pytest.mark.parametrize("name", ["num_seeds", "draws"])
     def test_empty_suite_is_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        least = 2 if name == "draws" else 1
+        with pytest.raises(ValueError, match=f"{name} must be at least {least}, got 0"):
             variance_compare(**{name: 0})
+
+    @pytest.mark.parametrize("name", ["n", "draws"])
+    def test_fewer_than_two_is_rejected_before_drawing(self, monkeypatch, name):
+        # n = 1 failed in numpy with "high - low < 0"; one draw has zero
+        # variance, so draws = 1 quietly returned passed=False.
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn before the sizes were checked")
+
+        monkeypatch.setattr(suites, "NoiseSource", no_noise)
+        with pytest.raises(ValueError, match=f"{name} must be at least 2, got 1"):
+            variance_compare(num_seeds=2, **{name: 1})
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_tau_is_rejected_before_drawing(self, monkeypatch, tau):

@@ -10,7 +10,6 @@ from diffloc import mixture
 from diffloc.autodiff import Tensor, softmax_values
 from diffloc.mixture import (
     BASES,
-    EULER_GAMMA,
     WEIGHT_FLOOR,
     MixtureSpec,
     NoiseSource,
@@ -29,6 +28,9 @@ from diffloc.mixture import (
     reference_sample_batch,
 )
 
+
+# Mean of the standard Gumbel distribution.
+EULER_GAMMA = 0.5772156649015329
 
 B = mixture._BLOCK_DRAWS
 # Draw counts on both sides of block edges: the first edges of the current
