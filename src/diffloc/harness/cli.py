@@ -357,13 +357,16 @@ def _cmd_varcompare(args) -> int:
     return 0 if report.passed else 1
 
 
-def _positive(kind):
-    """argparse type for a count or scale that must be finite and above zero."""
+def _positive(kind, least=None):
+    """argparse type for a count or scale that must be finite and above zero,
+    and at least `least` when that is given."""
 
     def parse(text: str):
         value = kind(text)
         if not 0 < value < float("inf"):
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -401,7 +404,7 @@ def main(argv=None) -> int:
 
     p_vc = sub.add_parser("varcompare", help="score-function vs pathwise gradient variance")
     p_vc.add_argument("--seeds", type=_positive(int))
-    p_vc.add_argument("--draws", type=_positive(int))
+    p_vc.add_argument("--draws", type=_positive(int, least=2), help="at least 2: one draw has no variance")
     p_vc.add_argument("--tau", type=_positive(float))
     p_vc.add_argument("--out")
 

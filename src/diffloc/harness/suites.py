@@ -7,7 +7,6 @@ render or assert on them; nothing here prints.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
@@ -94,11 +93,6 @@ class GradCheckReport:
         return max(r.max_rel_error for r in self.rows)
 
 
-# The families of LOSS_KINDS whose loss reads the mixture spec: its frozen
-# noise and its basis samples.
-_READS_BASIS = frozenset({"sampled-expected-error"})
-
-
 def gradcheck_suite(
     seeds: int = 20,
     step: float = 1e-5,
@@ -114,14 +108,13 @@ def gradcheck_suite(
     Row count is |LOSS_KINDS| * |bases| * 2 * seeds, in the order support,
     basis, family, seed.  Even seeds use the l1 distance and odd seeds
     l2-squared.  Each grad_check_rows call takes one support, family and
-    distance: the sampled family's calls take one basis each, since its
-    frozen noise and basis samples depend on the basis; the other families
-    never read the basis, so each of their calls takes every basis's points.
-    A point's logits and target are seeded by its (support, basis, family,
-    seed) alone, so its row does not depend on how points are grouped.  The
-    distribution regularizer's center is pinned at each point's unperturbed
-    weights, matching the gradient it actually computes.  Bad arguments are
-    rejected before any check runs.
+    distance, and the points of every basis.  A point's logits and target
+    are seeded by its (support, basis, family, seed) alone, and its frozen
+    noise, num_samples gumbels and basis samples, by its (support, basis), so
+    its row does not depend on how points are grouped.  The distribution
+    regularizer's center is pinned at each point's unperturbed weights,
+    matching the gradient it actually computes.  Bad arguments are rejected
+    before any check runs.
     """
     _require_counts(seeds=seeds, num_samples=num_samples)
     _require_scales(tau=tau, sigma_t_sq=sigma_t_sq)
@@ -129,20 +122,21 @@ def gradcheck_suite(
     checked: dict[tuple[int, int, int, int], tuple[float, bool]] = {}
     for ndim, support in supports.items():
         span = support.positions.max() - 1.0
-        for loss_idx, loss_name in enumerate(LOSS_KINDS):
-            reads_basis = loss_name in _READS_BASIS
-            groups = [(b,) for b in range(len(BASES))] if reads_basis else [range(len(BASES))]
-            for group, (parity, distance) in itertools.product(groups, enumerate(DISTANCES)):
-                points = [(b, seed) for b in group for seed in range(parity, seeds, len(DISTANCES))]
-                if not points:
-                    continue
-                rngs = [np.random.default_rng([2311, ndim, b, loss_idx, seed]) for b, seed in points]
-                x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
-                y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
-                spec = MixtureSpec(BASES[group[0]]) if reads_basis else None
-                f = _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s)
-                for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
-                    checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
+        frozen = [_frozen_noise(support, b, num_samples) for b in range(len(BASES))]
+        cells = itertools.product(enumerate(LOSS_KINDS), enumerate(DISTANCES))
+        for (loss_idx, loss_name), (parity, distance) in cells:
+            points = [(b, seed) for b in range(len(BASES)) for seed in range(parity, seeds, len(DISTANCES))]
+            if not points:
+                continue
+            # SeedSequence reads a uint32 array faster than a list, and as the
+            # same entropy while every word is below 2**32.
+            rngs = [np.random.default_rng(np.array([2311, ndim, b, loss_idx, seed], np.uint32)) for b, seed in points]
+            x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
+            y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
+            noise = tuple(np.stack([frozen[b][k] for b, _ in points]) for k in range(2))
+            f = _loss_closure(loss_name, support, noise, y_ts, distance, tau, sigma_t_sq, x0s)
+            for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
+                checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
     rows = tuple(
         GradCheckRow(loss_name, basis, ndim, seed, *checked[ndim, basis_idx, loss_idx, seed])
         for ndim in supports
@@ -153,26 +147,26 @@ def gradcheck_suite(
     return GradCheckReport(rows, tol)
 
 
-def _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s):
+def _frozen_noise(support: Support, basis_idx: int, num_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, n) gumbels and (S, n, ndim) basis samples that gradcheck
+    freezes for every point on `support` under basis BASES[basis_idx]."""
+    source = NoiseSource([8741, support.ndim, basis_idx])
+    gumbels, uniforms = draw_noise_batch(source, num_samples, support.n, support.ndim)
+    return gumbels, basis_sample_all(MixtureSpec(BASES[basis_idx]), support, uniforms)
+
+
+def _loss_closure(loss_name, support, noise, y_ts, distance, tau, sigma_t_sq, x0s):
     """f(x) for grad_check_rows: loss `loss_name` (any name make_loss takes)
-    of softmax(x) at the R points x0s (R, n) with targets y_ts (R, ndim).
+    of softmax(x) at the R points x0s (R, n) with targets y_ts (R, ndim) and
+    frozen noise, (R, S, n) gumbels and (R, S, n, ndim) basis samples.
 
     Given (m, n) logits, m a multiple of R, the rows go point-major: each
-    point's m / R rows get its target and its JS centre, pinned at its own
-    unperturbed weights.  The noise is frozen, the same for every map.  A
-    lone (n,) x is the map of a one-point closure, for grad_check.  spec may
-    be None for a loss that never reads it."""
+    point's m / R rows get its target, its noise and its JS centre, pinned
+    at its own unperturbed weights.  A lone (n,) x is the map of a one-point
+    closure, for grad_check."""
     count = len(x0s)
     # The (R, 1, n) row layout gives each centre the bits of its own (n,) product.
     centres = (ad.softmax_values(x0s[:, None, :], axis=-1) @ support.positions)[:, 0]
-
-    @functools.cache
-    def draws() -> tuple[np.ndarray, np.ndarray]:
-        src = NoiseSource([8741, support.ndim, BASES.index(spec.basis)])
-        return draw_noise_batch(src, num_samples, support.n, support.ndim)
-
-    def noise(pmap: ProbabilityMap) -> tuple[np.ndarray, ...]:
-        return tuple(np.broadcast_to(a, pmap.batch_shape + a.shape) for a in draws())
 
     def per_point(pmap: ProbabilityMap, a: np.ndarray) -> np.ndarray:
         if pmap.batch_shape == ():
@@ -180,7 +174,13 @@ def _loss_closure(loss_name, support, spec, y_ts, distance, num_samples, tau, si
             return lone
         return np.repeat(a, pmap.batch_shape[0] // count, axis=0)[:, None]
 
-    loss_fn = make_loss(loss_name, spec, noise, distance, sigma_t_sq, center=lambda pmap: per_point(pmap, centres))
+    loss_fn = make_loss(
+        loss_name,
+        lambda pmap: tuple(per_point(pmap, a) for a in noise),
+        distance,
+        sigma_t_sq,
+        center=lambda pmap: per_point(pmap, centres),
+    )
 
     def f(x: Tensor) -> Tensor:
         pmap = row_maps(support, x) if x.ndim == 2 else ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import NonFiniteError, Tensor
-from ..mixture import NoiseSource, ProbabilityMap, Support, draw_noise_batch
+from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, Support, basis_sample_all, draw_noise_batch
 from ..operators import (
     SamplingConfig,
     anneal_tau,
@@ -177,19 +177,20 @@ def _resolve(name: str, reg_weight: float | None) -> tuple[str, str | None, floa
     return base, regularizer, float(reg_weight)
 
 
-def make_loss(name, spec, noise, distance, sigma_t_sq, reg_weight=None, center=lambda pmap: None):
+def make_loss(name, noise, distance, sigma_t_sq, reg_weight=None, center=lambda pmap: None):
     """loss_fn(pmap, y, tau) -> one loss per map of the batch `pmap` (y holds
     one target per map) for an objective of LOSSES or a family of LOSS_KINDS.
 
-    noise(pmap) gives the sampled family the batch's (gumbels, uniforms) and
-    center(pmap) the JS target's centres (None: each map's own expectation).
-    reg_weight None takes the objective's default weight."""
+    noise(pmap) gives the sampled family the batch's gumbels and basis
+    samples, as sampled_expected_error_loss takes them, and center(pmap) the
+    JS target's centres (None: each map's own expectation).  reg_weight None
+    takes the objective's default weight."""
     base_family, reg_family, weight = _resolve(name, reg_weight)
     terms = {
         "error-of-expectation": lambda pmap, y, tau: error_of_expectation_loss(pmap, y, distance),
         "discrete-expected-error": lambda pmap, y, tau: discrete_expected_error_loss(pmap, y, distance),
         "sampled-expected-error": lambda pmap, y, tau: sampled_expected_error_loss(
-            pmap, spec, y, *noise(pmap), tau, distance
+            pmap, y, *noise(pmap), tau, distance
         ),
         "variance-regularizer": lambda pmap, y, tau: variance_regularizer(pmap, sigma_t_sq),
         "js-regularizer": lambda pmap, y, tau: js_regularizer(pmap, sigma_t_sq, center=center(pmap)),
@@ -200,14 +201,17 @@ def make_loss(name, spec, noise, distance, sigma_t_sq, reg_weight=None, center=l
     return lambda pmap, y, tau: ad.add(base(pmap, y, tau), ad.multiply(reg(pmap, y, tau), Tensor(weight)))
 
 
-def _fresh_noise(source: NoiseSource, num_samples: int):
+def _fresh_noise(source: NoiseSource, num_samples: int, spec: MixtureSpec):
     """make_loss's noise(pmap): num_samples fresh draws per map from `source`,
-    each map's back to back, so the sample axis follows the batch axes."""
+    each map's back to back, so the sample axis follows the batch axes.  Each
+    draw's basis uniforms become its basis samples under `spec` as they are
+    drawn."""
 
     def noise(pmap: ProbabilityMap) -> tuple[np.ndarray, np.ndarray]:
         lead = pmap.batch_shape + (num_samples,)
         gumbels, uniforms = draw_noise_batch(source, int(np.prod(lead)), pmap.n, pmap.ndim)
-        return gumbels.reshape(lead + (pmap.n,)), uniforms.reshape(lead + (pmap.n, pmap.ndim))
+        uniforms = uniforms.reshape(lead + (pmap.n, pmap.ndim))
+        return gumbels.reshape(lead + (pmap.n,)), basis_sample_all(spec, pmap.support, uniforms)
 
     return noise
 
@@ -228,8 +232,8 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
 
     model = MLPModel(train_obs.shape[1], config.hidden_dim, support.n, seed=config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 5])
-    noise = _fresh_noise(NoiseSource([config.seed, 11]), config.sampling.num_samples)
-    loss_fn = make_loss(config.loss, spec, noise, config.sampling.distance, config.sigma_t_sq, config.reg_weight)
+    noise = _fresh_noise(NoiseSource([config.seed, 11]), config.sampling.num_samples, spec)
+    loss_fn = make_loss(config.loss, noise, config.sampling.distance, config.sigma_t_sq, config.reg_weight)
 
     history: list[HistoryRow] = []
     total_steps = max(config.epochs - 1, 1)

@@ -13,8 +13,11 @@ one loss per map, shape (...).  A map in the (..., 1, n) row layout gets, row
 for row, the same bits a lone (n,) map gets, since each matrix product then
 runs per row.
 
-Relaxed sampling treats the per-component basis samples as constants; the
-gradient flows through the relaxed component weights only.
+Relaxed sampling takes all of its randomness as arrays: the gumbels and the
+per-component basis samples y_hat_i, which mixture.basis_sample_all makes
+from uniforms under a mixture spec.  The samples are constants for the
+gradient, which flows through the relaxed component weights only, so no
+operator here reads a mixture spec.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mixture import WEIGHT_FLOOR, MixtureSpec, ProbabilityMap, basis_sample_all
+from .mixture import WEIGHT_FLOOR, ProbabilityMap
 
 __all__ = [
     "DISTANCES",
@@ -207,48 +210,46 @@ def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
     return np.log(floored) + gumbels
 
 
-def sample_differentiable(
-    pmap: ProbabilityMap, spec: MixtureSpec, gumbels: np.ndarray, basis_uniforms: np.ndarray, tau: float
-) -> Tensor:
+def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_samples: np.ndarray, tau: float) -> Tensor:
     """Relaxed mixture samples sum_i pi_hat_i * y_hat_i, one per draw.
 
-    gumbels is (*batch, *draws, n) as for gumbel_softmax and basis_uniforms
-    is (*batch, *draws, n, ndim); the result is (*batch, *draws, ndim).
-    y_hat_i are per-component inverse-cdf samples, held constant for the
-    gradient; differentiability comes entirely from the relaxed weights.
+    gumbels is (*batch, *draws, n) as for gumbel_softmax and basis_samples,
+    the y_hat_i, is (*batch, *draws, n, ndim): one sample per component, as
+    mixture.basis_sample_all returns them.  The result is (*batch, *draws,
+    ndim).  The samples are constants for the gradient; differentiability
+    comes entirely from the relaxed weights.
     """
-    if basis_uniforms.shape != gumbels.shape + (pmap.ndim,):
+    if basis_samples.shape != gumbels.shape + (pmap.ndim,):
         raise ValueError(
-            f"noise {gumbels.shape}, {basis_uniforms.shape} does not match the map's dimensionality, {pmap.ndim}"
+            f"noise {gumbels.shape}, {basis_samples.shape} does not match the map's dimensionality, {pmap.ndim}"
         )
     # Each draw's relaxed weights as a (1, n) row, so that the product with
     # its (n, ndim) samples runs per draw.
     rows = gumbel_softmax(pmap, gumbels[..., None, :], tau)
-    samples = basis_sample_all(spec, pmap.support, basis_uniforms)
-    return ad.index_select(ad.matrix_multiply(rows, Tensor(samples)), 0, axis=-2)
+    return ad.index_select(ad.matrix_multiply(rows, Tensor(basis_samples)), 0, axis=-2)
 
 
 def sampled_expected_error_loss(
     pmap: ProbabilityMap,
-    spec: MixtureSpec,
     y_t,
     gumbels: np.ndarray,
-    basis_uniforms: np.ndarray,
+    basis_samples: np.ndarray,
     tau: float,
     distance: str = "l1",
 ) -> Tensor:
     """Mean distance between each map's target and its relaxed samples.
 
-    gumbels is (*batch, S, n) and basis_uniforms (*batch, S, n, ndim): S
-    draws per map.  A pure function of the draws it is given: training
-    passes fresh draws for every example, the gradient check passes the same
-    frozen ones to every evaluation.
+    gumbels is (*batch, S, n) and basis_samples (*batch, S, n, ndim): S
+    draws per map, each with one basis sample per component.  A pure
+    function of the draws it is given: training passes fresh draws for every
+    example, the gradient check passes the same frozen ones to every
+    evaluation of a point.
     """
     _check_distance(distance)
     if gumbels.ndim != len(pmap.batch_shape) + 2 or gumbels.shape[-2] < 1:
         raise ValueError(f"need at least one noise draw per map, (*batch, S, n) gumbels, got {gumbels.shape}")
     y = _target_points(pmap, y_t)
-    samples = sample_differentiable(pmap, spec, gumbels, basis_uniforms, tau)
+    samples = sample_differentiable(pmap, gumbels, basis_samples, tau)
     terms = _distance_loss(samples, np.broadcast_to(y[..., None, :], samples.shape), distance)
     return ad.multiply(ad.sum_over_axis(terms, axis=-1), Tensor(1.0 / gumbels.shape[-2]))
 

@@ -421,6 +421,7 @@ class TestSuiteCommands:
             ["distcheck", "--draws", "-5"],
             ["varcompare", "--draws", "200", "--seeds", "0"],
             ["varcompare", "--draws", "0"],
+            ["varcompare", "--draws", "1"],
             ["varcompare", "--tau", "0"],
             ["varcompare", "--tau", "nan"],
             ["varcompare", "--tau", "inf"],

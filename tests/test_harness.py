@@ -415,8 +415,8 @@ class TestBatchedStep:
                 draws = [draw_noise_batch(source, 1, support.n, support.ndim)
                          for _ in range(config.sampling.num_samples)]
                 gumbels = np.concatenate([g for g, _ in draws])
-                uniforms = np.concatenate([u for _, u in draws])
-                term = sampled_expected_error_loss(pmap, spec, y, gumbels, uniforms, tau, distance)
+                samples = basis_sample_all(spec, support, np.concatenate([u for _, u in draws]))
+                term = sampled_expected_error_loss(pmap, y, gumbels, samples, tau, distance)
             else:
                 reg = variance_regularizer if config.loss == "soft-vr" else js_regularizer
                 term = ad.add(
@@ -457,8 +457,8 @@ class TestBatchedStep:
         obs, targets = generate_split(task, "train")
         model = MLPModel(obs.shape[1], 8, support.n, seed=seed)
         batched_source, reference_source = NoiseSource([seed, 11]), NoiseSource([seed, 11])
-        noise = training._fresh_noise(batched_source, num_samples)
-        loss_fn = make_loss(loss, spec, noise, distance, config.sigma_t_sq, config.reg_weight)
+        noise = training._fresh_noise(batched_source, num_samples, spec)
+        loss_fn = make_loss(loss, noise, distance, config.sigma_t_sq, config.reg_weight)
         for start in range(0, count, batch_size):
             rows = slice(start, start + batch_size)
             (losses, batch_loss), grads = self.gradients(
@@ -555,17 +555,16 @@ class TestGradcheckSuite:
             rngs = [np.random.default_rng([support.ndim, seed]) for seed in range(2)]
             x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
             y_ts = np.stack([rng.uniform(0.5, support.positions.max() - 1.0, size=support.ndim) for rng in rngs])
-            f = suites._loss_closure(loss, support, MixtureSpec(basis), y_ts, distance, 3, 0.7, 4.0, x0s)
+            f = suites._loss_closure(loss, support, frozen_noise(support, basis, 2), y_ts, distance, 0.7, 4.0, x0s)
             for seed, result in enumerate(ad.grad_check_rows(f, x0s)):
                 assert result.passed, (support.ndim, basis, distance, seed, result.max_rel_error)
 
     def test_make_loss_rejects_what_it_cannot_build(self):
-        spec = MixtureSpec("triangular")
         with pytest.raises(ValueError, match="unknown loss: 'hinge'"):
-            make_loss("hinge", spec, None, "l1", 4.0)
+            make_loss("hinge", None, "l1", 4.0)
         for name in ("soft", "js-regularizer"):
             with pytest.raises(ValueError, match=f"loss '{name}' has no regularizer"):
-                make_loss(name, spec, None, "l1", 4.0, reg_weight=0.5)
+                make_loss(name, None, "l1", 4.0, reg_weight=0.5)
 
     def test_row_metadata(self):
         report = gradcheck_suite(seeds=1)
@@ -575,25 +574,27 @@ class TestGradcheckSuite:
     @settings(max_examples=60, deadline=None)
     @given(
         loss=st.sampled_from(LOSS_KINDS),
-        basis=st.sampled_from(BASES),
+        bases=st.lists(st.sampled_from(BASES), min_size=1, max_size=4),
         ndim=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
         distance=st.sampled_from(DISTANCES),
         num_samples=st.integers(1, 4),
-        points=st.integers(1, 4),
     )
-    def test_batched_check_matches_row_by_row(self, loss, basis, ndim, seed, distance, num_samples, points):
-        # Each point of one grad_check_rows call against the looped
-        # grad_check of that point alone, on its lone (n,) map.
+    def test_batched_check_matches_row_by_row(self, loss, bases, ndim, seed, distance, num_samples):
+        # Each point of one grad_check_rows call, every point with the frozen
+        # noise of its own basis, against the looped grad_check of that
+        # point alone, on its lone (n,) map.
         support = Support.regular_grid(8 if ndim == 1 else (4, 4))
+        points = len(bases)
         rng = np.random.default_rng(seed)
         x0s = rng.uniform(-2.0, 2.0, (points, support.n))
         y_ts = rng.uniform(0.5, support.positions.max() - 1.0, size=(points, ndim))
-        spec = MixtureSpec(basis)
-        f = suites._loss_closure(loss, support, spec, y_ts, distance, num_samples, 0.7, 4.0, x0s)
+        per_basis = [frozen_noise(support, basis, 1, num_samples) for basis in bases]
+        noise = tuple(np.concatenate(arrays) for arrays in zip(*per_basis))
+        f = suites._loss_closure(loss, support, noise, y_ts, distance, 0.7, 4.0, x0s)
         for r, result in enumerate(ad.grad_check_rows(f, x0s)):
             point = slice(r, r + 1)
-            lone = suites._loss_closure(loss, support, spec, y_ts[point], distance, num_samples, 0.7, 4.0, x0s[point])
+            lone = suites._loss_closure(loss, support, per_basis[r], y_ts[point], distance, 0.7, 4.0, x0s[point])
             looped = ad.grad_check(lone, x0s[r])
             for field in ("analytic", "numeric", "rel_errors"):
                 assert getattr(result, field).tobytes() == getattr(looped, field).tobytes(), (r, field)
@@ -632,11 +633,11 @@ class TestGradcheckSuite:
 
         assert bits(gradcheck_suite(seeds=seeds).rows) == bits(per_basis_cell_gradcheck(seeds))
 
-    @pytest.mark.parametrize("seeds, checks, ops", [(20, 28, 748), (1, 14, 374)])
+    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 468), (1, 10, 234)])
     def test_suite_call_counts(self, monkeypatch, seeds, checks, ops):
-        # Per support and distance: one call per basis for the sampled family
-        # and one call for each of the other four.  One call per cell made
-        # 60 calls and 1 404 op calls at 20 seeds.
+        # One call per support, family and distance, each taking every
+        # basis's points.  One call per cell made 60 calls and 1 404 op calls
+        # at 20 seeds; one per basis for the sampled family, 28 and 748.
         counts = {"checks": 0, "ops": 0}
 
         def counted(name, fn):
@@ -650,6 +651,18 @@ class TestGradcheckSuite:
         monkeypatch.setattr(ad, "forward_op", counted("ops", ad.forward_op))
         gradcheck_suite(seeds=seeds)
         assert counts == {"checks": checks, "ops": ops}
+
+    def test_array_seeds_draw_as_list_seeds(self):
+        # The suite seeds each point with a uint32 array, which SeedSequence
+        # reads faster than a list and as the same entropy while every word
+        # is below 2**32: at the corners of its (support, basis, family,
+        # seed) words, the first draws keep their bits.
+        corners = itertools.product((1, 2), (0, len(BASES) - 1), (0, len(LOSS_KINDS) - 1), (0, 19, 2**32 - 1))
+        for ndim, basis_idx, loss_idx, seed in corners:
+            words = [2311, ndim, basis_idx, loss_idx, seed]
+            listed, arrayed = np.random.default_rng(words), np.random.default_rng(np.array(words, np.uint32))
+            for low, high, size in ((-2.0, 2.0, 16), (0.5, 7.0, ndim)):
+                assert arrayed.uniform(low, high, size).tobytes() == listed.uniform(low, high, size).tobytes(), words
 
     @pytest.mark.parametrize(
         "setting, error, message",
@@ -685,6 +698,16 @@ def test_suite_rows_are_slotted(row_type):
     assert "__slots__" in vars(row_type)
 
 
+def frozen_noise(support, basis, count, num_samples=3):
+    """gradcheck's frozen noise for `count` points on one support and basis:
+    (count, S, n) gumbels and (count, S, n, ndim) basis samples, the same
+    for every point."""
+    source = NoiseSource([8741, support.ndim, BASES.index(basis)])
+    gumbels, uniforms = draw_noise_batch(source, num_samples, support.n, support.ndim)
+    samples = basis_sample_all(MixtureSpec(basis), support, uniforms)
+    return tuple(np.repeat(a[None], count, axis=0) for a in (gumbels, samples))
+
+
 def per_basis_cell_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
     """gradcheck_suite's rows with one grad_check_rows call per (support,
     basis, family, distance) cell of seeds, every family on its own basis."""
@@ -692,7 +715,6 @@ def per_basis_cell_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
     for support in (Support.regular_grid(8), Support.regular_grid((4, 4))):
         ndim, span = support.ndim, support.positions.max() - 1.0
         for basis_idx, basis in enumerate(BASES):
-            spec = MixtureSpec(basis)
             for loss_idx, loss in enumerate(LOSS_KINDS):
                 results = {}
                 for parity, distance in enumerate(DISTANCES):
@@ -702,7 +724,8 @@ def per_basis_cell_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
                     rngs = [np.random.default_rng([2311, ndim, basis_idx, loss_idx, seed]) for seed in cell]
                     x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
                     y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
-                    f = suites._loss_closure(loss, support, spec, y_ts, distance, num_samples, tau, sigma_t_sq, x0s)
+                    noise = frozen_noise(support, basis, len(cell), num_samples)
+                    f = suites._loss_closure(loss, support, noise, y_ts, distance, tau, sigma_t_sq, x0s)
                     results.update(zip(cell, ad.grad_check_rows(f, x0s)))
                 rows.extend(
                     GradCheckRow(loss, basis, ndim, seed, results[seed].max_rel_error, results[seed].passed)
@@ -723,8 +746,8 @@ def single_point_gradcheck(seeds, num_samples=3, tau=0.7, sigma_t_sq=4.0):
                 x0 = rng.uniform(-2.0, 2.0, (1, support.n))
                 y_t = rng.uniform(0.5, span, size=(1, ndim))
                 distance = "l1" if seed % 2 == 0 else "l2-squared"
-                spec = MixtureSpec(basis)
-                f = suites._loss_closure(loss, support, spec, y_t, distance, num_samples, tau, sigma_t_sq, x0)
+                noise = frozen_noise(support, basis, 1, num_samples)
+                f = suites._loss_closure(loss, support, noise, y_t, distance, tau, sigma_t_sq, x0)
                 (result,) = ad.grad_check_rows(f, x0)
                 rows.append(GradCheckRow(loss, basis, ndim, seed, result.max_rel_error, result.passed))
     return tuple(rows)

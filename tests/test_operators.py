@@ -6,6 +6,7 @@ import pytest
 from diffloc import autodiff as ad
 from diffloc.autodiff import GradientTape, Tensor, grad_check, softmax_values
 from diffloc.mixture import (
+    BASES,
     WEIGHT_FLOOR,
     MixtureSpec,
     NoiseSource,
@@ -16,6 +17,7 @@ from diffloc.mixture import (
     reference_sample_batch,
 )
 from diffloc.operators import (
+    DISTANCES,
     SamplingConfig,
     anneal_tau,
     discrete_expected_error_loss,
@@ -248,7 +250,7 @@ class TestSampleDifferentiable:
             pmap = make_map(seed=17)
             spec = MixtureSpec(basis)
             gumbels, uniforms = one_draw(NoiseSource(18), pmap.n)
-            relaxed = sample_differentiable(pmap, spec, gumbels, uniforms, 1e-4).values
+            relaxed = sample_differentiable(pmap, gumbels, basis_sample_all(spec, pmap.support, uniforms), 1e-4).values
             exact = reference_sample_batch(pmap, spec, 1, NoiseSource(18))[0]
             np.testing.assert_allclose(relaxed, exact, atol=1e-8)
 
@@ -256,21 +258,35 @@ class TestSampleDifferentiable:
         pmap = make_map(seed=19)
         spec = MixtureSpec("triangular")
         gumbels, uniforms = one_draw(NoiseSource(20), pmap.n)
-        relaxed = sample_differentiable(pmap, spec, gumbels, uniforms, 50.0).values
         samples = basis_sample_all(spec, pmap.support, uniforms)
+        relaxed = sample_differentiable(pmap, gumbels, samples, 50.0).values
         # At very high temperature the relaxation approaches the flat average.
         np.testing.assert_allclose(relaxed, samples.mean(axis=0), atol=0.05)
 
     def test_dimension_mismatch_rejected(self):
         pmap = map_2d()
         gumbels, uniforms = one_draw(NoiseSource(0), pmap.n)
+        one_axis = basis_sample_all(MixtureSpec("gaussian", sigma=1.0), Support.regular_grid(pmap.n), uniforms)
         with pytest.raises(ValueError, match="dimensionality"):
-            sample_differentiable(pmap, MixtureSpec("gaussian", sigma=1.0), gumbels, uniforms, 1.0)
+            sample_differentiable(pmap, gumbels, one_axis, 1.0)
 
 
-def draws(seed, count, n, ndim=1):
-    """(count, n) gumbels and (count, n, ndim) uniforms: count draws for one map."""
-    return draw_noise_batch(NoiseSource(seed), count, n, ndim)
+def draws(seed, count, n, spec=MixtureSpec("triangular")):
+    """(count, n) gumbels and (count, n, 1) basis samples under `spec` on a
+    regular 1-D grid: count draws for one map."""
+    gumbels, uniforms = draw_noise_batch(NoiseSource(seed), count, n, 1)
+    return gumbels, basis_sample_all(spec, Support.regular_grid(n), uniforms)
+
+
+def spec_chain_loss(pmap, spec, y_t, gumbels, uniforms, tau, distance):
+    """The sampled loss as written when it took a spec and basis uniforms
+    and drew its basis samples itself."""
+    rows = gumbel_softmax(pmap, gumbels[..., None, :], tau)
+    samples = basis_sample_all(spec, pmap.support, uniforms)
+    relaxed = ad.index_select(ad.matrix_multiply(rows, Tensor(samples)), 0, axis=-2)
+    diff = ad.subtract(relaxed, Tensor(np.broadcast_to(y_t[..., None, :], relaxed.shape)))
+    per_draw = ad.sum_over_axis(ad.absolute_value(diff) if distance == "l1" else ad.square(diff), axis=-1)
+    return ad.multiply(ad.sum_over_axis(per_draw, axis=-1), Tensor(1.0 / gumbels.shape[-2]))
 
 
 class TestSampledExpectedErrorLoss:
@@ -279,7 +295,7 @@ class TestSampledExpectedErrorLoss:
         spec = MixtureSpec("triangular")
         y = np.array([2.6])
         tau = 0.618
-        loss = sampled_expected_error_loss(pmap, spec, y, *draws(24, 4, pmap.n), tau, "l1")
+        loss = sampled_expected_error_loss(pmap, y, *draws(24, 4, pmap.n, spec=spec), tau, "l1")
         source = NoiseSource(24)
         total = 0.0
         for _ in range(4):
@@ -289,7 +305,7 @@ class TestSampledExpectedErrorLoss:
             total = total + np.abs(relaxed @ samples - y).sum()
         assert loss.item() == pytest.approx(total * (1.0 / 4.0), rel=1e-15)
         with pytest.raises(ValueError, match="at least one"):
-            sampled_expected_error_loss(pmap, spec, y, *draws(24, 0, pmap.n), tau)
+            sampled_expected_error_loss(pmap, y, *draws(24, 0, pmap.n), tau)
 
     def test_mean_over_many_samples_approaches_discrete_loss_at_sharp_tau(self):
         # With a sharp temperature and a narrow basis the sampled loss is a
@@ -297,19 +313,50 @@ class TestSampledExpectedErrorLoss:
         pmap = make_map(seed=25)
         spec = MixtureSpec("gaussian", sigma=0.01)
         y = np.array([2.0])
-        loss = sampled_expected_error_loss(pmap, spec, y, *draws(26, 4000, pmap.n), 0.01)
+        loss = sampled_expected_error_loss(pmap, y, *draws(26, 4000, pmap.n, spec=spec), 0.01)
         exact = discrete_expected_error_loss(pmap, y, "l1").item()
         assert loss.item() == pytest.approx(exact, abs=0.05)
 
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("shape", [8, (4, 4)])
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_given_samples_keep_the_bits_of_the_spec_chain(self, basis, shape, distance):
+        # Losses and logit gradients of a (B, 1, n) batch, on basis samples,
+        # against the chain that drew them from a spec and uniforms inside
+        # the loss: with fresh draws per map, as training takes them, and
+        # with one draw shared by every map, as gradcheck freezes it.
+        support, spec = Support.regular_grid(shape), MixtureSpec(basis)
+        batch, num_samples, tau = 5, 3, 0.7
+        rng = np.random.default_rng([41, support.ndim, BASES.index(basis)])
+        logits = rng.uniform(-2.0, 2.0, (batch, 1, support.n))
+        y = rng.uniform(0.5, support.positions.max() - 1.0, (batch, 1, support.ndim))
+        lead = (batch, 1, num_samples)
+        gumbels, uniforms = draw_noise_batch(NoiseSource(42), batch * num_samples, support.n, support.ndim)
+        fresh = gumbels.reshape(lead + (support.n,)), uniforms.reshape(lead + (support.n, support.ndim))
+        gumbels, uniforms = draw_noise_batch(NoiseSource(43), num_samples, support.n, support.ndim)
+        shared = np.broadcast_to(gumbels, fresh[0].shape), np.broadcast_to(uniforms, fresh[1].shape)
+        shared_samples = np.repeat(basis_sample_all(spec, support, uniforms)[None, None], batch, axis=0)
+
+        def loss_and_grad(loss_fn):
+            with GradientTape():
+                x = Tensor(logits, requires_grad=True)
+                loss = loss_fn(ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1)))
+                ad.backward(ad.sum_over_axis(loss))
+                return loss.values.tobytes(), x.grad.tobytes()
+
+        for (g, u), samples in ((fresh, basis_sample_all(spec, support, fresh[1])), (shared, shared_samples)):
+            given = loss_and_grad(lambda pmap: sampled_expected_error_loss(pmap, y, g, samples, tau, distance))
+            chain = loss_and_grad(lambda pmap: spec_chain_loss(pmap, spec, y, g, u, tau, distance))
+            assert given == chain
+
     def test_gradcheck_with_frozen_noise(self):
         sup = Support.regular_grid(6)
-        spec = MixtureSpec("triangular")
         y = np.array([2.4])
         frozen = draws(27, 3, 6)
 
         def f(logits):
             pmap = ProbabilityMap(sup, ad.softmax_over_axis(logits, axis=-1))
-            return sampled_expected_error_loss(pmap, spec, y, *frozen, 0.7)
+            return sampled_expected_error_loss(pmap, y, *frozen, 0.7)
 
         x0 = np.random.default_rng(28).normal(0.0, 1.0, 6)
         assert grad_check(f, x0).passed
@@ -457,9 +504,7 @@ class TestBatchedMaps:
     LOSSES = {
         "soft": lambda pmap, y, noise: error_of_expectation_loss(pmap, y, "l1"),
         "discrete": lambda pmap, y, noise: discrete_expected_error_loss(pmap, y, "l2-squared"),
-        "samp": lambda pmap, y, noise: sampled_expected_error_loss(
-            pmap, MixtureSpec("gaussian", sigma=0.7), y, *noise, 0.6, "l1"
-        ),
+        "samp": lambda pmap, y, noise: sampled_expected_error_loss(pmap, y, *noise, 0.6, "l1"),
         "variance": lambda pmap, y, noise: variance_regularizer(pmap, 2.0),
         "js": lambda pmap, y, noise: js_regularizer(pmap, 2.0),
     }
@@ -472,7 +517,8 @@ class TestBatchedMaps:
         weights = softmax_values(rng.normal(0.0, 1.5, (5, 1, sup.n)))
         targets = rng.uniform(0.0, 3.0, (5, 1, 2))
         gumbels, uniforms = draw_noise_batch(NoiseSource(36), 5 * 4, sup.n, 2)
-        noise = (gumbels.reshape(5, 1, 4, sup.n), uniforms.reshape(5, 1, 4, sup.n, 2))
+        samples = basis_sample_all(MixtureSpec("gaussian", sigma=0.7), sup, uniforms)
+        noise = (gumbels.reshape(5, 1, 4, sup.n), samples.reshape(5, 1, 4, sup.n, 2))
         rows = loss(ProbabilityMap(sup, Tensor(weights)), targets, noise)
         assert rows.shape == (5, 1)
         for r in range(5):
@@ -485,16 +531,15 @@ class TestBatchedMaps:
     def test_shapes_are_checked(self):
         sup = Support.regular_grid(6)
         pmap = ProbabilityMap(sup, Tensor(np.full((2, 6), 1.0 / 6.0)))
-        spec = MixtureSpec("triangular")
-        gumbels, uniforms = draw_noise_batch(NoiseSource(37), 6, 6, 1)
+        gumbels, samples = draws(37, 6, 6)
         with pytest.raises(ValueError, match="targets must be"):
             error_of_expectation_loss(pmap, np.array([1.0]))
         y = np.array([[1.0], [2.0]])
         with pytest.raises(ValueError, match="support"):
-            sampled_expected_error_loss(pmap, spec, y, gumbels.reshape(3, 2, 6), uniforms.reshape(3, 2, 6, 1), 1.0)
+            sampled_expected_error_loss(pmap, y, gumbels.reshape(3, 2, 6), samples.reshape(3, 2, 6, 1), 1.0)
         with pytest.raises(ValueError, match="at least one"):
-            sampled_expected_error_loss(pmap, spec, y, gumbels.reshape(2, 3, 6)[:, :0], uniforms[:0], 1.0)
-        loss = sampled_expected_error_loss(pmap, spec, y, gumbels.reshape(2, 3, 6), uniforms.reshape(2, 3, 6, 1), 1.0)
+            sampled_expected_error_loss(pmap, y, gumbels.reshape(2, 3, 6)[:, :0], samples[:0], 1.0)
+        loss = sampled_expected_error_loss(pmap, y, gumbels.reshape(2, 3, 6), samples.reshape(2, 3, 6, 1), 1.0)
         assert loss.shape == (2,)
 
 
