@@ -19,12 +19,14 @@ import sys
 import numpy as np
 
 from ..mixture import BASES
-from ..operators import ANNEALS, DISTANCES, SamplingConfig
+from ..operators import ANNEALS, DISTANCES, SamplingConfig, field_kinds
 from .metrics import calibration_report, pearson
 from .model import MLPModel
-from .suites import distcheck_suite, gradcheck_suite, variance_compare
+from .suites import (
+    GradCheckRow, ReferenceRow, RelaxedRow, VarianceCompareRow, distcheck_suite, gradcheck_suite, variance_compare
+)
 from .tasks import SPLITS, TASK_KINDS, SyntheticTask, task_support
-from .training import LOSSES, LR_SCHEDULES, RunConfig, evaluate, train
+from .training import LOSSES, LR_SCHEDULES, HistoryRow, RunConfig, TrainingDiverged, evaluate, train
 
 __all__ = ["main"]
 
@@ -56,6 +58,12 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def _columns(cls, rows) -> tuple[list[str], list[tuple]]:
+    """The header and rows of a table of dataclass `cls` rows: one column per
+    field, in field order."""
+    return [f.name for f in dataclasses.fields(cls)], [dataclasses.astuple(r) for r in rows]
 
 
 def format_table(header: list[str], rows: list[tuple]) -> str:
@@ -109,13 +117,16 @@ def _merge(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
 
 
 # Option name -> the dataclass field it sets.  Each option's default is that
-# field's default; --seed seeds both the task and the run.
+# field's default and its flag's type is that field's kind; --seed seeds both
+# the task and the run.
 _TASK_OPTIONS = {
+    "task": "kind",
     "task_size": "size",
     "task_noise": "noise",
     "train_count": "train_count",
     "val_count": "val_count",
     "test_count": "test_count",
+    "seed": "seed",
 }
 _SAMPLING_OPTIONS = {name: name for name in ("num_samples", "tau_start", "tau_end", "anneal", "distance")}
 _RUN_OPTIONS = {
@@ -130,52 +141,36 @@ _RUN_OPTIONS = {
     "hidden": "hidden_dim",
     "seed": "seed",
 }
-
-
-def _field_defaults(cls, options: dict) -> dict:
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    return {option: defaults[name] for option, name in options.items()}
-
-
-_OPTION_DEFAULTS = {
-    "task": "signal1d",
-    **_field_defaults(SyntheticTask, _TASK_OPTIONS),
-    **_field_defaults(SamplingConfig, _SAMPLING_OPTIONS),
-    **_field_defaults(RunConfig, _RUN_OPTIONS),
-    "out": "history.csv",
-    "model_out": None,
+_OPTION_TABLES = ((SyntheticTask, _TASK_OPTIONS), (SamplingConfig, _SAMPLING_OPTIONS), (RunConfig, _RUN_OPTIONS))
+_CHOICES = {
+    "task": TASK_KINDS,
+    "anneal": ANNEALS,
+    "distance": DISTANCES,
+    "loss": LOSSES,
+    "basis": BASES,
+    "lr_schedule": LR_SCHEDULES,
 }
 
 
-def _add_task_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat JSON config file; flags override its values")
-    p.add_argument("--task", choices=TASK_KINDS)
-    p.add_argument("--task-size", type=int)
-    p.add_argument("--task-noise", type=float)
-    p.add_argument("--train-count", type=int)
-    p.add_argument("--val-count", type=int)
-    p.add_argument("--test-count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+def _options(tables=_OPTION_TABLES) -> dict:
+    """Each option of `tables` -> (the default of the field it sets, that
+    field's first kind)."""
+    options = {}
+    for cls, table in tables:
+        defaults, kinds = {f.name: f.default for f in dataclasses.fields(cls)}, field_kinds(cls)
+        options.update({option: (defaults[name], kinds[name][0]) for option, name in table.items()})
+    return options
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _add_task_flags(p)
-    p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--basis", choices=BASES)
-    p.add_argument("--num-samples", type=int)
-    p.add_argument("--tau-start", type=float)
-    p.add_argument("--tau-end", type=float)
-    p.add_argument("--anneal", choices=ANNEALS)
-    p.add_argument("--distance", choices=DISTANCES)
-    p.add_argument("--sigma-t-sq", type=float)
-    p.add_argument("--reg-weight", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-schedule", choices=LR_SCHEDULES)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--model-out")
+def _option_defaults() -> dict:
+    defaults = {option: default for option, (default, _) in _options().items()}
+    # SyntheticTask.kind has no default: a saved model's task must name its kind.
+    return dict(defaults, task="signal1d", out="history.csv", model_out=None)
+
+
+def _add_option_flags(p: argparse.ArgumentParser, tables) -> None:
+    for option, (_, kind) in _options(tables).items():
+        p.add_argument("--" + option.replace("_", "-"), type=kind, choices=_CHOICES.get(option))
 
 
 def _pick(opts: dict, options: dict) -> dict:
@@ -183,7 +178,7 @@ def _pick(opts: dict, options: dict) -> dict:
 
 
 def _task_from(opts: dict) -> SyntheticTask:
-    return SyntheticTask(kind=opts["task"], seed=opts["seed"], **_pick(opts, _TASK_OPTIONS))
+    return SyntheticTask(**_pick(opts, _TASK_OPTIONS))
 
 
 def _run_config_from(opts: dict) -> RunConfig:
@@ -207,12 +202,15 @@ def _checked(build, opts: dict):
 
 
 def _cmd_train(args) -> int:
-    opts = _merge(args, _load_config(args.config), _OPTION_DEFAULTS)
+    opts = _merge(args, _load_config(args.config), _option_defaults())
     config = _checked(_run_config_from, opts)
-    model, history = train(config)
-    rows = [(h.epoch, h.loss, h.val_mean_err, h.tau) for h in history]
-    write_csv(opts["out"], ["epoch", "loss", "val_mean_err", "tau"], rows)
-    print(format_table(["epoch", "loss", "val_mean_err", "tau"], rows[-5:]))
+    try:
+        model, history = train(config)
+    except TrainingDiverged as exc:
+        raise SystemExit(f"training {exc}") from None
+    header, rows = _columns(HistoryRow, history)
+    write_csv(opts["out"], header, rows)
+    print(format_table(header, rows[-5:]))
     print(f"history written to {opts['out']}")
     if opts["model_out"]:
         _ensure_parent(opts["model_out"])
@@ -231,8 +229,9 @@ def _cmd_eval(args) -> int:
         raise SystemExit(f"--model {args.model}: {exc}") from None
     # The task options default to the task the model was trained on.
     saved = {option: getattr(trained_on, name) for option, name in _TASK_OPTIONS.items()}
-    saved.update(task=trained_on.kind, seed=trained_on.seed)
-    opts = _merge(args, config, dict(_OPTION_DEFAULTS, **saved, split="test", out="eval.csv"))
+    opts = _merge(args, config, dict(_option_defaults(), **saved, split="test"))
+    # A config's out and model_out name train's files, so eval never writes over them.
+    out = args.out or "eval.csv"
     task = _checked(_task_from, opts)
     # Observations and support points are the same count for every task.
     n = task_support(task).n
@@ -253,7 +252,7 @@ def _cmd_eval(args) -> int:
         (r.index, *r.pred.tolist(), *r.target.tolist(), r.peak, r.error)
         for r in records
     ]
-    write_csv(opts["out"], header, rows)
+    write_csv(out, header, rows)
     cal = calibration_report(records)
     print(
         format_table(
@@ -262,7 +261,7 @@ def _cmd_eval(args) -> int:
               summary.within_one_cell, "undefined" if cal.r is None else cal.r)],
         )
     )
-    print(f"records written to {opts['out']}")
+    print(f"records written to {out}")
     return 0
 
 
@@ -305,14 +304,13 @@ def _given(**options) -> dict:
 
 def _cmd_gradcheck(args) -> int:
     report = gradcheck_suite(**_given(seeds=args.seeds))
-    header = ["loss", "basis", "ndim", "seed", "max_rel_error", "passed"]
-    rows = [(r.loss, r.basis, r.ndim, r.seed, r.max_rel_error, r.passed) for r in report.rows]
+    header, rows = _columns(GradCheckRow, report.rows)
     if args.out:
         write_csv(args.out, header, rows)
         print(f"rows written to {args.out}")
-    failing = [r for r in rows if not r[5]]
-    show = failing[:10] if failing else sorted(rows, key=lambda r: -r[4])[:5]
-    print(format_table(header, show))
+    failing = [r for r in report.rows if not r.passed][:10]
+    show = failing or sorted(report.rows, key=lambda r: -r.max_rel_error)[:5]
+    print(format_table(header, _columns(GradCheckRow, show)[1]))
     print(f"{len(rows)} checks, worst rel error {report.worst!r}")
     print("gradcheck: PASS" if report.passed else "gradcheck: FAIL")
     return 0 if report.passed else 1
@@ -320,16 +318,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_distcheck(args) -> int:
     report = distcheck_suite(**_given(num_maps=args.maps, draws=args.draws, seed=args.seed))
-    ref_header = ["map", "basis", "ks", "ks_crit", "ks_passed", "mean_gap", "var_gap"]
-    ref_rows = [
-        (r.map_index, r.basis, r.ks, r.ks_crit, r.ks_passed, r.mean_gap, r.var_gap)
-        for r in report.reference
-    ]
-    rel_header = ["map", "basis", "freq_gap", "freq_passed", "ks_sharp", "ks_smooth", "ordered"]
-    rel_rows = [
-        (r.map_index, r.basis, r.freq_gap, r.freq_passed, r.ks_sharp, r.ks_smooth, r.ordered)
-        for r in report.relaxed
-    ]
+    ref_header, ref_rows = _columns(ReferenceRow, report.reference)
+    rel_header, rel_rows = _columns(RelaxedRow, report.relaxed)
     if args.out:
         write_csv(args.out, ref_header, ref_rows)
         rel_path = os.path.splitext(args.out)[0] + "_relaxed.csv"
@@ -344,11 +334,7 @@ def _cmd_distcheck(args) -> int:
 
 def _cmd_varcompare(args) -> int:
     report = variance_compare(**_given(num_seeds=args.seeds, draws=args.draws, tau=args.tau))
-    header = ["seed", "trace_score", "trace_reparam", "coord_greater_frac", "trace_ordered"]
-    rows = [
-        (r.seed, r.trace_score, r.trace_reparam, r.coord_greater_frac, r.trace_ordered)
-        for r in report.rows
-    ]
+    header, rows = _columns(VarianceCompareRow, report.rows)
     if args.out:
         write_csv(args.out, header, rows)
         print(f"rows written to {args.out}")
@@ -373,6 +359,19 @@ def _positive(kind, least=None):
     return parse
 
 
+def _at_least(kind, least):
+    """argparse type for a number of at least `least`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="diffloc",
@@ -381,10 +380,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model and write its history CSV")
-    _add_train_flags(p_train)
-
     p_eval = sub.add_parser("eval", help="evaluate a saved model on one split")
-    _add_task_flags(p_eval)
+    for p in (p_train, p_eval):
+        p.add_argument("--config", help="flat JSON config file; flags override its values")
+        p.add_argument("--out")
+    _add_option_flags(p_train, _OPTION_TABLES)
+    p_train.add_argument("--model-out")
+    _add_option_flags(p_eval, _OPTION_TABLES[:1])
     p_eval.add_argument("--model", required=True, help="model .npz written by train --model-out")
     p_eval.add_argument("--split", choices=SPLITS)
 
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     p_dc = sub.add_parser("distcheck", help="sampler distribution checks")
     p_dc.add_argument("--maps", type=_positive(int))
     p_dc.add_argument("--draws", type=_positive(int))
-    p_dc.add_argument("--seed", type=int)
+    p_dc.add_argument("--seed", type=_at_least(int, 0))
     p_dc.add_argument("--out")
 
     p_vc = sub.add_parser("varcompare", help="score-function vs pathwise gradient variance")

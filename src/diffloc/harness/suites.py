@@ -32,7 +32,7 @@ from ..mixture import (
     mixture_moments,
     reference_sample_batch,
 )
-from ..operators import DISTANCES, gumbel_scores, gumbel_softmax_values
+from ..operators import DISTANCES, _is_kind, gumbel_scores, gumbel_softmax_values
 from .training import LOSS_KINDS, make_loss, row_maps
 
 __all__ = [
@@ -53,7 +53,7 @@ def _require_counts(least: int = 1, **counts: int) -> None:
     """Each count must be an int (a bool is not one) of at least `least`: a
     suite over no rows would pass vacuously."""
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_kind(value, int):
             raise TypeError(f"{name} must be an int, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -195,7 +195,7 @@ def _loss_closure(loss_name, support, noise, y_ts, distance, tau, sigma_t_sq, x0
 
 @dataclass(frozen=True, slots=True)
 class ReferenceRow:
-    map_index: int
+    map: int
     basis: str
     ks: float
     ks_crit: float
@@ -206,7 +206,7 @@ class ReferenceRow:
 
 @dataclass(frozen=True, slots=True)
 class RelaxedRow:
-    map_index: int
+    map: int
     basis: str
     freq_gap: float
     freq_passed: bool
@@ -254,6 +254,7 @@ def distcheck_suite(
     and moment checks take whole grow with `draws`.
     """
     _require_counts(num_maps=num_maps, draws=draws)
+    _require_counts(0, seed=seed)
     if not freq_tol > 0.0:
         raise ValueError(f"freq_tol must be positive, got {freq_tol}")
     if not 0.0 < tau_sharp < tau_smooth:

@@ -55,9 +55,7 @@ class SyntheticTask:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(
-            self, kind=str, size=(int, None), noise=float, train_count=int, val_count=int, test_count=int, seed=int
-        )
+        check_field_types(self)
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind: {self.kind!r}")
         if self.size is None:
@@ -66,9 +64,9 @@ class SyntheticTask:
             raise ValueError("task size must be at least 8")
         if self.noise < 0:
             raise ValueError("noise level must be non-negative")
-        for name in ("train_count", "val_count", "test_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("train_count", 1), ("val_count", 1), ("test_count", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 def split_count(task: SyntheticTask, split: str) -> int:

@@ -91,21 +91,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(
-            self,
-            task=SyntheticTask,
-            loss=str,
-            basis=str,
-            sampling=SamplingConfig,
-            sigma_t_sq=float,
-            reg_weight=(float, None),
-            lr=float,
-            lr_schedule=str,
-            epochs=int,
-            batch_size=int,
-            hidden_dim=int,
-            seed=int,
-        )
+        check_field_types(self)
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss: {self.loss!r}")
         if self.lr_schedule not in LR_SCHEDULES:
@@ -114,6 +100,8 @@ class RunConfig:
             raise ValueError("lr, epochs, batch_size and hidden_dim must be positive")
         if self.sigma_t_sq <= 0:
             raise ValueError("sigma_t_sq must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         _resolve(self.loss, self.reg_weight)
 
     @property

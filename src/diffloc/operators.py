@@ -22,8 +22,10 @@ operator here reads a mixture spec.
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "DISTANCES",
     "ANNEALS",
     "SamplingConfig",
+    "field_kinds",
     "check_field_types",
     "soft_argmax",
     "error_of_expectation_loss",
@@ -66,7 +69,7 @@ class SamplingConfig:
     distance: str = "l1"
 
     def __post_init__(self):
-        check_field_types(self, num_samples=int, tau_start=float, tau_end=float, anneal=str, distance=str)
+        check_field_types(self)
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
         if not (0.0 < self.tau_end <= self.tau_start):
@@ -77,12 +80,10 @@ class SamplingConfig:
             raise ValueError(f"unknown distance: {self.distance!r}")
 
 
-_KIND_NAMES = {int: "an int", float: "a number", str: "a string", None: "None"}
+_KIND_NAMES = {int: "an int", float: "a number", str: "a string", type(None): "None"}
 
 
 def _is_kind(value, kind) -> bool:
-    if kind is None:
-        return value is None
     if kind in (int, float) and isinstance(value, (bool, np.bool_)):
         return False
     if kind is int:
@@ -92,16 +93,23 @@ def _is_kind(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def check_field_types(config, **kinds) -> None:
-    """Raise TypeError naming the first field of `config` whose value is not
-    of its kind: int (a bool is not one), float (an int is one), str, a class,
-    or a tuple of these where None stands for an optional field.  A float
-    field must also be finite, or ValueError names it."""
-    for name, kind in kinds.items():
+@functools.cache
+def field_kinds(cls) -> dict[str, tuple[type, ...]]:
+    """Each field of dataclass `cls` -> the kinds its annotation allows:
+    `int | None` gives (int, NoneType) and `float` gives (float,)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: typing.get_args(hints[f.name]) or (hints[f.name],) for f in fields(cls)}
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError naming the first field of dataclass `config` whose
+    value is not of a kind its annotation allows: int (a bool is not one),
+    float (an int is one), str, a class, or None in an optional field.  A
+    float field must also be finite, or ValueError names it."""
+    for name, kinds in field_kinds(type(config)).items():
         value = getattr(config, name)
-        options = kind if isinstance(kind, tuple) else (kind,)
-        if not any(_is_kind(value, option) for option in options):
-            expected = " or ".join(_KIND_NAMES.get(option) or f"a {option.__name__}" for option in options)
+        if not any(_is_kind(value, kind) for kind in kinds):
+            expected = " or ".join(_KIND_NAMES.get(kind) or f"a {kind.__name__}" for kind in kinds)
             raise TypeError(f"{name} must be {expected}, got {value!r}")
         if isinstance(value, (float, np.floating)) and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

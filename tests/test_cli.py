@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, CSV outputs, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -37,6 +38,61 @@ def run_train(tmp_path, name, extra=()):
     code = main(["train", *FAST, "--seed", "3", "--out", str(out), *extra])
     assert code == 0
     return out.read_bytes()
+
+
+# Each flag of train and eval -> (its type, its choices).  argparse passes
+# the text of a flag with no type through, as str does.
+TASK_FLAGS = {
+    "--config": (str, None),
+    "--out": (str, None),
+    "--task": (str, ("signal1d", "heat2d", "scatter3d")),
+    "--task-size": (int, None),
+    "--task-noise": (float, None),
+    "--train-count": (int, None),
+    "--val-count": (int, None),
+    "--test-count": (int, None),
+    "--seed": (int, None),
+}
+TRAIN_FLAGS = {
+    **TASK_FLAGS,
+    "--loss": (str, ("soft", "discrete", "samp", "soft-vr", "soft-dr")),
+    "--basis": (str, ("uniform", "triangular", "gaussian")),
+    "--num-samples": (int, None),
+    "--tau-start": (float, None),
+    "--tau-end": (float, None),
+    "--anneal": (str, ("exponential", "linear")),
+    "--distance": (str, ("l1", "l2-squared")),
+    "--sigma-t-sq": (float, None),
+    "--reg-weight": (float, None),
+    "--epochs": (int, None),
+    "--batch": (int, None),
+    "--lr": (float, None),
+    "--lr-schedule": (str, ("constant", "cosine")),
+    "--hidden": (int, None),
+    "--model-out": (str, None),
+}
+EVAL_FLAGS = {**TASK_FLAGS, "--model": (str, None), "--split": (str, ("train", "val", "test"))}
+
+
+@pytest.mark.parametrize("command, flags", [("train", TRAIN_FLAGS), ("eval", EVAL_FLAGS)], ids=["train", "eval"])
+def test_flags_are_pinned(monkeypatch, command, flags):
+    built = []
+
+    def capture(parser, args=None, namespace=None):
+        built.append(parser)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        main([command])
+    (subcommands,) = [a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        option: (action.type or str, tuple(action.choices) if action.choices else None)
+        for action in subcommands.choices[command]._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    assert found == flags
 
 
 class TestTrain:
@@ -90,6 +146,13 @@ class TestTrain:
         with pytest.raises(SystemExit, match="flat JSON object"):
             main(["train", "--config", str(config)])
 
+    def test_divergence_ends_in_one_line(self, tmp_path):
+        out = tmp_path / "history.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["train", *FAST, "--lr", "1e200", "--out", str(out)])
+        assert exited.value.code == "training diverged at epoch 0: non-finite value in output of 'matrix-multiply'"
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_flags_use_dataclass_defaults(self, tmp_path, monkeypatch):
         seen = []
 
@@ -142,6 +205,16 @@ class TestEvalAndCalibrate:
         assert main(["eval", "--model", str(model), "--config", str(config), "--test-count", "4",
                      "--out", str(out)]) == 0
         assert seen == [task, dataclasses.replace(task, noise=0.75, test_count=4, seed=7)]
+
+    def test_eval_keeps_the_training_files_of_a_shared_config(self, tmp_path, monkeypatch):
+        # A config's out and model_out are train's; eval writes --out or eval.csv.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"out": "runs/history.csv", "model_out": "runs/m.npz"}))
+        assert main(["train", *FAST, "--config", "run.json"]) == 0
+        history = (tmp_path / "runs" / "history.csv").read_bytes()
+        assert main(["eval", "--config", "run.json", "--model", "runs/m.npz"]) == 0
+        assert (tmp_path / "runs" / "history.csv").read_bytes() == history
+        assert (tmp_path / "eval.csv").read_text().startswith("idx,pred_0,gt_0,peak,err\n")
 
     def test_eval_split_override(self, tmp_path, trained_model):
         out = tmp_path / "eval_val.csv"
@@ -353,10 +426,13 @@ class TestOptionValues:
             (["train", "--loss", "soft-dr", "--reg-weight", "-0.5"], "reg_weight must be non-negative, got -0.5"),
             (["train", "--loss", "soft", "--reg-weight", "0.5"],
              "loss 'soft' has no regularizer, so reg_weight must be unset, got 0.5"),
+            (["train", "--seed", "-1"], "seed must be at least 0, got -1"),
+            (["eval", "--model", "m.npz", "--seed", "-1"], "seed must be at least 0, got -1"),
         ],
         ids=["noise", "num-samples", "lr", "config-epochs-string", "train-count", "val-count",
              "negative-train-count", "eval-test-count", "nan-lr", "inf-tau-start", "nan-sigma-t-sq",
-             "nan-noise", "eval-inf-noise", "inf-reg-weight", "negative-reg-weight", "reg-weight-without-regularizer"],
+             "nan-noise", "eval-inf-noise", "inf-reg-weight", "negative-reg-weight", "reg-weight-without-regularizer",
+             "negative-seed", "eval-negative-seed"],
     )
     def test_rejected_value_ends_in_one_line(self, tmp_path, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -426,6 +502,7 @@ class TestSuiteCommands:
             ["varcompare", "--tau", "nan"],
             ["varcompare", "--tau", "inf"],
             ["varcompare", "--seeds", "two"],
+            ["distcheck", "--seed", "-1"],
         ],
     )
     def test_non_positive_sizes_are_parser_errors(self, argv, monkeypatch, capsys):

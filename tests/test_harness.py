@@ -105,6 +105,8 @@ class TestTasks:
         for name, value in (("train_count", 0), ("val_count", 0), ("test_count", -3)):
             with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
                 SyntheticTask(kind="signal1d", **{name: value})
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            SyntheticTask(kind="signal1d", seed=-1)
 
     def test_default_sizes_and_supports(self):
         assert SyntheticTask(kind="signal1d").size == 32
@@ -265,6 +267,8 @@ class TestTraining:
             RunConfig(task=task, lr=0.0)
         with pytest.raises(ValueError, match="sigma_t_sq"):
             RunConfig(task=task, sigma_t_sq=-1.0)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            RunConfig(task=task, seed=-1)
         with pytest.raises(TypeError, match="task must be a SyntheticTask, got 'signal1d'"):
             RunConfig(task="signal1d")
         with pytest.raises(TypeError, match="sampling must be a SamplingConfig, got None"):
@@ -797,6 +801,7 @@ class TestDistcheckSuite:
             ({"tau_sharp": 0.0}, "tau_sharp < tau_smooth"),
             ({"tau_sharp": 1.0}, "tau_sharp < tau_smooth"),
             ({"tau_sharp": 2.0, "tau_smooth": 1.0}, "tau_sharp < tau_smooth"),
+            ({"seed": -1}, "seed must be at least 0, got -1"),
         ],
     )
     def test_bad_settings_are_rejected_before_drawing(self, monkeypatch, setting, message):
@@ -808,6 +813,15 @@ class TestDistcheckSuite:
         monkeypatch.setattr(suites, "NoiseSource", no_noise)
         with pytest.raises(ValueError, match=message):
             distcheck_suite(num_maps=1, draws=2_000, **setting)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_seed_of_the_wrong_type_is_rejected_before_drawing(self, monkeypatch, seed):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise was drawn before the seed was checked")
+
+        monkeypatch.setattr(suites, "NoiseSource", no_noise)
+        with pytest.raises(TypeError, match=f"seed must be an int, got {seed!r}"):
+            distcheck_suite(num_maps=1, draws=2_000, seed=seed)
 
     def test_memory_is_bounded_by_the_block_size(self):
         # Built whole, one map's (draws, n) temporaries peaked at 114.5 MiB.
