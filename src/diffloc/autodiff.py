@@ -36,7 +36,6 @@ __all__ = [
     "grad_check",
     "grad_check_rows",
     "GradCheckResult",
-    "register_op",
     "registered_ops",
     "as_tensor",
     "no_grad",
@@ -44,20 +43,14 @@ __all__ = [
     "subtract",
     "multiply",
     "divide",
-    "negate",
-    "exponent",
     "logarithm",
-    "power",
     "sum_over_axis",
-    "mean_over_axis",
     "matrix_multiply",
     "relu",
     "softmax_over_axis",
     "absolute_value",
     "square",
-    "concatenate",
     "index_select",
-    "broadcast",
     "softmax_values",
 ]
 
@@ -172,16 +165,9 @@ def as_tensor(x) -> Tensor:
 
 # An op builder takes (arrays, params) and returns (out_values, backward_fn)
 # where backward_fn maps the output gradient to one gradient (or None) per
-# input, already reduced to the input's shape.
+# input, already reduced to the input's shape.  _REGISTRY, below the
+# builders, maps each op kind to its builder.
 OpBuilder = Callable[[list[np.ndarray], dict], tuple[np.ndarray, Callable]]
-
-_REGISTRY: dict[str, OpBuilder] = {}
-
-
-def register_op(kind: str, build: OpBuilder) -> None:
-    if kind in _REGISTRY:
-        raise ValueError(f"op kind already registered: {kind!r}")
-    _REGISTRY[kind] = build
 
 
 def registered_ops() -> tuple[str, ...]:
@@ -522,27 +508,26 @@ def _build_broadcast(arrays, params):
     return out, lambda g: (_reduce_to(g, a.shape),)
 
 
-for _kind, _build in [
-    ("add", _build_add),
-    ("subtract", _build_subtract),
-    ("multiply", _build_multiply),
-    ("divide", _build_divide),
-    ("negate", _build_negate),
-    ("exponent", _build_exponent),
-    ("logarithm", _build_logarithm),
-    ("power", _build_power),
-    ("sum-over-axis", _build_sum_over_axis),
-    ("mean-over-axis", _build_mean_over_axis),
-    ("matrix-multiply", _build_matrix_multiply),
-    ("relu", _build_relu),
-    ("softmax-over-axis", _build_softmax_over_axis),
-    ("absolute-value", _build_absolute_value),
-    ("square", _build_square),
-    ("concatenate", _build_concatenate),
-    ("index-select", _build_index_select),
-    ("broadcast", _build_broadcast),
-]:
-    register_op(_kind, _build)
+_REGISTRY: dict[str, OpBuilder] = {
+    "add": _build_add,
+    "subtract": _build_subtract,
+    "multiply": _build_multiply,
+    "divide": _build_divide,
+    "negate": _build_negate,
+    "exponent": _build_exponent,
+    "logarithm": _build_logarithm,
+    "power": _build_power,
+    "sum-over-axis": _build_sum_over_axis,
+    "mean-over-axis": _build_mean_over_axis,
+    "matrix-multiply": _build_matrix_multiply,
+    "relu": _build_relu,
+    "softmax-over-axis": _build_softmax_over_axis,
+    "absolute-value": _build_absolute_value,
+    "square": _build_square,
+    "concatenate": _build_concatenate,
+    "index-select": _build_index_select,
+    "broadcast": _build_broadcast,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -565,28 +550,12 @@ def divide(a, b) -> Tensor:
     return forward_op("divide", [a, b])
 
 
-def negate(a) -> Tensor:
-    return forward_op("negate", [a])
-
-
-def exponent(a) -> Tensor:
-    return forward_op("exponent", [a])
-
-
 def logarithm(a) -> Tensor:
     return forward_op("logarithm", [a])
 
 
-def power(a, exponent_value: float) -> Tensor:
-    return forward_op("power", [a], exponent=exponent_value)
-
-
 def sum_over_axis(a, axis: int | None = None) -> Tensor:
     return forward_op("sum-over-axis", [a], axis=axis)
-
-
-def mean_over_axis(a, axis: int | None = None) -> Tensor:
-    return forward_op("mean-over-axis", [a], axis=axis)
 
 
 def matrix_multiply(a, b) -> Tensor:
@@ -609,16 +578,8 @@ def square(a) -> Tensor:
     return forward_op("square", [a])
 
 
-def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
-    return forward_op("concatenate", list(tensors), axis=axis)
-
-
 def index_select(a, index, axis: int = 0) -> Tensor:
     return forward_op("index-select", [a], index=index, axis=axis)
-
-
-def broadcast(a, shape: Sequence[int]) -> Tensor:
-    return forward_op("broadcast", [a], shape=tuple(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,10 @@ def _unreadable(what: str, path: str, exc: OSError) -> SystemExit:
     return SystemExit(f"{what} {path}: {exc.strerror or exc}")
 
 
+def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> SystemExit:
+    return SystemExit(f"{what} {path} is not UTF-8 text: {exc.reason}")
+
+
 def _load_config(path: str | None) -> dict:
     """The JSON object in the --config file; anything else exits with one line."""
     if path is None:
@@ -93,6 +97,8 @@ def _load_config(path: str | None) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise _unreadable("--config", path, exc) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("--config", path, exc) from None
     except json.JSONDecodeError as exc:
         raise SystemExit(
             f"--config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -165,7 +171,8 @@ def _options(tables=_OPTION_TABLES) -> dict:
 def _option_defaults() -> dict:
     defaults = {option: default for option, (default, _) in _options().items()}
     # SyntheticTask.kind has no default: a saved model's task must name its kind.
-    return dict(defaults, task="signal1d", out="history.csv", model_out=None)
+    # split is eval's; train accepts it, so one config file serves both.
+    return dict(defaults, task="signal1d", out="history.csv", model_out=None, split="test")
 
 
 def _add_option_flags(p: argparse.ArgumentParser, tables) -> None:
@@ -229,10 +236,12 @@ def _cmd_eval(args) -> int:
         raise SystemExit(f"--model {args.model}: {exc}") from None
     # The task options default to the task the model was trained on.
     saved = {option: getattr(trained_on, name) for option, name in _TASK_OPTIONS.items()}
-    opts = _merge(args, config, dict(_option_defaults(), **saved, split="test"))
+    opts = _merge(args, config, dict(_option_defaults(), **saved))
     # A config's out and model_out name train's files, so eval never writes over them.
     out = args.out or "eval.csv"
     task = _checked(_task_from, opts)
+    if opts["split"] not in SPLITS:  # a config value skips --split's choices
+        raise SystemExit(f"invalid option value: unknown split: {opts['split']!r}")
     # Observations and support points are the same count for every task.
     n = task_support(task).n
     if (model.in_dim, model.out_dim) != (n, n):
@@ -270,22 +279,25 @@ def _cmd_calibrate(args) -> int:
         fh = open(args.records, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise _unreadable("--records", args.records, exc) from None
-    with fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("peak", "err") if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SystemExit(f"{args.records} has no {' or '.join(missing)} column")
-        peaks, errors = [], []
-        for row in reader:
-            for column, values in (("peak", peaks), ("err", errors)):
-                try:
-                    values.append(float(row[column]))
-                except (TypeError, ValueError):
-                    values.append(np.nan)
-                if not np.isfinite(values[-1]):
-                    raise SystemExit(
-                        f"{args.records} line {reader.line_num}: {column} {row[column]!r} is not a finite number"
-                    )
+    try:
+        with fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("peak", "err") if c not in (reader.fieldnames or ())]
+            if missing:
+                raise SystemExit(f"{args.records} has no {' or '.join(missing)} column")
+            peaks, errors = [], []
+            for row in reader:
+                for column, values in (("peak", peaks), ("err", errors)):
+                    try:
+                        values.append(float(row[column]))
+                    except (TypeError, ValueError):
+                        values.append(np.nan)
+                    if not np.isfinite(values[-1]):
+                        raise SystemExit(
+                            f"{args.records} line {reader.line_num}: {column} {row[column]!r} is not a finite number"
+                        )
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("--records", args.records, exc) from None
     if len(peaks) < 2:
         raise SystemExit("need at least two records to correlate")
     r = pearson(peaks, [-e for e in errors])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -68,34 +69,39 @@ class MLPModel:
             if not zipfile.is_zipfile(fh):
                 raise ValueError("not an .npz archive")
             fh.seek(0)
-            with np.load(fh) as data:
-                if "meta" not in data.files:
-                    raise ValueError("no meta entry")
-                try:
-                    meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-                except ValueError:
-                    meta = None
-                if not isinstance(meta, dict):
-                    raise ValueError("meta is not a JSON object")
-                missing = [key for key in ("in_dim", "hidden_dim", "out_dim") if key not in meta]
-                if missing:
-                    raise ValueError(f"meta lacks {', '.join(missing)}")
-                if "task" not in meta:
-                    raise ValueError("meta holds no task; the model predates saving it, so retrain it")
-                try:
-                    task = SyntheticTask(**meta["task"])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"meta's task is not valid: {exc}") from None
-                i, h, o = meta["in_dim"], meta["hidden_dim"], meta["out_dim"]
-                weights = {}
-                for name, shape in {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}.items():
-                    if name not in data.files:
-                        raise ValueError(f"no {name} entry")
-                    weights[name] = values = data[name]
-                    if values.shape != shape:
-                        raise ValueError(f"{name} has shape {values.shape}, but meta says {shape}")
-                    if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
-                        raise ValueError(f"{name} holds values that are not finite numbers")
+            try:
+                with np.load(fh) as data:
+                    if "meta" not in data.files:
+                        raise ValueError("no meta entry")
+                    try:
+                        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+                    except ValueError:
+                        meta = None
+                    if not isinstance(meta, dict):
+                        raise ValueError("meta is not a JSON object")
+                    missing = [key for key in ("in_dim", "hidden_dim", "out_dim") if key not in meta]
+                    if missing:
+                        raise ValueError(f"meta lacks {', '.join(missing)}")
+                    if "task" not in meta:
+                        raise ValueError("meta holds no task; the model predates saving it, so retrain it")
+                    try:
+                        task = SyntheticTask(**meta["task"])
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"meta's task is not valid: {exc}") from None
+                    i, h, o = meta["in_dim"], meta["hidden_dim"], meta["out_dim"]
+                    weights = {}
+                    for name, shape in {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}.items():
+                        if name not in data.files:
+                            raise ValueError(f"no {name} entry")
+                        weights[name] = values = data[name]
+                        if values.shape != shape:
+                            raise ValueError(f"{name} has shape {values.shape}, but meta says {shape}")
+                        if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
+                            raise ValueError(f"{name} holds values that are not finite numbers")
+            except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError) as exc:
+                # A member that fails its CRC check, will not inflate, ends
+                # early, or whose header names a method zipfile lacks.
+                raise ValueError(f"damaged archive: {str(exc) or 'a member ends early'}") from None
         model = cls(i, h, o, _init=False)
         for name, values in weights.items():
             setattr(model, name, Tensor(values, requires_grad=True))

@@ -48,6 +48,18 @@ __all__ = [
     "variance_compare",
 ]
 
+# The one setting at which the suites check the differentiable path.  A
+# suite's parameters are what its command sets, plus gradcheck's step and
+# tol, which the acceptance test sets.
+GRADCHECK_NUM_SAMPLES = 3
+GRADCHECK_TAU = 0.7
+GRADCHECK_SIGMA_T_SQ = 4.0
+MAP_POINTS = 16  # the 1-D grid of distcheck's and varcompare's random maps
+DISTCHECK_ALPHA = 0.01
+DISTCHECK_FREQ_TOL = 0.01
+DISTCHECK_TAUS = (0.05, 1.0)  # sharp, smooth
+VARCOMPARE_BASIS = "triangular"
+
 
 def _require_counts(least: int = 1, **counts: int) -> None:
     """Each count must be an int (a bool is not one) of at least `least`: a
@@ -57,13 +69,6 @@ def _require_counts(least: int = 1, **counts: int) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
-def _require_scales(**scales: float) -> None:
-    """Each scale must be positive and finite."""
-    for name, value in scales.items():
-        if not 0.0 < value < float("inf"):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +98,7 @@ class GradCheckReport:
         return max(r.max_rel_error for r in self.rows)
 
 
-def gradcheck_suite(
-    seeds: int = 20,
-    step: float = 1e-5,
-    tol: float = 1e-4,
-    num_samples: int = 3,
-    tau: float = 0.7,
-    sigma_t_sq: float = 4.0,
-) -> GradCheckReport:
+def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Check analytic gradients of every loss family against central finite
     differences, across bases, 1-D and 2-D supports, and `seeds` randomized
     logits per combination.
@@ -110,19 +108,18 @@ def gradcheck_suite(
     l2-squared.  Each grad_check_rows call takes one support, family and
     distance, and the points of every basis.  A point's logits and target
     are seeded by its (support, basis, family, seed) alone, and its frozen
-    noise, num_samples gumbels and basis samples, by its (support, basis), so
-    its row does not depend on how points are grouped.  The distribution
-    regularizer's center is pinned at each point's unperturbed weights,
-    matching the gradient it actually computes.  Bad arguments are rejected
-    before any check runs.
+    noise, GRADCHECK_NUM_SAMPLES gumbels and basis samples, by its (support,
+    basis), so its row does not depend on how points are grouped.  The
+    distribution regularizer's center is pinned at each point's unperturbed
+    weights, matching the gradient it actually computes.  Bad arguments are
+    rejected before any check runs.
     """
-    _require_counts(seeds=seeds, num_samples=num_samples)
-    _require_scales(tau=tau, sigma_t_sq=sigma_t_sq)
+    _require_counts(seeds=seeds)
     supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
     checked: dict[tuple[int, int, int, int], tuple[float, bool]] = {}
     for ndim, support in supports.items():
         span = support.positions.max() - 1.0
-        frozen = [_frozen_noise(support, b, num_samples) for b in range(len(BASES))]
+        frozen = [_frozen_noise(support, b) for b in range(len(BASES))]
         cells = itertools.product(enumerate(LOSS_KINDS), enumerate(DISTANCES))
         for (loss_idx, loss_name), (parity, distance) in cells:
             points = [(b, seed) for b in range(len(BASES)) for seed in range(parity, seeds, len(DISTANCES))]
@@ -134,7 +131,7 @@ def gradcheck_suite(
             x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
             y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
             noise = tuple(np.stack([frozen[b][k] for b, _ in points]) for k in range(2))
-            f = _loss_closure(loss_name, support, noise, y_ts, distance, tau, sigma_t_sq, x0s)
+            f = _loss_closure(loss_name, support, noise, y_ts, distance, x0s)
             for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
                 checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
     rows = tuple(
@@ -147,15 +144,15 @@ def gradcheck_suite(
     return GradCheckReport(rows, tol)
 
 
-def _frozen_noise(support: Support, basis_idx: int, num_samples: int) -> tuple[np.ndarray, np.ndarray]:
+def _frozen_noise(support: Support, basis_idx: int) -> tuple[np.ndarray, np.ndarray]:
     """The (S, n) gumbels and (S, n, ndim) basis samples that gradcheck
     freezes for every point on `support` under basis BASES[basis_idx]."""
     source = NoiseSource([8741, support.ndim, basis_idx])
-    gumbels, uniforms = draw_noise_batch(source, num_samples, support.n, support.ndim)
+    gumbels, uniforms = draw_noise_batch(source, GRADCHECK_NUM_SAMPLES, support.n, support.ndim)
     return gumbels, basis_sample_all(MixtureSpec(BASES[basis_idx]), support, uniforms)
 
 
-def _loss_closure(loss_name, support, noise, y_ts, distance, tau, sigma_t_sq, x0s):
+def _loss_closure(loss_name, support, noise, y_ts, distance, x0s):
     """f(x) for grad_check_rows: loss `loss_name` (any name make_loss takes)
     of softmax(x) at the R points x0s (R, n) with targets y_ts (R, ndim) and
     frozen noise, (R, S, n) gumbels and (R, S, n, ndim) basis samples.
@@ -178,13 +175,13 @@ def _loss_closure(loss_name, support, noise, y_ts, distance, tau, sigma_t_sq, x0
         loss_name,
         lambda pmap: tuple(per_point(pmap, a) for a in noise),
         distance,
-        sigma_t_sq,
+        GRADCHECK_SIGMA_T_SQ,
         center=lambda pmap: per_point(pmap, centres),
     )
 
     def f(x: Tensor) -> Tensor:
         pmap = row_maps(support, x) if x.ndim == 2 else ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
-        return loss_fn(pmap, per_point(pmap, y_ts), tau)
+        return loss_fn(pmap, per_point(pmap, y_ts), GRADCHECK_TAU)
 
     return f
 
@@ -231,16 +228,7 @@ class DistCheckReport:
         )
 
 
-def distcheck_suite(
-    num_maps: int = 20,
-    draws: int = 100_000,
-    n: int = 16,
-    seed: int = 20260814,
-    tau_sharp: float = 0.05,
-    tau_smooth: float = 1.0,
-    alpha: float = 0.01,
-    freq_tol: float = 0.01,
-) -> DistCheckReport:
+def distcheck_suite(num_maps: int = 20, draws: int = 100_000, seed: int = 20260814) -> DistCheckReport:
     """Compare samplers against closed-form facts on random 1-D maps.
 
     Per map and basis: a KS test of the reference sampler against the exact
@@ -255,13 +243,9 @@ def distcheck_suite(
     """
     _require_counts(num_maps=num_maps, draws=draws)
     _require_counts(0, seed=seed)
-    if not freq_tol > 0.0:
-        raise ValueError(f"freq_tol must be positive, got {freq_tol}")
-    if not 0.0 < tau_sharp < tau_smooth:
-        raise ValueError(f"need 0 < tau_sharp < tau_smooth, got {tau_sharp} and {tau_smooth}")
+    n = MAP_POINTS
     support = Support.regular_grid(n)
-    crit = ks_critical_value(draws, alpha)
-    taus = (tau_sharp, tau_smooth)
+    crit = ks_critical_value(draws, DISTCHECK_ALPHA)
 
     def check(i: int) -> tuple[ReferenceRow, RelaxedRow]:
         # Row i is map i // |BASES| under basis i % |BASES|; its map and both
@@ -286,25 +270,25 @@ def distcheck_suite(
 
         log_w = np.log(weights)
         counts = np.zeros(n, dtype=np.intp)
-        y_relaxed = np.empty((len(taus), draws))
+        y_relaxed = np.empty((len(DISTCHECK_TAUS), draws))
         start = 0
         for gumbels, uniforms in draw_noise_blocks(NoiseSource([seed, m, basis_idx, 2]), draws, n, 1):
             stop = start + len(gumbels)
             counts += np.bincount(np.argmax(gumbels + log_w, axis=1), minlength=n)
             y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
             scores = gumbel_scores(weights, gumbels)
-            for row, tau in zip(y_relaxed, taus):
+            for row, tau in zip(y_relaxed, DISTCHECK_TAUS):
                 relaxed = ad.softmax_values(scores / float(tau), axis=-1)
                 row[start:stop] = (relaxed * y_hat).sum(axis=1)
             start = stop
         freq_gap = float(np.abs(counts / draws - weights).max())
         ks_sharp, ks_smooth = (ks_statistic(row, cdf) for row in y_relaxed)
         return reference, RelaxedRow(
-            m, basis, freq_gap, freq_gap <= freq_tol, ks_sharp, ks_smooth, ks_sharp < ks_smooth
+            m, basis, freq_gap, freq_gap <= DISTCHECK_FREQ_TOL, ks_sharp, ks_smooth, ks_sharp < ks_smooth
         )
 
     rows = _run_rows(check, num_maps * len(BASES))
-    return DistCheckReport(tuple(r for r, _ in rows), tuple(r for _, r in rows), draws, alpha)
+    return DistCheckReport(tuple(r for r, _ in rows), tuple(r for _, r in rows), draws, DISTCHECK_ALPHA)
 
 
 T = TypeVar("T")
@@ -429,13 +413,7 @@ def reparam_gradients(
     return sign[:, None] * b / tau
 
 
-def variance_compare(
-    num_seeds: int = 10,
-    draws: int = 10_000,
-    n: int = 16,
-    tau: float = 1.0,
-    basis: str = "triangular",
-) -> VarianceCompareReport:
+def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0) -> VarianceCompareReport:
     """Gradient variance of the score-function estimator vs the relaxed
     pathwise estimator, per logit coordinate and in trace, one draw per
     estimate.
@@ -444,15 +422,17 @@ def variance_compare(
     and the pathwise trace is positive: at a huge tau every relaxed sample
     is the plain mean, and a zero trace says nothing about the estimator.
     Noise is drawn in blocks; only the two (draws, n) gradient arrays that
-    the variances take whole grow with `draws`.  n and draws must be at
-    least 2: one draw has no variance.
+    the variances take whole grow with `draws`.  draws must be at least 2:
+    one draw has no variance.
     """
     _require_counts(num_seeds=num_seeds)
-    _require_counts(2, n=n, draws=draws)
-    _require_scales(tau=tau)
+    _require_counts(2, draws=draws)
+    if not 0.0 < tau < float("inf"):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    n = MAP_POINTS
     support = Support.regular_grid(n)
     positions = support.positions[:, 0]
-    spec = MixtureSpec(basis)
+    spec = MixtureSpec(VARCOMPARE_BASIS)
     rows: list[VarianceCompareRow] = []
     for s in range(num_seeds):
         rng = np.random.default_rng([4171, s])

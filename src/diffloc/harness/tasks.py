@@ -105,11 +105,11 @@ def scatter_sigma(task: SyntheticTask) -> float:
     return float(_cloud_geometry(task)[2].mean())
 
 
-def task_mixture_spec(task: SyntheticTask, basis: str, sigma: float | None = None) -> MixtureSpec:
+def task_mixture_spec(task: SyntheticTask, basis: str) -> MixtureSpec:
     """Mixture spec matched to the task's support."""
     if task.kind == "scatter3d":
-        return MixtureSpec("gaussian", sigma if sigma is not None else scatter_sigma(task))
-    return MixtureSpec(basis, sigma)
+        return MixtureSpec("gaussian", scatter_sigma(task))
+    return MixtureSpec(basis)
 
 
 # ---------------------------------------------------------------------------

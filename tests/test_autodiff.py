@@ -316,7 +316,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.matrix_multiply(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
-        ad.broadcast(Tensor(np.ones(3)), (3, 2))
+        forward_op("broadcast", [Tensor(np.ones(3))], shape=(3, 2))
 
 
 def test_domain_errors():
@@ -325,7 +325,7 @@ def test_domain_errors():
     with pytest.raises(ZeroDivisionError):
         ad.divide(Tensor([1.0]), Tensor([0.0]))
     with pytest.raises(ValueError, match="fractional"):
-        ad.power(Tensor([-1.0]), 0.5)
+        forward_op("power", [Tensor([-1.0])], exponent=0.5)
     with pytest.raises(ValueError, match="unknown op"):
         forward_op("no-such-op", [Tensor(1.0)])
 
@@ -336,7 +336,7 @@ def test_non_finite_values_are_rejected():
     with pytest.raises(NonFiniteError):
         Tensor([np.nan])
     with pytest.raises(NonFiniteError):
-        ad.exponent(Tensor([1000.0]))
+        forward_op("exponent", [Tensor([1000.0])])
     with pytest.raises(NonFiniteError, match="'square'"):
         ad.square(Tensor([1e200]))
     # Values and each gradient are finite, the sums of gradients are not.
@@ -378,7 +378,7 @@ def test_concatenate_backward_splits():
     with GradientTape():
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)
-        out = ad.concatenate([a, b], axis=0)
+        out = forward_op("concatenate", [a, b], axis=0)
         backward(ad.sum_over_axis(ad.multiply(out, Tensor([1.0, 2.0, 3.0]))))
     np.testing.assert_array_equal(a.grad, [1.0, 2.0])
     np.testing.assert_array_equal(b.grad, [3.0])

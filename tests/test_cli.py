@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -208,11 +210,21 @@ class TestEvalAndCalibrate:
 
     def test_eval_keeps_the_training_files_of_a_shared_config(self, tmp_path, monkeypatch):
         # A config's out and model_out are train's; eval writes --out or eval.csv.
+        # Its split is eval's, and train accepts it and ignores it.
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.json").write_text(json.dumps({"out": "runs/history.csv", "model_out": "runs/m.npz"}))
+        shared = {"out": "runs/history.csv", "model_out": "runs/m.npz", "split": "val"}
+        (tmp_path / "run.json").write_text(json.dumps(shared))
         assert main(["train", *FAST, "--config", "run.json"]) == 0
         history = (tmp_path / "runs" / "history.csv").read_bytes()
+        splits = []
+
+        def spy_evaluate(model, task, split):
+            splits.append(split)
+            return evaluate(model, task, split)
+
+        monkeypatch.setattr(cli, "evaluate", spy_evaluate)
         assert main(["eval", "--config", "run.json", "--model", "runs/m.npz"]) == 0
+        assert splits == ["val"]
         assert (tmp_path / "runs" / "history.csv").read_bytes() == history
         assert (tmp_path / "eval.csv").read_text().startswith("idx,pred_0,gt_0,peak,err\n")
 
@@ -376,6 +388,60 @@ class TestInputFiles:
             main([*command, "--config", "run.json"])
         assert exited.value.code == "--config run.json is not valid JSON: Expecting value at line 2 column 10"
 
+    @pytest.mark.parametrize("command", [["train"], ["eval", "--model", "m.npz"]], ids=lambda c: c[0])
+    def test_config_that_is_not_utf8(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_bytes(b'\xff{"epochs": 2}\n')
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--config", "run.json"])
+        assert exited.value.code == "--config run.json is not UTF-8 text: invalid start byte"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_records_that_are_not_utf8(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "eval.csv").write_bytes(b"idx,peak,err\n0,0.5,1.0\n1,0.\xff,0.25\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["calibrate", "--records", "eval.csv", "--out", "cal.csv"])
+        assert exited.value.code == "--records eval.csv is not UTF-8 text: invalid start byte"
+        assert "calibration_r" not in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
+
+    def test_damaged_model_archive(self, tmp_path, monkeypatch):
+        # Bytes overwritten inside w1's data: the archive's directory is
+        # intact, but the member fails its CRC check when it is read.
+        monkeypatch.chdir(tmp_path)
+        save_model(tmp_path / "m.npz", SyntheticTask("signal1d", size=16))
+        with zipfile.ZipFile(tmp_path / "m.npz") as archive:
+            member = archive.getinfo("w1.npy")
+        data = bytearray((tmp_path / "m.npz").read_bytes())
+        start = member.header_offset + 30 + len(member.filename) + len(member.extra) + 128
+        data[start:start + 8] = bytes(8)
+        (tmp_path / "m.npz").write_bytes(data)
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--model", "m.npz"])
+        assert exited.value.code == "--model m.npz: damaged archive: Bad CRC-32 for file 'w1.npy'"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+
+    @pytest.mark.parametrize("write", [np.savez, np.savez_compressed], ids=["stored", "deflated"])
+    def test_a_damaged_byte_never_escapes_load(self, tmp_path, write):
+        # Each byte of a model archive inverted in turn: load returns a model
+        # or raises one of the two errors that eval prints in one line, never
+        # zlib's, zipfile's or EOF's own exceptions.  (An OSError comes from a
+        # header whose offset points before the start of the file.)
+        save_model(tmp_path / "m.npz", SyntheticTask("signal1d", size=16))
+        with np.load(tmp_path / "m.npz") as data:
+            write(tmp_path / "m.npz", **{name: data[name] for name in data.files})
+        original = (tmp_path / "m.npz").read_bytes()
+        damaged = tmp_path / "damaged.npz"
+        for i in range(len(original)):
+            data = bytearray(original)
+            data[i] ^= 0xFF
+            damaged.write_bytes(data)
+            try:
+                MLPModel.load(damaged)
+            except (ValueError, OSError):
+                pass
+
 
 # (config key, a value of the wrong type, the message that rejects it): one
 # case per key.  The message names the dataclass field the key sets and the
@@ -428,11 +494,13 @@ class TestOptionValues:
              "loss 'soft' has no regularizer, so reg_weight must be unset, got 0.5"),
             (["train", "--seed", "-1"], "seed must be at least 0, got -1"),
             (["eval", "--model", "m.npz", "--seed", "-1"], "seed must be at least 0, got -1"),
+            (["eval", "--model", "m.npz", "--config", "bogus.json"], "unknown split: 'bogus'"),
+            (["eval", "--model", "m.npz", "--config", "three.json"], "unknown split: 3"),
         ],
         ids=["noise", "num-samples", "lr", "config-epochs-string", "train-count", "val-count",
              "negative-train-count", "eval-test-count", "nan-lr", "inf-tau-start", "nan-sigma-t-sq",
              "nan-noise", "eval-inf-noise", "inf-reg-weight", "negative-reg-weight", "reg-weight-without-regularizer",
-             "negative-seed", "eval-negative-seed"],
+             "negative-seed", "eval-negative-seed", "eval-config-split", "eval-config-split-int"],
     )
     def test_rejected_value_ends_in_one_line(self, tmp_path, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -441,12 +509,14 @@ class TestOptionValues:
         monkeypatch.setattr(cli, "train", never)
         monkeypatch.setattr(cli, "evaluate", never)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.json").write_text(json.dumps({"epochs": "3"}))
+        configs = {"run.json": {"epochs": "3"}, "bogus.json": {"split": "bogus"}, "three.json": {"split": 3}}
+        for name, config in configs.items():
+            (tmp_path / name).write_text(json.dumps(config))
         save_model(tmp_path / "m.npz", SyntheticTask("signal1d", size=16))
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == f"invalid option value: {message}"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz", "run.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["m.npz", *configs])
 
 
     @pytest.mark.parametrize("key, value, message", WRONG_TYPES, ids=[key for key, _, _ in WRONG_TYPES])
@@ -515,6 +585,30 @@ class TestSuiteCommands:
             main(argv)
         assert exited.value.code == 2
         assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, suite, unflagged",
+        [
+            (["gradcheck", "--seeds", "1"], "gradcheck_suite", {"step", "tol"}),
+            (["distcheck", "--maps", "1", "--draws", "10", "--seed", "0"], "distcheck_suite", set()),
+            (["varcompare", "--seeds", "1", "--draws", "2", "--tau", "1"], "variance_compare", set()),
+        ],
+        ids=["gradcheck", "distcheck", "varcompare"],
+    )
+    def test_suite_parameters_are_what_the_command_passes(self, monkeypatch, argv, suite, unflagged):
+        # Every other diagnostic setting is a suites constant; gradcheck's
+        # step and tol stay settable because acceptance criterion 1 passes them.
+        passed = {}
+
+        def record(**kwargs):
+            passed.update(kwargs)
+            raise SystemExit(0)
+
+        parameters = set(inspect.signature(getattr(cli, suite)).parameters)
+        monkeypatch.setattr(cli, suite, record)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert parameters == set(passed) | unflagged
 
     def test_given_values_reach_the_suites(self, monkeypatch):
         seen = {}
