@@ -115,6 +115,7 @@ def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> G
     rejected before any check runs.
     """
     _require_counts(seeds=seeds)
+    ad._check_step_and_tol(step, tol)
     supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
     checked: dict[tuple[int, int, int, int], tuple[float, bool]] = {}
     for ndim, support in supports.items():

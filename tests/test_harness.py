@@ -673,10 +673,17 @@ class TestGradcheckSuite:
         [
             ({"seeds": True}, TypeError, "seeds must be an int, got True"),
             ({"seeds": 1.5}, TypeError, "seeds must be an int, got 1.5"),
+            ({"step": 0.0}, ValueError, "step must be positive and finite, got 0.0"),
+            ({"step": -1e-5}, ValueError, "step must be positive and finite, got -1e-05"),
+            ({"step": float("inf")}, ValueError, "step must be positive and finite, got inf"),
+            ({"step": float("nan")}, ValueError, "step must be positive and finite, got nan"),
+            ({"tol": -1e-4}, ValueError, "tol must be non-negative, got -0.0001"),
+            ({"tol": float("nan")}, ValueError, "tol must be non-negative, got nan"),
         ],
     )
     def test_bad_arguments_are_rejected_before_any_check(self, monkeypatch, setting, error, message):
-        # seeds = True used to run 30 rows.
+        # seeds = True used to run 30 rows, and step = 0 was rejected only
+        # after the frozen noise was drawn and the first closure built.
         def no_closure(*args, **kwargs):
             raise AssertionError("a loss closure was built before the arguments were checked")
 
@@ -781,13 +788,21 @@ class TestDistcheckSuite:
         assert report.reference == reference
         assert report.relaxed == relaxed
 
-    def test_negative_seed_is_rejected_before_drawing(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"seed": -1}, "seed must be at least 0, got -1"),
+            ({"num_maps": 0}, "num_maps must be at least 1, got 0"),
+            ({"draws": 0}, "draws must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_settings_are_rejected_before_drawing(self, monkeypatch, setting, message):
         def no_noise(*args, **kwargs):
-            raise AssertionError("noise was drawn before the seed was checked")
+            raise AssertionError("noise was drawn before the settings were checked")
 
         monkeypatch.setattr(suites, "NoiseSource", no_noise)
-        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
-            distcheck_suite(num_maps=1, draws=2_000, seed=-1)
+        with pytest.raises(ValueError, match=message):
+            distcheck_suite(**{"num_maps": 1, "draws": 2_000, **setting})
 
     @pytest.mark.parametrize("seed", [1.5, True, "7"])
     def test_seed_of_the_wrong_type_is_rejected_before_drawing(self, monkeypatch, seed):
@@ -977,14 +992,15 @@ class TestVarianceCompare:
         with pytest.raises(ValueError, match=f"{name} must be at least {least}, got 0"):
             variance_compare(**{name: 0})
 
-    def test_one_draw_is_rejected_before_drawing(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["draws"])
+    def test_fewer_than_two_is_rejected_before_drawing(self, monkeypatch, name):
         # One draw has zero variance, so draws = 1 quietly returned passed=False.
         def no_noise(*args, **kwargs):
-            raise AssertionError("noise was drawn before draws was checked")
+            raise AssertionError("noise was drawn before the sizes were checked")
 
         monkeypatch.setattr(suites, "NoiseSource", no_noise)
-        with pytest.raises(ValueError, match="draws must be at least 2, got 1"):
-            variance_compare(num_seeds=2, draws=1)
+        with pytest.raises(ValueError, match=f"{name} must be at least 2, got 1"):
+            variance_compare(num_seeds=2, **{name: 1})
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_tau_is_rejected_before_drawing(self, monkeypatch, tau):
