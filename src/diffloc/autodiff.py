@@ -14,13 +14,20 @@ All values are float64 and must stay finite.  Each array is checked once,
 where it is made: a constant when it is built, an op output in
 ``forward_op``, a gradient when a backward function returns it, and the sum
 of two gradients.  NaN or Inf raises immediately instead of letting the
-poison spread.
+poison spread.  Every tensor is checked, inside a block or not; the check
+first tests the array's sum and reads each entry only when that sum is not
+finite, since a finite array can overflow its sum.  An overflow therefore
+shows as a NonFiniteError, not as numpy's warning: a ``GradientTape`` or
+``no_grad`` block silences numpy's over/invalid warnings once for the whole
+block, and an op or a constructor called outside both silences them for
+itself alone.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -63,9 +70,15 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared in a tensor value or gradient."""
 
 
-def _check_finite(values: np.ndarray, where: str) -> None:
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"non-finite value in {where}")
+def _check_finite(values: np.ndarray, where: str, kind: str = "") -> None:
+    """NonFiniteError naming where.format(kind) unless every entry is finite.
+
+    A sum is finite only when every entry is; when it is not, an entry may
+    still be finite throughout and the sum have overflowed, so each entry is
+    tested then.  Call it where numpy's over/invalid warnings are silenced.
+    """
+    if not math.isfinite(np.add.reduce(values, axis=None)) and not np.isfinite(values).all():
+        raise NonFiniteError("non-finite value in " + where.format(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +92,8 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.array(values, dtype=np.float64)
-        _check_finite(arr, "tensor construction")
+        with _errstate(_STATE):
+            _check_finite(arr, "tensor construction")
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -109,7 +123,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-@dataclass
+@dataclass(slots=True)
 class TapeRecord:
     kind: str
     inputs: tuple[Tensor, ...]
@@ -119,15 +133,20 @@ class TapeRecord:
 
 @dataclass
 class GradientTape:
-    """Ordered record of executed ops; reverse order is a valid backward order."""
+    """Ordered record of executed ops; reverse order is a valid backward order.
+
+    Inside the block numpy's over/invalid warnings are off on this thread."""
 
     records: list[TapeRecord] = field(default_factory=list)
 
     def __enter__(self) -> "GradientTape":
+        self._quiet = np.errstate(**_QUIET)
+        self._quiet.__enter__()
         _STATE.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
+        self._quiet.__exit__(*exc)
         popped = _STATE.stack.pop()
         assert popped is self
         return False
@@ -144,14 +163,28 @@ class _ThreadState(threading.local):
 
 _STATE = _ThreadState()
 
+# numpy's error state inside every GradientTape and no_grad block, and for
+# each op outside them: an overflow or invalid result surfaces as the
+# NonFiniteError of the check that follows, not as numpy's warning.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+_SET_BY_BLOCK = nullcontext()
+
+
+def _errstate(state: _ThreadState):
+    """The context an op runs in: nothing inside a block, whose state is set
+    already, and np.errstate(**_QUIET) outside every block."""
+    return _SET_BY_BLOCK if state.stack or not state.enabled else np.errstate(**_QUIET)
+
 
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Disable recording inside the block; values flow, gradients do not."""
+    """Disable recording inside the block; values flow, gradients do not.
+    numpy's over/invalid warnings are off inside it, as in a GradientTape."""
     prev = _STATE.enabled
     _STATE.enabled = False
     try:
-        yield
+        with np.errstate(**_QUIET):
+            yield
     finally:
         _STATE.enabled = prev
 
@@ -181,18 +214,20 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     if build is None:
         raise ValueError(f"unknown op kind: {kind!r}")
     tensors = tuple(as_tensor(x) for x in inputs)
-    # Overflow surfaces as a NonFiniteError right below; silence the
-    # intermediate numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    state = _STATE
+    with _errstate(state):
         out_values, backward_fn = build([t.values for t in tensors], params)
-    out_values = np.asarray(out_values, dtype=np.float64)
-    _check_finite(out_values, f"output of {kind!r}")
+        out_values = np.asarray(out_values, dtype=np.float64)
+        _check_finite(out_values, "output of {!r}", kind)
     # Checked just above, so bypass the constructor's copy and second check.
     out = Tensor.__new__(Tensor)
     out.values, out.requires_grad, out.grad = out_values, False, None
-    if _STATE.enabled and _STATE.stack and any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        _STATE.stack[-1].records.append(TapeRecord(kind, tensors, out, backward_fn))
+    if state.enabled and state.stack:
+        for t in tensors:
+            if t.requires_grad:
+                out.requires_grad = True
+                state.stack[-1].records.append(TapeRecord(kind, tensors, out, backward_fn))
+                break
     return out
 
 
@@ -239,11 +274,11 @@ def backward(root: Tensor) -> None:
                     f"backward of {rec.kind!r} produced gradient shape {g_in.shape} "
                     f"for input shape {tensor.shape}"
                 )
-            _check_finite(g_in, f"backward of {rec.kind!r}")
+            _check_finite(g_in, "backward of {!r}", rec.kind)
             prev = pending.get(id(tensor))
             if prev is not None:
                 g_in = prev[1] + g_in
-                _check_finite(g_in, f"gradient sum in backward of {rec.kind!r}")
+                _check_finite(g_in, "gradient sum in backward of {!r}", rec.kind)
             pending[id(tensor)] = (tensor, g_in)
     # Every produced tensor was popped at its record; the rest are leaves.
     for tensor, g in pending.values():
@@ -493,7 +528,16 @@ def _build_index_select(arrays, params):
 
     def bwd(g):
         ga = np.zeros_like(a)
-        np.add.at(ga, (slice(None),) * axis + (idx,), g)
+        where = (slice(None),) * axis + (idx,)
+        length = a.shape[axis]
+        # More indices than slots must repeat one, so only a short array is
+        # tested; a Python set beats np.unique on the short ones.
+        if scalar or (idx.size <= length and len(set((idx % length).ravel().tolist())) == idx.size):
+            # Each slot gets one gradient, so assignment is the sum; adding
+            # 0.0 gives -0.0 the +0.0 that np.add.at's 0.0 + -0.0 gives.
+            ga[where] = g + 0.0
+        else:
+            np.add.at(ga, where, g)
         return (ga,)
 
     return out, bwd

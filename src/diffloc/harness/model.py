@@ -64,7 +64,8 @@ class MLPModel:
     @classmethod
     def load(cls, path) -> tuple["MLPModel", SyntheticTask]:
         """The model save() wrote to `path` and its task.  OSError when the file
-        cannot be read; ValueError naming the fault when it is not such a model."""
+        cannot be opened; ValueError naming the fault when it is not such a
+        model, or when reading the archive fails."""
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):
                 raise ValueError("not an .npz archive")
@@ -98,9 +99,10 @@ class MLPModel:
                             raise ValueError(f"{name} has shape {values.shape}, but meta says {shape}")
                         if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
                             raise ValueError(f"{name} holds values that are not finite numbers")
-            except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError) as exc:
+            except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError) as exc:
                 # A member that fails its CRC check, will not inflate, ends
-                # early, or whose header names a method zipfile lacks.
+                # early, whose header names a method zipfile lacks, or whose
+                # header offset points before the start of the file.
                 raise ValueError(f"damaged archive: {str(exc) or 'a member ends early'}") from None
         model = cls(i, h, o, _init=False)
         for name, values in weights.items():

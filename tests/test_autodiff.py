@@ -2,7 +2,9 @@
 
 import gc
 import json
+import threading
 import weakref
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,95 @@ def test_no_grad_blocks_recording_and_matches_values():
     np.testing.assert_array_equal(recorded.values, quiet.values)
 
 
+def _quiet(state: dict) -> bool:
+    return state["over"] == "ignore" and state["invalid"] == "ignore"
+
+
+def test_blocks_silence_numpy_warnings_and_restore_the_error_state():
+    with np.errstate(over="raise", invalid="warn", divide="raise"):
+        outer = np.geterr()
+        for block in (GradientTape, ad.no_grad):
+            with block():
+                assert _quiet(np.geterr())
+                assert np.geterr()["divide"] == "raise"
+            assert np.geterr() == outer
+        with GradientTape():
+            with ad.no_grad():
+                with GradientTape():
+                    assert _quiet(np.geterr())
+                assert _quiet(np.geterr())
+            assert _quiet(np.geterr())
+        assert np.geterr() == outer
+        with ad.no_grad():
+            with GradientTape():
+                assert _quiet(np.geterr())
+            assert _quiet(np.geterr())
+        assert np.geterr() == outer
+        # An op outside every block silences the warning for itself alone.
+        with pytest.raises(NonFiniteError, match="'exponent'"):
+            forward_op("exponent", [Tensor([1000.0])])
+        assert np.geterr() == outer
+
+
+def test_a_non_finite_error_leaves_the_error_state_as_it_found_it():
+    before = np.geterr()
+    with pytest.raises(NonFiniteError, match="'square'"):
+        with GradientTape():
+            with ad.no_grad():
+                ad.square(Tensor([1e200]))
+    assert np.geterr() == before
+    with pytest.raises(NonFiniteError, match="gradient sum"):
+        with GradientTape():
+            x = Tensor([1e-10], requires_grad=True)
+            huge = Tensor(1e308)
+            backward(ad.sum_over_axis(ad.add(ad.multiply(x, huge), ad.multiply(x, huge))))
+    assert np.geterr() == before
+
+
+def test_a_tape_on_one_thread_does_not_silence_another():
+    # Each thread has its own block stack and numpy error state: an op on a
+    # second thread outside any block silences its own warning, and a tape
+    # there sets and restores only that thread's state.
+    entered, release = threading.Event(), threading.Event()
+    seen, errors = {}, []
+
+    def other():
+        try:
+            assert entered.wait(10)
+            seen["outside"] = np.geterr()
+            with pytest.raises(NonFiniteError, match="'exponent'"):
+                forward_op("exponent", [Tensor([1000.0])])
+            with GradientTape() as tape:
+                seen["inside"] = np.geterr()
+                x = Tensor([1.0, 2.0], requires_grad=True)
+                backward(ad.sum_over_axis(ad.square(x)))
+            seen["records"] = len(tape)
+            seen["grad"] = x.grad
+            seen["after"] = np.geterr()
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            release.set()
+
+    before = np.geterr()
+    worker = threading.Thread(target=other)
+    worker.start()
+    with GradientTape() as tape:
+        entered.set()
+        assert release.wait(10)
+        assert _quiet(np.geterr())
+        assert len(tape) == 0
+    worker.join(10)
+    assert not worker.is_alive()
+    assert not errors, errors
+    assert np.geterr() == before
+    assert not _quiet(seen["outside"])
+    assert _quiet(seen["inside"])
+    assert seen["after"] == seen["outside"]
+    assert seen["records"] == 2
+    np.testing.assert_array_equal(seen["grad"], [2.0, 4.0])
+
+
 def test_backward_requires_scalar_root_on_tape():
     with GradientTape():
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -352,6 +443,96 @@ def test_non_finite_values_are_rejected():
             backward(y)
 
 
+# A finite array whose sum overflows: the finite check's one-pass sum is
+# inf here, so each entry must be read before the array is accepted.
+OVERFLOWING_SUM = [1e308, 1e308]
+
+
+@pytest.mark.parametrize(
+    "values, finite",
+    [
+        (OVERFLOWING_SUM, True),
+        ([1e308, 1e308, -1e308], True),
+        ([-1e308, -1e308], True),
+        ([], True),
+        (np.nan, False),
+        ([1.0, np.nan], False),
+        ([np.inf, -np.inf], False),
+        ([1e308, 1e308, np.nan], False),
+        ([-np.inf], False),
+    ],
+)
+def test_constants_are_checked_entry_by_entry_when_their_sum_is_not_finite(values, finite):
+    # Outside every block the constructor silences numpy's warnings itself,
+    # and inside one the block has.
+    for block in (ad.no_grad, GradientTape, nullcontext):
+        with block():
+            if finite:
+                np.testing.assert_array_equal(Tensor(values).values, values)
+            else:
+                with pytest.raises(NonFiniteError, match="tensor construction"):
+                    Tensor(values)
+
+
+def test_an_overflowing_sum_passes_every_check_site():
+    big = Tensor(OVERFLOWING_SUM)
+    half = Tensor([5e307, 5e307])
+    # An op output, outside any block and on a tape.
+    np.testing.assert_array_equal(ad.multiply(big, Tensor(1.0)).values, OVERFLOWING_SUM)
+    with GradientTape():
+        x = Tensor([1.0, 1.0], requires_grad=True)
+        np.testing.assert_array_equal(ad.multiply(x, big).values, OVERFLOWING_SUM)
+        # A gradient that a backward function returns.
+        w = Tensor([1e-300, 1e-300], requires_grad=True)
+        backward(ad.sum_over_axis(ad.multiply(w, big)))
+        np.testing.assert_array_equal(w.grad, OVERFLOWING_SUM)
+        # A gradient sum: two uses of v, each gradient half of the total.
+        v = Tensor([1e-300, 1e-300], requires_grad=True)
+        backward(ad.sum_over_axis(ad.add(ad.multiply(v, half), ad.multiply(v, half))))
+        np.testing.assert_array_equal(v.grad, OVERFLOWING_SUM)
+        # An accumulation: two backward passes, each adding half.
+        u = Tensor([1e-300, 1e-300], requires_grad=True)
+        root = ad.sum_over_axis(ad.multiply(u, half))
+        backward(root)
+        backward(root)
+        np.testing.assert_array_equal(u.grad, OVERFLOWING_SUM)
+
+
+def test_a_nan_or_mixed_infinities_fail_every_check_site():
+    opposite = Tensor([1e200, -1e200])
+    # Op outputs: inf and -inf, whose sum is NaN, and a NaN.
+    with pytest.raises(NonFiniteError, match="output of 'multiply'"):
+        ad.multiply(opposite, Tensor(1e200))
+    with pytest.raises(NonFiniteError, match="output of 'matrix-multiply'"):
+        ad.matrix_multiply(Tensor([1e200, 1e200]), opposite)
+    with pytest.raises(NonFiniteError, match="'square'"):
+        ad.square(Tensor([1e200, -1e200]))
+    with GradientTape():
+        # Gradients: the backward of x * opposite gets 1e200 per entry and
+        # returns inf and -inf; the backward of a @ rows sums those two
+        # products into a NaN.
+        x = Tensor([1e-300, 1e-300], requires_grad=True)
+        root = ad.sum_over_axis(ad.multiply(ad.multiply(x, opposite), Tensor(1e200)))
+        with pytest.raises(NonFiniteError, match="backward of 'multiply'"):
+            backward(root)
+        a = Tensor([1e-300], requires_grad=True)
+        rows = Tensor([[1e200, -1e200]])
+        root = ad.sum_over_axis(ad.multiply(ad.matrix_multiply(a, rows), Tensor(1e200)))
+        with pytest.raises(NonFiniteError, match="backward of 'matrix-multiply'"):
+            backward(root)
+        # Each gradient is finite, their sums are inf and -inf.
+        huge = Tensor([1e308, -1e308])
+        v = Tensor([1e-10, 1e-10], requires_grad=True)
+        root = ad.sum_over_axis(ad.add(ad.multiply(v, huge), ad.multiply(v, huge)))
+        with pytest.raises(NonFiniteError, match="gradient sum"):
+            backward(root)
+        root = ad.sum_over_axis(ad.multiply(v, huge))
+        v.zero_grad()
+        backward(root)
+        with pytest.raises(NonFiniteError, match="accumulation"):
+            backward(root)
+
+
 def test_softmax_is_stable_for_large_inputs():
     out = ad.softmax_over_axis(Tensor([1000.0, 1000.0]))
     np.testing.assert_allclose(out.values, [0.5, 0.5])
@@ -372,6 +553,46 @@ def test_index_select_scalar_drops_axis_and_accumulates_repeats():
         picked = ad.index_select(x, [0, 0, 2], axis=0)
         backward(ad.sum_over_axis(picked))
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "shape, index, axis",
+    [
+        ((4, 3), 2, 0),
+        ((4, 3), np.int64(-1), 0),
+        ((4, 3), np.array(1), 1),
+        ((4, 3), [2, 0, 3], 0),
+        ((4, 3), [[1], [3]], 0),
+        ((4, 3), [-1, 0], 0),
+        ((4, 3), [1, -3], 1),
+        ((4, 3), [-1, 3], 0),
+        ((4, 3), [0, 0, 2], 1),
+        ((4, 3), [0, 1, 2, 0], 1),
+        ((4, 3), [], 0),
+        ((2, 1, 5), 0, -2),
+        ((2, 5), np.broadcast_to(np.arange(5), (3, 5)), -1),
+    ],
+)
+def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
+    # Unique indices assign where repeats accumulate; either way each slot
+    # must carry np.add.at's bits, a -0.0 upstream gradient's +0.0 included.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=shape)
+    out, bwd = ad._REGISTRY["index-select"]([a], {"index": index, "axis": axis})
+    where = (slice(None),) * (axis % a.ndim) + (np.asarray(index, dtype=np.intp),)
+    for g in (rng.normal(size=out.shape), np.full(out.shape, -0.0), np.where(rng.random(out.shape) < 0.5, -0.0, 1.5)):
+        reference = np.zeros_like(a)
+        np.add.at(reference, where, g)
+        (ga,) = bwd(g)
+        assert np.array_equal(ga, reference)
+        assert np.array_equal(np.signbit(ga), np.signbit(reference))
+    with GradientTape():
+        x = Tensor(a, requires_grad=True)
+        weights = rng.normal(size=out.shape)
+        backward(ad.sum_over_axis(ad.multiply(ad.index_select(x, index, axis=axis), Tensor(weights))))
+    reference = np.zeros_like(a)
+    np.add.at(reference, where, weights)
+    assert np.array_equal(x.grad, reference)
 
 
 def test_concatenate_backward_splits():
