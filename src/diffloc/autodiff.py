@@ -59,6 +59,7 @@ __all__ = [
     "square",
     "index_select",
     "softmax_values",
+    "floored_values",
 ]
 
 
@@ -390,11 +391,25 @@ def _build_exponent(arrays, params):
     return out, lambda g: (g * out,)
 
 
+def floored_values(a: np.ndarray, floor: float) -> np.ndarray:
+    """max(a, floor) written as relu(a - floor) + floor: what the logarithm
+    op given a floor takes the log of; shared by ops and oracles."""
+    return np.maximum(a - floor, 0.0) + floor
+
+
 def _build_logarithm(arrays, params):
     (a,) = arrays
-    if np.any(a <= 0.0):
-        raise ValueError("logarithm: input must be strictly positive")
-    return np.log(a), lambda g: (g / a,)
+    floor = params.get("floor")
+    if floor is None:
+        if np.any(a <= 0.0):
+            raise ValueError("logarithm: input must be strictly positive")
+        return np.log(a), lambda g: (g / a,)
+    if not floor > 0.0:
+        raise ValueError(f"logarithm: floor must be positive, got {floor}")
+    lifted = floored_values(a, floor)
+    # The bits of log, add, relu and subtract taped one by one: a - floor > 0
+    # exactly where a > floor.
+    return np.log(lifted), lambda g: ((g / lifted) * (a > floor),)
 
 
 def _build_power(arrays, params):
@@ -528,19 +543,39 @@ def _build_index_select(arrays, params):
 
     def bwd(g):
         ga = np.zeros_like(a)
-        where = (slice(None),) * axis + (idx,)
+        lead = (slice(None),) * axis
         length = a.shape[axis]
-        # More indices than slots must repeat one, so only a short array is
-        # tested; a Python set beats np.unique on the short ones.
-        if scalar or (idx.size <= length and len(set((idx % length).ravel().tolist())) == idx.size):
+        if scalar or _unique(idx, length):
             # Each slot gets one gradient, so assignment is the sum; adding
             # 0.0 gives -0.0 the +0.0 that np.add.at's 0.0 + -0.0 gives.
-            ga[where] = g + 0.0
-        else:
-            np.add.at(ga, where, g)
+            ga[lead + (idx,)] = g + 0.0
+            return (ga,)
+        # A broadcast index repeats itself along its stride-0 axes.  When the
+        # rest of it is unique, each slot's gradients lie along those axes,
+        # and adding them one by one from 0.0 is np.add.at's sum.
+        spread = [k for k in range(idx.ndim) if idx.strides[k] == 0 and idx.shape[k] > 1]
+        if spread:
+            base = idx[tuple(0 if k in spread else slice(None) for k in range(idx.ndim))]
+            if _unique(base, length):
+                moved = [axis + k for k in spread]
+                terms = g.transpose(moved + [k for k in range(g.ndim) if k not in moved])
+                terms = terms.reshape((-1,) + terms.shape[len(spread) :])
+                total = terms[0] + 0.0
+                for term in terms[1:]:
+                    total += term
+                ga[lead + (base,)] = total
+                return (ga,)
+        np.add.at(ga, lead + (idx,), g)
         return (ga,)
 
     return out, bwd
+
+
+def _unique(idx: np.ndarray, length: int) -> bool:
+    """Whether no two indices of idx name one of `length` slots.  More
+    indices than slots must repeat one, so only a short array is tested; a
+    Python set beats np.unique on the short ones."""
+    return idx.size <= length and len(set((idx % length).ravel().tolist())) == idx.size
 
 
 def _build_broadcast(arrays, params):
@@ -594,8 +629,10 @@ def divide(a, b) -> Tensor:
     return forward_op("divide", [a, b])
 
 
-def logarithm(a) -> Tensor:
-    return forward_op("logarithm", [a])
+def logarithm(a, floor: float | None = None) -> Tensor:
+    """log(a), or with a floor log(max(a, floor)), max taken as
+    floored_values takes it, with gradient 0 where a <= floor."""
+    return forward_op("logarithm", [a], floor=floor)
 
 
 def sum_over_axis(a, axis: int | None = None) -> Tensor:

@@ -7,12 +7,16 @@ so that with the noise turned off, the largest observation entry is always
 the support point nearest y_t; tests rely on that anchor.
 
 Examples are pinned by (task seed, split, index), and the three splits use
-disjoint seed streams.
+disjoint seed streams.  A grid split takes every example's draws first, in
+one pass over the examples, and then computes all of them at once,
+elementwise, so each example keeps the bits it has when generated alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -121,14 +125,21 @@ def task_mixture_spec(task: SyntheticTask, basis: str) -> MixtureSpec:
 # carries the largest value.
 
 
-def _bump(x: np.ndarray, center: float, width: float, lam_lo: float, lam_hi: float) -> np.ndarray:
+def _bump(x: np.ndarray, center, width, edge, lam_lo, lam_hi) -> np.ndarray:
+    """The bump on grid coordinates x; the other arguments broadcast against
+    x, one row per bump, and edge is exp(-0.5 / width**2)."""
     delta = x - center
     absd = np.abs(delta)
     core = np.exp(-0.5 * (delta / width) ** 2)
-    edge = np.exp(-0.5 / width**2)
     lam = np.where(delta < 0, lam_lo, lam_hi)
     tail = edge * np.exp(-(absd - 1.0) / lam)
     return np.where(absd <= 1.0, core, tail)
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector, sqrt(v.dot(v)), without its argument
+    handling."""
+    return math.sqrt(v.dot(v))
 
 
 def _place_distractor(
@@ -138,7 +149,7 @@ def _place_distractor(
     that lies at least min_sep (euclidean) from y_t, or None if none does."""
     for _ in range(_DISTRACTOR_TRIES):
         cand = rng.uniform(lo, hi, size=y_t.shape)
-        if np.linalg.norm(cand - y_t) >= min_sep:
+        if _norm(cand - y_t) >= min_sep:
             return cand
     return None
 
@@ -165,46 +176,77 @@ def _cell_offset(rng: np.random.Generator) -> float:
     return _MID_BAND[1] + (2.0 * u - 1.0) * (1.0 - _MID_BAND[1])
 
 
-def _bump_profile(rng: np.random.Generator, x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Separable multi-axis bump on grid coordinates x (per-axis arange)."""
-    out = None
+def _bump_draws(rng: np.random.Generator, center: np.ndarray) -> list[tuple]:
+    """The draws of a separable multi-axis bump at center: per axis its
+    (center, width, -0.5 / width**2, lam_lo, lam_hi)."""
+    rows = []
     for c in center:
         width = rng.uniform(*_WIDTH_RANGE)
         lam_lo, lam_hi = rng.uniform(*_LAM_RANGE, size=2)
-        axis_vals = _bump(x, float(c), width, lam_lo, lam_hi)
-        out = axis_vals if out is None else np.multiply.outer(out, axis_vals)
+        rows.append((float(c), width, -0.5 / width**2, lam_lo, lam_hi))
+    return rows
+
+
+def _bump_profiles(x: np.ndarray, draws: list[list[tuple]]) -> np.ndarray:
+    """(len(draws), n**ndim): each bump of _bump_draws on the grid with axis
+    coordinates x, the product of its axes' bumps in row-major order."""
+    center, width, edge_arg, lam_lo, lam_hi = np.array(draws).transpose(2, 1, 0).copy()[..., None]
+    out = None
+    for axis in range(center.shape[0]):
+        vals = _bump(x, center[axis], width[axis], np.exp(edge_arg[axis]), lam_lo[axis], lam_hi[axis])
+        out = vals if out is None else (out[:, :, None] * vals[:, None, :]).reshape(vals.shape[0], -1)
     return out
 
 
-def _grid_example(task: SyntheticTask, rng: np.random.Generator, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    n = task.size
-    x = np.arange(n, dtype=np.float64)
-    cells = rng.integers(1, n - 2, size=ndim)
-    y_t = cells + np.array([_cell_offset(rng) for _ in range(ndim)])
-    signal = _bump_profile(rng, x, y_t)
+def _grid_examples(
+    task: SyntheticTask, rngs: Iterable[np.random.Generator], count: int, ndim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(observations, targets) of `count` grid examples, one per generator.
 
-    difficulty = rng.uniform(0.1, 1.0)
-    noisy = signal
+    Each example's draws are taken from its generator in one pass; the
+    arithmetic on them then runs for all examples at once, elementwise, so
+    each example's bits are those of the example alone.
+    """
+    n = task.size
+    targets = np.empty((count, ndim))
+    normals = np.empty((count, n**ndim))
+    scales = np.empty(count)
+    bumps, distractors = [], []  # _bump_draws of each main bump, of each distractor
+    lifted, rhos, boosts = [], [], []
     # Skip the distractor when the box is too small to honor the separation,
     # when even its farthest corner from y_t is not beyond it, or when no try
     # lands beyond it.
-    farthest = np.linalg.norm(np.maximum(y_t - 1.0, n - 2.0 - y_t))
-    d_pos = None
-    if (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP and farthest > _MIN_SEP:
-        d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
-    if d_pos is not None:
-        rho = rng.uniform(*_RHO_RANGE)
-        d_profile = _bump_profile(rng, x, d_pos)
-        signal = signal + rho * d_profile
-        # Confusable component of the noise: on hard examples it can grow
-        # the distractor toward main-peak height, so which bump is the real
-        # one becomes genuinely uncertain.
-        boost = task.noise * difficulty * rng.uniform(0.0, 0.55)
-        noisy = signal + boost * d_profile
+    roomy = (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP
+    for i, rng in enumerate(rngs):
+        cells = rng.integers(1, n - 2, size=ndim)
+        y_t = cells + np.array([_cell_offset(rng) for _ in range(ndim)])
+        targets[i] = y_t
+        bumps.append(_bump_draws(rng, y_t))
+        difficulty = rng.uniform(0.1, 1.0)
+        scales[i] = task.noise * difficulty
+        d_pos = None
+        if roomy and _norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) > _MIN_SEP:
+            d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
+        if d_pos is not None:
+            lifted.append(i)
+            rhos.append(rng.uniform(*_RHO_RANGE))
+            distractors.append(_bump_draws(rng, d_pos))
+            # Confusable component of the noise: on hard examples it can grow
+            # the distractor toward main-peak height, so which bump is the
+            # real one becomes genuinely uncertain.
+            boosts.append(task.noise * difficulty * rng.uniform(0.0, 0.55))
+        rng.standard_normal(out=normals[i])
 
-    std = task.noise * difficulty * (0.05 + 0.25 * signal)
-    obs = noisy + std * rng.standard_normal(signal.shape)
-    return obs.reshape(-1), y_t
+    profiles = _bump_profiles(np.arange(n, dtype=np.float64), bumps + distractors)
+    signal = noisy = profiles[:count]
+    if lifted:
+        d_profile = profiles[count:]
+        raised = signal[lifted] + np.array(rhos)[:, None] * d_profile
+        signal[lifted] = raised
+        noisy = signal.copy()
+        noisy[lifted] = raised + np.array(boosts)[:, None] * d_profile
+    std = scales[:, None] * (0.05 + 0.25 * signal)
+    return noisy + std * normals, targets
 
 
 def _scatter_example(task: SyntheticTask, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -232,24 +274,39 @@ def _scatter_example(task: SyntheticTask, rng: np.random.Generator) -> tuple[np.
     return obs, y_t.copy()
 
 
+def _seed_words(value: int) -> list[int]:
+    """value's 32-bit words, least significant first: what SeedSequence
+    makes of a non-negative int."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _examples(task: SyntheticTask, split: str, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (observations, targets) of examples start..stop-1 of a split.
+
+    Example i draws from default_rng([task.seed, split code, i]), seeded
+    with the same words as a row of one uint32 array, which SeedSequence
+    reads faster than a list of ints.
+    """
+    head = _seed_words(task.seed) + [_SPLIT_CODES[split]]
+    seeds = np.array([head + _seed_words(i) for i in range(start, stop)], dtype=np.uint32)
+    rngs = map(np.random.default_rng, seeds)
+    if task.kind == "scatter3d":
+        rows = [_scatter_example(task, rng) for rng in rngs]
+        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    return _grid_examples(task, rngs, stop - start, ndim=1 if task.kind == "signal1d" else 2)
+
+
 def generate_example(task: SyntheticTask, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:
     """(observation, y_t) for one example; fully pinned by task/split/index."""
-    if split not in SPLITS:
-        raise ValueError(f"unknown split: {split!r}")
     if not 0 <= index < split_count(task, split):
         raise ValueError(f"index {index} out of range for split {split!r}")
-    rng = np.random.default_rng([task.seed, _SPLIT_CODES[split], index])
-    if task.kind == "signal1d":
-        return _grid_example(task, rng, ndim=1)
-    if task.kind == "heat2d":
-        return _grid_example(task, rng, ndim=2)
-    return _scatter_example(task, rng)
+    obs, targets = _examples(task, split, index, index + 1)
+    return obs[0], targets[0]
 
 
 def generate_split(task: SyntheticTask, split: str) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (observations, targets) for a whole split."""
-    count = split_count(task, split)
-    rows = [generate_example(task, split, i) for i in range(count)]
-    obs = np.stack([r[0] for r in rows])
-    targets = np.stack([r[1] for r in rows])
-    return obs, targets
+    return _examples(task, split, 0, split_count(task, split))

@@ -109,7 +109,7 @@ class RunConfig:
         return _resolve(self.loss, self.reg_weight)[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryRow:
     epoch: int
     loss: float
@@ -117,7 +117,7 @@ class HistoryRow:
     tau: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One evaluated example: prediction, truth, confidence, error."""
 
@@ -128,7 +128,7 @@ class TrialRecord:
     error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalSummary:
     count: int
     mean_error: float

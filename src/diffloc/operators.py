@@ -175,12 +175,6 @@ def discrete_expected_error_loss(pmap: ProbabilityMap, y_t, distance: str = "l1"
 # Relaxed sampling
 
 
-def _floored_log_tensor(t: Tensor) -> Tensor:
-    # max(t, floor) written with registered ops: relu(t - floor) + floor.
-    floor = Tensor(WEIGHT_FLOOR)
-    return ad.logarithm(ad.add(ad.relu(ad.subtract(t, floor)), floor))
-
-
 def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Tensor:
     """Relaxed one-hot over components: softmax((log w + g) / tau).
 
@@ -195,7 +189,7 @@ def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Ten
     # Repeat each map's log weights once per draw, as a gather: the op set
     # broadcasts leading axes only.
     per_draw = np.broadcast_to(np.arange(pmap.n), gumbels.shape[len(batch) :])
-    log_w = ad.index_select(_floored_log_tensor(pmap.weights), per_draw, axis=-1)
+    log_w = ad.index_select(ad.logarithm(pmap.weights, floor=WEIGHT_FLOOR), per_draw, axis=-1)
     scores = ad.add(log_w, Tensor(gumbels))
     return ad.softmax_over_axis(ad.divide(scores, Tensor(float(tau))), axis=-1)
 
@@ -214,8 +208,7 @@ def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) 
 def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
     """log w + g with gumbel_softmax's floor: the relaxed scores before the
     division by tau, which callers at several temperatures can share."""
-    floored = np.maximum(weights - WEIGHT_FLOOR, 0.0) + WEIGHT_FLOOR
-    return np.log(floored) + gumbels
+    return np.log(ad.floored_values(weights, WEIGHT_FLOOR)) + gumbels
 
 
 def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_samples: np.ndarray, tau: float) -> Tensor:
@@ -315,8 +308,8 @@ def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tens
 
     w = pmap.weights
     m = ad.multiply(ad.add(w, Tensor(q)), Tensor(0.5))
-    log_m = _floored_log_tensor(m)
-    kl_p = ad.sum_over_axis(ad.multiply(w, ad.subtract(_floored_log_tensor(w), log_m)), axis=-1)
+    log_m = ad.logarithm(m, floor=WEIGHT_FLOOR)
+    kl_p = ad.sum_over_axis(ad.multiply(w, ad.subtract(ad.logarithm(w, floor=WEIGHT_FLOOR), log_m)), axis=-1)
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
     kl_q = ad.sum_over_axis(ad.multiply(Tensor(q), ad.subtract(Tensor(log_q), log_m)), axis=-1)
     return ad.multiply(ad.add(kl_p, kl_q), Tensor(0.5))

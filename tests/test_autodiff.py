@@ -96,7 +96,12 @@ def _sample(kind, rng):
     if kind in ("negate", "exponent", "square"):
         return [rng.uniform(-2, 2, (2, 3))], {}, (0,)
     if kind == "logarithm":
-        return [rng.uniform(0.05, 2.0, (4,))], {}, (0,)
+        a = rng.uniform(0.05, 2.0, (4,))
+        if rng.random() < 0.5:
+            return [a], {}, (0,)
+        # Inputs on both sides of the floor, at least 0.05 from its kink.
+        floor = float(rng.uniform(0.1, 1.0))
+        return [floor + _away_from_zero(rng, (4,), floor=0.05)], {"floor": floor}, (0,)
     if kind == "power":
         p = rng.choice([2.0, 3.0, -1.0, 0.5, 1.7])
         base = rng.uniform(0.1, 2.0, (3,)) if p != round(p) else _away_from_zero(rng, (3,))
@@ -571,6 +576,16 @@ def test_index_select_scalar_drops_axis_and_accumulates_repeats():
         ((4, 3), [], 0),
         ((2, 1, 5), 0, -2),
         ((2, 5), np.broadcast_to(np.arange(5), (3, 5)), -1),
+        ((2, 1, 5), np.broadcast_to(np.arange(5), (3, 1, 5)), -1),
+        ((4, 3), np.broadcast_to(np.array([2, 0, 3]), (12, 3)), 0),
+        ((4, 3), np.broadcast_to(np.array([[1], [-1]]), (2, 11)), 0),
+        ((3, 4), np.broadcast_to(np.arange(4)[:, None], (4, 9)), 1),
+        ((3, 4), np.broadcast_to(np.arange(4), (2, 3, 4)), 1),
+        ((3, 4), np.broadcast_to(np.array([-1, 0]), (2, 3, 2)), 1),
+        ((4, 3), np.broadcast_to(np.array([1, 1, 2]), (3, 3)), 0),
+        ((4, 3), np.broadcast_to(np.array([1, -3]), (4, 2)), 0),
+        ((4, 3), np.arange(4)[:, None], 0),
+        ((3,), np.broadcast_to(np.array([1]), (20, 1)), 0),
     ],
 )
 def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
@@ -593,6 +608,37 @@ def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
     reference = np.zeros_like(a)
     np.add.at(reference, where, weights)
     assert np.array_equal(x.grad, reference)
+
+
+def test_floored_logarithm_keeps_the_bits_of_its_four_op_chain():
+    # Inputs below, at and just above the floor, where t - floor > 0 but
+    # relu(t - floor) + floor rounds back to the floor itself.
+    floor = 1e-3
+    rng = np.random.default_rng(9)
+    t = np.concatenate([rng.uniform(0.0, 2e-3, 40), [floor, floor * (1 + 1e-15), 0.0, 1.0, 1e-12]])
+    weights = np.concatenate([rng.normal(size=t.size - 2), [-0.0, 0.0]])
+    grads = []
+    for fused in (True, False):
+        with GradientTape():
+            x = Tensor(t, requires_grad=True)
+            if fused:
+                out = ad.logarithm(x, floor=floor)
+            else:
+                c = Tensor(floor)
+                out = ad.logarithm(ad.add(ad.relu(ad.subtract(x, c)), c))
+            backward(ad.sum_over_axis(ad.multiply(out, Tensor(weights))))
+        grads.append((out.values, x.grad))
+    (fused_out, fused_grad), (chain_out, chain_grad) = grads
+    assert np.array_equal(fused_out, chain_out)
+    assert np.array_equal(fused_grad, chain_grad)
+    assert np.array_equal(np.signbit(fused_grad), np.signbit(chain_grad))
+    np.testing.assert_array_equal(fused_out, np.log(ad.floored_values(t, floor)))
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-3, float("nan")])
+def test_logarithm_floor_must_be_positive(floor):
+    with pytest.raises(ValueError, match="floor must be positive"):
+        ad.logarithm(Tensor([1.0, 0.5]), floor=floor)
 
 
 def test_concatenate_backward_splits():
