@@ -40,7 +40,6 @@ __all__ = [
     "NonFiniteError",
     "forward_op",
     "backward",
-    "grad_check",
     "grad_check_rows",
     "GradCheckResult",
     "registered_ops",
@@ -676,52 +675,23 @@ class GradCheckResult:
     passed: bool
 
 
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x,
-    step: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradCheckResult:
-    """Compare the taped gradient of a scalar-valued f against central
-    finite differences, elementwise.
-
-    Relative error is |a - n| / max(|a|, |n|, 1e-8).  The 2k perturbed
-    inputs x0 ± step (k = x.size) and x0 itself form one stack of shape
-    (2k + 1, *x.shape), and each row of it is one more call of f.  The x0 row
-    must equal the taped f(x0) bitwise: a nondeterministic f raises instead
-    of producing a bogus comparison.
-    """
-    _check_step_and_tol(step, tol)
-    x0 = np.array(x.values if isinstance(x, Tensor) else x, dtype=np.float64)
-
-    with GradientTape():
-        xt = Tensor(x0, requires_grad=True)
-        out = f(xt)
-        if out.size != 1:
-            raise ValueError(f"grad_check needs a scalar-valued f, got shape {out.shape}")
-        backward(out)
-        analytic = np.zeros_like(x0) if xt.grad is None else xt.grad.copy()
-
-    with no_grad():
-        values = np.array([f(Tensor(row)).item() for row in _difference_stack(x0[None], step)])
-    return _compare(analytic[None], out.values.reshape(1), values[None], step, tol)[0]
-
-
 def grad_check_rows(
     f: Callable[[Tensor], Tensor],
     xs,
     step: float = 1e-5,
     tol: float = 1e-4,
 ) -> list[GradCheckResult]:
-    """grad_check of R independent points xs, shape (R, *shape), in two
-    calls of f; one result per point.
+    """Compare the taped gradients of f at R independent points xs, shape
+    (R, *shape), with central finite differences, elementwise, in two calls
+    of f; one result per point.  Relative error is
+    |a - n| / max(|a|, |n|, 1e-8).
 
     Given a (m, *shape) stack whose rows are points, f must return m values,
     each bitwise what f gives that row alone.  The taped call gets xs, and
     the gradients come from one backward pass of the sum of its R values.
     The finite differences come from one no_grad call on the point-major
-    (R (2k + 1), *shape) stack: point r's rows are grad_check's stack for
-    xs[r].  Each point's x0 row must equal its taped value bitwise, or a
+    (R (2k + 1), *shape) stack of _difference_stack, k values per point.
+    Each point's x0 row must equal its taped value bitwise, or a
     ValueError names the point: f is nondeterministic, or its rows are not
     independent.  A wrong number of values raises ValueError too.
     """
@@ -781,7 +751,7 @@ def _compare(
     changed = np.flatnonzero(values[:, -1] != base)
     if changed.size:
         raise ValueError(
-            f"grad_check: f(x0) of point {changed[0]} changed between evaluations; f is not deterministic, "
+            f"grad_check_rows: f(x0) of point {changed[0]} changed between evaluations; f is not deterministic, "
             "or its rows are not independent"
         )
     k = analytic[0].size

@@ -26,13 +26,14 @@ from ..mixture import (
     basis_sample_all,
     draw_noise_batch,
     draw_noise_blocks,
+    gumbel_scores,
     ks_critical_value,
     ks_statistic,
     mixture_cdf,
     mixture_moments,
     reference_sample_batch,
 )
-from ..operators import DISTANCES, _is_kind, gumbel_scores, gumbel_softmax_values
+from ..operators import DISTANCES, _is_kind, gumbel_softmax_values
 from .training import LOSS_KINDS, make_loss, row_maps
 
 __all__ = [
@@ -161,7 +162,7 @@ def _loss_closure(loss_name, support, noise, y_ts, distance, x0s):
     Given (m, n) logits, m a multiple of R, the rows go point-major: each
     point's m / R rows get its target, its noise and its JS centre, pinned
     at its own unperturbed weights.  A lone (n,) x is the map of a one-point
-    closure, for grad_check."""
+    closure, for a single-point check."""
     count = len(x0s)
     # The (R, 1, n) row layout gives each centre the bits of its own (n,) product.
     centres = (ad.softmax_values(x0s[:, None, :], axis=-1) @ support.positions)[:, 0]
@@ -269,15 +270,14 @@ def distcheck_suite(num_maps: int = 20, draws: int = 100_000, seed: int = 202608
         del samples
         reference = ReferenceRow(m, basis, ks, crit, ks <= crit, mean_gap, var_gap)
 
-        log_w = np.log(weights)
         counts = np.zeros(n, dtype=np.intp)
         y_relaxed = np.empty((len(DISTCHECK_TAUS), draws))
         start = 0
         for gumbels, uniforms in draw_noise_blocks(NoiseSource([seed, m, basis_idx, 2]), draws, n, 1):
             stop = start + len(gumbels)
-            counts += np.bincount(np.argmax(gumbels + log_w, axis=1), minlength=n)
-            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
             scores = gumbel_scores(weights, gumbels)
+            counts += np.bincount(np.argmax(scores, axis=1), minlength=n)
+            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
             for row, tau in zip(y_relaxed, DISTCHECK_TAUS):
                 relaxed = ad.softmax_values(scores / float(tau), axis=-1)
                 row[start:stop] = (relaxed * y_hat).sum(axis=1)
@@ -386,7 +386,7 @@ def score_function_gradients(
     Draw i ~ pi via the Gumbel-max rule, then d(y_t, y_i) * (e_i - pi).
     Diagnostic only; training never uses this estimator.
     """
-    winners = np.argmax(gumbels + np.log(weights), axis=1)
+    winners = np.argmax(gumbel_scores(weights, gumbels), axis=1)
     d = np.abs(positions[winners] - y_t)
     grads = -np.outer(d, weights)
     grads[np.arange(winners.size), winners] += d

@@ -104,10 +104,6 @@ class RunConfig:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         _resolve(self.loss, self.reg_weight)
 
-    @property
-    def resolved_reg_weight(self) -> float:
-        return _resolve(self.loss, self.reg_weight)[2]
-
 
 @dataclass(frozen=True, slots=True)
 class HistoryRow:

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, as_tensor, floored_values
 
 __all__ = [
     "Support",
@@ -36,6 +36,7 @@ __all__ = [
     "draw_noise_batch",
     "draw_noise_blocks",
     "gumbel_from_uniform",
+    "gumbel_scores",
     "reference_sample_batch",
     "ks_statistic",
     "ks_critical_value",
@@ -340,10 +341,6 @@ class NoiseSource:
         self._rng = np.random.default_rng(seed)
         self.draws_taken = 0
 
-    def _take(self, count: int) -> np.ndarray:
-        self.draws_taken += 1
-        return self._rng.random(count)
-
 
 def _clip_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
@@ -351,6 +348,14 @@ def _clip_unit(u: np.ndarray) -> np.ndarray:
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log(-np.log(_clip_unit(u)))
+
+
+def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
+    """log w + g, the weights floored at WEIGHT_FLOOR as the taped
+    gumbel_softmax floors them.  Their argmax along the last axis picks a
+    component exactly (Gumbel-max); their softmax at a temperature tau is the
+    relaxed choice, and callers at several temperatures can share them."""
+    return np.log(floored_values(weights, WEIGHT_FLOOR)) + gumbels
 
 
 def _require_count(count: int) -> None:
@@ -362,8 +367,8 @@ def draw_noise_batch(source: NoiseSource, count: int, n: int, ndim: int = 1) -> 
     """(count, n) gumbels and (count, n, ndim) basis uniforms: `count`
     consecutive draws, each counted once in draws_taken."""
     _require_count(count)
-    blocks = source._take(count * _block_len(n, ndim)).reshape(count, _block_len(n, ndim))
-    source.draws_taken += count - 1
+    blocks = source._rng.random(count * _block_len(n, ndim)).reshape(count, _block_len(n, ndim))
+    source.draws_taken += count
     gumbels = gumbel_from_uniform(blocks[:, :n])
     basis_uniforms = _clip_unit(blocks[:, n:]).reshape(count, n, ndim)
     return gumbels, basis_uniforms
@@ -404,12 +409,11 @@ def reference_sample_batch(
     then basis inverse cdf.  Non-differentiable; training never calls this."""
     _single_map(pmap, "reference_sample_batch")
     blocks = draw_noise_blocks(source, count, pmap.n, pmap.ndim)
-    log_w = np.log(np.maximum(pmap.weight_values, WEIGHT_FLOOR))
     basis, c, sigma = _resolve(spec, pmap.support)
     out = np.empty((count, pmap.ndim))
     start = 0
     for gumbels, uniforms in blocks:
-        winners = np.argmax(gumbels + log_w, axis=1)
+        winners = np.argmax(gumbel_scores(pmap.weight_values, gumbels), axis=1)
         u = uniforms[np.arange(winners.size), winners]
         stop = start + winners.size
         out[start:stop] = pmap.support.positions[winners] + _inverse_cdf_1d(basis, u, c, sigma)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mixture import WEIGHT_FLOOR, ProbabilityMap
+from .mixture import WEIGHT_FLOOR, ProbabilityMap, gumbel_scores
 
 __all__ = [
     "DISTANCES",
@@ -44,7 +44,6 @@ __all__ = [
     "discrete_expected_error_loss",
     "gumbel_softmax",
     "gumbel_softmax_values",
-    "gumbel_scores",
     "sample_differentiable",
     "sampled_expected_error_loss",
     "anneal_tau",
@@ -197,18 +196,12 @@ def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Ten
 def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) -> np.ndarray:
     """Plain-array twin of gumbel_softmax; supports row batches.
 
-    Mirrors the tensor formula exactly (same floor, same stable softmax) so
-    the two agree bitwise on shared inputs.
+    Mirrors the tensor formula exactly (mixture.gumbel_scores takes the same
+    floor, then the same stable softmax) so the two agree bitwise.
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     return ad.softmax_values(gumbel_scores(weights, gumbels) / float(tau), axis=-1)
-
-
-def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
-    """log w + g with gumbel_softmax's floor: the relaxed scores before the
-    division by tau, which callers at several temperatures can share."""
-    return np.log(ad.floored_values(weights, WEIGHT_FLOOR)) + gumbels
 
 
 def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_samples: np.ndarray, tau: float) -> Tensor:
@@ -310,6 +303,8 @@ def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tens
     m = ad.multiply(ad.add(w, Tensor(q)), Tensor(0.5))
     log_m = ad.logarithm(m, floor=WEIGHT_FLOOR)
     kl_p = ad.sum_over_axis(ad.multiply(w, ad.subtract(ad.logarithm(w, floor=WEIGHT_FLOOR), log_m)), axis=-1)
+    # np.maximum, not floored_values: its (q - floor) + floor can move q's
+    # last bit, and with it soft-dr's loss bits.
     log_q = np.log(np.maximum(q, WEIGHT_FLOOR))
     kl_q = ad.sum_over_axis(ad.multiply(Tensor(q), ad.subtract(Tensor(log_q), log_m)), axis=-1)
     return ad.multiply(ad.add(kl_p, kl_q), Tensor(0.5))

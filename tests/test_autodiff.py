@@ -18,10 +18,10 @@ from diffloc.autodiff import (
     Tensor,
     backward,
     forward_op,
-    grad_check,
     grad_check_rows,
     registered_ops,
 )
+from looped_gradcheck import grad_check
 
 STANDARD_OPS = (
     "add",
@@ -682,20 +682,29 @@ def test_grad_check_rejects_non_scalar_outputs():
         grad_check(lambda x: ad.square(x), np.array([1.0, 2.0]))
 
 
-def test_grad_check_flags_wrong_gradients():
+# The looped reference and a one-point grad_check_rows; _squares-like
+# functions give both what they take.
+BOTH_CHECKS = pytest.mark.parametrize(
+    "check", [grad_check, lambda f, x: grad_check_rows(f, x[None])[0]], ids=["looped", "rows"]
+)
+
+
+@BOTH_CHECKS
+def test_grad_check_flags_wrong_gradients(check):
     def f(x):
         # x^2 / 2 built from raw values is hidden from the tape: the value
         # is 1.5 x^2, the taped gradient only 2x.
         hidden = Tensor(0.5 * x.values**2)
-        return ad.add(ad.sum_over_axis(ad.square(x)), ad.sum_over_axis(hidden))
+        return ad.add(ad.sum_over_axis(ad.square(x), axis=-1), ad.sum_over_axis(hidden, axis=-1))
 
-    result = grad_check(f, np.array([0.7, -1.2]))
+    result = check(f, np.array([0.7, -1.2]))
     assert not result.passed
     assert result.max_rel_error > 0.1
 
 
-def test_grad_check_reports_relative_errors():
-    result = grad_check(lambda x: ad.sum_over_axis(ad.square(x)), np.array([0.5, -0.25]))
+@BOTH_CHECKS
+def test_grad_check_reports_relative_errors(check):
+    result = check(lambda x: ad.sum_over_axis(ad.square(x), axis=-1), np.array([0.5, -0.25]))
     assert result.passed
     assert result.rel_errors.shape == (2,)
     np.testing.assert_allclose(result.analytic, [1.0, -0.5], atol=1e-12)
@@ -810,7 +819,6 @@ def test_compare_names_the_first_changed_point():
         ad._compare(np.zeros((6, 2)), base, values, 1e-5, 1e-4)
 
 
-@pytest.mark.parametrize("check", [grad_check, grad_check_rows])
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -822,10 +830,10 @@ def test_compare_names_the_first_changed_point():
         ({"tol": float("nan")}, "tol must be non-negative, got nan"),
     ],
 )
-def test_bad_step_and_tol_are_rejected_before_f_runs(check, setting, message):
+def test_bad_step_and_tol_are_rejected_before_f_runs(setting, message):
     # step = 0 used to divide by zero and give NaN rows that read as failed.
     def f(x):
         raise AssertionError("f ran before step and tol were checked")
 
     with pytest.raises(ValueError, match=message):
-        check(f, np.array([[1.0, 2.0]]), **setting)
+        grad_check_rows(f, np.array([[1.0, 2.0]]), **setting)

@@ -79,9 +79,13 @@ from diffloc.operators import (
     sampled_expected_error_loss,
     variance_regularizer,
 )
+from looped_gradcheck import grad_check
 
 
 SMALL = dict(train_count=24, val_count=8, test_count=8)
+
+# Each regularized objective's regularizer and its default weight.
+DEFAULT_REGULARIZERS = {"soft-vr": (variance_regularizer, 0.01), "soft-dr": (js_regularizer, 0.1)}
 
 
 def small_task(kind="signal1d", **kwargs):
@@ -388,12 +392,21 @@ class TestTraining:
         with pytest.raises(ValueError, match="reg_weight must be non-negative, got -1.0"):
             RunConfig(task=task, loss="soft-dr", reg_weight=-1.0)
 
-    def test_reg_weight_defaults(self):
-        task = small_task()
-        assert RunConfig(task=task, loss="soft-vr").resolved_reg_weight == 0.01
-        assert RunConfig(task=task, loss="soft-dr").resolved_reg_weight == 0.1
-        assert RunConfig(task=task, loss="soft").resolved_reg_weight == 0.0
-        assert RunConfig(task=task, loss="soft-vr", reg_weight=0.25).resolved_reg_weight == 0.25
+    @pytest.mark.parametrize(
+        "loss, reg_weight, weight",
+        [("soft-vr", None, 0.01), ("soft-dr", None, 0.1), ("soft-vr", 0.25, 0.25), ("soft", None, None)],
+    )
+    def test_reg_weight_defaults(self, loss, reg_weight, weight):
+        # The weight make_loss gives an objective, read off the loss bits.
+        rng = np.random.default_rng(17)
+        support = Support.regular_grid(8)
+        pmap = ProbabilityMap(support, Tensor(ad.softmax_values(rng.normal(0.0, 1.5, (3, 8)), axis=-1)))
+        y = rng.uniform(1.0, 6.0, (3, 1))
+        built = make_loss(loss, None, "l1", 4.0, reg_weight)(pmap, y, 1.0).values
+        expected = error_of_expectation_loss(pmap, y).values
+        if weight is not None:
+            expected = expected + DEFAULT_REGULARIZERS[loss][0](pmap, 4.0).values * weight
+        assert built.tobytes() == expected.tobytes()
 
     def test_learning_rate_schedule(self):
         task = small_task()
@@ -550,10 +563,11 @@ class TestBatchedStep:
                 samples = basis_sample_all(spec, support, np.concatenate([u for _, u in draws]))
                 term = sampled_expected_error_loss(pmap, y, gumbels, samples, tau, distance)
             else:
-                reg = variance_regularizer if config.loss == "soft-vr" else js_regularizer
+                # config.reg_weight is None: each objective's default weight.
+                reg, weight = DEFAULT_REGULARIZERS[config.loss]
                 term = ad.add(
                     error_of_expectation_loss(pmap, y, distance),
-                    ad.multiply(reg(pmap, config.sigma_t_sq), Tensor(config.resolved_reg_weight)),
+                    ad.multiply(reg(pmap, config.sigma_t_sq), Tensor(weight)),
                 )
             terms.append(term)
             total = term if total is None else ad.add(total, term)
@@ -727,7 +741,7 @@ class TestGradcheckSuite:
         for r, result in enumerate(ad.grad_check_rows(f, x0s)):
             point = slice(r, r + 1)
             lone = suites._loss_closure(loss, support, per_basis[r], y_ts[point], distance, x0s[point])
-            looped = ad.grad_check(lone, x0s[r])
+            looped = grad_check(lone, x0s[r])
             for field in ("analytic", "numeric", "rel_errors"):
                 assert getattr(result, field).tobytes() == getattr(looped, field).tobytes(), (r, field)
 
@@ -1193,6 +1207,16 @@ class TestVarianceCompare:
         g, _ = draw_noise_batch(NoiseSource(10), 400_000, n, 1)
         grads = score_function_gradients(weights, positions, y_t, g)
         np.testing.assert_allclose(grads.mean(axis=0), analytic, atol=5e-3)
+
+    def test_score_function_gradients_pass_over_a_zero_weight(self):
+        # log 0 used to warn here (an error under this suite).
+        weights = np.array([0.0, 0.25, 0.75])
+        g, _ = draw_noise_batch(NoiseSource(12), 4000, 3, 1)
+        grads = score_function_gradients(weights, np.arange(3.0), 0.0, g)
+        # Component 0 gets a gradient only when it wins, since its weight is 0
+        # and every winner lies a positive distance from y_t = 0.
+        np.testing.assert_array_equal(grads[:, 0], 0.0)
+        assert np.isfinite(grads).all()
 
     def test_reparam_gradients_match_autodiff(self):
         n = 6

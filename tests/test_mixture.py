@@ -20,6 +20,7 @@ from diffloc.mixture import (
     draw_noise_batch,
     draw_noise_blocks,
     gumbel_from_uniform,
+    gumbel_scores,
     ks_critical_value,
     ks_statistic,
     mixture_cdf,
@@ -37,6 +38,10 @@ B = mixture._BLOCK_DRAWS
 # block size, and edges 4096 and 8192, which every power-of-two block size
 # up to 4096 (the size before 1024) shares.
 EDGE_COUNTS = [1, B - 1, B, B + 1, 2 * B + 3, 4095, 4096, 4097, 8195]
+
+
+# A map with an exact zero weight: every Gumbel-max choice must pass it over.
+ZERO_WEIGHT = np.array([0.0, 0.25, 0.75])
 
 
 def random_map(n=8, seed=0, scale=1.5):
@@ -469,6 +474,19 @@ class TestNoise:
         g = gumbel_from_uniform(rng.random(1_000_000))
         assert abs(g.mean() - EULER_GAMMA) < 5e-3
         assert abs(g.var() - np.pi**2 / 6.0) < 2e-2
+
+    def test_a_zero_weight_is_floored_and_never_wins(self):
+        # log 0 would warn (an error under this suite) and give -inf.
+        gumbels, _ = draw_noise_batch(NoiseSource(44), 4000, 3)
+        scores = gumbel_scores(ZERO_WEIGHT, gumbels)
+        np.testing.assert_array_equal(scores[:, 0], np.log(WEIGHT_FLOOR) + gumbels[:, 0])
+        assert set(np.argmax(scores, axis=1).tolist()) == {1, 2}
+
+    def test_reference_sampler_never_draws_a_zero_weight(self):
+        pmap = ProbabilityMap(Support.regular_grid(3), Tensor(ZERO_WEIGHT))
+        samples = reference_sample_batch(pmap, MixtureSpec("uniform"), 4000, NoiseSource(45))
+        # Component 0's uniform basis covers [-0.5, 0.5]; the other two lie above.
+        assert samples.min() > 0.5
 
 
 # ---------------------------------------------------------------------------
