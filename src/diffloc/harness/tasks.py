@@ -10,6 +10,10 @@ Examples are pinned by (task seed, split, index), and the three splits use
 disjoint seed streams.  A grid split takes every example's draws first, in
 one pass over the examples, and then computes all of them at once,
 elementwise, so each example keeps the bits it has when generated alone.
+Grid draws are scaled rng.random() calls and scalar rng.integers() calls:
+k of them give the bits of one rng.uniform(lo, hi, size=k) or
+rng.integers(size=k) call and leave the stream where it leaves it, at a
+fraction of its argument handling.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from ..mixture import MixtureSpec, Support
-from ..operators import check_field_types
+from ..operators import _is_kind, check_field_types
 
 __all__ = [
     "TASK_KINDS",
@@ -142,13 +146,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float, size=None) -> float | np.ndarray:
+    """rng.uniform(lo, hi, size): the same bits and stream, without its
+    argument handling."""
+    return lo + (hi - lo) * rng.random(size)
+
+
 def _place_distractor(
     rng: np.random.Generator, lo: float, hi: float, y_t: np.ndarray, min_sep: float
 ) -> np.ndarray | None:
     """The first of rng's next _DISTRACTOR_TRIES uniform points in [lo, hi]^d
     that lies at least min_sep (euclidean) from y_t, or None if none does."""
     for _ in range(_DISTRACTOR_TRIES):
-        cand = rng.uniform(lo, hi, size=y_t.shape)
+        cand = _uniform(rng, lo, hi, y_t.shape)
         if _norm(cand - y_t) >= min_sep:
             return cand
     return None
@@ -170,7 +180,7 @@ _MID_BAND = (0.42, 0.58)
 
 def _cell_offset(rng: np.random.Generator) -> float:
     """Fractional position within a cell, skipping the midpoint band."""
-    u = rng.uniform()
+    u = rng.random()
     if u < 0.5:
         return 2.0 * u * _MID_BAND[0]
     return _MID_BAND[1] + (2.0 * u - 1.0) * (1.0 - _MID_BAND[1])
@@ -181,8 +191,8 @@ def _bump_draws(rng: np.random.Generator, center: np.ndarray) -> list[tuple]:
     (center, width, -0.5 / width**2, lam_lo, lam_hi)."""
     rows = []
     for c in center:
-        width = rng.uniform(*_WIDTH_RANGE)
-        lam_lo, lam_hi = rng.uniform(*_LAM_RANGE, size=2)
+        width = _uniform(rng, *_WIDTH_RANGE)
+        lam_lo, lam_hi = _uniform(rng, *_LAM_RANGE), _uniform(rng, *_LAM_RANGE)
         rows.append((float(c), width, -0.5 / width**2, lam_lo, lam_hi))
     return rows
 
@@ -218,23 +228,23 @@ def _grid_examples(
     # lands beyond it.
     roomy = (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP
     for i, rng in enumerate(rngs):
-        cells = rng.integers(1, n - 2, size=ndim)
-        y_t = cells + np.array([_cell_offset(rng) for _ in range(ndim)])
+        cells = [rng.integers(1, n - 2) for _ in range(ndim)]
+        y_t = np.array([c + _cell_offset(rng) for c in cells])
         targets[i] = y_t
         bumps.append(_bump_draws(rng, y_t))
-        difficulty = rng.uniform(0.1, 1.0)
+        difficulty = _uniform(rng, 0.1, 1.0)
         scales[i] = task.noise * difficulty
         d_pos = None
         if roomy and _norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) > _MIN_SEP:
             d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
         if d_pos is not None:
             lifted.append(i)
-            rhos.append(rng.uniform(*_RHO_RANGE))
+            rhos.append(_uniform(rng, *_RHO_RANGE))
             distractors.append(_bump_draws(rng, d_pos))
             # Confusable component of the noise: on hard examples it can grow
             # the distractor toward main-peak height, so which bump is the
             # real one becomes genuinely uncertain.
-            boosts.append(task.noise * difficulty * rng.uniform(0.0, 0.55))
+            boosts.append(task.noise * difficulty * _uniform(rng, 0.0, 0.55))
         rng.standard_normal(out=normals[i])
 
     profiles = _bump_profiles(np.arange(n, dtype=np.float64), bumps + distractors)
@@ -301,6 +311,8 @@ def _examples(task: SyntheticTask, split: str, start: int, stop: int) -> tuple[n
 
 def generate_example(task: SyntheticTask, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:
     """(observation, y_t) for one example; fully pinned by task/split/index."""
+    if not _is_kind(index, int):
+        raise TypeError(f"index must be an int, got {index!r}")
     if not 0 <= index < split_count(task, split):
         raise ValueError(f"index {index} out of range for split {split!r}")
     obs, targets = _examples(task, split, index, index + 1)

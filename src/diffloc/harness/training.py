@@ -279,8 +279,10 @@ def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple
     obs, targets = generate_split(task, split)
     rows, preds, errors = _predict(model, support, obs, targets)
     records = [
-        TrialRecord(index=i, pred=preds[i], target=targets[i], peak=float(rows[i].max()), error=float(errors[i]))
-        for i in range(obs.shape[0])
+        TrialRecord(i, pred, target, peak, error)
+        for i, (pred, target, peak, error) in enumerate(
+            zip(preds, targets, rows.max(axis=-1).tolist(), errors.tolist())
+        )
     ]
     cell = support.spacing if support.spacing is not None else 1.0
     summary = EvalSummary(

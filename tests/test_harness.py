@@ -222,6 +222,31 @@ class TestTasks:
         for index in (99, 8, -1):
             with pytest.raises(ValueError, match=f"index {index} out of range for split 'val'"):
                 generate_example(task, "val", index)
+        for index in (1.5, True, "1"):
+            with pytest.raises(TypeError, match=f"index must be an int, got {index!r}$"):
+                generate_example(task, "val", index)
+
+    def test_fast_draws_have_the_bits_and_stream_of_uniform_and_sized_integers(self):
+        # Grid generation draws through scaled random() and scalar
+        # integers(); each pair below must match the call it stands for bit
+        # for bit and leave the stream at the same place.
+        ranges = [tasks._WIDTH_RANGE, tasks._LAM_RANGE, tasks._RHO_RANGE, (0.1, 1.0), (0.0, 0.55)]
+        ranges += [(1.0, n - 2.0) for n in range(8, 33)]
+
+        def same(fast, slow):
+            assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+            assert rng.random() == ref.random()
+
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for lo, hi in ranges:
+                same(tasks._uniform(rng, lo, hi), ref.uniform(lo, hi))
+                for k in (1, 2):
+                    same(tasks._uniform(rng, lo, hi, (k,)), ref.uniform(lo, hi, size=k))
+                    same([tasks._uniform(rng, lo, hi) for _ in range(k)], ref.uniform(lo, hi, size=k))
+            for n in range(8, 33):
+                for ndim in (1, 2):
+                    same([rng.integers(1, n - 2) for _ in range(ndim)], ref.integers(1, n - 2, size=ndim))
 
     @pytest.mark.parametrize(
         "kind, sizes, counts",
@@ -535,6 +560,21 @@ class TestTraining:
         for r in records:
             assert r.error == pytest.approx(np.abs(r.pred - r.target).sum())
             assert 0.0 < r.peak <= 1.0
+
+
+    @pytest.mark.parametrize("kind, size", [("signal1d", None), ("heat2d", 12), ("scatter3d", 64)])
+    def test_evaluate_records_match_per_row_construction(self, kind, size):
+        task = SyntheticTask(kind, size=size, noise=1.5, test_count=24, seed=3)
+        support = task_support(task)
+        obs, targets = generate_split(task, "test")
+        model = MLPModel(obs.shape[1], 16, support.n, seed=3)
+        rows, preds, errors = training._predict(model, support, obs, targets)
+        records, _ = evaluate(model, task)
+        assert [r.index for r in records] == list(range(obs.shape[0]))
+        for i, r in enumerate(records):
+            assert np.array_equal(r.pred, preds[i]) and np.array_equal(r.target, targets[i])
+            assert type(r.peak) is float and r.peak == float(rows[i].max())
+            assert type(r.error) is float and r.error == float(errors[i])
 
 
 class TestBatchedStep:
