@@ -45,6 +45,38 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _check_out(flag: str, path: str, others: dict[str, str] | None = None) -> None:
+    """Exit with one line, `<flag> <path>: <reason>`, when the command could
+    not write a file at `path`; run before any work.  `others` maps flags to
+    the files the command reads or writes before this one, which `path` must
+    neither be nor lie under."""
+    taken = {os.path.abspath(file): other for other, file in (others or {}).items()}
+    reason = None
+    if not path:
+        reason = "no file name"
+    elif os.path.isdir(path):
+        reason = "is a directory"
+    elif path.endswith((os.sep, os.altsep or os.sep)):
+        reason = "names a directory, not a file"
+    elif os.path.abspath(path) in taken:
+        reason = f"is the {taken[os.path.abspath(path)]} file"
+    elif os.path.exists(path) and not os.access(path, os.W_OK):
+        reason = "is not writable"
+    else:
+        parent = os.path.dirname(path) or os.curdir
+        # Up to the nearest ancestor that exists now or that an earlier file takes.
+        while not (os.path.exists(parent) or os.path.abspath(parent) in taken):
+            parent = os.path.dirname(parent) or os.curdir
+        if os.path.abspath(parent) in taken:
+            reason = f"{parent} is the {taken[os.path.abspath(parent)]} file"
+        elif not os.path.isdir(parent):
+            reason = f"{parent} is not a directory"
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            reason = f"{parent} is not writable"
+    if reason:
+        raise SystemExit(f"{flag} {path}: {reason}")
+
+
 def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(path)
     if parent:
@@ -211,6 +243,9 @@ def _checked(build, opts: dict):
 def _cmd_train(args) -> int:
     opts = _merge(args, _load_config(args.config), _option_defaults())
     config = _checked(_run_config_from, opts)
+    _check_out("--out", opts["out"])
+    if opts["model_out"]:
+        _check_out("--model-out", opts["model_out"], {"--out": opts["out"]})
     try:
         model, history = train(config)
     except TrainingDiverged as exc:
@@ -249,6 +284,7 @@ def _cmd_eval(args) -> int:
             f"model {args.model} maps {model.in_dim} inputs to {model.out_dim} points, but task "
             f"{task.kind} of size {task.size} has {n} of each"
         )
+    _check_out("--out", out, {"--model": args.model})
     records, summary = evaluate(model, task, split=opts["split"])
     ndim = records[0].pred.shape[0]
     header = (
@@ -274,7 +310,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _check_given_out(args, others: dict[str, str] | None = None) -> None:
+    """Check the optional --out, when it is given."""
+    if args.out:
+        _check_out("--out", args.out, others)
+
+
 def _cmd_calibrate(args) -> int:
+    _check_given_out(args, {"--records": args.records})
     try:
         fh = open(args.records, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -315,6 +358,7 @@ def _given(**options) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_given_out(args)
     report = gradcheck_suite(**_given(seeds=args.seeds))
     header, rows = _columns(GradCheckRow, report.rows)
     if args.out:
@@ -329,12 +373,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_distcheck(args) -> int:
+    _check_given_out(args)
+    if args.out:
+        rel_path = os.path.splitext(args.out)[0] + "_relaxed.csv"
+        _check_out("--out", rel_path)
     report = distcheck_suite(**_given(num_maps=args.maps, draws=args.draws, seed=args.seed))
     ref_header, ref_rows = _columns(ReferenceRow, report.reference)
     rel_header, rel_rows = _columns(RelaxedRow, report.relaxed)
     if args.out:
         write_csv(args.out, ref_header, ref_rows)
-        rel_path = os.path.splitext(args.out)[0] + "_relaxed.csv"
         write_csv(rel_path, rel_header, rel_rows)
         print(f"rows written to {args.out} and {rel_path}")
     print(format_table(ref_header, ref_rows[:6]))
@@ -345,6 +392,7 @@ def _cmd_distcheck(args) -> int:
 
 
 def _cmd_varcompare(args) -> int:
+    _check_given_out(args)
     report = variance_compare(**_given(num_seeds=args.seeds, draws=args.draws, tau=args.tau))
     header, rows = _columns(VarianceCompareRow, report.rows)
     if args.out:

@@ -31,6 +31,7 @@ from ..mixture import (
     ks_statistic,
     mixture_cdf,
     mixture_moments,
+    per_stream,
     reference_sample_batch,
 )
 from ..operators import DISTANCES, _is_kind, gumbel_softmax_values
@@ -127,11 +128,13 @@ def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> G
             points = [(b, seed) for b in range(len(BASES)) for seed in range(parity, seeds, len(DISTANCES))]
             if not points:
                 continue
-            # SeedSequence reads a uint32 array faster than a list, and as the
-            # same entropy while every word is below 2**32.
-            rngs = [np.random.default_rng(np.array([2311, ndim, b, loss_idx, seed], np.uint32)) for b, seed in points]
-            x0s = np.stack([rng.uniform(-2.0, 2.0, support.n) for rng in rngs])
-            y_ts = np.stack([rng.uniform(0.5, span, size=ndim) for rng in rngs])
+            # Each point draws its x0 and then its y_t from the stream of
+            # default_rng([2311, ndim, b, loss_idx, seed]).
+            starts = per_stream(
+                [[2311, ndim, b, loss_idx, seed] for b, seed in points],
+                lambda rng: (rng.uniform(-2.0, 2.0, support.n), rng.uniform(0.5, span, size=ndim)),
+            )
+            x0s, y_ts = (np.stack(column) for column in zip(*starts))
             noise = tuple(np.stack([frozen[b][k] for b, _ in points]) for k in range(2))
             f = _loss_closure(loss_name, support, noise, y_ts, distance, x0s)
             for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):

@@ -7,24 +7,24 @@ so that with the noise turned off, the largest observation entry is always
 the support point nearest y_t; tests rely on that anchor.
 
 Examples are pinned by (task seed, split, index), and the three splits use
-disjoint seed streams.  A grid split takes every example's draws first, in
-one pass over the examples, and then computes all of them at once,
-elementwise, so each example keeps the bits it has when generated alone.
-Grid draws are scaled rng.random() calls and scalar rng.integers() calls:
-k of them give the bits of one rng.uniform(lo, hi, size=k) or
-rng.integers(size=k) call and leave the stream where it leaves it, at a
-fraction of its argument handling.
+disjoint seed streams.  mixture.per_stream seeds every example of a split
+from one generator.  A grid split takes every example's draws first, in one
+pass over the examples, and then computes all of them at once, elementwise,
+so each example keeps the bits it has when generated alone.  Grid draws are
+scalar rng.integers() calls and scaled rng.random(k) draws: the bits of
+rng.integers(size=k) and of k rng.uniform(lo, hi) calls, with the stream
+left where those leave it, at a fraction of their argument handling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from ..mixture import MixtureSpec, Support
+from ..mixture import MixtureSpec, Support, per_stream
 from ..operators import _is_kind, check_field_types
 
 __all__ = [
@@ -146,10 +146,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float, size=None) -> float | np.ndarray:
-    """rng.uniform(lo, hi, size): the same bits and stream, without its
-    argument handling."""
-    return lo + (hi - lo) * rng.random(size)
+def _scaled(u, lo: float, hi: float):
+    """lo + (hi - lo) * u: what rng.uniform(lo, hi) makes of a random() draw
+    u, float or array, bit for bit."""
+    return lo + (hi - lo) * u
 
 
 def _place_distractor(
@@ -158,7 +158,7 @@ def _place_distractor(
     """The first of rng's next _DISTRACTOR_TRIES uniform points in [lo, hi]^d
     that lies at least min_sep (euclidean) from y_t, or None if none does."""
     for _ in range(_DISTRACTOR_TRIES):
-        cand = _uniform(rng, lo, hi, y_t.shape)
+        cand = _scaled(rng.random(y_t.shape), lo, hi)
         if _norm(cand - y_t) >= min_sep:
             return cand
     return None
@@ -178,22 +178,26 @@ _DISTRACTOR_TRIES = 1024
 _MID_BAND = (0.42, 0.58)
 
 
-def _cell_offset(rng: np.random.Generator) -> float:
-    """Fractional position within a cell, skipping the midpoint band."""
-    u = rng.random()
+def _cell_offset(u: float) -> float:
+    """Fractional position within a cell, skipping the midpoint band, from a
+    random() draw u."""
     if u < 0.5:
         return 2.0 * u * _MID_BAND[0]
     return _MID_BAND[1] + (2.0 * u - 1.0) * (1.0 - _MID_BAND[1])
 
 
-def _bump_draws(rng: np.random.Generator, center: np.ndarray) -> list[tuple]:
-    """The draws of a separable multi-axis bump at center: per axis its
-    (center, width, -0.5 / width**2, lam_lo, lam_hi)."""
+# random() draws per axis of a bump: its width and its two tail decays.
+_BUMP_DRAWS = 3
+
+
+def _bump_draws(center: np.ndarray, u: list[float]) -> list[tuple]:
+    """A separable multi-axis bump at center from _BUMP_DRAWS random() draws
+    per axis: per axis its (center, width, -0.5 / width**2, lam_lo, lam_hi)."""
     rows = []
-    for c in center:
-        width = _uniform(rng, *_WIDTH_RANGE)
-        lam_lo, lam_hi = _uniform(rng, *_LAM_RANGE), _uniform(rng, *_LAM_RANGE)
-        rows.append((float(c), width, -0.5 / width**2, lam_lo, lam_hi))
+    for axis, c in enumerate(center):
+        width, lam_lo, lam_hi = u[_BUMP_DRAWS * axis : _BUMP_DRAWS * (axis + 1)]
+        width = _scaled(width, *_WIDTH_RANGE)
+        rows.append((float(c), width, -0.5 / width**2, _scaled(lam_lo, *_LAM_RANGE), _scaled(lam_hi, *_LAM_RANGE)))
     return rows
 
 
@@ -208,45 +212,49 @@ def _bump_profiles(x: np.ndarray, draws: list[list[tuple]]) -> np.ndarray:
     return out
 
 
-def _grid_examples(
-    task: SyntheticTask, rngs: Iterable[np.random.Generator], count: int, ndim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(observations, targets) of `count` grid examples, one per generator.
+def _grid_draws(task: SyntheticTask, ndim: int, roomy: bool, rng: np.random.Generator) -> tuple:
+    """One grid example's draws, in stream order: (y_t, its bump's
+    _bump_draws, its noise scale, (rho, the distractor's _bump_draws, boost)
+    or None, its standard normals).  The fixed-count uniforms come from one
+    random(k) call after the integers and one after a distractor is placed;
+    each is mapped by the same Python-float formula as a scalar draw."""
+    n = task.size
+    cells = [rng.integers(1, n - 2) for _ in range(ndim)]
+    u = rng.random(ndim + _BUMP_DRAWS * ndim + 1).tolist()
+    y_t = np.array([c + _cell_offset(v) for c, v in zip(cells, u)])
+    bump = _bump_draws(y_t, u[ndim:-1])
+    difficulty = _scaled(u[-1], 0.1, 1.0)
+    lift = None
+    if roomy and _norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) > _MIN_SEP:
+        d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
+        if d_pos is not None:
+            v = rng.random(1 + _BUMP_DRAWS * ndim + 1).tolist()
+            # Confusable component of the noise: on hard examples it can grow
+            # the distractor toward main-peak height, so which bump is the
+            # real one becomes genuinely uncertain.
+            boost = task.noise * difficulty * _scaled(v[-1], 0.0, 0.55)
+            lift = _scaled(v[0], *_RHO_RANGE), _bump_draws(d_pos, v[1:-1]), boost
+    return y_t, bump, task.noise * difficulty, lift, rng.standard_normal(n**ndim)
 
-    Each example's draws are taken from its generator in one pass; the
+
+def _grid_examples(task: SyntheticTask, seeds: list[list[int]], ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(observations, targets) of the grid examples seeded by `seeds`.
+
+    Each example's draws are taken from its stream in one pass; the
     arithmetic on them then runs for all examples at once, elementwise, so
     each example's bits are those of the example alone.
     """
     n = task.size
-    targets = np.empty((count, ndim))
-    normals = np.empty((count, n**ndim))
-    scales = np.empty(count)
-    bumps, distractors = [], []  # _bump_draws of each main bump, of each distractor
-    lifted, rhos, boosts = [], [], []
     # Skip the distractor when the box is too small to honor the separation,
     # when even its farthest corner from y_t is not beyond it, or when no try
     # lands beyond it.
     roomy = (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP
-    for i, rng in enumerate(rngs):
-        cells = [rng.integers(1, n - 2) for _ in range(ndim)]
-        y_t = np.array([c + _cell_offset(rng) for c in cells])
-        targets[i] = y_t
-        bumps.append(_bump_draws(rng, y_t))
-        difficulty = _uniform(rng, 0.1, 1.0)
-        scales[i] = task.noise * difficulty
-        d_pos = None
-        if roomy and _norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) > _MIN_SEP:
-            d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
-        if d_pos is not None:
-            lifted.append(i)
-            rhos.append(_uniform(rng, *_RHO_RANGE))
-            distractors.append(_bump_draws(rng, d_pos))
-            # Confusable component of the noise: on hard examples it can grow
-            # the distractor toward main-peak height, so which bump is the
-            # real one becomes genuinely uncertain.
-            boosts.append(task.noise * difficulty * _uniform(rng, 0.0, 0.55))
-        rng.standard_normal(out=normals[i])
+    examples = per_stream(seeds, functools.partial(_grid_draws, task, ndim, roomy))
+    targets, bumps, scales, lifts, normals = zip(*examples)
+    lifted = [i for i, lift in enumerate(lifts) if lift is not None]
+    rhos, distractors, boosts = zip(*(lifts[i] for i in lifted)) if lifted else ((), (), ())
 
+    count = len(examples)
     profiles = _bump_profiles(np.arange(n, dtype=np.float64), bumps + distractors)
     signal = noisy = profiles[:count]
     if lifted:
@@ -255,8 +263,8 @@ def _grid_examples(
         signal[lifted] = raised
         noisy = signal.copy()
         noisy[lifted] = raised + np.array(boosts)[:, None] * d_profile
-    std = scales[:, None] * (0.05 + 0.25 * signal)
-    return noisy + std * normals, targets
+    std = np.array(scales)[:, None] * (0.05 + 0.25 * signal)
+    return noisy + std * np.stack(normals), np.stack(targets)
 
 
 def _scatter_example(task: SyntheticTask, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -296,17 +304,15 @@ def _seed_words(value: int) -> list[int]:
 def _examples(task: SyntheticTask, split: str, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (observations, targets) of examples start..stop-1 of a split.
 
-    Example i draws from default_rng([task.seed, split code, i]), seeded
-    with the same words as a row of one uint32 array, which SeedSequence
-    reads faster than a list of ints.
+    Example i draws from the stream of default_rng([task.seed, split code,
+    i]), whose seed words per_stream hashes for all examples at once.
     """
     head = _seed_words(task.seed) + [_SPLIT_CODES[split]]
-    seeds = np.array([head + _seed_words(i) for i in range(start, stop)], dtype=np.uint32)
-    rngs = map(np.random.default_rng, seeds)
+    seeds = [head + _seed_words(i) for i in range(start, stop)]
     if task.kind == "scatter3d":
-        rows = [_scatter_example(task, rng) for rng in rngs]
+        rows = per_stream(seeds, functools.partial(_scatter_example, task))
         return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
-    return _grid_examples(task, rngs, stop - start, ndim=1 if task.kind == "signal1d" else 2)
+    return _grid_examples(task, seeds, ndim=1 if task.kind == "signal1d" else 2)
 
 
 def generate_example(task: SyntheticTask, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,9 @@ outside and that is intentional, it keeps every formula exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "ProbabilityMap",
     "MixtureSpec",
     "NoiseSource",
+    "per_stream",
     "BASES",
     "WEIGHT_FLOOR",
     "basis_sample_all",
@@ -41,6 +43,8 @@ __all__ = [
     "ks_statistic",
     "ks_critical_value",
 ]
+
+T = TypeVar("T")
 
 BASES = ("uniform", "triangular", "gaussian")
 
@@ -340,6 +344,98 @@ class NoiseSource:
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.draws_taken = 0
+
+
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding
+# step, which default_rng(words) runs on one row of uint32 words at a time.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_WORDS = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's running hash constant: per hashmix call, the constant
+    its value is xored with and the next one, which it is multiplied by."""
+    const = init
+    while True:
+        xor, const = const, const * mult & _MASK32
+        yield xor, const
+
+
+def _hashmix(values: np.ndarray, consts: Iterator[tuple[int, int]], calls: int) -> np.ndarray:
+    """(calls, count): row j is hashmix of values' row j (values broadcast
+    to that shape) with the j-th of the next `calls` constants."""
+    xor, mul = np.array(list(itertools.islice(consts, calls)), np.uint32).T[..., None]
+    out = values ^ xor
+    out *= mul
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_MULT_L)
+    out -= y * np.uint32(_MIX_MULT_R)
+    out ^= out >> 16
+    return out
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64(SeedSequence(row)).state's (state, inc) for each row of a
+    (count, k) uint32 array.  The hash runs in numpy on every row at once,
+    and on every pool word that one step of the hash treats alike."""
+    entropy = words.T
+    hash_a = _hash_constants(_HASH_INIT_A, _HASH_MULT_A)
+    pool = np.zeros((_POOL_WORDS, words.shape[0]), np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_WORDS]
+    pool = _hashmix(pool, hash_a, _POOL_WORDS)
+    for src in range(_POOL_WORDS):
+        dst = [i for i in range(_POOL_WORDS) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a, len(dst)))
+    for word in entropy[_POOL_WORDS:]:
+        pool = _mix(pool, _hashmix(word, hash_a, _POOL_WORDS))
+    # generate_state(4, np.uint64): 8 uint32 words cycling the pool, read in
+    # little-endian pairs.
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_HASH_INIT_B, _HASH_MULT_B), 2 * _POOL_WORDS)
+    out = out.astype(np.uint64)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
+        # pcg64_set_seed: state = ((inc + seed) * mult + inc) with inc odd.
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def per_stream(rows: Sequence[Sequence[int]], fn: Callable[[np.random.Generator], T]) -> list[T]:
+    """[fn(np.random.default_rng(np.array(row, np.uint32))) for row in rows],
+    without making a generator per row.
+
+    Each row is a sequence of uint32 words, SeedSequence's entropy.
+    Rows of one length are hashed together, in numpy, and every row's PCG64
+    state is then set in turn on one generator, which fn draws from and must
+    not keep: it is reseeded for the next row.  The test that compares this
+    with default_rng fails by name if numpy changes how it seeds.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    states: list = [None] * len(rows)
+    for picks in by_length.values():
+        words = np.array([rows[i] for i in picks], dtype=np.uint32)
+        for i, state in zip(picks, _pcg64_states(words)):
+            states[i] = state
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    out = []
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+        }
+        out.append(fn(rng))
+    return out
 
 
 def _clip_unit(u: np.ndarray) -> np.ndarray:

@@ -533,6 +533,51 @@ class TestOptionValues:
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+# Output paths no file can be written at, or only over a file the command
+# reads or writes first, with the one line each ends in.  outdir/ and
+# x_relaxed.csv/ are directories, and h.csv, r.csv and m.npz files.
+BAD_OUTPUTS = [
+    (["train", "--out", "outdir/"], "--out outdir/: is a directory"),
+    (["train", "--out", "outdir"], "--out outdir: is a directory"),
+    (["train", "--out", "new/"], "--out new/: names a directory, not a file"),
+    (["train", "--out", "h.csv/sub/x.csv"], "--out h.csv/sub/x.csv: h.csv is not a directory"),
+    (["train", "--out", ""], "--out : no file name"),
+    (["train", "--model-out", "outdir"], "--model-out outdir: is a directory"),
+    (["train", "--model-out", "h.csv/m.npz"], "--model-out h.csv/m.npz: h.csv is not a directory"),
+    (["train", "--out", "h2.csv", "--model-out", "h2.csv/m.npz"], "--model-out h2.csv/m.npz: h2.csv is the --out file"),
+    (["train", "--out", "h2.csv", "--model-out", "./h2.csv"], "--model-out ./h2.csv: is the --out file"),
+    (["eval", "--model", "m.npz", "--out", "outdir/"], "--out outdir/: is a directory"),
+    (["eval", "--model", "m.npz", "--out", "m.npz"], "--out m.npz: is the --model file"),
+    (["calibrate", "--records", "r.csv", "--out", "outdir"], "--out outdir: is a directory"),
+    (["calibrate", "--records", "r.csv", "--out", "r.csv"], "--out r.csv: is the --records file"),
+    (["gradcheck", "--out", "d/"], "--out d/: names a directory, not a file"),
+    (["distcheck", "--out", "outdir"], "--out outdir: is a directory"),
+    (["distcheck", "--out", "x.csv"], "--out x_relaxed.csv: is a directory"),
+    (["varcompare", "--out", "h.csv/vc.csv"], "--out h.csv/vc.csv: h.csv is not a directory"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_OUTPUTS, ids=[" ".join(argv) for argv, _ in BAD_OUTPUTS])
+def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before its output path was checked")
+
+    for name in ("train", "evaluate", "gradcheck_suite", "distcheck_suite", "variance_compare"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "x_relaxed.csv").mkdir()
+    (tmp_path / "h.csv").write_text("epoch\n")
+    (tmp_path / "r.csv").write_text("peak,err\n0.5,1.0\n0.25,2.0\n")
+    save_model(tmp_path / "m.npz", SyntheticTask("signal1d"))
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == message
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 class TestSuiteCommands:
     def test_gradcheck_passes_and_writes_rows(self, tmp_path):
         out = tmp_path / "gc.csv"

@@ -214,6 +214,7 @@ class TestTasks:
             raise AssertionError("a generator was made before the split and index were checked")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(tasks, "per_stream", no_generator)
         task = small_task()
         with pytest.raises(ValueError, match="unknown split: 'holdout'"):
             generate_example(task, "holdout", 0)
@@ -227,9 +228,10 @@ class TestTasks:
                 generate_example(task, "val", index)
 
     def test_fast_draws_have_the_bits_and_stream_of_uniform_and_sized_integers(self):
-        # Grid generation draws through scaled random() and scalar
-        # integers(); each pair below must match the call it stands for bit
-        # for bit and leave the stream at the same place.
+        # Grid generation draws through scaled random() draws, taken k at a
+        # time with random(k), and scalar integers(); each pair below must
+        # match the call it stands for bit for bit and leave the stream at
+        # the same place.
         ranges = [tasks._WIDTH_RANGE, tasks._LAM_RANGE, tasks._RHO_RANGE, (0.1, 1.0), (0.0, 0.55)]
         ranges += [(1.0, n - 2.0) for n in range(8, 33)]
 
@@ -240,13 +242,17 @@ class TestTasks:
         for seed in range(1000):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for lo, hi in ranges:
-                same(tasks._uniform(rng, lo, hi), ref.uniform(lo, hi))
+                same(tasks._scaled(rng.random(), lo, hi), ref.uniform(lo, hi))
                 for k in (1, 2):
-                    same(tasks._uniform(rng, lo, hi, (k,)), ref.uniform(lo, hi, size=k))
-                    same([tasks._uniform(rng, lo, hi) for _ in range(k)], ref.uniform(lo, hi, size=k))
+                    same(tasks._scaled(rng.random((k,)), lo, hi), ref.uniform(lo, hi, size=k))
+                    same([tasks._scaled(u, lo, hi) for u in rng.random(k).tolist()], ref.uniform(lo, hi, size=k))
             for n in range(8, 33):
                 for ndim in (1, 2):
                     same([rng.integers(1, n - 2) for _ in range(ndim)], ref.integers(1, n - 2, size=ndim))
+            # The batched draws of one grid example, with and without a
+            # distractor, in 1 and 2 axes: random(k) is k scalar random() calls.
+            for k in (1 + 4 * 1, 1 + 4 * 2, 2 + 3 * 1, 2 + 3 * 2):
+                same(rng.random(k).tolist(), [ref.random() for _ in range(k)])
 
     @pytest.mark.parametrize(
         "kind, sizes, counts",
@@ -259,7 +265,7 @@ class TestTasks:
         ],
         ids=["signal1d-default", "signal1d-small", "heat2d-default", "heat2d-small", "scatter3d"],
     )
-    @pytest.mark.parametrize("seed", [0, 3, 7919, 2**32 + 5])
+    @pytest.mark.parametrize("seed", [0, 3, 7919, 2**32 + 5, 2**64 + 7])
     def test_generation_keeps_every_examples_bits(self, kind, sizes, counts, seed):
         for size in sizes:
             task = SyntheticTask(kind, size=size, noise=1.5, seed=seed, **counts)

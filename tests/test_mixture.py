@@ -26,6 +26,7 @@ from diffloc.mixture import (
     mixture_cdf,
     mixture_moments,
     mixture_pdf,
+    per_stream,
     reference_sample_batch,
 )
 
@@ -487,6 +488,47 @@ class TestNoise:
         samples = reference_sample_batch(pmap, MixtureSpec("uniform"), 4000, NoiseSource(45))
         # Component 0's uniform basis covers [-0.5, 0.5]; the other two lie above.
         assert samples.min() > 0.5
+
+
+class TestPerStream:
+    @staticmethod
+    def first_draws(rng):
+        return rng.bit_generator.state, rng.random(2).tolist(), rng.integers(0, 2**62, size=2).tolist()
+
+    def test_per_stream_seeds_as_default_rng(self):
+        # per_stream reimplements numpy's SeedSequence hash and PCG64 seeding;
+        # a numpy that seeds differently fails here.  Rows of 1 to 8 words
+        # cover the pool's zero padding, a full pool and the extra-word mix,
+        # and every length holds a row of 0 words and one of 2**32 - 1 words.
+        rng = np.random.default_rng(2024)
+        rows = []
+        for k in range(1, 9):
+            rows += [[0] * k, [2**32 - 1] * k]
+            rows += rng.integers(0, 2**32, size=(700, k)).tolist()
+            rows += rng.choice([0, 1, 2**31, 2**32 - 1], size=(50, k)).tolist()
+        rng.shuffle(rows)
+        assert len(rows) >= 5000
+        got = per_stream(rows, self.first_draws)
+        for row, seeded in zip(rows, got):
+            assert seeded == self.first_draws(np.random.default_rng(np.array(row, np.uint32))), row
+
+    def test_rows_of_mixed_lengths_keep_their_order(self):
+        rows = [[5], [], [7, 0, 1, 2, 3], [9, 9], [5], np.array([1, 2, 3], np.uint32)]
+        seen = per_stream(rows, self.first_draws)
+        assert seen == [self.first_draws(np.random.default_rng(np.array(row, np.uint32))) for row in rows]
+        assert seen[0] == seen[4]
+        assert per_stream([], self.first_draws) == []
+
+    def test_each_row_starts_afresh(self):
+        # A row's stream does not depend on how far fn read the row before it.
+        greedy = per_stream([[1], [2]], lambda rng: rng.random(1 + int(rng.integers(1000))).tolist()[-1])
+        lazy = per_stream([[2]], lambda rng: rng.random(1 + int(rng.integers(1000))).tolist()[-1])
+        assert greedy[1] == lazy[0]
+
+    def test_words_must_fit_in_32_bits(self):
+        for word in (2**32, -1):
+            with pytest.raises(OverflowError):
+                per_stream([[1, word]], self.first_draws)
 
 
 # ---------------------------------------------------------------------------
