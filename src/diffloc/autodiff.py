@@ -10,17 +10,22 @@ Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
 
+Each op's builder is told which of its inputs require a gradient, and its
+backward computes nothing for the others, the constants.
+
 All values are float64 and must stay finite.  Each array is checked once,
 where it is made: a constant when it is built, an op output in
 ``forward_op``, a gradient when a backward function returns it, and the sum
-of two gradients.  NaN or Inf raises immediately instead of letting the
-poison spread.  Every tensor is checked, inside a block or not; the check
-first tests the array's sum and reads each entry only when that sum is not
-finite, since a finite array can overflow its sum.  An overflow therefore
-shows as a NonFiniteError, not as numpy's warning: a ``GradientTape`` or
-``no_grad`` block silences numpy's over/invalid warnings once for the whole
-block, and an op or a constructor called outside both silences them for
-itself alone.
+of two gradients.  A backward function that returns its incoming gradient
+itself, as the same-shape sides of add and subtract do, returns an array
+checked already, so it is not checked twice.  NaN or Inf raises immediately
+instead of letting the poison spread.  Every tensor is checked, inside a
+block or not; the check first tests the array's sum and reads each entry
+only when that sum is not finite, since a finite array can overflow its
+sum.  An overflow therefore shows as a NonFiniteError, not as numpy's
+warning: a ``GradientTape`` or ``no_grad`` block silences numpy's
+over/invalid warnings once for the whole block, and an op or a constructor
+called outside both silences them for itself alone.
 """
 
 from __future__ import annotations
@@ -196,11 +201,13 @@ def as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # Op registry
 
-# An op builder takes (arrays, params) and returns (out_values, backward_fn)
-# where backward_fn maps the output gradient to one gradient (or None) per
-# input, already reduced to the input's shape.  _REGISTRY, below the
+# An op builder takes (arrays, params, needs) and returns (out_values,
+# backward_fn) where backward_fn maps the output gradient to one gradient (or
+# None) per input, already reduced to the input's shape.  needs holds one
+# flag per input, whether it requires a gradient; backward_fn computes nothing
+# for an input whose flag is False and gives it None.  _REGISTRY, below the
 # builders, maps each op kind to its builder.
-OpBuilder = Callable[[list[np.ndarray], dict], tuple[np.ndarray, Callable]]
+OpBuilder = Callable[[list[np.ndarray], dict, tuple[bool, ...]], tuple[np.ndarray, Callable]]
 
 
 def registered_ops() -> tuple[str, ...]:
@@ -214,20 +221,18 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     if build is None:
         raise ValueError(f"unknown op kind: {kind!r}")
     tensors = tuple(as_tensor(x) for x in inputs)
+    needs = tuple([t.requires_grad for t in tensors])
     state = _STATE
     with _errstate(state):
-        out_values, backward_fn = build([t.values for t in tensors], params)
+        out_values, backward_fn = build([t.values for t in tensors], params, needs)
         out_values = np.asarray(out_values, dtype=np.float64)
         _check_finite(out_values, "output of {!r}", kind)
     # Checked just above, so bypass the constructor's copy and second check.
     out = Tensor.__new__(Tensor)
     out.values, out.requires_grad, out.grad = out_values, False, None
-    if state.enabled and state.stack:
-        for t in tensors:
-            if t.requires_grad:
-                out.requires_grad = True
-                state.stack[-1].records.append(TapeRecord(kind, tensors, out, backward_fn))
-                break
+    if state.enabled and state.stack and any(needs):
+        out.requires_grad = True
+        state.stack[-1].records.append(TapeRecord(kind, tensors, out, backward_fn))
     return out
 
 
@@ -274,7 +279,8 @@ def backward(root: Tensor) -> None:
                     f"backward of {rec.kind!r} produced gradient shape {g_in.shape} "
                     f"for input shape {tensor.shape}"
                 )
-            _check_finite(g_in, "backward of {!r}", rec.kind)
+            if g_in is not g_out:
+                _check_finite(g_in, "backward of {!r}", rec.kind)
             prev = pending.get(id(tensor))
             if prev is not None:
                 g_in = prev[1] + g_in
@@ -288,7 +294,7 @@ def backward(root: Tensor) -> None:
 def _accumulate(tensor: Tensor, g: np.ndarray) -> None:
     # g is finite already; only its sum with an earlier gradient can overflow.
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.values) + g
+        tensor.grad = g + 0.0
         return
     total = tensor.grad + g
     _check_finite(total, "gradient accumulation")
@@ -313,7 +319,7 @@ def _suffix_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     return g
 
 
@@ -333,58 +339,61 @@ def _axis_param(params: dict, ndim: int, allow_none: bool = True) -> int | None:
 # Builders for the standard op set
 
 
-def _build_add(arrays, params):
+def _build_add(arrays, params, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
-    out = a + b
+    need_a, need_b = needs
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return (_reduce_to(g, a.shape) if need_a else None), (_reduce_to(g, b.shape) if need_b else None)
 
-    return out, bwd
+    return a + b, bwd
 
 
-def _build_subtract(arrays, params):
+def _build_subtract(arrays, params, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
-    out = a - b
+    need_a, need_b = needs
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return (_reduce_to(g, a.shape) if need_a else None), (_reduce_to(-g, b.shape) if need_b else None)
 
-    return out, bwd
+    return a - b, bwd
 
 
-def _build_multiply(arrays, params):
+def _build_multiply(arrays, params, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
-    out = a * b
+    need_a, need_b = needs
 
     def bwd(g):
-        return _reduce_to(g * b, a.shape), _reduce_to(g * a, b.shape)
+        return (_reduce_to(g * b, a.shape) if need_a else None), (_reduce_to(g * a, b.shape) if need_b else None)
 
-    return out, bwd
+    return a * b, bwd
 
 
-def _build_divide(arrays, params):
+def _build_divide(arrays, params, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
-    if np.any(b == 0.0):
+    if (b == 0.0).any():
         raise ZeroDivisionError("divide: zero in denominator")
-    out = a / b
+    need_a, need_b = needs
 
     def bwd(g):
-        return _reduce_to(g / b, a.shape), _reduce_to(-g * a / (b * b), b.shape)
+        return (
+            _reduce_to(g / b, a.shape) if need_a else None,
+            _reduce_to(-g * a / (b * b), b.shape) if need_b else None,
+        )
 
-    return out, bwd
+    return a / b, bwd
 
 
-def _build_negate(arrays, params):
+def _build_negate(arrays, params, needs):
     (a,) = arrays
     return -a, lambda g: (-g,)
 
 
-def _build_exponent(arrays, params):
+def _build_exponent(arrays, params, needs):
     (a,) = arrays
     out = np.exp(a)
     return out, lambda g: (g * out,)
@@ -396,7 +405,7 @@ def floored_values(a: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(a - floor, 0.0) + floor
 
 
-def _build_logarithm(arrays, params):
+def _build_logarithm(arrays, params, needs):
     (a,) = arrays
     floor = params.get("floor")
     if floor is None:
@@ -411,7 +420,7 @@ def _build_logarithm(arrays, params):
     return np.log(lifted), lambda g: ((g / lifted) * (a > floor),)
 
 
-def _build_power(arrays, params):
+def _build_power(arrays, params, needs):
     (a,) = arrays
     p = float(params["exponent"])
     if p != round(p) and np.any(a < 0.0):
@@ -424,20 +433,19 @@ def _build_power(arrays, params):
     return out, bwd
 
 
-def _build_sum_over_axis(arrays, params):
+def _build_sum_over_axis(arrays, params, needs):
     (a,) = arrays
     axis = _axis_param(params, a.ndim)
-    out = a.sum(axis=axis)
 
     def bwd(g):
         if axis is None:
             return (np.full_like(a, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+        return (np.repeat(np.expand_dims(g, axis), a.shape[axis], axis=axis),)
 
-    return np.asarray(out), bwd
+    return np.add.reduce(a, axis=axis), bwd
 
 
-def _build_mean_over_axis(arrays, params):
+def _build_mean_over_axis(arrays, params, needs):
     (a,) = arrays
     axis = _axis_param(params, a.ndim)
     count = a.size if axis is None else a.shape[axis]
@@ -451,7 +459,7 @@ def _build_mean_over_axis(arrays, params):
     return np.asarray(out), bwd
 
 
-def _build_matrix_multiply(arrays, params):
+def _build_matrix_multiply(arrays, params, needs):
     a, b = arrays
     if a.ndim == 0 or b.ndim == 0:
         raise ShapeError("matrix-multiply does not accept scalars")
@@ -461,37 +469,39 @@ def _build_matrix_multiply(arrays, params):
         out = a @ b
     except ValueError as err:
         raise ShapeError(f"matrix-multiply: {a.shape} @ {b.shape}") from err
+    need_a, need_b = needs
 
     def bwd(g):
         if a.ndim == 1 and b.ndim == 1:  # (k,) @ (k,) -> ()
-            return g * b, g * a
+            return (g * b if need_a else None), (g * a if need_b else None)
         if a.ndim == 1:  # (k,) @ (k, m) -> (m,)
-            return b @ g, np.outer(a, g)
+            return (b @ g if need_a else None), (np.outer(a, g) if need_b else None)
         if b.ndim == 1:  # (..., k) @ (k,) -> (...,)
-            ga = np.expand_dims(g, -1) * b
-            gb = np.tensordot(g, a, axes=(tuple(range(g.ndim)), tuple(range(a.ndim - 1))))
+            ga = np.expand_dims(g, -1) * b if need_a else None
+            gb = np.tensordot(g, a, axes=(tuple(range(g.ndim)), tuple(range(a.ndim - 1)))) if need_b else None
             return ga, gb
-        ga = g @ np.swapaxes(b, -1, -2)
-        gb = np.swapaxes(a, -1, -2) @ g
-        return _reduce_to(ga, a.shape), _reduce_to(gb, b.shape)
+        ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
+        gb = _reduce_to(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
+        return ga, gb
 
     return out, bwd
 
 
-def _build_relu(arrays, params):
+def _build_relu(arrays, params, needs):
     (a,) = arrays
     out = np.maximum(a, 0.0)
     return out, lambda g: (g * (a > 0.0),)
 
 
 def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Plain-array softmax with max subtraction; shared by ops and oracles."""
-    shifted = a - a.max(axis=axis, keepdims=True)
+    """Plain-array softmax with max subtraction; shared by ops and oracles.
+    The reductions are the ufuncs a.max and e.sum call."""
+    shifted = a - np.maximum.reduce(a, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-def _build_softmax_over_axis(arrays, params):
+def _build_softmax_over_axis(arrays, params, needs):
     (a,) = arrays
     axis = _axis_param(params, a.ndim, allow_none=False) if "axis" in params else a.ndim - 1
     if a.ndim == 0:
@@ -499,23 +509,23 @@ def _build_softmax_over_axis(arrays, params):
     out = softmax_values(a, axis=axis)
 
     def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return (out * (g - inner),)
 
     return out, bwd
 
 
-def _build_absolute_value(arrays, params):
+def _build_absolute_value(arrays, params, needs):
     (a,) = arrays
     return np.abs(a), lambda g: (g * np.sign(a),)
 
 
-def _build_square(arrays, params):
+def _build_square(arrays, params, needs):
     (a,) = arrays
     return a * a, lambda g: (g * 2.0 * a,)
 
 
-def _build_concatenate(arrays, params):
+def _build_concatenate(arrays, params, needs):
     if not arrays:
         raise ValueError("concatenate needs at least one input")
     axis = _axis_param(params, arrays[0].ndim, allow_none=False) if "axis" in params else 0
@@ -532,13 +542,13 @@ def _build_concatenate(arrays, params):
     return out, bwd
 
 
-def _build_index_select(arrays, params):
+def _build_index_select(arrays, params, needs):
     (a,) = arrays
     axis = _axis_param(params, a.ndim, allow_none=False) if "axis" in params else 0
     index = params["index"]
     scalar = np.isscalar(index) or (isinstance(index, np.ndarray) and index.ndim == 0)
     idx = int(index) if scalar else np.asarray(index, dtype=np.intp)
-    out = np.take(a, idx, axis=axis)
+    out = a.take(idx, axis=axis)
 
     def bwd(g):
         ga = np.zeros_like(a)
@@ -557,11 +567,13 @@ def _build_index_select(arrays, params):
             base = idx[tuple(0 if k in spread else slice(None) for k in range(idx.ndim))]
             if _unique(base, length):
                 moved = [axis + k for k in spread]
+                # A view with the spread axes first; each draw's slice is read
+                # in place, in the order the flattened axes would give.
                 terms = g.transpose(moved + [k for k in range(g.ndim) if k not in moved])
-                terms = terms.reshape((-1,) + terms.shape[len(spread) :])
-                total = terms[0] + 0.0
-                for term in terms[1:]:
-                    total += term
+                draws = np.ndindex(terms.shape[: len(spread)])
+                total = terms[next(draws)] + 0.0
+                for at in draws:
+                    total += terms[at]
                 ga[lead + (base,)] = total
                 return (ga,)
         np.add.at(ga, lead + (idx,), g)
@@ -577,7 +589,7 @@ def _unique(idx: np.ndarray, length: int) -> bool:
     return idx.size <= length and len(set((idx % length).ravel().tolist())) == idx.size
 
 
-def _build_broadcast(arrays, params):
+def _build_broadcast(arrays, params, needs):
     (a,) = arrays
     shape = tuple(int(s) for s in params["shape"])
     if shape[len(shape) - a.ndim:] != a.shape:

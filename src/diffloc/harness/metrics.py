@@ -13,13 +13,17 @@ __all__ = ["pearson", "CalibrationResult", "calibration_report"]
 
 
 def pearson(xs, ys) -> float | None:
-    """Pearson correlation; None when either side has zero variance."""
+    """Pearson correlation; None when either side holds a single value, or
+    its spread about the mean underflows to zero.  A constant side is tested
+    as such: its deviations from an inexact mean are not all zero."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
         raise ValueError(f"need equal-length 1-D inputs, got {x.shape} and {y.shape}")
     if x.size < 2:
         raise ValueError("need at least two points")
+    if x.min() == x.max() or y.min() == y.max():
+        return None
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))

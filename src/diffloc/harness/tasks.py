@@ -140,10 +140,22 @@ def _bump(x: np.ndarray, center, width, edge, lam_lo, lam_hi) -> np.ndarray:
     return np.where(absd <= 1.0, core, tail)
 
 
-def _norm(v: np.ndarray) -> float:
+def _norm(v) -> float:
     """np.linalg.norm of a vector, sqrt(v.dot(v)), without its argument
-    handling."""
+    handling.  A grid point and its differences are Python floats on one
+    axis, whose norm is math.sqrt(v * v), and arrays on several, which stay
+    in numpy: its BLAS dot may fuse a multiply-add."""
+    if isinstance(v, float):
+        return math.sqrt(v * v)
     return math.sqrt(v.dot(v))
+
+
+def _corner_distance(y_t, n: int) -> float:
+    """How far the farthest corner of the box [1, n - 2]^d lies from the
+    grid point y_t."""
+    if isinstance(y_t, float):
+        return _norm(max(y_t - 1.0, n - 2.0 - y_t))
+    return _norm(np.maximum(y_t - 1.0, n - 2.0 - y_t))
 
 
 def _scaled(u, lo: float, hi: float):
@@ -153,12 +165,14 @@ def _scaled(u, lo: float, hi: float):
 
 
 def _place_distractor(
-    rng: np.random.Generator, lo: float, hi: float, y_t: np.ndarray, min_sep: float
-) -> np.ndarray | None:
+    rng: np.random.Generator, lo: float, hi: float, y_t: float | np.ndarray, min_sep: float
+) -> float | np.ndarray | None:
     """The first of rng's next _DISTRACTOR_TRIES uniform points in [lo, hi]^d
-    that lies at least min_sep (euclidean) from y_t, or None if none does."""
+    that lies at least min_sep (euclidean) from the grid point y_t, or None
+    if none does."""
+    shape = None if isinstance(y_t, float) else y_t.shape
     for _ in range(_DISTRACTOR_TRIES):
-        cand = _scaled(rng.random(y_t.shape), lo, hi)
+        cand = _scaled(rng.random(shape), lo, hi)
         if _norm(cand - y_t) >= min_sep:
             return cand
     return None
@@ -190,11 +204,12 @@ def _cell_offset(u: float) -> float:
 _BUMP_DRAWS = 3
 
 
-def _bump_draws(center: np.ndarray, u: list[float]) -> list[tuple]:
-    """A separable multi-axis bump at center from _BUMP_DRAWS random() draws
-    per axis: per axis its (center, width, -0.5 / width**2, lam_lo, lam_hi)."""
+def _bump_draws(center: float | np.ndarray, u: list[float]) -> list[tuple]:
+    """A separable multi-axis bump at the grid point center from
+    _BUMP_DRAWS random() draws per axis: per axis its (center, width,
+    -0.5 / width**2, lam_lo, lam_hi)."""
     rows = []
-    for axis, c in enumerate(center):
+    for axis, c in enumerate((center,) if isinstance(center, float) else center):
         width, lam_lo, lam_hi = u[_BUMP_DRAWS * axis : _BUMP_DRAWS * (axis + 1)]
         width = _scaled(width, *_WIDTH_RANGE)
         rows.append((float(c), width, -0.5 / width**2, _scaled(lam_lo, *_LAM_RANGE), _scaled(lam_hi, *_LAM_RANGE)))
@@ -215,17 +230,19 @@ def _bump_profiles(x: np.ndarray, draws: list[list[tuple]]) -> np.ndarray:
 def _grid_draws(task: SyntheticTask, ndim: int, roomy: bool, rng: np.random.Generator) -> tuple:
     """One grid example's draws, in stream order: (y_t, its bump's
     _bump_draws, its noise scale, (rho, the distractor's _bump_draws, boost)
-    or None, its standard normals).  The fixed-count uniforms come from one
-    random(k) call after the integers and one after a distractor is placed;
-    each is mapped by the same Python-float formula as a scalar draw."""
+    or None, its standard normals).  y_t is a grid point, a float on one
+    axis.  The fixed-count uniforms come from one random(k) call after the
+    integers and one after a distractor is placed; each is mapped by the
+    same Python-float formula as a scalar draw."""
     n = task.size
-    cells = [rng.integers(1, n - 2) for _ in range(ndim)]
+    cells = [int(rng.integers(1, n - 2)) for _ in range(ndim)]
     u = rng.random(ndim + _BUMP_DRAWS * ndim + 1).tolist()
-    y_t = np.array([c + _cell_offset(v) for c, v in zip(cells, u)])
+    center = [c + _cell_offset(v) for c, v in zip(cells, u)]
+    y_t = center[0] if ndim == 1 else np.array(center)
     bump = _bump_draws(y_t, u[ndim:-1])
     difficulty = _scaled(u[-1], 0.1, 1.0)
     lift = None
-    if roomy and _norm(np.maximum(y_t - 1.0, n - 2.0 - y_t)) > _MIN_SEP:
+    if roomy and _corner_distance(y_t, n) > _MIN_SEP:
         d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
         if d_pos is not None:
             v = rng.random(1 + _BUMP_DRAWS * ndim + 1).tolist()
@@ -264,7 +281,7 @@ def _grid_examples(task: SyntheticTask, seeds: list[list[int]], ndim: int) -> tu
         noisy = signal.copy()
         noisy[lifted] = raised + np.array(boosts)[:, None] * d_profile
     std = np.array(scales)[:, None] * (0.05 + 0.25 * signal)
-    return noisy + std * np.stack(normals), np.stack(targets)
+    return noisy + std * np.stack(normals), np.array(targets).reshape(count, ndim)
 
 
 def _scatter_example(task: SyntheticTask, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

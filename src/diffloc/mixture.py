@@ -439,7 +439,9 @@ def per_stream(rows: Sequence[Sequence[int]], fn: Callable[[np.random.Generator]
 
 
 def _clip_unit(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, 1e-12, 1.0 - 1e-12)
+    """u clipped to [1e-12, 1 - 1e-12]: np.clip's bits, without its
+    argument handling."""
+    return np.minimum(np.maximum(u, 1e-12), 1.0 - 1e-12)
 
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:

@@ -538,6 +538,113 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
             backward(root)
 
 
+_BINARY_CASES = [
+    (kind, sa, sb)
+    for kind in ("add", "subtract", "multiply", "divide")
+    for sa, sb in (((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((4,), (2, 3, 4)), ((), (3,)))
+] + [
+    ("matrix-multiply", sa, sb)
+    for sa, sb in (
+        ((4,), (4,)),
+        ((4,), (4, 3)),
+        ((2, 4), (4,)),
+        ((2, 4), (4, 3)),
+        ((2, 3, 1, 4), (2, 3, 4, 2)),
+        ((5, 2, 4), (4, 3)),
+    )
+]
+
+
+def _bitwise_equal(x, y) -> bool:
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("kind, sa, sb", _BINARY_CASES)
+def test_a_builder_computes_only_the_gradients_its_inputs_need(kind, sa, sb):
+    # With one input constant, the other's gradient keeps every bit of the
+    # all-inputs path and the constant gets None: nothing is computed for it.
+    rng = np.random.default_rng(len(sa) * 10 + len(sb))
+    a = rng.normal(size=sa)
+    b = rng.uniform(0.5, 2.0, size=sb) * rng.choice([-1.0, 1.0], size=sb)
+    build = ad._REGISTRY[kind]
+    out, bwd = build([a, b], {}, (True, True))
+    g = np.where(rng.random(np.shape(out)) < 0.2, -0.0, rng.normal(size=np.shape(out)))
+    both = bwd(g)
+    assert all(grad is not None for grad in both)
+    for needs in ((True, False), (False, True)):
+        values, partial = build([a, b], {}, needs)
+        assert _bitwise_equal(values, out)
+        for need, grad, full in zip(needs, partial(g), both):
+            if need:
+                assert _bitwise_equal(grad, full)
+            else:
+                assert grad is None
+
+    # On a tape: each leaf's gradient is the all-inputs one, bit for bit, and
+    # the constant gets none.
+    weights = rng.normal(size=np.shape(out))
+    grads = {}
+    for needs in ((True, True), (True, False), (False, True)):
+        with GradientTape() as tape:
+            x, y = Tensor(a, requires_grad=needs[0]), Tensor(b, requires_grad=needs[1])
+            backward(ad.sum_over_axis(ad.multiply(forward_op(kind, [x, y]), Tensor(weights))))
+        assert [rec.kind for rec in tape.records] == [kind, "multiply", "sum-over-axis"]
+        grads[needs] = (x.grad, y.grad)
+    assert _bitwise_equal(grads[(True, False)][0], grads[(True, True)][0]) and grads[(True, False)][1] is None
+    assert grads[(False, True)][0] is None and _bitwise_equal(grads[(False, True)][1], grads[(True, True)][1])
+
+
+def test_a_non_finite_gradient_passed_through_an_add_is_named_where_it_was_made():
+    # The inner multiply's backward makes inf; the add below it would pass
+    # that array on unchanged, so the error must name the multiply.
+    with GradientTape():
+        x = Tensor([1e-300, 2e-300], requires_grad=True)
+        shifted = ad.add(x, Tensor([0.0, 0.0]))
+        root = ad.sum_over_axis(ad.multiply(ad.multiply(shifted, Tensor(1e200)), Tensor(1e200)))
+        with pytest.raises(NonFiniteError, match=r"^non-finite value in backward of 'multiply'$"):
+            backward(root)
+
+
+def test_an_overflowing_sum_of_two_passed_through_gradients_is_checked():
+    # Each add hands x its output's gradient, 1e308 per entry, unchecked a
+    # second time; their sum at x overflows and must still be caught.
+    with GradientTape():
+        x = Tensor([1e-10, 2e-10], requires_grad=True)
+        zero = Tensor([0.0, 0.0])
+        terms = [ad.multiply(ad.add(x, zero), Tensor(1e308)) for _ in range(2)]
+        root = ad.sum_over_axis(ad.add(*terms))
+        with pytest.raises(NonFiniteError, match=r"^non-finite value in gradient sum in backward of 'add'$"):
+            backward(root)
+
+
+def _softmax_by_methods(a, axis):
+    """softmax_values as it was written with a.max and e.sum."""
+    shifted = a - a.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(16, 1, 32), (16, 1, 5, 1, 32), (1024, 16)])
+def test_softmax_values_keeps_the_bits_of_the_method_form(shape):
+    # The row-layout logits of training, the relaxed draws of a samp step,
+    # and distcheck's block of relaxed draws.
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(0.0, 3.0, shape)
+    for axis in range(-1, -len(shape) - 1, -1):
+        assert _bitwise_equal(ad.softmax_values(a, axis=axis), _softmax_by_methods(a, axis))
+
+
+def test_sum_over_axis_backward_repeats_the_gradient():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 4, 5))
+    for axis in range(3):
+        out, bwd = ad._REGISTRY["sum-over-axis"]([a], {"axis": axis}, (True,))
+        g = np.where(rng.random(out.shape) < 0.3, -0.0, rng.normal(size=out.shape))
+        (ga,) = bwd(g)
+        assert _bitwise_equal(out, a.sum(axis=axis))
+        assert ga.flags.c_contiguous and _bitwise_equal(ga, np.broadcast_to(np.expand_dims(g, axis), a.shape))
+
+
 def test_softmax_is_stable_for_large_inputs():
     out = ad.softmax_over_axis(Tensor([1000.0, 1000.0]))
     np.testing.assert_allclose(out.values, [0.5, 0.5])
@@ -593,7 +700,7 @@ def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
     # must carry np.add.at's bits, a -0.0 upstream gradient's +0.0 included.
     rng = np.random.default_rng(5)
     a = rng.normal(size=shape)
-    out, bwd = ad._REGISTRY["index-select"]([a], {"index": index, "axis": axis})
+    out, bwd = ad._REGISTRY["index-select"]([a], {"index": index, "axis": axis}, (True,))
     where = (slice(None),) * (axis % a.ndim) + (np.asarray(index, dtype=np.intp),)
     for g in (rng.normal(size=out.shape), np.full(out.shape, -0.0), np.where(rng.random(out.shape) < 0.5, -0.0, 1.5)):
         reference = np.zeros_like(a)

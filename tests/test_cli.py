@@ -260,6 +260,15 @@ class TestEvalAndCalibrate:
         assert lines[1].startswith("calibration_r,")
         assert lines[2] == "count,8"
 
+    def test_calibrate_flat_peaks_are_undefined(self, tmp_path, capsys):
+        # 0.1 three times has an inexact mean, so its deviations are not zero.
+        records = tmp_path / "flat.csv"
+        records.write_text("idx,peak,err\n0,0.1,1.0\n1,0.1,0.25\n2,0.1,0.5\n")
+        report = tmp_path / "cal.csv"
+        assert main(["calibrate", "--records", str(records), "--out", str(report)]) == 0
+        assert report.read_text().splitlines()[1] == "calibration_r,undefined"
+        assert "undefined" in capsys.readouterr().out
+
     def test_calibrate_needs_two_records(self, tmp_path):
         records = tmp_path / "one.csv"
         records.write_text("idx,peak,err\n0,0.5,1.0\n")

@@ -698,6 +698,17 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("value, count", [(0.1, 3), (0.7, 128), (1.0 / 3.0, 10)])
+    def test_a_constant_side_with_an_inexact_mean_is_undefined(self, value, count):
+        # x - x.mean() is not exactly zero for these, so a zero-spread test
+        # read a correlation of about 1e-16 from them.
+        flat = [value] * count
+        other = np.random.default_rng(count).normal(0.0, 1.0, count)
+        assert pearson(flat, other) is None
+        assert pearson(other, flat) is None
+        records = [training.TrialRecord(i, None, None, value, e) for i, e in enumerate(other.tolist())]
+        assert calibration_report(records).r is None
+
     def test_calibration_report(self):
         class Rec:
             def __init__(self, peak, error):
@@ -801,9 +812,9 @@ class TestGradcheckSuite:
         calls = []
 
         def counted(kind, build):
-            def run(arrays, params):
+            def run(arrays, params, needs):
                 calls.append(kind)
-                return build(arrays, params)
+                return build(arrays, params, needs)
 
             return run
 

@@ -398,6 +398,16 @@ class TestMoments:
 
 
 class TestNoise:
+    def test_clip_unit_keeps_the_bits_of_np_clip(self):
+        lo, hi = 1e-12, 1.0 - 1e-12
+        edges = [0.0, 5e-324, 0.5, 1.0]
+        for bound in (lo, hi):
+            edges += [np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)]
+        for u in (np.array(edges), np.random.default_rng(4).random(100_000)):
+            clipped = mixture._clip_unit(u)
+            assert np.array_equal(clipped, np.clip(u, lo, hi))
+            assert lo <= clipped.min() and clipped.max() <= hi
+
     def test_same_seed_same_draws(self):
         a = one_draw(NoiseSource(99), 6, 2)
         b = one_draw(NoiseSource(99), 6, 2)
