@@ -463,6 +463,8 @@ def _build_matrix_multiply(arrays, params, needs):
     a, b = arrays
     if a.ndim == 0 or b.ndim == 0:
         raise ShapeError("matrix-multiply does not accept scalars")
+    if a.ndim == 1 and b.ndim > 2:
+        raise ShapeError(f"matrix-multiply: a 1-D left operand takes no stacked right one, {a.shape} @ {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matrix-multiply: batch dims differ, {a.shape} @ {b.shape}")
     try:

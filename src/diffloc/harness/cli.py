@@ -286,17 +286,15 @@ def _cmd_eval(args) -> int:
         )
     _check_out("--out", out, {"--model": args.model})
     records, summary = evaluate(model, task, split=opts["split"])
-    ndim = records[0].pred.shape[0]
+    ndim = records.preds.shape[1]
     header = (
         ["idx"]
         + [f"pred_{d}" for d in range(ndim)]
         + [f"gt_{d}" for d in range(ndim)]
         + ["peak", "err"]
     )
-    rows = [
-        (r.index, *r.pred.tolist(), *r.target.tolist(), r.peak, r.error)
-        for r in records
-    ]
+    columns = (records.preds.tolist(), records.targets.tolist(), records.peaks.tolist(), records.errors.tolist())
+    rows = [(i, *pred, *target, peak, err) for i, (pred, target, peak, err) in enumerate(zip(*columns))]
     write_csv(out, header, rows)
     cal = calibration_report(records)
     print(

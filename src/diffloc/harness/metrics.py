@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .training import TrialRecord
+from .training import TrialRecords
 
 __all__ = ["pearson", "CalibrationResult", "calibration_report"]
 
@@ -45,9 +44,10 @@ class CalibrationResult:
         return self.r is not None
 
 
-def calibration_report(records: Sequence[TrialRecord]) -> CalibrationResult:
+def calibration_report(records: TrialRecords) -> CalibrationResult:
     """Pearson r between peak weight and negated error: higher confidence
-    should mean lower error for a well-calibrated model."""
-    peaks = [rec.peak for rec in records]
-    neg_errors = [-rec.error for rec in records]
-    return CalibrationResult(pearson(peaks, neg_errors), len(records))
+    should mean lower error for a well-calibrated model.  Undefined for
+    fewer than two records."""
+    if len(records) < 2:
+        return CalibrationResult(None, len(records))
+    return CalibrationResult(pearson(records.peaks, -records.errors), len(records))

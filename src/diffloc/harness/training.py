@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "RunConfig",
     "HistoryRow",
     "TrialRecord",
+    "TrialRecords",
     "EvalSummary",
     "TrainingDiverged",
     "learning_rate_at",
@@ -122,6 +124,32 @@ class TrialRecord:
     target: np.ndarray
     peak: float
     error: float
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class TrialRecords:
+    """The evaluated examples of a split as four columns: (m, ndim) preds
+    and targets, (m,) peaks and errors.  A read-only sequence of
+    TrialRecord, each built only when it is read: pred and target are row
+    views, peak and error Python floats."""
+
+    preds: np.ndarray
+    targets: np.ndarray
+    peaks: np.ndarray
+    errors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __iter__(self):
+        return map(TrialRecord, range(len(self)), self.preds, self.targets, self.peaks.tolist(), self.errors.tolist())
+
+    def __getitem__(self, i: int) -> TrialRecord:
+        i, m = operator.index(i), len(self)
+        if not -m <= i < m:
+            raise IndexError(f"record {i} out of range for {m} records")
+        i %= m
+        return TrialRecord(i, self.preds[i], self.targets[i], self.peaks[i].item(), self.errors[i].item())
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,20 +301,15 @@ def _predict(model, support, obs, targets) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, preds, np.abs(preds - targets).sum(axis=-1)
 
 
-def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple[list[TrialRecord], EvalSummary]:
+def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple[TrialRecords, EvalSummary]:
     """Inference-only pass over a split; no randomness anywhere."""
     support = task_support(task)
     obs, targets = generate_split(task, split)
     rows, preds, errors = _predict(model, support, obs, targets)
-    records = [
-        TrialRecord(i, pred, target, peak, error)
-        for i, (pred, target, peak, error) in enumerate(
-            zip(preds, targets, rows.max(axis=-1).tolist(), errors.tolist())
-        )
-    ]
+    records = TrialRecords(preds, targets, rows.max(axis=-1), errors)
     cell = support.spacing if support.spacing is not None else 1.0
     summary = EvalSummary(
-        count=len(records),
+        count=len(errors),
         mean_error=float(errors.mean()),
         median_error=float(np.median(errors)),
         within_one_cell=float((errors <= cell).mean()),

@@ -415,6 +415,13 @@ def test_shape_errors():
         forward_op("broadcast", [Tensor(np.ones(3))], shape=(3, 2))
 
 
+def test_a_vector_times_a_stack_is_rejected_at_the_call():
+    # a's gradient would be (5, 4, 3) @ (5, 3), which numpy rejects in backward.
+    for need in (True, False):
+        with pytest.raises(ShapeError, match=r"\(4,\) @ \(5, 4, 3\)"):
+            ad.matrix_multiply(Tensor(np.ones(4), requires_grad=need), Tensor(np.ones((5, 4, 3))))
+
+
 def test_domain_errors():
     with pytest.raises(ValueError, match="positive"):
         ad.logarithm(Tensor([1.0, 0.0]))

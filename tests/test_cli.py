@@ -275,6 +275,17 @@ class TestEvalAndCalibrate:
         with pytest.raises(SystemExit, match="two records"):
             main(["calibrate", "--records", str(records)])
 
+    def test_eval_of_a_one_example_split_has_undefined_calibration(self, tmp_path, capsys):
+        # One record gives nothing to correlate; calibrate still refuses the file.
+        model, out = tmp_path / "model.npz", tmp_path / "eval.csv"
+        run_train(tmp_path, "history.csv", extra=["--test-count", "1", "--model-out", str(model)])
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+        assert capsys.readouterr().out.splitlines()[2].split()[-1] == "undefined"
+        with pytest.raises(SystemExit, match="two records"):
+            main(["calibrate", "--records", str(out)])
+
     def test_calibrate_names_a_missing_column(self, tmp_path):
         records = tmp_path / "no_peak.csv"
         records.write_text("idx,pred_0,err\n0,1.0,0.5\n1,2.0,0.25\n")

@@ -582,6 +582,58 @@ class TestTraining:
             assert type(r.peak) is float and r.peak == float(rows[i].max())
             assert type(r.error) is float and r.error == float(errors[i])
 
+    @staticmethod
+    def record_fields(r):
+        return r.index, r.pred.tolist(), r.target.tolist(), r.peak, r.error
+
+    @pytest.mark.parametrize("kind, size", [("signal1d", None), ("heat2d", 12)])
+    def test_trial_records_index_as_they_iterate(self, kind, size):
+        task = SyntheticTask(kind, size=size, test_count=10, seed=4)
+        n = task_support(task).n
+        records, _ = evaluate(MLPModel(n, 8, n, seed=4), task)
+        listed = [self.record_fields(r) for r in records]
+        assert len(records) == len(listed) == 10
+        assert [self.record_fields(r) for r in records] == listed
+        for i in (*range(10), np.int64(3)):
+            assert self.record_fields(records[i]) == listed[i]
+        assert self.record_fields(records[-1]) == listed[-1]
+        assert self.record_fields(records[-10]) == listed[0]
+        assert type(records[0].peak) is float and type(records[0].error) is float
+        for i in (10, -11):
+            with pytest.raises(IndexError):
+                records[i]
+        for i in (slice(0, 2), 1.0):
+            with pytest.raises(TypeError):
+                records[i]
+
+    def test_evaluate_keeps_four_columns_and_builds_no_record(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evaluate() built a TrialRecord")
+
+        task = small_task(test_count=12)
+        n = task_support(task).n
+        model = MLPModel(n, 8, n, seed=5)
+        monkeypatch.setattr(training, "TrialRecord", refuse)
+        records, summary = evaluate(model, task)
+        assert summary.count == len(records) == 12
+        assert records.preds.shape == records.targets.shape == (12, 1)
+        assert records.peaks.shape == records.errors.shape == (12,)
+        # The peaks are their own array, not a view that keeps the weight rows.
+        assert records.peaks.base is None
+
+    def test_evaluate_results_do_not_share_arrays(self):
+        task = small_task(test_count=12)
+        n = task_support(task).n
+        model = MLPModel(n, 8, n, seed=6)
+        first, _ = evaluate(model, task)
+        kept = [a.copy() for a in (first.preds, first.targets, first.peaks, first.errors)]
+        for p in model.parameters():
+            p.values = p.values * 1.5
+        second, _ = evaluate(model, task)
+        assert not np.array_equal(second.preds, first.preds)
+        for a, b in zip((first.preds, first.targets, first.peaks, first.errors), kept):
+            assert np.array_equal(a, b)
+
 
 class TestBatchedStep:
     """The batched training step against the per-example formulation: one
@@ -706,22 +758,30 @@ class TestPearson:
         other = np.random.default_rng(count).normal(0.0, 1.0, count)
         assert pearson(flat, other) is None
         assert pearson(other, flat) is None
-        records = [training.TrialRecord(i, None, None, value, e) for i, e in enumerate(other.tolist())]
-        assert calibration_report(records).r is None
+        assert calibration_report(scored_records(flat, other)).r is None
 
     def test_calibration_report(self):
-        class Rec:
-            def __init__(self, peak, error):
-                self.peak = peak
-                self.error = error
-
         # confident predictions err less: positive correlation
-        records = [Rec(0.9, 0.1), Rec(0.7, 0.5), Rec(0.4, 1.2), Rec(0.2, 2.0)]
+        records = scored_records([0.9, 0.7, 0.4, 0.2], [0.1, 0.5, 1.2, 2.0])
         report = calibration_report(records)
         assert report.defined and report.count == 4
         assert report.r > 0.9
-        flat = [Rec(0.5, e) for e in (0.1, 0.5, 1.2)]
+        assert report.r == pearson([r.peak for r in records], [-r.error for r in records])
+        flat = scored_records([0.5] * 3, [0.1, 0.5, 1.2])
         assert calibration_report(flat).r is None
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_calibration_of_fewer_than_two_records_is_undefined(self, count):
+        report = calibration_report(scored_records([0.5] * count, [0.1] * count))
+        assert report.r is None and report.count == count
+
+
+def scored_records(peaks, errors):
+    """TrialRecords with the given peaks and errors and zero 1-D predictions
+    and targets."""
+    count = len(peaks)
+    columns = np.zeros((count, 1)), np.zeros((count, 1)), np.array(peaks, float), np.array(errors, float)
+    return training.TrialRecords(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -899,11 +959,29 @@ def test_suite_rows_are_slotted(row_type):
     assert "__slots__" in vars(row_type)
 
 
-@pytest.mark.parametrize("record_type", [training.HistoryRow, training.TrialRecord, training.EvalSummary])
+@pytest.mark.parametrize(
+    "record_type", [training.HistoryRow, training.TrialRecord, training.TrialRecords, training.EvalSummary]
+)
 def test_run_records_are_slotted(record_type):
-    # A caller may keep many results; a 128-example evaluate() result takes
-    # about 10 % less without a __dict__ per TrialRecord.
     assert "__slots__" in vars(record_type)
+
+
+def test_kept_evaluate_results_stay_small():
+    # A caller may keep many results.  Built as one TrialRecord per example,
+    # a 128-example result took about 48 KiB; as four columns, about 7 KiB.
+    task = SyntheticTask("signal1d", test_count=128, seed=2)
+    n = task_support(task).n
+    model = MLPModel(n, 16, n, seed=2)
+    evaluate(model, task)  # caches and first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        kept = [evaluate(model, task) for _ in range(20)]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_result = (after - before) / len(kept)
+    assert per_result < 8 * 2**10, f"{per_result / 2**10:.1f} KiB per kept result"
 
 
 def frozen_noise(support, basis, count, num_samples=suites.GRADCHECK_NUM_SAMPLES):
