@@ -5,7 +5,9 @@ gradient is recorded as it executes; ``backward``, called inside that block,
 walks the tape once in reverse and gives the leaves their gradients.  The
 block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
-elementwise arithmetic, a few shape ops, matrix multiply, relu and softmax.
+elementwise arithmetic, a few shape ops, matrix multiply (with an optional
+addend and relu after it, or row by row over a stack), relu and softmax
+(optionally tempered).
 Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
@@ -56,6 +58,7 @@ __all__ = [
     "divide",
     "logarithm",
     "sum_over_axis",
+    "mean_over_axis",
     "matrix_multiply",
     "relu",
     "softmax_over_axis",
@@ -220,12 +223,13 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     build = _REGISTRY.get(kind)
     if build is None:
         raise ValueError(f"unknown op kind: {kind!r}")
-    tensors = tuple(as_tensor(x) for x in inputs)
+    tensors = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
     needs = tuple([t.requires_grad for t in tensors])
     state = _STATE
     with _errstate(state):
         out_values, backward_fn = build([t.values for t in tensors], params, needs)
-        out_values = np.asarray(out_values, dtype=np.float64)
+        if out_values.__class__ is not np.ndarray or out_values.dtype != np.float64:
+            out_values = np.asarray(out_values, dtype=np.float64)
         _check_finite(out_values, "output of {!r}", kind)
     # Checked just above, so bypass the constructor's copy and second check.
     out = Tensor.__new__(Tensor)
@@ -448,43 +452,82 @@ def _build_sum_over_axis(arrays, params, needs):
 def _build_mean_over_axis(arrays, params, needs):
     (a,) = arrays
     axis = _axis_param(params, a.ndim)
-    count = a.size if axis is None else a.shape[axis]
-    out = a.mean(axis=axis)
+    # Times 1/count, not divided by count: the bits of sum-over-axis and a
+    # multiply by 1/count taped one by one.
+    scale = 1.0 / (a.size if axis is None else a.shape[axis])
 
     def bwd(g):
         if axis is None:
-            return (np.full_like(a, float(g) / count),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy() / count,)
+            return (np.full_like(a, float(g * scale)),)
+        return (np.repeat(np.expand_dims(g * scale, axis), a.shape[axis], axis=axis),)
 
-    return np.asarray(out), bwd
+    return np.add.reduce(a, axis=axis) * scale, bwd
+
+
+def _product_backward(a, b, g, need_a, need_b):
+    """The gradients of a @ b for its output gradient g."""
+    if a.ndim == 1 and b.ndim == 1:  # (k,) @ (k,) -> ()
+        return (g * b if need_a else None), (g * a if need_b else None)
+    if a.ndim == 1:  # (k,) @ (k, m) -> (m,)
+        return (b @ g if need_a else None), (np.outer(a, g) if need_b else None)
+    if b.ndim == 1:  # (..., k) @ (k,) -> (...,)
+        ga = np.expand_dims(g, -1) * b if need_a else None
+        gb = np.tensordot(g, a, axes=(tuple(range(g.ndim)), tuple(range(a.ndim - 1)))) if need_b else None
+        return ga, gb
+    ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
+    gb = _reduce_to(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
+    return ga, gb
+
+
+def _rows_product(a, b):
+    """(..., k) @ (..., k, m) -> (..., m): each row of a times its own
+    matrix of b, as the stacked (..., 1, k) @ (..., k, m) product."""
+    if a.ndim == 0 or b.ndim != a.ndim + 1 or a.shape[:-1] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
+        raise ShapeError(f"matrix-multiply rows: need (..., k) @ (..., k, m), got {a.shape} @ {b.shape}")
+    return (a[..., None, :] @ b)[..., 0, :]
 
 
 def _build_matrix_multiply(arrays, params, needs):
-    a, b = arrays
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError("matrix-multiply does not accept scalars")
-    if a.ndim == 1 and b.ndim > 2:
-        raise ShapeError(f"matrix-multiply: a 1-D left operand takes no stacked right one, {a.shape} @ {b.shape}")
-    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matrix-multiply: batch dims differ, {a.shape} @ {b.shape}")
-    try:
-        out = a @ b
-    except ValueError as err:
-        raise ShapeError(f"matrix-multiply: {a.shape} @ {b.shape}") from err
-    need_a, need_b = needs
+    """a @ b, then the addend c (a @ b + c, c suffix-broadcast onto the
+    product) when given as a third input, then relu when params["relu"].
+    With params["rows"], a is a stack of rows, each multiplied by its own
+    matrix: (..., k) @ (..., k, m) -> (..., m)."""
+    a, b = arrays[:2]
+    rows = params.get("rows", False)
+    if rows:
+        out = _rows_product(a, b)
+    else:
+        if a.ndim == 0 or b.ndim == 0:
+            raise ShapeError("matrix-multiply does not accept scalars")
+        if a.ndim == 1 and b.ndim > 2:
+            raise ShapeError(f"matrix-multiply: a 1-D left operand takes no stacked right one, {a.shape} @ {b.shape}")
+        if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+            raise ShapeError(f"matrix-multiply: batch dims differ, {a.shape} @ {b.shape}")
+        try:
+            out = a @ b
+        except ValueError as err:
+            raise ShapeError(f"matrix-multiply: {a.shape} @ {b.shape}") from err
+    if len(arrays) > 2:
+        (c,) = arrays[2:]
+        if c.ndim > out.ndim or out.shape[out.ndim - c.ndim :] != c.shape:
+            raise ShapeError(f"matrix-multiply: addend {c.shape} does not suffix-broadcast onto {out.shape}")
+        out += c
+    relu = params.get("relu", False)
+    if relu:
+        out = np.maximum(out, 0.0)
+    need_a, need_b = needs[:2]
+    need_c = len(needs) > 2 and needs[2]
 
     def bwd(g):
-        if a.ndim == 1 and b.ndim == 1:  # (k,) @ (k,) -> ()
-            return (g * b if need_a else None), (g * a if need_b else None)
-        if a.ndim == 1:  # (k,) @ (k, m) -> (m,)
-            return (b @ g if need_a else None), (np.outer(a, g) if need_b else None)
-        if b.ndim == 1:  # (..., k) @ (k,) -> (...,)
-            ga = np.expand_dims(g, -1) * b if need_a else None
-            gb = np.tensordot(g, a, axes=(tuple(range(g.ndim)), tuple(range(a.ndim - 1)))) if need_b else None
-            return ga, gb
-        ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
-        gb = _reduce_to(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
-        return ga, gb
+        if relu:
+            # out > 0 exactly where the product plus addend is.
+            g = g * (out > 0.0)
+        gc = (_reduce_to(g, arrays[2].shape),) if need_c else (None,) * (len(arrays) - 2)
+        if rows:
+            ga = (g[..., None, :] @ b.swapaxes(-1, -2))[..., 0, :] if need_a else None
+            gb = a[..., :, None] @ g[..., None, :] if need_b else None
+            return (ga, gb) + gc
+        return _product_backward(a, b, g, need_a, need_b) + gc
 
     return out, bwd
 
@@ -504,15 +547,23 @@ def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _build_softmax_over_axis(arrays, params, needs):
+    """softmax(a), or with params["tau"] the tempered softmax(a / tau)."""
     (a,) = arrays
     axis = _axis_param(params, a.ndim, allow_none=False) if "axis" in params else a.ndim - 1
     if a.ndim == 0:
         raise ShapeError("softmax-over-axis needs at least one axis")
+    tau = params.get("tau")
+    if tau is not None:
+        if not tau > 0.0:
+            raise ValueError(f"softmax-over-axis: tau must be positive, got {tau}")
+        tau = float(tau)
+        a = a / tau
     out = softmax_values(a, axis=axis)
 
     def bwd(g):
         inner = np.add.reduce(g * out, axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        ga = out * (g - inner)
+        return (ga if tau is None else ga / tau,)
 
     return out, bwd
 
@@ -652,16 +703,26 @@ def sum_over_axis(a, axis: int | None = None) -> Tensor:
     return forward_op("sum-over-axis", [a], axis=axis)
 
 
-def matrix_multiply(a, b) -> Tensor:
-    return forward_op("matrix-multiply", [a, b])
+def mean_over_axis(a, axis: int | None = None) -> Tensor:
+    """The sum over axis times 1/count, with the bits of sum_over_axis and a
+    multiply by 1/count."""
+    return forward_op("mean-over-axis", [a], axis=axis)
+
+
+def matrix_multiply(a, b, c=None, *, relu: bool = False, rows: bool = False) -> Tensor:
+    """a @ b; plus the addend c, suffix-broadcast onto the product, when
+    given; then relu when asked.  With rows, a (..., k) stack of rows times
+    a (..., k, m) stack of matrices, row by row: (..., m)."""
+    return forward_op("matrix-multiply", [a, b] if c is None else [a, b, c], relu=relu, rows=rows)
 
 
 def relu(a) -> Tensor:
     return forward_op("relu", [a])
 
 
-def softmax_over_axis(a, axis: int = -1) -> Tensor:
-    return forward_op("softmax-over-axis", [a], axis=axis)
+def softmax_over_axis(a, axis: int = -1, tau: float | None = None) -> Tensor:
+    """softmax(a) over axis, or at temperature tau, softmax(a / tau)."""
+    return forward_op("softmax-over-axis", [a], axis=axis, tau=tau)
 
 
 def absolute_value(a) -> Tensor:

@@ -40,8 +40,8 @@ class MLPModel:
         x = np.asarray(obs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (batch, {self.in_dim}) observations, got {x.shape}")
-        hidden = ad.relu(ad.add(ad.matrix_multiply(Tensor(x), self.w1), self.b1))
-        return ad.add(ad.matrix_multiply(hidden, self.w2), self.b2)
+        hidden = ad.matrix_multiply(Tensor(x), self.w1, self.b1, relu=True)
+        return ad.matrix_multiply(hidden, self.w2, self.b2)
 
     def logit_values(self, obs: np.ndarray) -> np.ndarray:
         """Forward pass without recording; identical numbers to logits()."""

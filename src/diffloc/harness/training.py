@@ -115,15 +115,26 @@ class HistoryRow:
     tau: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TrialRecord:
-    """One evaluated example: prediction, truth, confidence, error."""
+    """One evaluated example: prediction, truth, confidence, error.  Two
+    records are equal when their fields are, the arrays entry by entry; a
+    record is not hashable."""
 
     index: int
     pred: np.ndarray
     target: np.ndarray
     peak: float
     error: float
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.index, self.peak, self.error) == (other.index, other.peak, other.error)
+            and np.array_equal(self.pred, other.pred)
+            and np.array_equal(self.target, other.target)
+        )
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -276,7 +287,7 @@ def _batch_losses(model, support, loss_fn, obs, targets, tau) -> tuple[Tensor, T
     """(per-example losses, batch loss) of one batch, recorded on the open
     tape; the logits go into the (B, 1, n) row layout."""
     losses = loss_fn(row_maps(support, model.logits(obs)), targets[:, None, :], tau)
-    return losses, ad.multiply(ad.sum_over_axis(losses), Tensor(1.0 / obs.shape[0]))
+    return losses, ad.mean_over_axis(losses)
 
 
 def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
@@ -285,7 +296,7 @@ def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
         ad.backward(batch_loss)
     for p in model.parameters():
         if p.grad is not None:
-            p.values = p.values - lr * p.grad
+            p.values -= lr * p.grad
         p.zero_grad()
     return batch_loss.item()
 

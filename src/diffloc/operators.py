@@ -189,8 +189,7 @@ def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Ten
     # broadcasts leading axes only.
     per_draw = np.broadcast_to(np.arange(pmap.n), gumbels.shape[len(batch) :])
     log_w = ad.index_select(ad.logarithm(pmap.weights, floor=WEIGHT_FLOOR), per_draw, axis=-1)
-    scores = ad.add(log_w, Tensor(gumbels))
-    return ad.softmax_over_axis(ad.divide(scores, Tensor(float(tau))), axis=-1)
+    return ad.softmax_over_axis(ad.add(log_w, Tensor(gumbels)), axis=-1, tau=float(tau))
 
 
 def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) -> np.ndarray:
@@ -217,10 +216,8 @@ def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_sampl
         raise ValueError(
             f"noise {gumbels.shape}, {basis_samples.shape} does not match the map's dimensionality, {pmap.ndim}"
         )
-    # Each draw's relaxed weights as a (1, n) row, so that the product with
-    # its (n, ndim) samples runs per draw.
-    rows = gumbel_softmax(pmap, gumbels[..., None, :], tau)
-    return ad.index_select(ad.matrix_multiply(rows, Tensor(basis_samples)), 0, axis=-2)
+    # Each draw's relaxed weights times its own (n, ndim) samples, row by row.
+    return ad.matrix_multiply(gumbel_softmax(pmap, gumbels, tau), Tensor(basis_samples), rows=True)
 
 
 def sampled_expected_error_loss(
@@ -245,7 +242,7 @@ def sampled_expected_error_loss(
     y = _target_points(pmap, y_t)
     samples = sample_differentiable(pmap, gumbels, basis_samples, tau)
     terms = _distance_loss(samples, np.broadcast_to(y[..., None, :], samples.shape), distance)
-    return ad.multiply(ad.sum_over_axis(terms, axis=-1), Tensor(1.0 / gumbels.shape[-2]))
+    return ad.mean_over_axis(terms, axis=-1)
 
 
 def anneal_tau(config: SamplingConfig, step: int, total_steps: int) -> float:

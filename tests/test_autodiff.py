@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import threading
 import weakref
 from contextlib import nullcontext
@@ -111,7 +112,9 @@ def _sample(kind, rng):
         return [rng.uniform(-2, 2, (2, 3))], {"axis": None if axis is None else int(axis)}, (0,)
     if kind == "matrix-multiply":
         k = int(rng.integers(2, 4))
-        case = rng.integers(5)
+        case = rng.integers(9)
+        if case >= 5:
+            return _sample_fused_product(rng, k, case)
         if case == 0:
             return [rng.uniform(-2, 2, k), rng.uniform(-2, 2, k)], {}, (0, 1)
         if case == 1:
@@ -124,7 +127,10 @@ def _sample(kind, rng):
     if kind in ("relu", "absolute-value"):
         return [_away_from_zero(rng, (5,), floor=0.1)], {}, (0,)
     if kind == "softmax-over-axis":
-        return [rng.uniform(-2, 2, (2, 4))], {"axis": int(rng.choice([0, 1, -1]))}, (0,)
+        params = {"axis": int(rng.choice([0, 1, -1]))}
+        if rng.random() < 0.5:
+            params["tau"] = float(rng.uniform(0.2, 2.0))
+        return [rng.uniform(-2, 2, (2, 4))], params, (0,)
     if kind == "concatenate":
         parts = [rng.uniform(-2, 2, (int(rng.integers(1, 3)), 2)) for _ in range(3)]
         return parts, {"axis": 0}, (0, 1, 2)
@@ -134,6 +140,24 @@ def _sample(kind, rng):
     if kind == "broadcast":
         return [rng.uniform(-2, 2, (3,))], {"shape": (2, 3)}, (0,)
     raise AssertionError(kind)
+
+
+def _sample_fused_product(rng, k, case):
+    """matrix-multiply with an addend, a relu epilogue or in row mode.  A
+    relu's addend puts every entry of the sum at least 0.25 from its kink."""
+    if case in (5, 6):
+        a, b = rng.uniform(-2, 2, (2, 2, k)), rng.uniform(-2, 2, (k, 3))
+        params = {}
+    else:
+        a, b = rng.uniform(-2, 2, (2, 3, k)), rng.uniform(-2, 2, (2, 3, k, 2))
+        params = {"rows": True}
+    if case == 7:
+        return [a, b], params, (0, 1)
+    if case == 5:
+        return [a, b, rng.uniform(-2, 2, 3)], params, (0, 1, 2)
+    product = (a[..., None, :] @ b)[..., 0, :] if params else a @ b
+    c = _away_from_zero(rng, product.shape) - product
+    return [a, b, c], {**params, "relu": True}, (0, 1, 2)
 
 
 # Each op kind's seed index, written out so that adding or removing an op kind
@@ -747,6 +771,78 @@ def test_floored_logarithm_keeps_the_bits_of_its_four_op_chain():
     assert np.array_equal(fused_grad, chain_grad)
     assert np.array_equal(np.signbit(fused_grad), np.signbit(chain_grad))
     np.testing.assert_array_equal(fused_out, np.log(ad.floored_values(t, floor)))
+
+
+def _fused_cases():
+    """(name, fused, its inputs, chain, the chain's inputs): each fused
+    form next to the chain of ops it replaces, in the (16, 1, 32) row
+    layout, the (16, 1, 5, 32) draw layout and a stacked shape."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for lead in ((16, 1), (16, 1, 5), (4, 3)):
+        x = rng.normal(size=lead + (32,))
+        w = rng.normal(size=(32, 6))
+        c = rng.normal(size=(6,))
+        cases.append(("affine", lambda x, w, c: ad.matrix_multiply(x, w, c), [x, w, c],
+                      lambda x, w, c: ad.add(ad.matrix_multiply(x, w), c), [x, w, c]))
+        cases.append(("affine relu", lambda x, w, c: ad.matrix_multiply(x, w, c, relu=True), [x, w, c],
+                      lambda x, w, c: ad.relu(ad.add(ad.matrix_multiply(x, w), c)), [x, w, c]))
+        samples = rng.normal(size=lead + (32, 3))
+        cases.append(("rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, samples],
+                      lambda a, b: ad.index_select(ad.matrix_multiply(a, b), 0, axis=-2), [x[..., None, :], samples]))
+        tau = 0.37
+        cases.append(("tempered softmax", lambda a: ad.softmax_over_axis(a, tau=tau), [x],
+                      lambda a: ad.softmax_over_axis(ad.divide(a, Tensor(tau))), [x]))
+        for axis in (-1, 0, None):
+            count = x.size if axis is None else x.shape[axis]
+            cases.append((f"mean over {axis}", lambda a, axis=axis: ad.mean_over_axis(a, axis), [x],
+                          lambda a, axis=axis, count=count: ad.multiply(ad.sum_over_axis(a, axis), Tensor(1.0 / count)),
+                          [x]))
+    return cases
+
+
+def _taped(fn, arrays, constant, weights):
+    """fn's output and each input's gradient, input `constant` a constant."""
+    with GradientTape():
+        inputs = [Tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        out = fn(*inputs)
+        backward(ad.sum_over_axis(ad.multiply(out, Tensor(weights))))
+    return out.values, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("case", range(len(_fused_cases())))
+def test_a_fused_form_keeps_the_bits_of_its_chain(case):
+    name, fused, fused_inputs, chain, chain_inputs = _fused_cases()[case]
+    with ad.no_grad():
+        shape = fused(*[Tensor(a) for a in fused_inputs]).shape
+    weights = np.random.default_rng(case).normal(size=shape)
+    # A lone input cannot be constant: nothing would be recorded.
+    for constant in (None, *range(len(fused_inputs) if len(fused_inputs) > 1 else 0)):
+        out, grads = _taped(fused, fused_inputs, constant, weights)
+        chain_out, chain_grads = _taped(chain, chain_inputs, constant, weights)
+        assert out.shape == chain_out.shape and _bitwise_equal(out, chain_out), name
+        for i, (grad, chain_grad) in enumerate(zip(grads, chain_grads)):
+            if i == constant:
+                assert grad is None and chain_grad is None, name
+            else:
+                assert _bitwise_equal(grad, chain_grad.reshape(grad.shape)), (name, constant, i)
+
+
+def test_fused_product_shape_errors():
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    for addend in ((3,), (2, 3), (5, 2, 4)):
+        with pytest.raises(ShapeError, match="addend"):
+            ad.matrix_multiply(a, b, Tensor(np.ones(addend)))
+    for sa, sb in (((2, 3), (2, 4, 5)), ((2, 3), (3, 3, 5)), ((2, 3), (2, 3)), ((), (3, 2))):
+        pattern = rf"{re.escape(str(sa))} @ {re.escape(str(sb))}"
+        with pytest.raises(ShapeError, match=pattern):
+            ad.matrix_multiply(Tensor(np.ones(sa)), Tensor(np.ones(sb)), rows=True)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+def test_softmax_tau_must_be_positive(tau):
+    with pytest.raises(ValueError, match="tau must be positive"):
+        ad.softmax_over_axis(Tensor([1.0, 0.5]), tau=tau)
 
 
 @pytest.mark.parametrize("floor", [0.0, -1e-3, float("nan")])

@@ -528,24 +528,78 @@ class TestTraining:
                 seen.update(lengths)
         assert len(seen) == 1 and seen.pop() <= 30
 
-    def test_tape_size_per_loss(self, monkeypatch):
-        # One batch of 16; each floored log is one record, one in samp and
-        # two in soft-dr's JS regularizer.
-        lengths = []
+    @staticmethod
+    def record_kinds(monkeypatch):
+        """A list that each closing tape appends its op kinds to, in order."""
+        kinds = []
         exit_tape = ad.GradientTape.__exit__
 
         def recording_exit(tape, *exc):
-            lengths.append(len(tape.records))
+            kinds.append([rec.kind for rec in tape.records])
             return exit_tape(tape, *exc)
 
         monkeypatch.setattr(ad.GradientTape, "__exit__", recording_exit)
+        return kinds
+
+    def test_tape_size_per_loss(self, monkeypatch):
+        # One batch of 16; each floored log is one record, one in samp and
+        # two in soft-dr's JS regularizer.  Each affine layer used to take
+        # three records and each batch or draw mean two, and samp's relaxed
+        # sample a divide and a row pick besides: 13, 11, 21, 22 and 27.
+        kinds = self.record_kinds(monkeypatch)
         task = small_task(train_count=16, val_count=4)
         recorded = {}
         for loss in LOSSES:
-            lengths.clear()
+            kinds.clear()
             train(RunConfig(task=task, loss=loss, epochs=1, batch_size=16))
-            (recorded[loss],) = lengths
-        assert recorded == {"soft": 13, "discrete": 11, "samp": 21, "soft-vr": 22, "soft-dr": 27}
+            (recorded[loss],) = map(len, kinds)
+        assert recorded == {"soft": 9, "discrete": 7, "samp": 14, "soft-vr": 18, "soft-dr": 23}
+
+    def test_samp_step_records(self, monkeypatch):
+        kinds = self.record_kinds(monkeypatch)
+        train(RunConfig(task=small_task(train_count=16, val_count=4), loss="samp", epochs=1, batch_size=16))
+        assert kinds == [[
+            # Two affine layers, the hidden one with its relu.
+            "matrix-multiply",
+            "matrix-multiply",
+            # The (B, 1, n) row maps.
+            "index-select",
+            "softmax-over-axis",
+            # The tempered Gumbel-softmax, then each draw's row times its samples.
+            "logarithm",
+            "index-select",
+            "add",
+            "softmax-over-axis",
+            "matrix-multiply",
+            # L1 distance to the target, the mean over draws, the batch mean.
+            "subtract",
+            "absolute-value",
+            "sum-over-axis",
+            "mean-over-axis",
+            "mean-over-axis",
+        ]]
+
+    def test_update_is_in_place(self, monkeypatch):
+        # A new array per parameter per step made each kept train() result
+        # cost more memory; the in-place update keeps the bits of old - lr * grad.
+        grads = {}
+
+        def keep_grad(tensor):
+            grads[id(tensor)] = tensor.grad
+            tensor.grad = None
+
+        monkeypatch.setattr(Tensor, "zero_grad", keep_grad)
+        task = small_task(train_count=16, val_count=4)
+        support = task_support(task)
+        obs, targets = generate_split(task, "train")
+        model = MLPModel(obs.shape[1], 8, support.n, seed=2)
+        arrays = [p.values for p in model.parameters()]
+        old = [a.copy() for a in arrays]
+        lr = 0.05
+        training._train_batch(model, support, make_loss("soft", None, "l1", 4.0), obs, targets, 1.0, lr)
+        for p, a, before in zip(model.parameters(), arrays, old):
+            assert p.values is a
+            assert p.values.tobytes() == (before - lr * grads[id(p)]).tobytes()
 
     def test_validation_error_is_evaluate_mean(self):
         task = SyntheticTask(kind="heat2d", size=12, seed=3)
@@ -605,6 +659,30 @@ class TestTraining:
         for i in (slice(0, 2), 1.0):
             with pytest.raises(TypeError):
                 records[i]
+
+    @pytest.mark.parametrize("kind, size", [("heat2d", 12), ("scatter3d", 64)])
+    def test_trial_records_compare_by_value(self, kind, size):
+        # The generated __eq__ compared the row views as a tuple and raised
+        # numpy's ambiguous-truth ValueError on any prediction of two or
+        # more coordinates.
+        task = SyntheticTask(kind, size=size, test_count=6, seed=4)
+        n = task_support(task).n
+        records, _ = evaluate(MLPModel(n, 8, n, seed=4), task)
+        first = records[0]
+        assert first == records[0] and not first != records[0]
+        assert first == training.TrialRecord(0, first.pred.copy(), first.target.copy(), first.peak, first.error)
+        assert first != records[1]
+        for changed in (
+            dataclasses.replace(first, index=1),
+            dataclasses.replace(first, pred=first.pred + 1.0),
+            dataclasses.replace(first, target=first.target[:1]),
+            dataclasses.replace(first, peak=first.peak / 2),
+            dataclasses.replace(first, error=first.error + 1.0),
+        ):
+            assert first != changed
+        assert first != (0, first.pred, first.target, first.peak, first.error)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
 
     def test_evaluate_keeps_four_columns_and_builds_no_record(self, monkeypatch):
         def refuse(*args):
@@ -896,12 +974,14 @@ class TestGradcheckSuite:
 
         assert bits(gradcheck_suite(seeds=seeds).rows) == bits(per_basis_cell_gradcheck(seeds))
 
-    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 396), (1, 10, 198)])
+    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 372), (1, 10, 186)])
     def test_suite_call_counts(self, monkeypatch, seeds, checks, ops):
         # One call per support, family and distance, each taking every
         # basis's points.  One call per cell made 60 calls and 1 404 op calls
         # at 20 seeds; one per basis for the sampled family, 28 and 748; a
-        # floored log of four ops instead of one, 20 and 468.
+        # floored log of four ops instead of one, 20 and 468; the sampled
+        # family's temperature divide, row pick and draw-mean multiply taped
+        # on their own, 20 and 396 (198 at one seed).
         counts = {"checks": 0, "ops": 0}
 
         def counted(name, fn):
