@@ -6,7 +6,7 @@ walks the tape once in reverse and gives the leaves their gradients.  The
 block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
 elementwise arithmetic, a few shape ops, matrix multiply (with an optional
-addend and relu after it, or row by row over a stack), relu and softmax
+addend and relu after it, or row by row), relu and softmax
 (optionally tempered).
 Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
@@ -464,43 +464,29 @@ def _build_mean_over_axis(arrays, params, needs):
     return np.add.reduce(a, axis=axis) * scale, bwd
 
 
-def _product_backward(a, b, g, need_a, need_b):
-    """The gradients of a @ b for its output gradient g."""
-    if a.ndim == 1 and b.ndim == 1:  # (k,) @ (k,) -> ()
-        return (g * b if need_a else None), (g * a if need_b else None)
-    if a.ndim == 1:  # (k,) @ (k, m) -> (m,)
-        return (b @ g if need_a else None), (np.outer(a, g) if need_b else None)
-    if b.ndim == 1:  # (..., k) @ (k,) -> (...,)
-        ga = np.expand_dims(g, -1) * b if need_a else None
-        gb = np.tensordot(g, a, axes=(tuple(range(g.ndim)), tuple(range(a.ndim - 1)))) if need_b else None
-        return ga, gb
-    ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
-    gb = _reduce_to(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
-    return ga, gb
-
-
 def _rows_product(a, b):
-    """(..., k) @ (..., k, m) -> (..., m): each row of a times its own
-    matrix of b, as the stacked (..., 1, k) @ (..., k, m) product."""
-    if a.ndim == 0 or b.ndim != a.ndim + 1 or a.shape[:-1] != b.shape[:-2] or a.shape[-1:] != b.shape[-2:-1]:
-        raise ShapeError(f"matrix-multiply rows: need (..., k) @ (..., k, m), got {a.shape} @ {b.shape}")
+    """(..., k) @ (..., k, m) or (k, m) -> (..., m): each row of a times its
+    own matrix of b, or every row times the one shared matrix, as the stacked
+    (..., 1, k) @ b product."""
+    stacked = b.ndim == a.ndim + 1 and a.shape[:-1] == b.shape[:-2]
+    if a.ndim == 0 or not (stacked or b.ndim == 2) or a.shape[-1:] != b.shape[-2:-1]:
+        raise ShapeError(f"matrix-multiply rows: need (..., k) @ (..., k, m) or (k, m), got {a.shape} @ {b.shape}")
     return (a[..., None, :] @ b)[..., 0, :]
 
 
 def _build_matrix_multiply(arrays, params, needs):
     """a @ b, then the addend c (a @ b + c, c suffix-broadcast onto the
     product) when given as a third input, then relu when params["relu"].
-    With params["rows"], a is a stack of rows, each multiplied by its own
-    matrix: (..., k) @ (..., k, m) -> (..., m)."""
+    Without params["rows"] both operands have 2 or more axes.  With it, a is
+    a stack of rows, each multiplied by its own matrix, (..., k) @ (..., k, m),
+    or every one by the same matrix, (..., k) @ (k, m): (..., m)."""
     a, b = arrays[:2]
     rows = params.get("rows", False)
     if rows:
         out = _rows_product(a, b)
     else:
-        if a.ndim == 0 or b.ndim == 0:
-            raise ShapeError("matrix-multiply does not accept scalars")
-        if a.ndim == 1 and b.ndim > 2:
-            raise ShapeError(f"matrix-multiply: a 1-D left operand takes no stacked right one, {a.shape} @ {b.shape}")
+        if a.ndim < 2 or b.ndim < 2:
+            raise ShapeError(f"matrix-multiply: {a.shape} @ {b.shape}: need 2+ axes each; a (k,) row takes rows=True")
         if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
             raise ShapeError(f"matrix-multiply: batch dims differ, {a.shape} @ {b.shape}")
         try:
@@ -525,9 +511,11 @@ def _build_matrix_multiply(arrays, params, needs):
         gc = (_reduce_to(g, arrays[2].shape),) if need_c else (None,) * (len(arrays) - 2)
         if rows:
             ga = (g[..., None, :] @ b.swapaxes(-1, -2))[..., 0, :] if need_a else None
-            gb = a[..., :, None] @ g[..., None, :] if need_b else None
-            return (ga, gb) + gc
-        return _product_backward(a, b, g, need_a, need_b) + gc
+            gb = _reduce_to(a[..., :, None] @ g[..., None, :], b.shape) if need_b else None
+        else:
+            ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
+            gb = _reduce_to(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
+        return (ga, gb) + gc
 
     return out, bwd
 
@@ -598,20 +586,13 @@ def _build_concatenate(arrays, params, needs):
 def _build_index_select(arrays, params, needs):
     (a,) = arrays
     axis = _axis_param(params, a.ndim, allow_none=False) if "axis" in params else 0
-    index = params["index"]
-    scalar = np.isscalar(index) or (isinstance(index, np.ndarray) and index.ndim == 0)
-    idx = int(index) if scalar else np.asarray(index, dtype=np.intp)
+    idx = np.asarray(params["index"], dtype=np.intp)
     out = a.take(idx, axis=axis)
 
     def bwd(g):
         ga = np.zeros_like(a)
         lead = (slice(None),) * axis
         length = a.shape[axis]
-        if scalar or _unique(idx, length):
-            # Each slot gets one gradient, so assignment is the sum; adding
-            # 0.0 gives -0.0 the +0.0 that np.add.at's 0.0 + -0.0 gives.
-            ga[lead + (idx,)] = g + 0.0
-            return (ga,)
         # A broadcast index repeats itself along its stride-0 axes.  When the
         # rest of it is unique, each slot's gradients lie along those axes,
         # and adding them one by one from 0.0 is np.add.at's sum.
@@ -710,9 +691,11 @@ def mean_over_axis(a, axis: int | None = None) -> Tensor:
 
 
 def matrix_multiply(a, b, c=None, *, relu: bool = False, rows: bool = False) -> Tensor:
-    """a @ b; plus the addend c, suffix-broadcast onto the product, when
-    given; then relu when asked.  With rows, a (..., k) stack of rows times
-    a (..., k, m) stack of matrices, row by row: (..., m)."""
+    """a @ b of operands with 2 or more axes; plus the addend c,
+    suffix-broadcast onto the product, when given; then relu when asked.
+    With rows, a (..., k) stack of rows times a (..., k, m) stack of
+    matrices, row by row, or times one shared (k, m) matrix: (..., m).  A
+    row's product then has the bits it has alone."""
     return forward_op("matrix-multiply", [a, b] if c is None else [a, b, c], relu=relu, rows=rows)
 
 

@@ -243,6 +243,11 @@ def _checked(build, opts: dict):
 def _cmd_train(args) -> int:
     opts = _merge(args, _load_config(args.config), _option_defaults())
     config = _checked(_run_config_from, opts)
+    # No dataclass field takes out or model_out, so a config's value is typed here.
+    if not isinstance(opts["out"], str):
+        raise SystemExit(f"invalid option value: out must be a string, got {opts['out']!r}")
+    if not isinstance(opts["model_out"], (str, type(None))):
+        raise SystemExit(f"invalid option value: model_out must be a string or None, got {opts['model_out']!r}")
     _check_out("--out", opts["out"])
     if opts["model_out"]:
         _check_out("--model-out", opts["model_out"], {"--out": opts["out"]})

@@ -34,8 +34,8 @@ from ..mixture import (
     per_stream,
     reference_sample_batch,
 )
-from ..operators import DISTANCES, _is_kind, gumbel_softmax_values
-from .training import LOSS_KINDS, make_loss, row_maps
+from ..operators import DISTANCES, _is_kind, gumbel_softmax_values, inference_localize
+from .training import LOSS_KINDS, make_loss
 
 __all__ = [
     "GradCheckRow",
@@ -167,14 +167,13 @@ def _loss_closure(loss_name, support, noise, y_ts, distance, x0s):
     at its own unperturbed weights.  A lone (n,) x is the map of a one-point
     closure, for a single-point check."""
     count = len(x0s)
-    # The (R, 1, n) row layout gives each centre the bits of its own (n,) product.
-    centres = (ad.softmax_values(x0s[:, None, :], axis=-1) @ support.positions)[:, 0]
+    centres = inference_localize(ProbabilityMap(support, Tensor(ad.softmax_values(x0s, axis=-1))))
 
     def per_point(pmap: ProbabilityMap, a: np.ndarray) -> np.ndarray:
         if pmap.batch_shape == ():
             (lone,) = a
             return lone
-        return np.repeat(a, pmap.batch_shape[0] // count, axis=0)[:, None]
+        return np.repeat(a, pmap.batch_shape[0] // count, axis=0)
 
     loss_fn = make_loss(
         loss_name,
@@ -185,7 +184,7 @@ def _loss_closure(loss_name, support, noise, y_ts, distance, x0s):
     )
 
     def f(x: Tensor) -> Tensor:
-        pmap = row_maps(support, x) if x.ndim == 2 else ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
+        pmap = ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
         return loss_fn(pmap, per_point(pmap, y_ts), GRADCHECK_TAU)
 
     return f

@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import NonFiniteError, Tensor
-from ..mixture import MixtureSpec, NoiseSource, ProbabilityMap, Support, basis_sample_all, draw_noise_batch
+from ..mixture import BASES, MixtureSpec, NoiseSource, ProbabilityMap, basis_sample_all, draw_noise_batch
 from ..operators import (
     SamplingConfig,
     anneal_tau,
@@ -36,7 +36,6 @@ __all__ = [
     "TrainingDiverged",
     "learning_rate_at",
     "make_loss",
-    "row_maps",
     "train",
     "evaluate",
 ]
@@ -96,6 +95,8 @@ class RunConfig:
         check_field_types(self)
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss: {self.loss!r}")
+        if self.basis not in BASES:
+            raise ValueError(f"unknown basis: {self.basis!r}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"unknown lr schedule: {self.lr_schedule!r}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 1:
@@ -239,13 +240,6 @@ def _fresh_noise(source: NoiseSource, num_samples: int, spec: MixtureSpec):
     return noise
 
 
-def row_maps(support: Support, logits: Tensor) -> ProbabilityMap:
-    """The maps of (m, n) logits in the (m, 1, n) row layout, in which each
-    row's loss has the bits the same loss of that row's lone (n,) map has."""
-    rows = ad.index_select(logits, np.arange(logits.shape[0])[:, None], axis=0)
-    return ProbabilityMap(support, ad.softmax_over_axis(rows, axis=-1))
-
-
 def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
     """SGD training; returns the model and one history row per epoch."""
     support = task_support(config.task)
@@ -285,8 +279,8 @@ def train(config: RunConfig) -> tuple[MLPModel, list[HistoryRow]]:
 
 def _batch_losses(model, support, loss_fn, obs, targets, tau) -> tuple[Tensor, Tensor]:
     """(per-example losses, batch loss) of one batch, recorded on the open
-    tape; the logits go into the (B, 1, n) row layout."""
-    losses = loss_fn(row_maps(support, model.logits(obs)), targets[:, None, :], tau)
+    tape."""
+    losses = loss_fn(ProbabilityMap(support, ad.softmax_over_axis(model.logits(obs))), targets, tau)
     return losses, ad.mean_over_axis(losses)
 
 
@@ -302,13 +296,10 @@ def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
 
 
 def _predict(model, support, obs, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weight rows, predictions, L1 errors) of a split.
-
-    One inference_localize call on the (B, 1, n) row layout, so each
-    prediction has the bits soft_argmax gives that example's lone map.
-    """
+    """(weight rows, predictions, L1 errors) of a split, each prediction
+    the bits soft_argmax gives that example's lone map."""
     rows = ad.softmax_values(model.logit_values(obs), axis=-1)
-    preds = inference_localize(ProbabilityMap(support, Tensor(rows[:, None, :])))[:, 0, :]
+    preds = inference_localize(ProbabilityMap(support, Tensor(rows)))
     return rows, preds, np.abs(preds - targets).sum(axis=-1)
 
 

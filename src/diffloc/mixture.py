@@ -187,8 +187,8 @@ class MixtureSpec:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis: {self.basis!r}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
 
 def _resolve(spec: MixtureSpec, support: Support) -> tuple[str, float | None, float | None]:

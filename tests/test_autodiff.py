@@ -115,12 +115,10 @@ def _sample(kind, rng):
         case = rng.integers(9)
         if case >= 5:
             return _sample_fused_product(rng, k, case)
-        if case == 0:
-            return [rng.uniform(-2, 2, k), rng.uniform(-2, 2, k)], {}, (0, 1)
-        if case == 1:
-            return [rng.uniform(-2, 2, k), rng.uniform(-2, 2, (k, 2))], {}, (0, 1)
-        if case == 2:
-            return [rng.uniform(-2, 2, (2, k)), rng.uniform(-2, 2, k)], {}, (0, 1)
+        if case < 3:
+            # Rows times one shared matrix: a lone row, a stack, a stack of stacks.
+            lead = ((), (2,), (2, 3))[case]
+            return [rng.uniform(-2, 2, lead + (k,)), rng.uniform(-2, 2, (k, 2))], {"rows": True}, (0, 1)
         if case == 3:
             return [rng.uniform(-2, 2, (2, k)), rng.uniform(-2, 2, (k, 3))], {}, (0, 1)
         return [rng.uniform(-2, 2, (2, 2, k)), rng.uniform(-2, 2, (k, 3))], {}, (0, 1)
@@ -440,10 +438,12 @@ def test_shape_errors():
 
 
 def test_a_vector_times_a_stack_is_rejected_at_the_call():
-    # a's gradient would be (5, 4, 3) @ (5, 3), which numpy rejects in backward.
+    # A plain product takes operands of 2 or more axes; a (k,) row is a
+    # product with rows=True.
     for need in (True, False):
-        with pytest.raises(ShapeError, match=r"\(4,\) @ \(5, 4, 3\)"):
-            ad.matrix_multiply(Tensor(np.ones(4), requires_grad=need), Tensor(np.ones((5, 4, 3))))
+        for sa, sb in (((4,), (5, 4, 3)), ((4,), (4, 3)), ((2, 4), (4,))):
+            with pytest.raises(ShapeError, match=rf"{re.escape(str(sa))} @ {re.escape(str(sb))}: .*rows=True"):
+                ad.matrix_multiply(Tensor(np.ones(sa), requires_grad=need), Tensor(np.ones(sb)))
 
 
 def test_domain_errors():
@@ -540,7 +540,7 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
     with pytest.raises(NonFiniteError, match="output of 'multiply'"):
         ad.multiply(opposite, Tensor(1e200))
     with pytest.raises(NonFiniteError, match="output of 'matrix-multiply'"):
-        ad.matrix_multiply(Tensor([1e200, 1e200]), opposite)
+        ad.matrix_multiply(Tensor([1e200, 1e200]), Tensor([[1e200], [-1e200]]), rows=True)
     with pytest.raises(NonFiniteError, match="'square'"):
         ad.square(Tensor([1e200, -1e200]))
     with GradientTape():
@@ -553,7 +553,7 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
             backward(root)
         a = Tensor([1e-300], requires_grad=True)
         rows = Tensor([[1e200, -1e200]])
-        root = ad.sum_over_axis(ad.multiply(ad.matrix_multiply(a, rows), Tensor(1e200)))
+        root = ad.sum_over_axis(ad.multiply(ad.matrix_multiply(a, rows, rows=True), Tensor(1e200)))
         with pytest.raises(NonFiniteError, match="backward of 'matrix-multiply'"):
             backward(root)
         # Each gradient is finite, their sums are inf and -inf.
@@ -570,19 +570,15 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
 
 
 _BINARY_CASES = [
-    (kind, sa, sb)
+    (kind, sa, sb, {})
     for kind in ("add", "subtract", "multiply", "divide")
     for sa, sb in (((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((4,), (2, 3, 4)), ((), (3,)))
 ] + [
-    ("matrix-multiply", sa, sb)
-    for sa, sb in (
-        ((4,), (4,)),
-        ((4,), (4, 3)),
-        ((2, 4), (4,)),
-        ((2, 4), (4, 3)),
-        ((2, 3, 1, 4), (2, 3, 4, 2)),
-        ((5, 2, 4), (4, 3)),
-    )
+    ("matrix-multiply", sa, sb, {})
+    for sa, sb in (((2, 4), (4, 3)), ((2, 3, 1, 4), (2, 3, 4, 2)), ((5, 2, 4), (4, 3)))
+] + [
+    ("matrix-multiply", sa, sb, {"rows": True})
+    for sa, sb in (((4,), (4, 3)), ((2, 4), (4, 3)), ((5, 2, 4), (4, 3)), ((2, 4), (2, 4, 3)))
 ]
 
 
@@ -590,20 +586,22 @@ def _bitwise_equal(x, y) -> bool:
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
-@pytest.mark.parametrize("kind, sa, sb", _BINARY_CASES)
-def test_a_builder_computes_only_the_gradients_its_inputs_need(kind, sa, sb):
+@pytest.mark.parametrize(
+    "kind, sa, sb, params", _BINARY_CASES, ids=[f"{kind}-sa{i}-sb{i}" for i, (kind, *_) in enumerate(_BINARY_CASES)]
+)
+def test_a_builder_computes_only_the_gradients_its_inputs_need(kind, sa, sb, params):
     # With one input constant, the other's gradient keeps every bit of the
     # all-inputs path and the constant gets None: nothing is computed for it.
     rng = np.random.default_rng(len(sa) * 10 + len(sb))
     a = rng.normal(size=sa)
     b = rng.uniform(0.5, 2.0, size=sb) * rng.choice([-1.0, 1.0], size=sb)
     build = ad._REGISTRY[kind]
-    out, bwd = build([a, b], {}, (True, True))
+    out, bwd = build([a, b], params, (True, True))
     g = np.where(rng.random(np.shape(out)) < 0.2, -0.0, rng.normal(size=np.shape(out)))
     both = bwd(g)
     assert all(grad is not None for grad in both)
     for needs in ((True, False), (False, True)):
-        values, partial = build([a, b], {}, needs)
+        values, partial = build([a, b], params, needs)
         assert _bitwise_equal(values, out)
         for need, grad, full in zip(needs, partial(g), both):
             if need:
@@ -618,7 +616,7 @@ def test_a_builder_computes_only_the_gradients_its_inputs_need(kind, sa, sb):
     for needs in ((True, True), (True, False), (False, True)):
         with GradientTape() as tape:
             x, y = Tensor(a, requires_grad=needs[0]), Tensor(b, requires_grad=needs[1])
-            backward(ad.sum_over_axis(ad.multiply(forward_op(kind, [x, y]), Tensor(weights))))
+            backward(ad.sum_over_axis(ad.multiply(forward_op(kind, [x, y], **params), Tensor(weights))))
         assert [rec.kind for rec in tape.records] == [kind, "multiply", "sum-over-axis"]
         grads[needs] = (x.grad, y.grad)
     assert _bitwise_equal(grads[(True, False)][0], grads[(True, True)][0]) and grads[(True, False)][1] is None
@@ -775,11 +773,11 @@ def test_floored_logarithm_keeps_the_bits_of_its_four_op_chain():
 
 def _fused_cases():
     """(name, fused, its inputs, chain, the chain's inputs): each fused
-    form next to the chain of ops it replaces, in the (16, 1, 32) row
-    layout, the (16, 1, 5, 32) draw layout and a stacked shape."""
+    form next to the chain of ops it replaces, on (16, 32) maps, their
+    (16, 5, 32) draws and a stacked shape."""
     rng = np.random.default_rng(31)
     cases = []
-    for lead in ((16, 1), (16, 1, 5), (4, 3)):
+    for lead in ((16,), (16, 5), (4, 3)):
         x = rng.normal(size=lead + (32,))
         w = rng.normal(size=(32, 6))
         c = rng.normal(size=(6,))
@@ -790,6 +788,8 @@ def _fused_cases():
         samples = rng.normal(size=lead + (32, 3))
         cases.append(("rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, samples],
                       lambda a, b: ad.index_select(ad.matrix_multiply(a, b), 0, axis=-2), [x[..., None, :], samples]))
+        cases.append(("shared rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, w],
+                      lambda a, b: ad.index_select(ad.matrix_multiply(a, b), 0, axis=-2), [x[..., None, :], w]))
         tau = 0.37
         cases.append(("tempered softmax", lambda a: ad.softmax_over_axis(a, tau=tau), [x],
                       lambda a: ad.softmax_over_axis(ad.divide(a, Tensor(tau))), [x]))

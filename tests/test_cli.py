@@ -488,6 +488,10 @@ WRONG_TYPES = [
     ("lr", {"value": 0.1}, "lr must be a number, got {'value': 0.1}"),
     ("lr_schedule", 2, "lr_schedule must be a string, got 2"),
     ("hidden", "64", "hidden_dim must be an int, got '64'"),
+    ("out", 5, "out must be a string, got 5"),
+    ("out", ["a"], "out must be a string, got ['a']"),
+    ("model_out", 5, "model_out must be a string or None, got 5"),
+    ("model_out", ["a"], "model_out must be a string or None, got ['a']"),
 ]
 
 
@@ -516,11 +520,14 @@ class TestOptionValues:
             (["eval", "--model", "m.npz", "--seed", "-1"], "seed must be at least 0, got -1"),
             (["eval", "--model", "m.npz", "--config", "bogus.json"], "unknown split: 'bogus'"),
             (["eval", "--model", "m.npz", "--config", "three.json"], "unknown split: 3"),
+            (["train", "--config", "basis.json"], "unknown basis: 'bogus'"),
+            (["train", "--task", "scatter3d", "--config", "basis.json"], "unknown basis: 'bogus'"),
         ],
         ids=["noise", "num-samples", "lr", "config-epochs-string", "train-count", "val-count",
              "negative-train-count", "eval-test-count", "nan-lr", "inf-tau-start", "nan-sigma-t-sq",
              "nan-noise", "eval-inf-noise", "inf-reg-weight", "negative-reg-weight", "reg-weight-without-regularizer",
-             "negative-seed", "eval-negative-seed", "eval-config-split", "eval-config-split-int"],
+             "negative-seed", "eval-negative-seed", "eval-config-split", "eval-config-split-int",
+             "config-basis", "scatter3d-config-basis"],
     )
     def test_rejected_value_ends_in_one_line(self, tmp_path, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -529,7 +536,12 @@ class TestOptionValues:
         monkeypatch.setattr(cli, "train", never)
         monkeypatch.setattr(cli, "evaluate", never)
         monkeypatch.chdir(tmp_path)
-        configs = {"run.json": {"epochs": "3"}, "bogus.json": {"split": "bogus"}, "three.json": {"split": 3}}
+        configs = {
+            "run.json": {"epochs": "3"},
+            "bogus.json": {"split": "bogus"},
+            "three.json": {"split": 3},
+            "basis.json": {"basis": "bogus"},
+        }
         for name, config in configs.items():
             (tmp_path / name).write_text(json.dumps(config))
         save_model(tmp_path / "m.npz", SyntheticTask("signal1d", size=16))

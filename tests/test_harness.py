@@ -407,6 +407,9 @@ class TestTraining:
             RunConfig(task=task, loss="hinge")
         with pytest.raises(ValueError, match="schedule"):
             RunConfig(task=task, lr_schedule="step")
+        for kind in ("signal1d", "scatter3d"):
+            with pytest.raises(ValueError, match="unknown basis: 'bogus'"):
+                RunConfig(task=SyntheticTask(kind), basis="bogus")
         with pytest.raises(ValueError, match="positive"):
             RunConfig(task=task, lr=0.0)
         with pytest.raises(ValueError, match="sigma_t_sq"):
@@ -546,6 +549,8 @@ class TestTraining:
         # two in soft-dr's JS regularizer.  Each affine layer used to take
         # three records and each batch or draw mean two, and samp's relaxed
         # sample a divide and a row pick besides: 13, 11, 21, 22 and 27.
+        # The gather into a (B, 1, n) row layout took one more: 9, 7, 14, 18
+        # and 23.
         kinds = self.record_kinds(monkeypatch)
         task = small_task(train_count=16, val_count=4)
         recorded = {}
@@ -553,7 +558,7 @@ class TestTraining:
             kinds.clear()
             train(RunConfig(task=task, loss=loss, epochs=1, batch_size=16))
             (recorded[loss],) = map(len, kinds)
-        assert recorded == {"soft": 9, "discrete": 7, "samp": 14, "soft-vr": 18, "soft-dr": 23}
+        assert recorded == {"soft": 8, "discrete": 6, "samp": 13, "soft-vr": 17, "soft-dr": 22}
 
     def test_samp_step_records(self, monkeypatch):
         kinds = self.record_kinds(monkeypatch)
@@ -562,8 +567,7 @@ class TestTraining:
             # Two affine layers, the hidden one with its relu.
             "matrix-multiply",
             "matrix-multiply",
-            # The (B, 1, n) row maps.
-            "index-select",
+            # The (B, n) maps.
             "softmax-over-axis",
             # The tempered Gumbel-softmax, then each draw's row times its samples.
             "logarithm",
@@ -792,8 +796,8 @@ class TestBatchedStep:
                     model, support, config, spec, reference_source, obs[rows], targets[rows], tau
                 ),
             )
-            assert losses.shape == (len(terms), 1)
-            np.testing.assert_array_equal(losses.values[:, 0], [t.item() for t in terms])
+            assert losses.shape == (len(terms),)
+            np.testing.assert_array_equal(losses.values, [t.item() for t in terms])
             # Only the order of the sum over the batch differs (pairwise
             # against left to right).
             assert abs(batch_loss.item() - ref_loss.item()) <= 1e-15 * abs(ref_loss.item())
@@ -974,14 +978,15 @@ class TestGradcheckSuite:
 
         assert bits(gradcheck_suite(seeds=seeds).rows) == bits(per_basis_cell_gradcheck(seeds))
 
-    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 372), (1, 10, 186)])
+    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 332), (1, 10, 166)])
     def test_suite_call_counts(self, monkeypatch, seeds, checks, ops):
         # One call per support, family and distance, each taking every
         # basis's points.  One call per cell made 60 calls and 1 404 op calls
         # at 20 seeds; one per basis for the sampled family, 28 and 748; a
         # floored log of four ops instead of one, 20 and 468; the sampled
         # family's temperature divide, row pick and draw-mean multiply taped
-        # on their own, 20 and 396 (198 at one seed).
+        # on their own, 20 and 396 (198 at one seed); the gather into the
+        # (R, 1, n) row layout, 20 and 372 (186).
         counts = {"checks": 0, "ops": 0}
 
         def counted(name, fn):

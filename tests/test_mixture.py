@@ -151,8 +151,9 @@ class TestMixtureSpec:
         assert MixtureSpec("gaussian").sigma is None
         with pytest.raises(ValueError, match="basis"):
             MixtureSpec("quadratic")
-        with pytest.raises(ValueError, match="sigma"):
-            MixtureSpec("gaussian", sigma=-1.0)
+        for sigma in (-1.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+                MixtureSpec("gaussian", sigma=sigma)
 
     def test_scattered_requires_gaussian_with_sigma(self):
         sup = Support.scattered(np.random.default_rng(0).uniform(0, 1, (5, 2)))

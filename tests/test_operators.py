@@ -5,6 +5,7 @@ import pytest
 
 from diffloc import autodiff as ad
 from diffloc.autodiff import GradientTape, Tensor, softmax_values
+from diffloc.harness.tasks import TASK_KINDS, SyntheticTask, task_support
 from diffloc.mixture import (
     BASES,
     WEIGHT_FLOOR,
@@ -322,21 +323,21 @@ class TestSampledExpectedErrorLoss:
     @pytest.mark.parametrize("shape", [8, (4, 4)])
     @pytest.mark.parametrize("distance", DISTANCES)
     def test_given_samples_keep_the_bits_of_the_spec_chain(self, basis, shape, distance):
-        # Losses and logit gradients of a (B, 1, n) batch, on basis samples,
+        # Losses and logit gradients of a (B, n) batch, on basis samples,
         # against the chain that drew them from a spec and uniforms inside
         # the loss: with fresh draws per map, as training takes them, and
         # with one draw shared by every map, as gradcheck freezes it.
         support, spec = Support.regular_grid(shape), MixtureSpec(basis)
         batch, num_samples, tau = 5, 3, 0.7
         rng = np.random.default_rng([41, support.ndim, BASES.index(basis)])
-        logits = rng.uniform(-2.0, 2.0, (batch, 1, support.n))
-        y = rng.uniform(0.5, support.positions.max() - 1.0, (batch, 1, support.ndim))
-        lead = (batch, 1, num_samples)
+        logits = rng.uniform(-2.0, 2.0, (batch, support.n))
+        y = rng.uniform(0.5, support.positions.max() - 1.0, (batch, support.ndim))
+        lead = (batch, num_samples)
         gumbels, uniforms = draw_noise_batch(NoiseSource(42), batch * num_samples, support.n, support.ndim)
         fresh = gumbels.reshape(lead + (support.n,)), uniforms.reshape(lead + (support.n, support.ndim))
         gumbels, uniforms = draw_noise_batch(NoiseSource(43), num_samples, support.n, support.ndim)
         shared = np.broadcast_to(gumbels, fresh[0].shape), np.broadcast_to(uniforms, fresh[1].shape)
-        shared_samples = np.repeat(basis_sample_all(spec, support, uniforms)[None, None], batch, axis=0)
+        shared_samples = np.repeat(basis_sample_all(spec, support, uniforms)[None], batch, axis=0)
 
         def loss_and_grad(loss_fn):
             with GradientTape():
@@ -515,19 +516,17 @@ class TestBatchedMaps:
         loss = self.LOSSES[name]
         sup = Support.regular_grid((3, 4))
         rng = np.random.default_rng(35)
-        weights = softmax_values(rng.normal(0.0, 1.5, (5, 1, sup.n)))
-        targets = rng.uniform(0.0, 3.0, (5, 1, 2))
+        weights = softmax_values(rng.normal(0.0, 1.5, (5, sup.n)))
+        targets = rng.uniform(0.0, 3.0, (5, 2))
         gumbels, uniforms = draw_noise_batch(NoiseSource(36), 5 * 4, sup.n, 2)
         samples = basis_sample_all(MixtureSpec("gaussian", sigma=0.7), sup, uniforms)
-        noise = (gumbels.reshape(5, 1, 4, sup.n), samples.reshape(5, 1, 4, sup.n, 2))
+        noise = (gumbels.reshape(5, 4, sup.n), samples.reshape(5, 4, sup.n, 2))
         rows = loss(ProbabilityMap(sup, Tensor(weights)), targets, noise)
-        assert rows.shape == (5, 1)
+        assert rows.shape == (5,)
         for r in range(5):
-            alone = loss(ProbabilityMap(sup, Tensor(weights[r, 0])), targets[r, 0], (noise[0][r, 0], noise[1][r, 0]))
+            alone = loss(ProbabilityMap(sup, Tensor(weights[r])), targets[r], (noise[0][r], noise[1][r]))
             assert alone.shape == ()
-            assert rows.values[r, 0] == alone.item()  # the row layout keeps every bit
-        flat = loss(ProbabilityMap(sup, Tensor(weights[:, 0])), targets[:, 0], (noise[0][:, 0], noise[1][:, 0]))
-        np.testing.assert_allclose(flat.values, rows.values[:, 0], rtol=1e-12)
+            assert rows.values[r] == alone.item()  # a map in a batch keeps every bit
 
     def test_shapes_are_checked(self):
         sup = Support.regular_grid(6)
@@ -542,6 +541,38 @@ class TestBatchedMaps:
             sampled_expected_error_loss(pmap, y, gumbels.reshape(2, 3, 6)[:, :0], samples[:0], 1.0)
         loss = sampled_expected_error_loss(pmap, y, gumbels.reshape(2, 3, 6), samples.reshape(2, 3, 6, 1), 1.0)
         assert loss.shape == (2,)
+
+
+class TestLoneBitsInABatch:
+    """soft_argmax, variance_regularizer and inference_localize give each map
+    of a (B, n) batch, value and gradient, the bits it gets alone."""
+
+    @pytest.mark.parametrize("count", [1, 16, 128])
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_each_map_keeps_its_lone_bits(self, kind, count):
+        support = task_support(SyntheticTask(kind))
+        rng = np.random.default_rng([43, TASK_KINDS.index(kind), count])
+        weights = softmax_values(rng.normal(0.0, 2.0, (count, support.n)))
+        ops = {
+            "soft_argmax": (soft_argmax, (count, support.ndim)),
+            "variance_regularizer": (lambda pmap: variance_regularizer(pmap, 2.0), (count,)),
+        }
+        for name, (op, shape) in ops.items():
+            cotangent = rng.normal(size=shape)
+            with GradientTape():
+                w = Tensor(weights, requires_grad=True)
+                out = op(ProbabilityMap(support, w))
+                ad.backward(ad.sum_over_axis(ad.multiply(out, Tensor(cotangent))))
+            for r in range(count):
+                with GradientTape():
+                    lone = Tensor(weights[r], requires_grad=True)
+                    lone_out = op(ProbabilityMap(support, lone))
+                    ad.backward(ad.sum_over_axis(ad.multiply(lone_out, Tensor(cotangent[r]))))
+                assert out.values[r].tobytes() == lone_out.values.tobytes(), (name, r)
+                assert w.grad[r].tobytes() == lone.grad.tobytes(), (name, r)
+        preds = inference_localize(ProbabilityMap(support, Tensor(weights)))
+        for r in range(count):
+            assert preds[r].tobytes() == inference_localize(ProbabilityMap(support, Tensor(weights[r]))).tobytes(), r
 
 
 # ---------------------------------------------------------------------------
