@@ -6,8 +6,9 @@ walks the tape once in reverse and gives the leaves their gradients.  The
 block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
 elementwise arithmetic, a few shape ops, matrix multiply (with an optional
-addend and relu after it, or row by row), relu and softmax
-(optionally tempered).
+addend and relu after it, or row by row), relu, the distances |a - b| and
+(a - b)^2, and softmax (optionally tempered, of floored log weights, and
+plus constant gumbels: a Gumbel-softmax in one record).
 Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
@@ -356,13 +357,7 @@ def _build_add(arrays, params, needs):
 
 def _build_subtract(arrays, params, needs):
     a, b = arrays
-    _suffix_shape(a.shape, b.shape)
-    need_a, need_b = needs
-
-    def bwd(g):
-        return (_reduce_to(g, a.shape) if need_a else None), (_reduce_to(-g, b.shape) if need_b else None)
-
-    return a - b, bwd
+    return _difference(arrays, needs)
 
 
 def _build_multiply(arrays, params, needs):
@@ -416,12 +411,19 @@ def _build_logarithm(arrays, params, needs):
         if np.any(a <= 0.0):
             raise ValueError("logarithm: input must be strictly positive")
         return np.log(a), lambda g: (g / a,)
+    out, log_bwd = _floored_log(a, floor, "logarithm")
+    return out, lambda g: (log_bwd(g),)
+
+
+def _floored_log(a, floor, kind):
+    """log(max(a, floor)), max taken as floored_values takes it, and the map
+    from its gradient to a's."""
     if not floor > 0.0:
-        raise ValueError(f"logarithm: floor must be positive, got {floor}")
+        raise ValueError(f"{kind}: floor must be positive, got {floor}")
     lifted = floored_values(a, floor)
     # The bits of log, add, relu and subtract taped one by one: a - floor > 0
     # exactly where a > floor.
-    return np.log(lifted), lambda g: ((g / lifted) * (a > floor),)
+    return np.log(lifted), lambda g: (g / lifted) * (a > floor)
 
 
 def _build_power(arrays, params, needs):
@@ -535,35 +537,97 @@ def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _build_softmax_over_axis(arrays, params, needs):
-    """softmax(a), or with params["tau"] the tempered softmax(a / tau)."""
-    (a,) = arrays
-    axis = _axis_param(params, a.ndim, allow_none=False) if "axis" in params else a.ndim - 1
+    """softmax over axis of the scores a; with params["floor"] the scores are
+    log(max(a, floor)), as the logarithm op given a floor takes them.  A
+    second input, the gumbels g, a constant shaped (*lead, *draws, n) for an
+    (*lead, n) input, is added to the scores of every draw, whose softmax is
+    then over the last axis; with params["tau"] the softmax is of the scores
+    / tau.  The backward repeats the arithmetic of that chain taped op by
+    op: the softmax's, the divide by tau, the draws added one by one from
+    0.0 in C order, as index-select added the gradients of a per-draw
+    gather, then the floored log's."""
+    a = arrays[0]
     if a.ndim == 0:
         raise ShapeError("softmax-over-axis needs at least one axis")
-    tau = params.get("tau")
+    tau, floor = params.get("tau"), params.get("floor")
     if tau is not None:
-        if not tau > 0.0:
-            raise ValueError(f"softmax-over-axis: tau must be positive, got {tau}")
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"softmax-over-axis: tau must be positive and finite, got {tau}")
         tau = float(tau)
-        a = a / tau
-    out = softmax_values(a, axis=axis)
+    scores = a
+    if floor is not None:
+        scores, log_bwd = _floored_log(a, floor, "softmax-over-axis")
+    gumbels = len(arrays) > 1
+    if gumbels:
+        g = arrays[1]
+        lead = a.shape[:-1]
+        if g.ndim < a.ndim or g.shape[: len(lead)] != lead or g.shape[-1] != a.shape[-1]:
+            raise ShapeError(
+                f"softmax-over-axis: gumbels {g.shape} do not match input {a.shape}: "
+                "they need its lead axes, then any draw axes, then its support axis"
+            )
+        if needs[1]:
+            raise ValueError("softmax-over-axis: the gumbels are a constant and cannot require a gradient")
+        scores = scores.reshape(lead + (1,) * (g.ndim - a.ndim) + a.shape[-1:]) + g
+    axis = _axis_param(params, scores.ndim, allow_none=False) if "axis" in params else scores.ndim - 1
+    if gumbels and axis != scores.ndim - 1:
+        # Over any other axis, a's scores are constant along the draw axes or
+        # mix maps: not a Gumbel-softmax.
+        raise ValueError("softmax-over-axis: with gumbels the softmax runs over the last axis")
+    if tau is not None:
+        scores = scores / tau
+    out = softmax_values(scores, axis=axis)
 
-    def bwd(g):
-        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
-        ga = out * (g - inner)
-        return (ga if tau is None else ga / tau,)
+    def bwd(g_out):
+        inner = np.add.reduce(g_out * out, axis=axis, keepdims=True)
+        ga = out * (g_out - inner)
+        if tau is not None:
+            ga = ga / tau
+        if gumbels:
+            ga = _sum_draws(ga, a.shape)
+        if floor is not None:
+            ga = log_bwd(ga)
+        return (ga, None) if gumbels else (ga,)
 
     return out, bwd
 
 
+def _sum_draws(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """(*lead, *draws, n) -> shape, (*lead, n): 0.0 plus each draw's slice,
+    one by one in C order, the bits np.add.at gives a per-draw gather."""
+    count = math.prod(g.shape[len(shape) - 1 : -1])
+    terms = g.reshape(shape[:-1] + (count,) + shape[-1:])
+    total = np.zeros(shape)
+    for k in range(count):
+        total += terms[..., k, :]
+    return total
+
+
+def _difference(arrays, needs):
+    """a, or a - b given b suffix-broadcast, and the map from the gradient at
+    it to its inputs' gradients, as subtract gives them."""
+    if len(arrays) == 1:
+        return arrays[0], lambda g: (g,)
+    a, b = arrays
+    _suffix_shape(a.shape, b.shape)
+    need_a, need_b = needs
+
+    def bwd(g):
+        return (_reduce_to(g, a.shape) if need_a else None), (_reduce_to(-g, b.shape) if need_b else None)
+
+    return a - b, bwd
+
+
 def _build_absolute_value(arrays, params, needs):
-    (a,) = arrays
-    return np.abs(a), lambda g: (g * np.sign(a),)
+    """|a|, or |a - b| given b: the bits of subtract then absolute-value."""
+    d, spread = _difference(arrays, needs)
+    return np.abs(d), lambda g: spread(g * np.sign(d))
 
 
 def _build_square(arrays, params, needs):
-    (a,) = arrays
-    return a * a, lambda g: (g * 2.0 * a,)
+    """a * a, or (a - b)^2 given b: the bits of subtract then square."""
+    d, spread = _difference(arrays, needs)
+    return d * d, lambda g: spread(g * 2.0 * d)
 
 
 def _build_concatenate(arrays, params, needs):
@@ -591,36 +655,10 @@ def _build_index_select(arrays, params, needs):
 
     def bwd(g):
         ga = np.zeros_like(a)
-        lead = (slice(None),) * axis
-        length = a.shape[axis]
-        # A broadcast index repeats itself along its stride-0 axes.  When the
-        # rest of it is unique, each slot's gradients lie along those axes,
-        # and adding them one by one from 0.0 is np.add.at's sum.
-        spread = [k for k in range(idx.ndim) if idx.strides[k] == 0 and idx.shape[k] > 1]
-        if spread:
-            base = idx[tuple(0 if k in spread else slice(None) for k in range(idx.ndim))]
-            if _unique(base, length):
-                moved = [axis + k for k in spread]
-                # A view with the spread axes first; each draw's slice is read
-                # in place, in the order the flattened axes would give.
-                terms = g.transpose(moved + [k for k in range(g.ndim) if k not in moved])
-                draws = np.ndindex(terms.shape[: len(spread)])
-                total = terms[next(draws)] + 0.0
-                for at in draws:
-                    total += terms[at]
-                ga[lead + (base,)] = total
-                return (ga,)
-        np.add.at(ga, lead + (idx,), g)
+        np.add.at(ga, (slice(None),) * axis + (idx,), g)
         return (ga,)
 
     return out, bwd
-
-
-def _unique(idx: np.ndarray, length: int) -> bool:
-    """Whether no two indices of idx name one of `length` slots.  More
-    indices than slots must repeat one, so only a short array is tested; a
-    Python set beats np.unique on the short ones."""
-    return idx.size <= length and len(set((idx % length).ravel().tolist())) == idx.size
 
 
 def _build_broadcast(arrays, params, needs):
@@ -703,17 +741,31 @@ def relu(a) -> Tensor:
     return forward_op("relu", [a])
 
 
-def softmax_over_axis(a, axis: int = -1, tau: float | None = None) -> Tensor:
-    """softmax(a) over axis, or at temperature tau, softmax(a / tau)."""
-    return forward_op("softmax-over-axis", [a], axis=axis, tau=tau)
+def softmax_over_axis(
+    a, axis: int = -1, tau: float | None = None, floor: float | None = None, gumbels=None
+) -> Tensor:
+    """softmax(a) over axis, or at temperature tau (positive and finite),
+    softmax(a / tau).  With a floor the scores are log(max(a, floor)), as
+    logarithm(a, floor) takes them, with gradient 0 where a <= floor.  With
+    gumbels, a constant (*lead, *draws, n) for an (*lead, n) input, every
+    draw adds its gumbels to the scores, and the softmax is over the last
+    axis.  floor, gumbels and tau together give the Gumbel-softmax
+    softmax((log w + g) / tau) in one record, with the bits of that chain
+    taped op by op."""
+    inputs = [a] if gumbels is None else [a, gumbels]
+    return forward_op("softmax-over-axis", inputs, axis=axis, tau=tau, floor=floor)
 
 
-def absolute_value(a) -> Tensor:
-    return forward_op("absolute-value", [a])
+def absolute_value(a, b=None) -> Tensor:
+    """|a|, or given b, suffix-broadcast as subtract takes it, |a - b| in
+    one record with the bits of subtract and absolute_value."""
+    return forward_op("absolute-value", [a] if b is None else [a, b])
 
 
-def square(a) -> Tensor:
-    return forward_op("square", [a])
+def square(a, b=None) -> Tensor:
+    """a * a, or given b, suffix-broadcast as subtract takes it, (a - b)^2
+    in one record with the bits of subtract and square."""
+    return forward_op("square", [a] if b is None else [a, b])
 
 
 def index_select(a, index, axis: int = 0) -> Tensor:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mixture import WEIGHT_FLOOR, ProbabilityMap, gumbel_scores
+from .mixture import WEIGHT_FLOOR, ProbabilityMap
 
 __all__ = [
     "DISTANCES",
@@ -121,10 +121,9 @@ def _check_distance(distance: str) -> None:
 
 def _distance_loss(pred: Tensor, target: np.ndarray, distance: str) -> Tensor:
     """d(pred, target) summed over the last (coordinate) axis."""
-    diff = ad.subtract(pred, Tensor(target))
     if distance == "l1":
-        return ad.sum_over_axis(ad.absolute_value(diff), axis=-1)
-    return ad.sum_over_axis(ad.square(diff), axis=-1)
+        return ad.sum_over_axis(ad.absolute_value(pred, target), axis=-1)
+    return ad.sum_over_axis(ad.square(pred, target), axis=-1)
 
 
 def _target_points(pmap: ProbabilityMap, y_t) -> np.ndarray:
@@ -176,32 +175,21 @@ def discrete_expected_error_loss(pmap: ProbabilityMap, y_t, distance: str = "l1"
 
 
 def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Tensor:
-    """Relaxed one-hot over components: softmax((log w + g) / tau).
+    """Relaxed one-hot over components: softmax((log w + g) / tau), the
+    weights floored at WEIGHT_FLOOR, as one softmax-over-axis record.
 
     gumbels is (*batch, *draws, n): the map's batch axes, then any number of
-    draw axes.  The result has the shape of gumbels.
+    draw axes.  The result has the shape of gumbels.  tau must be positive
+    and finite.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    batch = pmap.batch_shape
-    if gumbels.shape[: len(batch)] != batch or gumbels.shape[-1:] != (pmap.n,):
-        raise ValueError(f"noise {gumbels.shape} does not match the map's support, {batch + (pmap.n,)}")
-    # Repeat each map's log weights once per draw, as a gather: the op set
-    # broadcasts leading axes only.
-    per_draw = np.broadcast_to(np.arange(pmap.n), gumbels.shape[len(batch) :])
-    log_w = ad.index_select(ad.logarithm(pmap.weights, floor=WEIGHT_FLOOR), per_draw, axis=-1)
-    return ad.softmax_over_axis(ad.add(log_w, Tensor(gumbels)), axis=-1, tau=float(tau))
+    return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
 
 
 def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) -> np.ndarray:
-    """Plain-array twin of gumbel_softmax; supports row batches.
-
-    Mirrors the tensor formula exactly (mixture.gumbel_scores takes the same
-    floor, then the same stable softmax) so the two agree bitwise.
-    """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    return ad.softmax_values(gumbel_scores(weights, gumbels) / float(tau), axis=-1)
+    """Plain-array twin of gumbel_softmax, the same op run under no_grad, so
+    the two agree bitwise: (..., n) weights and (..., *draws, n) gumbels."""
+    with ad.no_grad():
+        return ad.softmax_over_axis(weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels).values
 
 
 def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_samples: np.ndarray, tau: float) -> Tensor:
@@ -271,7 +259,7 @@ def variance_regularizer(pmap: ProbabilityMap, sigma_t_sq: float) -> Tensor:
     second = ad.matrix_multiply(pmap.weights, Tensor(pos * pos), rows=True)
     per_axis = ad.subtract(second, ad.square(mean))
     total = ad.sum_over_axis(per_axis, axis=-1)
-    return ad.square(ad.subtract(total, Tensor(float(sigma_t_sq))))
+    return ad.square(total, float(sigma_t_sq))
 
 
 def gaussian_target_weights(support, center: np.ndarray, sigma_t_sq: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from diffloc.autodiff import (
     grad_check_rows,
     registered_ops,
 )
+from diffloc.mixture import WEIGHT_FLOOR
 from looped_gradcheck import grad_check
 
 STANDARD_OPS = (
@@ -94,6 +95,8 @@ def _sample(kind, rng):
     if kind == "divide":
         sa, sb = _binary_shapes(rng)
         return [rng.uniform(-2, 2, sa), _away_from_zero(rng, sb)], {}, (0, 1)
+    if kind in ("absolute-value", "square") and rng.random() < 0.5:
+        return _sample_distance(rng)
     if kind in ("negate", "exponent", "square"):
         return [rng.uniform(-2, 2, (2, 3))], {}, (0,)
     if kind == "logarithm":
@@ -128,7 +131,19 @@ def _sample(kind, rng):
         params = {"axis": int(rng.choice([0, 1, -1]))}
         if rng.random() < 0.5:
             params["tau"] = float(rng.uniform(0.2, 2.0))
-        return [rng.uniform(-2, 2, (2, 4))], params, (0,)
+        a = rng.uniform(-2, 2, (2, 4))
+        mode = rng.integers(4)
+        if mode in (1, 3):
+            # Floored log scores, every input at least 0.05 from the kink.
+            params["floor"] = float(rng.uniform(0.1, 1.0))
+            a = params["floor"] + _away_from_zero(rng, a.shape, floor=0.05)
+        if mode < 2:
+            return [a], params, (0,)
+        # Constant gumbels over no, one or two draw axes, softmaxed over the
+        # last axis, the only one the op takes with them, and kept small so
+        # that no softmax saturates below the finite differences' noise.
+        draws = ((), (1,), (3,), (2, 2))[rng.integers(4)]
+        return [a, rng.uniform(-0.5, 0.5, (2,) + draws + (4,))], {**params, "axis": -1}, (0,)
     if kind == "concatenate":
         parts = [rng.uniform(-2, 2, (int(rng.integers(1, 3)), 2)) for _ in range(3)]
         return parts, {"axis": 0}, (0, 1, 2)
@@ -138,6 +153,19 @@ def _sample(kind, rng):
     if kind == "broadcast":
         return [rng.uniform(-2, 2, (3,))], {"shape": (2, 3)}, (0,)
     raise AssertionError(kind)
+
+
+def _sample_distance(rng):
+    """absolute-value or square of a - b, either one the suffix-broadcast
+    operand; a and b differ by at least 0.1 everywhere, away from |.|'s
+    kink."""
+    sa, sb = _binary_shapes(rng)
+    if rng.random() < 0.5:
+        sa, sb = sb, sa
+    base = rng.uniform(-2, 2, min(sa, sb, key=len))
+    other = base + _away_from_zero(rng, max(sa, sb, key=len), floor=0.1)
+    a, b = (other, base) if len(sa) >= len(sb) else (base, other)
+    return [a, b], {}, (0, 1)
 
 
 def _sample_fused_product(rng, k, case):
@@ -579,6 +607,10 @@ _BINARY_CASES = [
 ] + [
     ("matrix-multiply", sa, sb, {"rows": True})
     for sa, sb in (((4,), (4, 3)), ((2, 4), (4, 3)), ((5, 2, 4), (4, 3)), ((2, 4), (2, 4, 3)))
+] + [
+    (kind, sa, sb, {})
+    for kind in ("absolute-value", "square")
+    for sa, sb in (((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((4,), (2, 3, 4)), ((), (3,)))
 ]
 
 
@@ -771,6 +803,104 @@ def test_floored_logarithm_keeps_the_bits_of_its_four_op_chain():
     np.testing.assert_array_equal(fused_out, np.log(ad.floored_values(t, floor)))
 
 
+def _gumbel_softmax_chain(w, gumbels, tau):
+    """The Gumbel-softmax taped op by op: the floored log of the weights, a
+    per-draw gather of it, the gumbels added, the tempered softmax."""
+    per_draw = np.broadcast_to(np.arange(w.shape[-1]), gumbels.shape[w.ndim - 1 :])
+    log_w = ad.index_select(ad.logarithm(w, floor=WEIGHT_FLOOR), per_draw, axis=-1)
+    return ad.softmax_over_axis(ad.add(log_w, Tensor(gumbels)), tau=tau)
+
+
+def _backward_through(fn, arrays, needs, g):
+    """fn's output and the gradient each input of it gets from g, run on a
+    tape with each recorded op's backward called in turn; unlike a leaf's
+    accumulated .grad, a -0.0 keeps its sign."""
+    with GradientTape() as tape:
+        inputs = [Tensor(a, requires_grad=need) for a, need in zip(arrays, needs)]
+        out = fn(*inputs)
+    grads = {id(out): g}
+    for rec in reversed(tape.records):
+        for t, grad in zip(rec.inputs, rec.backward_fn(grads.pop(id(rec.output)))):
+            if grad is not None:
+                assert id(t) not in grads, "each input feeds one record"
+                grads[id(t)] = grad
+    return out.values, [grads.get(id(t)) for t in inputs]
+
+
+@pytest.mark.parametrize(
+    "lead, draws",
+    [((), ()), ((), (1,)), ((), (5,)), ((4,), ()), ((4,), (1,)), ((4,), (5,)), ((4,), (1, 1)), ((4,), (2, 3)),
+     ((2, 3), (3, 1))],
+)
+@pytest.mark.parametrize("tau", [0.01, 0.7])
+def test_one_softmax_keeps_the_bits_of_the_gumbel_softmax_chain(lead, draws, tau):
+    # One draw and two draw axes; weights below, at and just above the floor;
+    # -0.0 upstream gradients, a whole draw of them included.  At tau = 0.01
+    # the floored weights' relaxed weights underflow to 0, so their gradients
+    # are signed zeros before the draws are added.
+    rng = np.random.default_rng([len(lead), len(draws), *draws, int(tau * 100)])
+    w = rng.uniform(0.0, 1.0, lead + (7,))
+    w[..., :4] = [0.0, WEIGHT_FLOOR / 2, WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0)]
+    gumbels = rng.gumbel(size=lead + draws + (7,))
+    weights = np.where(rng.random(gumbels.shape) < 0.3, -0.0, rng.normal(size=gumbels.shape))
+    weights.reshape(lead + (-1, 7))[..., -1, :] = -0.0
+
+    def fused(x):
+        return ad.softmax_over_axis(x, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
+
+    def chain(x):
+        return _gumbel_softmax_chain(x, gumbels, tau)
+
+    # The losses and the leaf's gradient.
+    results = []
+    for fn in (fused, chain):
+        with GradientTape():
+            x = Tensor(w, requires_grad=True)
+            loss = ad.sum_over_axis(ad.multiply(fn(x), Tensor(weights)))
+            backward(loss)
+        results.append((loss.values, x.grad))
+    assert all(_bitwise_equal(f, c) for f, c in zip(*results))
+    # The op's own output and backward, signed zeros included.
+    (out, (grad,)), (chain_out, (chain_grad,)) = (_backward_through(fn, [w], [True], weights) for fn in (fused, chain))
+    assert out.shape == gumbels.shape and _bitwise_equal(out, chain_out)
+    assert _bitwise_equal(grad, chain_grad)
+
+
+@pytest.mark.parametrize("kind", ["absolute-value", "square"])
+@pytest.mark.parametrize("sa, sb", [((16, 5, 1), (16, 5, 1)), ((4, 3), (3,)), ((3,), (4, 3)), ((2, 3), ())])
+def test_a_distance_to_its_target_keeps_the_bits_of_a_subtract_first(kind, sa, sb):
+    # Some entries sit on their target, the kink of |.|, and some upstream
+    # gradients are -0.0; each of a and b is a constant in turn.
+    rng = np.random.default_rng([len(sa), len(sb), len(kind)])
+    a, b = rng.normal(size=sa), rng.normal(size=sb)
+    shape = np.broadcast_shapes(sa, sb)
+    on_target = rng.random(shape) < 0.2
+    if sa == shape:
+        a = np.where(on_target, np.broadcast_to(b, shape), a)
+    else:
+        b = np.where(on_target, np.broadcast_to(a, shape), b)
+    weights = np.where(rng.random(shape) < 0.3, -0.0, rng.normal(size=shape))
+
+    def fused(x, y):
+        return forward_op(kind, [x, y])
+
+    def chain(x, y):
+        return forward_op(kind, [ad.subtract(x, y)])
+
+    for needs in ((True, True), (True, False), (False, True)):
+        results = []
+        for fn in (fused, chain):
+            with GradientTape():
+                x, y = Tensor(a, requires_grad=needs[0]), Tensor(b, requires_grad=needs[1])
+                loss = ad.sum_over_axis(ad.multiply(fn(x, y), Tensor(weights)))
+                backward(loss)
+            results.append((loss.values, x.grad, y.grad))
+        results += [(out, *grads) for out, grads in (_backward_through(fn, [a, b], needs, weights) for fn in (fused, chain))]
+        for f, c in (results[0], results[1]), (results[2], results[3]):
+            assert all(fv is None and cv is None or _bitwise_equal(fv, cv) for fv, cv in zip(f, c)), needs
+            assert [v is None for v in f[1:]] == [not need for need in needs]
+
+
 def _fused_cases():
     """(name, fused, its inputs, chain, the chain's inputs): each fused
     form next to the chain of ops it replaces, on (16, 32) maps, their
@@ -839,9 +969,10 @@ def test_fused_product_shape_errors():
             ad.matrix_multiply(Tensor(np.ones(sa)), Tensor(np.ones(sb)), rows=True)
 
 
-@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf"), -float("inf")])
 def test_softmax_tau_must_be_positive(tau):
-    with pytest.raises(ValueError, match="tau must be positive"):
+    # At tau = inf every softmax would be the uniform one, whatever its input.
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
         ad.softmax_over_axis(Tensor([1.0, 0.5]), tau=tau)
 
 
@@ -849,6 +980,25 @@ def test_softmax_tau_must_be_positive(tau):
 def test_logarithm_floor_must_be_positive(floor):
     with pytest.raises(ValueError, match="floor must be positive"):
         ad.logarithm(Tensor([1.0, 0.5]), floor=floor)
+    with pytest.raises(ValueError, match="floor must be positive"):
+        ad.softmax_over_axis(Tensor([1.0, 0.5]), floor=floor)
+
+
+def test_softmax_gumbels_and_distance_targets_must_fit():
+    w = Tensor(np.full((4, 5), 0.2))
+    for shape in ((5,), (3, 5), (4, 3, 6), (4, 2, 4)):
+        # Lower rank, other lead axes, another last axis.
+        with pytest.raises(ShapeError, match="gumbels"):
+            ad.softmax_over_axis(w, gumbels=np.zeros(shape), floor=1e-12)
+    with pytest.raises(ValueError, match="constant"):
+        ad.softmax_over_axis(w, gumbels=Tensor(np.zeros((4, 5)), requires_grad=True))
+    for axis in (0, 1, -2):
+        with pytest.raises(ValueError, match="last axis"):
+            ad.softmax_over_axis(w, axis=axis, gumbels=np.zeros((4, 3, 5)))
+    for op in (ad.absolute_value, ad.square):
+        for sb in ((4,), (5, 4), (1, 5), (2, 5, 4)):
+            with pytest.raises(ShapeError, match="suffix-broadcast"):
+                op(Tensor(np.ones((4, 5)), requires_grad=True), Tensor(np.ones(sb)))
 
 
 def test_concatenate_backward_splits():

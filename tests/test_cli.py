@@ -452,15 +452,18 @@ class TestInputFiles:
         with np.load(tmp_path / "m.npz") as data:
             write(tmp_path / "m.npz", **{name: data[name] for name in data.files})
         original = (tmp_path / "m.npz").read_bytes()
-        damaged = tmp_path / "damaged.npz"
         for i in range(len(original)):
             data = bytearray(original)
             data[i] ^= 0xFF
+            # A fresh file each time: rewriting one in place can cost a
+            # flush to disk per write.
+            damaged = tmp_path / f"damaged-{i}.npz"
             damaged.write_bytes(data)
             try:
                 MLPModel.load(damaged)
             except ValueError:
                 pass
+            damaged.unlink()
 
 
 # (config key, a value of the wrong type, the message that rejects it): one

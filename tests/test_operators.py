@@ -15,6 +15,7 @@ from diffloc.mixture import (
     Support,
     basis_sample_all,
     draw_noise_batch,
+    gumbel_scores,
     reference_sample_batch,
 )
 from diffloc.operators import (
@@ -224,6 +225,30 @@ class TestGumbelSoftmax:
         batch = gumbel_softmax_values(w, g, 0.7)
         for i in range(4):
             np.testing.assert_array_equal(batch[i], gumbel_softmax_values(w[i], g[i], 0.7))
+
+    @pytest.mark.parametrize("lead, draws", [((), ()), ((), (5,)), ((4,), ()), ((4,), (5,)), ((4,), (2, 3))])
+    def test_one_op_keeps_the_bits_of_the_numpy_formula(self, lead, draws):
+        # A lone map and a batch, with and without draw axes: the op's
+        # forward, its no_grad twin and softmax((log w + g) / tau) over the
+        # Gumbel-max scores.
+        rng = np.random.default_rng([len(lead), len(draws)])
+        w = softmax_values(rng.normal(0.0, 1.5, lead + (8,)))
+        gumbels = rng.gumbel(size=lead + draws + (8,))
+        pmap = ProbabilityMap(Support.regular_grid(8), Tensor(w))
+        for tau in (0.05, 0.7):
+            formula = softmax_values(gumbel_scores(w.reshape(lead + (1,) * len(draws) + (8,)), gumbels) / tau)
+            assert gumbel_softmax(pmap, gumbels, tau).values.tobytes() == formula.tobytes()
+            assert gumbel_softmax_values(w, gumbels, tau).tobytes() == formula.tobytes()
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        # At tau = inf every relaxed sample would be the uniform map.
+        pmap = make_map()
+        gumbels, _ = one_draw(NoiseSource(0), pmap.n)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            gumbel_softmax(pmap, gumbels, tau)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            gumbel_softmax_values(pmap.weight_values, gumbels, tau)
 
     def test_rejects_bad_inputs(self):
         pmap = make_map()
