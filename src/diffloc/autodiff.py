@@ -7,8 +7,9 @@ block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
 elementwise arithmetic, a few shape ops, matrix multiply (with an optional
 addend and relu after it, or row by row), relu, the distances |a - b| and
-(a - b)^2, and softmax (optionally tempered, of floored log weights, and
-plus constant gumbels: a Gumbel-softmax in one record).
+(a - b)^2 (optionally summed over an axis), and softmax (optionally
+tempered, of floored log weights, plus constant gumbels and times constant
+values row by row: relaxed mixture samples in one record).
 Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
@@ -466,14 +467,19 @@ def _build_mean_over_axis(arrays, params, needs):
     return np.add.reduce(a, axis=axis) * scale, bwd
 
 
-def _rows_product(a, b):
+def _rows_product(a, b, what="matrix-multiply rows"):
     """(..., k) @ (..., k, m) or (k, m) -> (..., m): each row of a times its
     own matrix of b, or every row times the one shared matrix, as the stacked
     (..., 1, k) @ b product."""
     stacked = b.ndim == a.ndim + 1 and a.shape[:-1] == b.shape[:-2]
     if a.ndim == 0 or not (stacked or b.ndim == 2) or a.shape[-1:] != b.shape[-2:-1]:
-        raise ShapeError(f"matrix-multiply rows: need (..., k) @ (..., k, m) or (k, m), got {a.shape} @ {b.shape}")
+        raise ShapeError(f"{what}: need (..., k) @ (..., k, m) or (k, m), got {a.shape} @ {b.shape}")
     return (a[..., None, :] @ b)[..., 0, :]
+
+
+def _rows_product_grad(g, b):
+    """The gradient at a of _rows_product(a, b) given the gradient g at it."""
+    return (g[..., None, :] @ b.swapaxes(-1, -2))[..., 0, :]
 
 
 def _build_matrix_multiply(arrays, params, needs):
@@ -512,7 +518,7 @@ def _build_matrix_multiply(arrays, params, needs):
             g = g * (out > 0.0)
         gc = (_reduce_to(g, arrays[2].shape),) if need_c else (None,) * (len(arrays) - 2)
         if rows:
-            ga = (g[..., None, :] @ b.swapaxes(-1, -2))[..., 0, :] if need_a else None
+            ga = _rows_product_grad(g, b) if need_a else None
             gb = _reduce_to(a[..., :, None] @ g[..., None, :], b.shape) if need_b else None
         else:
             ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
@@ -542,10 +548,13 @@ def _build_softmax_over_axis(arrays, params, needs):
     second input, the gumbels g, a constant shaped (*lead, *draws, n) for an
     (*lead, n) input, is added to the scores of every draw, whose softmax is
     then over the last axis; with params["tau"] the softmax is of the scores
-    / tau.  The backward repeats the arithmetic of that chain taped op by
-    op: the softmax's, the divide by tau, the draws added one by one from
-    0.0 in C order, as index-select added the gradients of a per-draw
-    gather, then the floored log's."""
+    / tau.  A third input, the values v, a constant (*lead, *draws, n, m) or
+    one shared (n, m), turns each draw's softmax p into sum_i p_i v_i, as
+    matrix-multiply's rows mode gives p times v.  The backward repeats the
+    arithmetic of that chain taped op by op: the rows product's, the
+    softmax's, the divide by tau, the draws added one by one from 0.0 in C
+    order, as index-select added the gradients of a per-draw gather, then
+    the floored log's."""
     a = arrays[0]
     if a.ndim == 0:
         raise ShapeError("softmax-over-axis needs at least one axis")
@@ -554,6 +563,8 @@ def _build_softmax_over_axis(arrays, params, needs):
         if not 0.0 < tau < math.inf:
             raise ValueError(f"softmax-over-axis: tau must be positive and finite, got {tau}")
         tau = float(tau)
+    if any(needs[1:]):
+        raise ValueError("softmax-over-axis: the gumbels and values are constants and cannot require a gradient")
     scores = a
     if floor is not None:
         scores, log_bwd = _floored_log(a, floor, "softmax-over-axis")
@@ -566,8 +577,6 @@ def _build_softmax_over_axis(arrays, params, needs):
                 f"softmax-over-axis: gumbels {g.shape} do not match input {a.shape}: "
                 "they need its lead axes, then any draw axes, then its support axis"
             )
-        if needs[1]:
-            raise ValueError("softmax-over-axis: the gumbels are a constant and cannot require a gradient")
         scores = scores.reshape(lead + (1,) * (g.ndim - a.ndim) + a.shape[-1:]) + g
     axis = _axis_param(params, scores.ndim, allow_none=False) if "axis" in params else scores.ndim - 1
     if gumbels and axis != scores.ndim - 1:
@@ -577,8 +586,11 @@ def _build_softmax_over_axis(arrays, params, needs):
     if tau is not None:
         scores = scores / tau
     out = softmax_values(scores, axis=axis)
+    values = arrays[2] if len(arrays) > 2 else None
 
     def bwd(g_out):
+        if values is not None:
+            g_out = _rows_product_grad(g_out, values)
         inner = np.add.reduce(g_out * out, axis=axis, keepdims=True)
         ga = out * (g_out - inner)
         if tau is not None:
@@ -587,20 +599,23 @@ def _build_softmax_over_axis(arrays, params, needs):
             ga = _sum_draws(ga, a.shape)
         if floor is not None:
             ga = log_bwd(ga)
-        return (ga, None) if gumbels else (ga,)
+        return (ga,) + (None,) * (len(arrays) - 1)
 
-    return out, bwd
+    if values is None:
+        return out, bwd
+    return _rows_product(out, values, "softmax-over-axis values"), bwd
 
 
 def _sum_draws(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """(*lead, *draws, n) -> shape, (*lead, n): 0.0 plus each draw's slice,
-    one by one in C order, the bits np.add.at gives a per-draw gather."""
+    one by one in C order, the bits np.add.at gives a per-draw gather.
+
+    While n > 1 the support axis is numpy's inner loop, so the draws are
+    added in that order.  For n = 1 the draw axis is, and numpy sums it
+    pairwise; but a one-point softmax's backward is +0.0 everywhere, and so
+    is its sum in any order."""
     count = math.prod(g.shape[len(shape) - 1 : -1])
-    terms = g.reshape(shape[:-1] + (count,) + shape[-1:])
-    total = np.zeros(shape)
-    for k in range(count):
-        total += terms[..., k, :]
-    return total
+    return np.add.reduce(g.reshape(shape[:-1] + (count,) + shape[-1:]), axis=-2, initial=0.0)
 
 
 def _difference(arrays, needs):
@@ -619,15 +634,25 @@ def _difference(arrays, needs):
 
 
 def _build_absolute_value(arrays, params, needs):
-    """|a|, or |a - b| given b: the bits of subtract then absolute-value."""
+    """|a|, or |a - b| given b: the bits of subtract then absolute-value.
+    With params["axis"], that summed over axis: the bits of sum-over-axis
+    after them."""
     d, spread = _difference(arrays, needs)
-    return np.abs(d), lambda g: spread(g * np.sign(d))
+    axis = _axis_param(params, d.ndim)
+    if axis is None:
+        return np.abs(d), lambda g: spread(g * np.sign(d))
+    return np.add.reduce(np.abs(d), axis=axis), lambda g: spread(np.expand_dims(g, axis) * np.sign(d))
 
 
 def _build_square(arrays, params, needs):
-    """a * a, or (a - b)^2 given b: the bits of subtract then square."""
+    """a * a, or (a - b)^2 given b: the bits of subtract then square.  With
+    params["axis"], that summed over axis: the bits of sum-over-axis after
+    them."""
     d, spread = _difference(arrays, needs)
-    return d * d, lambda g: spread(g * 2.0 * d)
+    axis = _axis_param(params, d.ndim)
+    if axis is None:
+        return d * d, lambda g: spread(g * 2.0 * d)
+    return np.add.reduce(d * d, axis=axis), lambda g: spread(np.expand_dims(g, axis) * 2.0 * d)
 
 
 def _build_concatenate(arrays, params, needs):
@@ -742,7 +767,7 @@ def relu(a) -> Tensor:
 
 
 def softmax_over_axis(
-    a, axis: int = -1, tau: float | None = None, floor: float | None = None, gumbels=None
+    a, axis: int = -1, tau: float | None = None, floor: float | None = None, gumbels=None, values=None
 ) -> Tensor:
     """softmax(a) over axis, or at temperature tau (positive and finite),
     softmax(a / tau).  With a floor the scores are log(max(a, floor)), as
@@ -751,21 +776,30 @@ def softmax_over_axis(
     draw adds its gumbels to the scores, and the softmax is over the last
     axis.  floor, gumbels and tau together give the Gumbel-softmax
     softmax((log w + g) / tau) in one record, with the bits of that chain
-    taped op by op."""
+    taped op by op.  values, a constant (*lead, *draws, n, m) or one shared
+    (n, m), needs gumbels and turns each draw's softmax p into
+    sum_i p_i values_i, (*lead, *draws, m), with the bits of p times values
+    in matrix_multiply's rows mode."""
     inputs = [a] if gumbels is None else [a, gumbels]
+    if values is not None:
+        if gumbels is None:
+            raise ValueError("softmax-over-axis: values need gumbels")
+        inputs.append(values)
     return forward_op("softmax-over-axis", inputs, axis=axis, tau=tau, floor=floor)
 
 
-def absolute_value(a, b=None) -> Tensor:
+def absolute_value(a, b=None, axis: int | None = None) -> Tensor:
     """|a|, or given b, suffix-broadcast as subtract takes it, |a - b| in
-    one record with the bits of subtract and absolute_value."""
-    return forward_op("absolute-value", [a] if b is None else [a, b])
+    one record with the bits of subtract and absolute_value.  Given axis,
+    that summed over axis, with the bits of sum_over_axis after them."""
+    return forward_op("absolute-value", [a] if b is None else [a, b], axis=axis)
 
 
-def square(a, b=None) -> Tensor:
+def square(a, b=None, axis: int | None = None) -> Tensor:
     """a * a, or given b, suffix-broadcast as subtract takes it, (a - b)^2
-    in one record with the bits of subtract and square."""
-    return forward_op("square", [a] if b is None else [a, b])
+    in one record with the bits of subtract and square.  Given axis, that
+    summed over axis, with the bits of sum_over_axis after them."""
+    return forward_op("square", [a] if b is None else [a, b], axis=axis)
 
 
 def index_select(a, index, axis: int = 0) -> Tensor:

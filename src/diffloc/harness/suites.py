@@ -35,6 +35,7 @@ from ..mixture import (
     reference_sample_batch,
 )
 from ..operators import DISTANCES, _is_kind, gumbel_softmax_values, inference_localize
+from .tasks import _scaled
 from .training import LOSS_KINDS, make_loss
 
 __all__ = [
@@ -119,26 +120,35 @@ def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> G
     _require_counts(seeds=seeds)
     ad._check_step_and_tol(step, tol)
     supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
+    families = list(itertools.product(enumerate(LOSS_KINDS), enumerate(DISTANCES)))
+    cells = [
+        (ndim, loss_idx, loss_name, distance, [(b, s) for b in range(len(BASES)) for s in range(parity, seeds, 2)])
+        for ndim in supports
+        for (loss_idx, loss_name), (parity, distance) in families
+        if parity < seeds
+    ]
+    # Each point draws its x0 and then its y_t from the stream of
+    # default_rng([2311, ndim, b, loss_idx, seed]), scaled from its first
+    # random() draws as rng.uniform scales them.  Every stream is seeded in
+    # one call and draws as many as the widest support takes.
+    width = max(support.n + support.ndim for support in supports.values())
+    draws = iter(
+        per_stream(
+            [[2311, ndim, b, loss_idx, seed] for ndim, loss_idx, _, _, points in cells for b, seed in points],
+            lambda rng: rng.random(width),
+        )
+    )
+    frozen = {ndim: [_frozen_noise(support, b) for b in range(len(BASES))] for ndim, support in supports.items()}
     checked: dict[tuple[int, int, int, int], tuple[float, bool]] = {}
-    for ndim, support in supports.items():
-        span = support.positions.max() - 1.0
-        frozen = [_frozen_noise(support, b) for b in range(len(BASES))]
-        cells = itertools.product(enumerate(LOSS_KINDS), enumerate(DISTANCES))
-        for (loss_idx, loss_name), (parity, distance) in cells:
-            points = [(b, seed) for b in range(len(BASES)) for seed in range(parity, seeds, len(DISTANCES))]
-            if not points:
-                continue
-            # Each point draws its x0 and then its y_t from the stream of
-            # default_rng([2311, ndim, b, loss_idx, seed]).
-            starts = per_stream(
-                [[2311, ndim, b, loss_idx, seed] for b, seed in points],
-                lambda rng: (rng.uniform(-2.0, 2.0, support.n), rng.uniform(0.5, span, size=ndim)),
-            )
-            x0s, y_ts = (np.stack(column) for column in zip(*starts))
-            noise = tuple(np.stack([frozen[b][k] for b, _ in points]) for k in range(2))
-            f = _loss_closure(loss_name, support, noise, y_ts, distance, x0s)
-            for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
-                checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
+    for ndim, loss_idx, loss_name, distance, points in cells:
+        support = supports[ndim]
+        u = np.stack([next(draws) for _ in points])
+        x0s = _scaled(u[:, : support.n], -2.0, 2.0)
+        y_ts = _scaled(u[:, support.n : support.n + ndim], 0.5, support.positions.max() - 1.0)
+        noise = tuple(np.stack([frozen[ndim][b][k] for b, _ in points]) for k in range(2))
+        f = _loss_closure(loss_name, support, noise, y_ts, distance, x0s)
+        for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
+            checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
     rows = tuple(
         GradCheckRow(loss_name, basis, ndim, seed, *checked[ndim, basis_idx, loss_idx, seed])
         for ndim in supports

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -233,7 +234,7 @@ def _fresh_noise(source: NoiseSource, num_samples: int, spec: MixtureSpec):
 
     def noise(pmap: ProbabilityMap) -> tuple[np.ndarray, np.ndarray]:
         lead = pmap.batch_shape + (num_samples,)
-        gumbels, uniforms = draw_noise_batch(source, int(np.prod(lead)), pmap.n, pmap.ndim)
+        gumbels, uniforms = draw_noise_batch(source, math.prod(lead), pmap.n, pmap.ndim)
         uniforms = uniforms.reshape(lead + (pmap.n, pmap.ndim))
         return gumbels.reshape(lead + (pmap.n,)), basis_sample_all(spec, pmap.support, uniforms)
 

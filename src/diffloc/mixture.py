@@ -53,8 +53,7 @@ WEIGHT_FLOOR = 1e-12
 
 # Rows per block when a long run of draws or query points is processed: every
 # (rows, n) temporary stays cache-sized and no array grows with the draw
-# count.  A multiple of 4, so that BLAS groups a block's rows in its matrix-
-# vector products exactly as it groups them in one whole-array product.
+# count.
 _BLOCK_DRAWS = 1024
 
 
@@ -269,7 +268,7 @@ def _query_points(support: Support, y) -> np.ndarray:
     if support.ndim == 1:
         if y.ndim == 0:
             y = y[None]
-        elif y.shape[-1] != 1:
+        elif y.ndim == 1 or y.shape[-1] != 1:
             y = y[..., None]
     if y.ndim == 0 or y.shape[-1] != support.ndim:
         raise ValueError(f"query points must have {support.ndim} coordinates, got {y.shape}")
@@ -287,18 +286,32 @@ def _single_map(pmap: ProbabilityMap, what: str) -> None:
         raise ValueError(f"{what} takes a single map, got a batch of shape {pmap.batch_shape}")
 
 
+def _weighted_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w for (..., n) rows, each row's bits independent of the others.
+
+    OpenBLAS sums a matrix-vector product's rows in groups of four and the
+    rest, or a lone vector's dot product, another way; so the rows are padded
+    to a multiple of 4 with copies of the last, and the pad dropped."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    count = flat.shape[0]
+    if count % 4:
+        flat = np.concatenate([flat, np.repeat(flat[-1:], -count % 4, axis=0)])
+    return (flat @ w)[:count].reshape(rows.shape[:-1])
+
+
 def mixture_pdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | float:
-    """Mixture density at point(s) y; y is (..., ndim) or a scalar in 1-D."""
+    """Mixture density at point(s) y; y is (..., ndim) or a scalar in 1-D.
+    Each point's density has the bits it has alone."""
     _single_map(pmap, "mixture_pdf")
     basis, c, sigma = _resolve(spec, pmap.support)
     off = _offsets(pmap.support, np.asarray(y, dtype=np.float64))
-    per_point = _pdf_1d(basis, off, c, sigma).prod(axis=-1)
-    val = per_point @ pmap.weight_values
+    val = _weighted_rows(_pdf_1d(basis, off, c, sigma).prod(axis=-1), pmap.weight_values)
     return float(val) if val.ndim == 0 else val
 
 
 def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | float:
-    """Mixture cdf at y; defined for one-axis supports only."""
+    """Mixture cdf at y; defined for one-axis supports only.  Each point's
+    cdf has the bits it has alone."""
     _single_map(pmap, "mixture_cdf")
     if pmap.ndim != 1:
         raise ValueError("mixture_cdf is defined for 1-D supports only")
@@ -308,7 +321,7 @@ def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | floa
     out = np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK_DRAWS):
         off = flat[start : start + _BLOCK_DRAWS, None] - pmap.support.positions[:, 0]
-        out[start : start + _BLOCK_DRAWS] = _cdf_1d(basis, off, c, sigma) @ pmap.weight_values
+        out[start : start + _BLOCK_DRAWS] = _weighted_rows(_cdf_1d(basis, off, c, sigma), pmap.weight_values)
     return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
 
 

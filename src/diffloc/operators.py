@@ -120,10 +120,10 @@ def _check_distance(distance: str) -> None:
 
 
 def _distance_loss(pred: Tensor, target: np.ndarray, distance: str) -> Tensor:
-    """d(pred, target) summed over the last (coordinate) axis."""
+    """d(pred, target) summed over the last (coordinate) axis, one record."""
     if distance == "l1":
-        return ad.sum_over_axis(ad.absolute_value(pred, target), axis=-1)
-    return ad.sum_over_axis(ad.square(pred, target), axis=-1)
+        return ad.absolute_value(pred, target, axis=-1)
+    return ad.square(pred, target, axis=-1)
 
 
 def _target_points(pmap: ProbabilityMap, y_t) -> np.ndarray:
@@ -205,8 +205,9 @@ def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_sampl
         raise ValueError(
             f"noise {gumbels.shape}, {basis_samples.shape} does not match the map's dimensionality, {pmap.ndim}"
         )
-    # Each draw's relaxed weights times its own (n, ndim) samples, row by row.
-    return ad.matrix_multiply(gumbel_softmax(pmap, gumbels, tau), Tensor(basis_samples), rows=True)
+    # Each draw's relaxed weights times its own (n, ndim) samples, row by
+    # row, in the Gumbel-softmax's one record.
+    return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels, values=basis_samples)
 
 
 def sampled_expected_error_loss(

@@ -96,7 +96,12 @@ def _sample(kind, rng):
         sa, sb = _binary_shapes(rng)
         return [rng.uniform(-2, 2, sa), _away_from_zero(rng, sb)], {}, (0, 1)
     if kind in ("absolute-value", "square") and rng.random() < 0.5:
-        return _sample_distance(rng)
+        inputs, params, slots = _sample_distance(rng)
+        if rng.random() < 0.5:
+            # Summed over an axis of the broadcast difference.
+            ndim = max(np.ndim(a) for a in inputs)
+            params = {"axis": int(rng.integers(-ndim, ndim))}
+        return inputs, params, slots
     if kind in ("negate", "exponent", "square"):
         return [rng.uniform(-2, 2, (2, 3))], {}, (0,)
     if kind == "logarithm":
@@ -143,7 +148,13 @@ def _sample(kind, rng):
         # last axis, the only one the op takes with them, and kept small so
         # that no softmax saturates below the finite differences' noise.
         draws = ((), (1,), (3,), (2, 2))[rng.integers(4)]
-        return [a, rng.uniform(-0.5, 0.5, (2,) + draws + (4,))], {**params, "axis": -1}, (0,)
+        gumbels = rng.uniform(-0.5, 0.5, (2,) + draws + (4,))
+        if rng.random() < 0.5:
+            return [a, gumbels], {**params, "axis": -1}, (0,)
+        # Constant values, each draw's own or one shared (n, m): every draw's
+        # softmax times them, row by row.
+        values = rng.uniform(-2, 2, gumbels.shape + (3,) if rng.random() < 0.5 else (4, 3))
+        return [a, gumbels, values], {**params, "axis": -1}, (0,)
     if kind == "concatenate":
         parts = [rng.uniform(-2, 2, (int(rng.integers(1, 3)), 2)) for _ in range(3)]
         return parts, {"axis": 0}, (0, 1, 2)
@@ -866,6 +877,124 @@ def test_one_softmax_keeps_the_bits_of_the_gumbel_softmax_chain(lead, draws, tau
     assert _bitwise_equal(grad, chain_grad)
 
 
+@pytest.mark.parametrize(
+    "lead, draws, shared",
+    [((), (), False), ((), (5,), True), ((4,), (), True), ((4,), (1,), False), ((4,), (5,), False),
+     ((4,), (5,), True), ((2, 3), (3, 1), False), ((4,), (9,), False)],
+)
+@pytest.mark.parametrize("tau", [0.01, 0.7])
+def test_relaxed_samples_keep_the_bits_of_a_rows_product_after_the_softmax(lead, draws, shared, tau):
+    # Each draw's own (n, m) values or one shared (n, m); weights below, at
+    # and just above the floor; -0.0 upstream gradients, a whole draw of
+    # them included.
+    rng = np.random.default_rng([len(lead), len(draws), *draws, int(tau * 100), shared])
+    w = rng.uniform(0.0, 1.0, lead + (7,))
+    w[..., :4] = [0.0, WEIGHT_FLOOR / 2, WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0)]
+    gumbels = rng.gumbel(size=lead + draws + (7,))
+    values = rng.normal(size=(7, 3) if shared else gumbels.shape + (3,))
+    out_shape = gumbels.shape[:-1] + (3,)
+    weights = np.where(rng.random(out_shape) < 0.3, -0.0, rng.normal(size=out_shape))
+    weights.reshape(lead + (-1, 3))[..., -1, :] = -0.0
+
+    def fused(x):
+        return ad.softmax_over_axis(x, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels, values=values)
+
+    def chain(x):
+        relaxed = ad.softmax_over_axis(x, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
+        return ad.matrix_multiply(relaxed, Tensor(values), rows=True)
+
+    results = []
+    for fn in (fused, chain):
+        with GradientTape() as tape:
+            x = Tensor(w, requires_grad=True)
+            loss = ad.sum_over_axis(ad.multiply(fn(x), Tensor(weights)))
+            backward(loss)
+        results.append((loss.values, x.grad))
+    assert len(tape) == 4
+    assert all(_bitwise_equal(f, c) for f, c in zip(*results))
+    (out, (grad,)), (chain_out, (chain_grad,)) = (_backward_through(fn, [w], [True], weights) for fn in (fused, chain))
+    assert out.shape == out_shape and _bitwise_equal(out, chain_out)
+    assert _bitwise_equal(grad, chain_grad)
+
+
+@pytest.mark.parametrize("kind", ["absolute-value", "square"])
+@pytest.mark.parametrize(
+    "sa, sb, axis",
+    [((16, 5, 2), (16, 5, 2), -1), ((16, 5, 2), (16, 5, 2), 1), ((4, 3), (3,), 0), ((4, 3), (3,), -1),
+     ((3,), (2, 4, 3), 1), ((2, 3), (), 0), ((2, 3), None, 1), ((5,), None, 0)],
+)
+def test_a_summed_distance_keeps_the_bits_of_a_sum_after_it(kind, sa, sb, axis):
+    # Some entries sit on their target, the kink of |.|, and some upstream
+    # gradients are -0.0; each input is a constant in turn.
+    rng = np.random.default_rng([len(sa), 9 if sb is None else len(sb), axis % 3, len(kind)])
+    a = rng.normal(size=sa)
+    arrays = [a] if sb is None else [a, rng.normal(size=sb)]
+    shape = np.broadcast_shapes(*(np.shape(x) for x in arrays))
+    if sb is not None:
+        on_target = rng.random(shape) < 0.2
+        big = 0 if sa == shape else 1
+        arrays[big] = np.where(on_target, np.broadcast_to(arrays[1 - big], shape), arrays[big])
+    else:
+        a[rng.random(sa) < 0.2] = 0.0
+    summed = np.add.reduce(np.zeros(shape), axis=axis).shape
+    weights = np.where(rng.random(summed) < 0.3, -0.0, rng.normal(size=summed))
+
+    def fused(*xs):
+        return forward_op(kind, list(xs), axis=axis)
+
+    def chain(*xs):
+        return ad.sum_over_axis(forward_op(kind, list(xs)), axis=axis)
+
+    for constant in range(len(arrays)) if len(arrays) > 1 else (None,):
+        needs = [i != constant for i in range(len(arrays))]
+        results = []
+        for fn in (fused, chain):
+            with GradientTape():
+                xs = [Tensor(x, requires_grad=need) for x, need in zip(arrays, needs)]
+                loss = ad.sum_over_axis(ad.multiply(fn(*xs), Tensor(weights)))
+                backward(loss)
+            results.append((loss.values, *(x.grad for x in xs)))
+        results += [(out, *grads) for out, grads in (_backward_through(fn, arrays, needs, weights) for fn in (fused, chain))]
+        for f, c in (results[0], results[1]), (results[2], results[3]):
+            assert all(fv is None and cv is None or _bitwise_equal(fv, cv) for fv, cv in zip(f, c)), needs
+            assert [v is None for v in f[1:]] == [not need for need in needs]
+
+
+def _sum_draws_one_by_one(g, shape):
+    """0.0 plus each draw's (*lead, n) slice of g, in C order."""
+    terms = g.reshape(shape[:-1] + (-1,) + shape[-1:])
+    total = np.zeros(shape)
+    for k in range(terms.shape[-2]):
+        total += terms[..., k, :]
+    return total
+
+
+def test_the_draws_are_summed_one_by_one_from_zero():
+    # Signed zeros, and magnitudes from 1e-300 to 1e300, whose sums overflow
+    # and cancel: 2 000 shapes with a support of 2 or more points.
+    rng = np.random.default_rng(17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2_000):
+            lead = tuple(rng.integers(1, 4, rng.integers(0, 3)))
+            draws = tuple(rng.integers(1, 12, rng.integers(0, 3)))
+            shape = lead + (int(rng.choice([2, 3, 7, 32])),)
+            full = lead + draws + shape[-1:]
+            g = rng.normal(size=full) * 10.0 ** rng.integers(-300, 301, full)
+            g[rng.random(full) < 0.2] = 0.0
+            g[rng.random(full) < 0.2] = -0.0
+            assert _bitwise_equal(ad._sum_draws(g, shape), _sum_draws_one_by_one(g, shape)), (lead, draws, shape)
+
+
+def test_a_one_point_softmax_sums_zeros_over_its_draws():
+    # With n = 1 numpy sums the draws pairwise, not one by one; a one-point
+    # softmax's backward is +0.0 everywhere, so any order gives +0.0.
+    gumbels = np.random.default_rng(19).gumbel(size=(3, 20, 1))
+    out, bwd = ad._REGISTRY["softmax-over-axis"]([np.full((3, 1), 0.5), gumbels], {"tau": 0.3}, (True, False))
+    for g in (np.random.default_rng(23).normal(size=out.shape), np.full(out.shape, -0.0)):
+        ga, _ = bwd(g)
+        assert _bitwise_equal(ga, np.zeros((3, 1)))
+
+
 @pytest.mark.parametrize("kind", ["absolute-value", "square"])
 @pytest.mark.parametrize("sa, sb", [((16, 5, 1), (16, 5, 1)), ((4, 3), (3,)), ((3,), (4, 3)), ((2, 3), ())])
 def test_a_distance_to_its_target_keeps_the_bits_of_a_subtract_first(kind, sa, sb):
@@ -995,6 +1124,18 @@ def test_softmax_gumbels_and_distance_targets_must_fit():
     for axis in (0, 1, -2):
         with pytest.raises(ValueError, match="last axis"):
             ad.softmax_over_axis(w, axis=axis, gumbels=np.zeros((4, 3, 5)))
+    for shape in ((5,), (4, 5, 2), (3, 5, 2), (4, 3, 6, 2), (2, 4, 3, 5, 2)):
+        # Neither one shared (n, m) nor each draw's own.
+        with pytest.raises(ShapeError, match="values"):
+            ad.softmax_over_axis(w, gumbels=np.zeros((4, 3, 5)), values=np.zeros(shape))
+    with pytest.raises(ValueError, match="constant"):
+        ad.softmax_over_axis(w, gumbels=np.zeros((4, 5)), values=Tensor(np.zeros((5, 2)), requires_grad=True))
+    with pytest.raises(ValueError, match="values need gumbels"):
+        ad.softmax_over_axis(w, values=np.zeros((5, 2)))
+    for op in (ad.absolute_value, ad.square):
+        for axis in (2, -3):
+            with pytest.raises(ShapeError, match="axis"):
+                op(Tensor(np.ones((4, 5))), axis=axis)
     for op in (ad.absolute_value, ad.square):
         for sb in ((4,), (5, 4), (1, 5), (2, 5, 4)):
             with pytest.raises(ShapeError, match="suffix-broadcast"):

@@ -552,7 +552,9 @@ class TestTraining:
         # The gather into a (B, 1, n) row layout took one more: 9, 7, 14, 18
         # and 23.  The Gumbel-softmax took a floored log, a per-draw gather
         # and an add besides its softmax, and each distance a subtract
-        # before it, the variance target's too: 8, 6, 13, 17 and 22.
+        # before it, the variance target's too: 8, 6, 13, 17 and 22.  samp's
+        # rows product of the relaxed weights and each distance's coordinate
+        # sum took one record each: 7, 6, 9, 15 and 21.
         kinds = self.record_kinds(monkeypatch)
         task = small_task(train_count=16, val_count=4)
         recorded = {}
@@ -560,7 +562,7 @@ class TestTraining:
             kinds.clear()
             train(RunConfig(task=task, loss=loss, epochs=1, batch_size=16))
             (recorded[loss],) = map(len, kinds)
-        assert recorded == {"soft": 7, "discrete": 6, "samp": 9, "soft-vr": 15, "soft-dr": 21}
+        assert recorded == {"soft": 6, "discrete": 6, "samp": 7, "soft-vr": 14, "soft-dr": 20}
 
     def test_samp_step_records(self, monkeypatch):
         kinds = self.record_kinds(monkeypatch)
@@ -571,13 +573,12 @@ class TestTraining:
             "matrix-multiply",
             # The (B, n) maps.
             "softmax-over-axis",
-            # The tempered Gumbel-softmax of the floored log weights, then
-            # each draw's row times its samples.
+            # The tempered Gumbel-softmax of the floored log weights, each
+            # draw's row times its samples.
             "softmax-over-axis",
-            "matrix-multiply",
-            # L1 distance to the target, the mean over draws, the batch mean.
+            # L1 distance to the target summed over coordinates, the mean
+            # over draws, the batch mean.
             "absolute-value",
-            "sum-over-axis",
             "mean-over-axis",
             "mean-over-axis",
         ]]
@@ -977,7 +978,7 @@ class TestGradcheckSuite:
 
         assert bits(gradcheck_suite(seeds=seeds).rows) == bits(per_basis_cell_gradcheck(seeds))
 
-    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 284), (1, 10, 142)])
+    @pytest.mark.parametrize("seeds, checks, ops", [(20, 20, 260), (1, 10, 130)])
     def test_suite_call_counts(self, monkeypatch, seeds, checks, ops):
         # One call per support, family and distance, each taking every
         # basis's points.  One call per cell made 60 calls and 1 404 op calls
@@ -986,7 +987,9 @@ class TestGradcheckSuite:
         # family's temperature divide, row pick and draw-mean multiply taped
         # on their own, 20 and 396 (198 at one seed); the gather into the
         # (R, 1, n) row layout, 20 and 372 (186); a Gumbel-softmax of four
-        # records and a subtract before each distance, 20 and 332 (166).
+        # records and a subtract before each distance, 20 and 332 (166); the
+        # relaxed weights' rows product and each distance's coordinate sum
+        # taped on their own, 20 and 284 (142).
         counts = {"checks": 0, "ops": 0}
 
         def counted(name, fn):

@@ -262,19 +262,60 @@ class TestCdf:
     @pytest.mark.parametrize("basis", BASES)
     def test_blocked_query_matches_whole_array_product(self, basis):
         # A query longer than a block, with a ragged last block, keeps the
-        # bits of one (m, n) @ (n,) product over the whole query.  Lone
-        # points agree to rounding only: BLAS sums the rows of a matrix in
-        # another order than the dot product a lone point takes.
+        # bits of one (m, n) @ (n,) product over the whole query padded to a
+        # multiple of 4 rows, and every lone point keeps them too.
         pmap = random_map(seed=12)
         spec = MixtureSpec(basis)
         ys = np.random.default_rng(13).uniform(-3.0, 10.0, 2 * B + 5)
         kind, c, sigma = mixture._resolve(spec, pmap.support)
-        whole = mixture._cdf_1d(kind, ys[:, None] - pmap.support.positions[:, 0], c, sigma) @ pmap.weight_values
+        padded = np.concatenate([ys, ys[-1:].repeat(3)])
+        whole = mixture._cdf_1d(kind, padded[:, None] - pmap.support.positions[:, 0], c, sigma) @ pmap.weight_values
         blocked = mixture_cdf(pmap, spec, ys)
-        assert blocked.tobytes() == whole.tobytes()
+        assert blocked.tobytes() == whole[: ys.size].tobytes()
         per_point = np.array([mixture_cdf(pmap, spec, y) for y in ys])
-        np.testing.assert_allclose(blocked, per_point, rtol=0.0, atol=1e-15)
+        assert blocked.tobytes() == per_point.tobytes()
         assert mixture_cdf(pmap, spec, ys.reshape(-1, 1)).shape == (len(ys), 1)
+
+    @pytest.mark.parametrize("n", [5, 32, 64])
+    @pytest.mark.parametrize("basis", BASES)
+    def test_each_query_point_keeps_its_bits_wherever_it_sits(self, basis, n):
+        # BLAS sums a matrix-vector product's rows in groups of four and a
+        # lone vector another way; unpadded, hundreds of 5 003 points moved
+        # a bit with their place in the query.  Here each point is queried
+        # whole, one at a time, in ragged chunks and reversed.
+        pmap = random_map(n=n, seed=n)
+        spec = MixtureSpec(basis)
+        rng = np.random.default_rng(n + 1)
+        ys = rng.uniform(-3.0, n + 3.0, 301)
+        cuts = np.cumsum(rng.integers(1, 8, ys.size))
+        for oracle in (mixture_cdf, mixture_pdf):
+            whole = oracle(pmap, spec, ys)
+            alone = np.array([oracle(pmap, spec, y) for y in ys])
+            chunked = np.concatenate([oracle(pmap, spec, chunk) for chunk in np.split(ys, cuts[cuts < ys.size])])
+            reversed_ = oracle(pmap, spec, ys[::-1])[::-1]
+            for other in (alone, chunked, reversed_):
+                assert other.tobytes() == whole.tobytes(), oracle.__name__
+
+    def test_each_2d_query_point_keeps_its_density_bits(self):
+        sup = Support.regular_grid((4, 4))
+        pmap = ProbabilityMap(sup, Tensor(softmax_values(np.random.default_rng(3).normal(0.0, 1.5, sup.n))))
+        spec = MixtureSpec("gaussian")
+        ys = np.random.default_rng(4).uniform(-1.0, 4.0, (23, 2))
+        whole = mixture_pdf(pmap, spec, ys)
+        assert np.array([mixture_pdf(pmap, spec, y) for y in ys]).tobytes() == whole.tobytes()
+        assert mixture_pdf(pmap, spec, ys[::-1])[::-1].tobytes() == whole.tobytes()
+
+    def test_a_one_point_array_is_one_point(self):
+        # In 1-D a (m,) array is m points, m = 1 included; a scalar is one
+        # point and gives a float.
+        pmap = random_map(seed=14)
+        spec = MixtureSpec("gaussian")
+        for oracle in (mixture_pdf, mixture_cdf):
+            one = oracle(pmap, spec, np.array([1.3]))
+            assert isinstance(one, np.ndarray) and one.shape == (1,), oracle.__name__
+            assert oracle(pmap, spec, np.array([1.3, 2.0])).shape == (2,)
+            lone = oracle(pmap, spec, 1.3)
+            assert isinstance(lone, float) and one[0] == lone
 
     def test_cdf_rejects_multi_axis_supports(self):
         sup = Support.regular_grid((3, 3))
