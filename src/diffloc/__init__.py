@@ -14,7 +14,6 @@ from .operators import (
     anneal_tau,
     discrete_expected_error_loss,
     error_of_expectation_loss,
-    gumbel_softmax,
     inference_localize,
     js_regularizer,
     sample_differentiable,

@@ -42,6 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .rows import Rows
+
 __all__ = [
     "Tensor",
     "GradientTape",
@@ -824,11 +826,12 @@ def grad_check_rows(
     xs,
     step: float = 1e-5,
     tol: float = 1e-4,
-) -> list[GradCheckResult]:
+) -> Rows:
     """Compare the taped gradients of f at R independent points xs, shape
     (R, *shape), with central finite differences, elementwise, in two calls
-    of f; one result per point.  Relative error is
-    |a - n| / max(|a|, |n|, 1e-8).
+    of f; one GradCheckResult per point, as Rows whose columns are the
+    (R, *shape) arrays and the (R,) max_rel_error and passed.  Relative
+    error is |a - n| / max(|a|, |n|, 1e-8).
 
     Given a (m, *shape) stack whose rows are points, f must return m values,
     each bitwise what f gives that row alone.  The taped call gets xs, and
@@ -887,10 +890,11 @@ def _difference_stack(x0: np.ndarray, step: float) -> np.ndarray:
 
 def _compare(
     analytic: np.ndarray, base: np.ndarray, values: np.ndarray, step: float, tol: float
-) -> list[GradCheckResult]:
+) -> Rows:
     """One result per point from its taped gradient analytic[r], its taped
     value base[r] and the values[r] f gave its difference stack; every
-    point's arrays are computed together, elementwise."""
+    point's arrays are computed together, elementwise, and kept as the
+    results' columns."""
     count = analytic.shape[0]
     changed = np.flatnonzero(values[:, -1] != base)
     if changed.size:
@@ -903,7 +907,4 @@ def _compare(
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     rel = np.abs(analytic - numeric) / denom
     max_rel = rel.reshape(count, -1).max(axis=1, initial=0.0)
-    return [
-        GradCheckResult(analytic[r], numeric[r], rel[r], float(max_rel[r]), bool(max_rel[r] <= tol))
-        for r in range(count)
-    ]
+    return Rows(GradCheckResult, (analytic, numeric, rel, max_rel, max_rel <= tol))

@@ -35,6 +35,7 @@ from ..mixture import (
     reference_sample_batch,
 )
 from ..operators import DISTANCES, _is_kind, gumbel_softmax_values, inference_localize
+from ..rows import Rows
 from .tasks import _scaled
 from .training import LOSS_KINDS, make_loss
 
@@ -89,16 +90,16 @@ class GradCheckRow:
 
 @dataclass(frozen=True)
 class GradCheckReport:
-    rows: tuple[GradCheckRow, ...]
+    rows: Rows  # of GradCheckRow
     tol: float
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return bool(self.rows.column("passed").all())
 
     @property
     def worst(self) -> float:
-        return max(r.max_rel_error for r in self.rows)
+        return float(self.rows.column("max_rel_error").max())
 
 
 def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
@@ -119,11 +120,11 @@ def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> G
     """
     _require_counts(seeds=seeds)
     ad._check_step_and_tol(step, tol)
-    supports = {1: Support.regular_grid(8), 2: Support.regular_grid((4, 4))}
+    supports = (Support.regular_grid(8), Support.regular_grid((4, 4)))
     families = list(itertools.product(enumerate(LOSS_KINDS), enumerate(DISTANCES)))
     cells = [
-        (ndim, loss_idx, loss_name, distance, [(b, s) for b in range(len(BASES)) for s in range(parity, seeds, 2)])
-        for ndim in supports
+        (d, loss_idx, loss_name, distance, [(b, s) for b in range(len(BASES)) for s in range(parity, seeds, 2)])
+        for d in range(len(supports))
         for (loss_idx, loss_name), (parity, distance) in families
         if parity < seeds
     ]
@@ -131,32 +132,43 @@ def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> G
     # default_rng([2311, ndim, b, loss_idx, seed]), scaled from its first
     # random() draws as rng.uniform scales them.  Every stream is seeded in
     # one call and draws as many as the widest support takes.
-    width = max(support.n + support.ndim for support in supports.values())
+    width = max(support.n + support.ndim for support in supports)
     draws = iter(
         per_stream(
-            [[2311, ndim, b, loss_idx, seed] for ndim, loss_idx, _, _, points in cells for b, seed in points],
+            [[2311, supports[d].ndim, b, loss_idx, seed] for d, loss_idx, _, _, points in cells for b, seed in points],
             lambda rng: rng.random(width),
         )
     )
-    frozen = {ndim: [_frozen_noise(support, b) for b in range(len(BASES))] for ndim, support in supports.items()}
-    checked: dict[tuple[int, int, int, int], tuple[float, bool]] = {}
-    for ndim, loss_idx, loss_name, distance, points in cells:
-        support = supports[ndim]
+    frozen = [[_frozen_noise(support, b) for b in range(len(BASES))] for support in supports]
+    # The report's varying columns, shaped (support, basis, family, seed)
+    # while each call writes its points' errors and verdicts into them.
+    shape = (len(supports), len(BASES), len(LOSS_KINDS), seeds)
+    errors = np.empty(shape)
+    passed = np.empty(shape, dtype=bool)
+    for d, loss_idx, loss_name, distance, points in cells:
+        support = supports[d]
         u = np.stack([next(draws) for _ in points])
         x0s = _scaled(u[:, : support.n], -2.0, 2.0)
-        y_ts = _scaled(u[:, support.n : support.n + ndim], 0.5, support.positions.max() - 1.0)
-        noise = tuple(np.stack([frozen[ndim][b][k] for b, _ in points]) for k in range(2))
+        y_ts = _scaled(u[:, support.n : support.n + support.ndim], 0.5, support.positions.max() - 1.0)
+        noise = tuple(np.stack([frozen[d][b][k] for b, _ in points]) for k in range(2))
         f = _loss_closure(loss_name, support, noise, y_ts, distance, x0s)
-        for (b, seed), result in zip(points, ad.grad_check_rows(f, x0s, step=step, tol=tol)):
-            checked[ndim, b, loss_idx, seed] = result.max_rel_error, result.passed
-    rows = tuple(
-        GradCheckRow(loss_name, basis, ndim, seed, *checked[ndim, basis_idx, loss_idx, seed])
-        for ndim in supports
-        for basis_idx, basis in enumerate(BASES)
-        for loss_idx, loss_name in enumerate(LOSS_KINDS)
-        for seed in range(seeds)
+        results = ad.grad_check_rows(f, x0s, step=step, tol=tol)
+        b, s = np.array(points).T
+        errors[d, b, loss_idx, s] = results.column("max_rel_error")
+        passed[d, b, loss_idx, s] = results.column("passed")
+    # A kept report costs its columns alone: the names as object arrays of
+    # the shared strings, ndim and seed in the smallest integers that hold
+    # them.
+    dims, bases, losses, seed_col = np.indices(shape).reshape(4, -1)
+    columns = (
+        np.array(LOSS_KINDS, dtype=object)[losses],
+        np.array(BASES, dtype=object)[bases],
+        np.array([support.ndim for support in supports], dtype=np.int8)[dims],
+        seed_col.astype(np.min_scalar_type(seeds - 1)),
+        errors.reshape(-1),
+        passed.reshape(-1),
     )
-    return GradCheckReport(rows, tol)
+    return GradCheckReport(Rows(GradCheckRow, columns), tol)
 
 
 def _frozen_noise(support: Support, basis_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,17 +240,17 @@ class RelaxedRow:
 
 @dataclass(frozen=True)
 class DistCheckReport:
-    reference: tuple[ReferenceRow, ...]
-    relaxed: tuple[RelaxedRow, ...]
+    reference: Rows  # of ReferenceRow
+    relaxed: Rows  # of RelaxedRow
     draws: int
     alpha: float
 
     @property
     def passed(self) -> bool:
-        return (
-            all(r.ks_passed for r in self.reference)
-            and all(r.freq_passed for r in self.relaxed)
-            and all(r.ordered for r in self.relaxed)
+        return bool(
+            self.reference.column("ks_passed").all()
+            and self.relaxed.column("freq_passed").all()
+            and self.relaxed.column("ordered").all()
         )
 
 
@@ -261,7 +273,7 @@ def distcheck_suite(num_maps: int = 20, draws: int = 100_000, seed: int = 202608
     support = Support.regular_grid(n)
     crit = ks_critical_value(draws, DISTCHECK_ALPHA)
 
-    def check(i: int) -> tuple[ReferenceRow, RelaxedRow]:
+    def check(i: int) -> tuple[tuple, tuple]:
         # Row i is map i // |BASES| under basis i % |BASES|; its map and both
         # noise streams are seeded from those indices alone.
         m, basis_idx = divmod(i, len(BASES))
@@ -280,7 +292,7 @@ def distcheck_suite(num_maps: int = 20, draws: int = 100_000, seed: int = 202608
         mean_gap = abs(float(samples.mean()) - float(exact_mean[0]))
         var_gap = abs(float(samples.var()) - float(exact_var[0]))
         del samples
-        reference = ReferenceRow(m, basis, ks, crit, ks <= crit, mean_gap, var_gap)
+        reference = (m, basis, ks, crit, ks <= crit, mean_gap, var_gap)
 
         counts = np.zeros(n, dtype=np.intp)
         y_relaxed = np.empty((len(DISTCHECK_TAUS), draws))
@@ -296,12 +308,14 @@ def distcheck_suite(num_maps: int = 20, draws: int = 100_000, seed: int = 202608
             start = stop
         freq_gap = float(np.abs(counts / draws - weights).max())
         ks_sharp, ks_smooth = (ks_statistic(row, cdf) for row in y_relaxed)
-        return reference, RelaxedRow(
+        return reference, (
             m, basis, freq_gap, freq_gap <= DISTCHECK_FREQ_TOL, ks_sharp, ks_smooth, ks_sharp < ks_smooth
         )
 
-    rows = _run_rows(check, num_maps * len(BASES))
-    return DistCheckReport(tuple(r for r, _ in rows), tuple(r for _, r in rows), draws, DISTCHECK_ALPHA)
+    reference, relaxed = zip(*_run_rows(check, num_maps * len(BASES)))
+    return DistCheckReport(
+        Rows.from_tuples(ReferenceRow, reference), Rows.from_tuples(RelaxedRow, relaxed), draws, DISTCHECK_ALPHA
+    )
 
 
 T = TypeVar("T")
@@ -381,13 +395,13 @@ class VarianceCompareRow:
 
 @dataclass(frozen=True)
 class VarianceCompareReport:
-    rows: tuple[VarianceCompareRow, ...]
+    rows: Rows  # of VarianceCompareRow
     draws: int
     tau: float
 
     @property
     def passed(self) -> bool:
-        return all(r.trace_ordered for r in self.rows)
+        return bool(self.rows.column("trace_ordered").all())
 
 
 def score_function_gradients(
@@ -446,7 +460,7 @@ def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0)
     support = Support.regular_grid(n)
     positions = support.positions[:, 0]
     spec = MixtureSpec(VARCOMPARE_BASIS)
-    rows: list[VarianceCompareRow] = []
+    rows: list[tuple] = []
     for s in range(num_seeds):
         rng = np.random.default_rng([4171, s])
         weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
@@ -470,13 +484,5 @@ def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0)
         var_rp = grads_rp.var(axis=0)
         trace_sf = float(var_sf.sum())
         trace_rp = float(var_rp.sum())
-        rows.append(
-            VarianceCompareRow(
-                seed=s,
-                trace_score=trace_sf,
-                trace_reparam=trace_rp,
-                coord_greater_frac=float((var_sf > var_rp).mean()),
-                trace_ordered=trace_sf > trace_rp > 0.0,
-            )
-        )
-    return VarianceCompareReport(tuple(rows), draws, tau)
+        rows.append((s, trace_sf, trace_rp, float((var_sf > var_rp).mean()), trace_sf > trace_rp > 0.0))
+    return VarianceCompareReport(Rows.from_tuples(VarianceCompareRow, rows), draws, tau)

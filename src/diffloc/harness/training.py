@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from ..operators import (
     sampled_expected_error_loss,
     variance_regularizer,
 )
+from ..rows import Rows
 from .model import MLPModel
 from .tasks import SyntheticTask, generate_split, task_mixture_spec, task_support
 
@@ -139,30 +139,32 @@ class TrialRecord:
         )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TrialRecords:
-    """The evaluated examples of a split as four columns: (m, ndim) preds
-    and targets, (m,) peaks and errors.  A read-only sequence of
-    TrialRecord, each built only when it is read: pred and target are row
-    views, peak and error Python floats."""
+class TrialRecords(Rows):
+    """The evaluated examples of a split: Rows of TrialRecord held as four
+    columns, (m, ndim) preds and targets and (m,) peaks and errors.  Each
+    record's index is its position, pred and target are row views, and peak
+    and error Python floats."""
 
-    preds: np.ndarray
-    targets: np.ndarray
-    peaks: np.ndarray
-    errors: np.ndarray
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.errors)
+    def __init__(self, preds: np.ndarray, targets: np.ndarray, peaks: np.ndarray, errors: np.ndarray):
+        Rows.__init__(self, TrialRecord, (range(len(errors)), preds, targets, peaks, errors))
 
-    def __iter__(self):
-        return map(TrialRecord, range(len(self)), self.preds, self.targets, self.peaks.tolist(), self.errors.tolist())
+    @property
+    def preds(self) -> np.ndarray:
+        return self.columns[1]
 
-    def __getitem__(self, i: int) -> TrialRecord:
-        i, m = operator.index(i), len(self)
-        if not -m <= i < m:
-            raise IndexError(f"record {i} out of range for {m} records")
-        i %= m
-        return TrialRecord(i, self.preds[i], self.targets[i], self.peaks[i].item(), self.errors[i].item())
+    @property
+    def targets(self) -> np.ndarray:
+        return self.columns[2]
+
+    @property
+    def peaks(self) -> np.ndarray:
+        return self.columns[3]
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.columns[4]
 
 
 @dataclass(frozen=True, slots=True)

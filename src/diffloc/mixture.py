@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, floored_values
+from .autodiff import Tensor, _rows_product, as_tensor, floored_values
 
 __all__ = [
     "Support",
@@ -310,32 +310,34 @@ def mixture_pdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | floa
 
 
 def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | float:
-    """Mixture cdf at y; defined for one-axis supports only.  Each point's
-    cdf has the bits it has alone."""
+    """Mixture cdf at point(s) y, read as mixture_pdf reads them; defined for
+    one-axis supports only.  Each point's cdf has the bits it has alone."""
     _single_map(pmap, "mixture_cdf")
     if pmap.ndim != 1:
         raise ValueError("mixture_cdf is defined for 1-D supports only")
     basis, c, sigma = _resolve(spec, pmap.support)
-    yv = np.asarray(y, dtype=np.float64)
-    flat = yv.reshape(-1)
+    points = _query_points(pmap.support, y)[..., 0]
+    flat = points.reshape(-1)
     out = np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK_DRAWS):
         off = flat[start : start + _BLOCK_DRAWS, None] - pmap.support.positions[:, 0]
         out[start : start + _BLOCK_DRAWS] = _weighted_rows(_cdf_1d(basis, off, c, sigma), pmap.weight_values)
-    return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
+    return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
 
 
 def mixture_moments(pmap: ProbabilityMap, spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Exact (mean, per-axis variance) of the mixture.
 
-    The mean is basis-independent: sum_i w_i y_i.  Each axis variance is
-    sum_i w_i (y_id^2 + v_b) - mean_d^2 where v_b is the basis variance.
+    The mean is basis-independent: sum_i w_i y_i, the row-by-row product
+    that soft_argmax and inference_localize take, so it has their bits.
+    Each axis variance is sum_i w_i (y_id^2 + v_b) - mean_d^2 where v_b is
+    the basis variance.
     """
     _single_map(pmap, "mixture_moments")
     w = pmap.weight_values
     pos = pmap.support.positions
     v_b = basis_variance(spec, pmap.support)
-    mean = w @ pos
+    mean = _rows_product(w, pos)
     second = w @ (pos * pos) + v_b
     return mean, second - mean * mean
 
@@ -463,9 +465,10 @@ def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
 
 def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
     """log w + g, the weights floored at WEIGHT_FLOOR as the taped
-    gumbel_softmax floors them.  Their argmax along the last axis picks a
-    component exactly (Gumbel-max); their softmax at a temperature tau is the
-    relaxed choice, and callers at several temperatures can share them."""
+    Gumbel-softmax, softmax_over_axis with floor=WEIGHT_FLOOR, floors them.
+    Their argmax along the last axis picks a component exactly (Gumbel-max);
+    their softmax at a temperature tau is the relaxed choice, and callers at
+    several temperatures can share them."""
     return np.log(floored_values(weights, WEIGHT_FLOOR)) + gumbels
 
 

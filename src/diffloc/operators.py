@@ -42,7 +42,6 @@ __all__ = [
     "soft_argmax",
     "error_of_expectation_loss",
     "discrete_expected_error_loss",
-    "gumbel_softmax",
     "gumbel_softmax_values",
     "sample_differentiable",
     "sampled_expected_error_loss",
@@ -174,20 +173,11 @@ def discrete_expected_error_loss(pmap: ProbabilityMap, y_t, distance: str = "l1"
 # Relaxed sampling
 
 
-def gumbel_softmax(pmap: ProbabilityMap, gumbels: np.ndarray, tau: float) -> Tensor:
-    """Relaxed one-hot over components: softmax((log w + g) / tau), the
-    weights floored at WEIGHT_FLOOR, as one softmax-over-axis record.
-
-    gumbels is (*batch, *draws, n): the map's batch axes, then any number of
-    draw axes.  The result has the shape of gumbels.  tau must be positive
-    and finite.
-    """
-    return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
-
-
 def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) -> np.ndarray:
-    """Plain-array twin of gumbel_softmax, the same op run under no_grad, so
-    the two agree bitwise: (..., n) weights and (..., *draws, n) gumbels."""
+    """Relaxed one-hot over components, softmax((log w + g) / tau), the
+    weights floored at WEIGHT_FLOOR: the taped Gumbel-softmax record run
+    under no_grad on (..., n) weights and (..., *draws, n) gumbels.  tau
+    must be positive and finite."""
     with ad.no_grad():
         return ad.softmax_over_axis(weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels).values
 
@@ -195,11 +185,12 @@ def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) 
 def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_samples: np.ndarray, tau: float) -> Tensor:
     """Relaxed mixture samples sum_i pi_hat_i * y_hat_i, one per draw.
 
-    gumbels is (*batch, *draws, n) as for gumbel_softmax and basis_samples,
-    the y_hat_i, is (*batch, *draws, n, ndim): one sample per component, as
-    mixture.basis_sample_all returns them.  The result is (*batch, *draws,
-    ndim).  The samples are constants for the gradient; differentiability
-    comes entirely from the relaxed weights.
+    gumbels is (*batch, *draws, n): the map's batch axes, then any number
+    of draw axes.  basis_samples, the y_hat_i, is (*batch, *draws, n, ndim):
+    one sample per component, as mixture.basis_sample_all returns them.  The
+    result is (*batch, *draws, ndim).  The samples are constants for the
+    gradient; differentiability comes entirely from the relaxed weights.
+    tau must be positive and finite.
     """
     if basis_samples.shape != gumbels.shape + (pmap.ndim,):
         raise ValueError(
@@ -305,4 +296,4 @@ def inference_localize(pmap: ProbabilityMap) -> np.ndarray:
     """Test-time prediction: the map's expectation, computed without tensors,
     tapes, or randomness.  Matches soft_argmax values bitwise: the same
     row-by-row product."""
-    return (pmap.weight_values[..., None, :] @ pmap.support.positions)[..., 0, :]
+    return ad._rows_product(pmap.weight_values, pmap.support.positions)

@@ -1,6 +1,7 @@
 """Synthetic tasks, model, training loop, metrics, and diagnostic suites."""
 
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
@@ -74,11 +75,13 @@ from diffloc.operators import (
     SamplingConfig,
     discrete_expected_error_loss,
     error_of_expectation_loss,
+    field_kinds,
     gumbel_softmax_values,
     js_regularizer,
     sampled_expected_error_loss,
     variance_regularizer,
 )
+from diffloc.rows import Rows
 from looped_gradcheck import grad_check
 
 
@@ -947,7 +950,7 @@ class TestGradcheckSuite:
     def test_suite_matches_one_check_per_seed(self):
         # Every row, max_rel_error bits included, against one single-point
         # check per seed in the suite's row order.
-        assert gradcheck_suite(seeds=20).rows == single_point_gradcheck(seeds=20)
+        assert tuple(gradcheck_suite(seeds=20).rows) == single_point_gradcheck(seeds=20)
 
     def test_suite_op_count_is_bounded(self, monkeypatch):
         # One check per seed made 12 840 op calls; one per cell of seeds, 1 404.
@@ -1042,8 +1045,8 @@ class TestGradcheckSuite:
 
 @pytest.mark.parametrize("row_type", [GradCheckRow, ReferenceRow, RelaxedRow, VarianceCompareRow])
 def test_suite_rows_are_slotted(row_type):
-    # A caller may keep many reports; 600 gradcheck rows without a __dict__
-    # take about 66 KiB instead of 94 KiB.
+    # A row read from a report is built on demand; 600 gradcheck rows kept
+    # as slotted objects took about 66 KiB, and without slots 94 KiB.
     assert "__slots__" in vars(row_type)
 
 
@@ -1070,6 +1073,62 @@ def test_kept_evaluate_results_stay_small():
         tracemalloc.stop()
     per_result = (after - before) / len(kept)
     assert per_result < 8 * 2**10, f"{per_result / 2**10:.1f} KiB per kept result"
+
+
+def test_kept_gradcheck_reports_stay_small():
+    # A caller may keep many reports.  600 slotted GradCheckRow objects took
+    # about 66 KiB; as six columns, about 18 KiB.  A full collection before
+    # each count empties the interpreter's free lists, which keep the
+    # two-item tuples a call frees (about 14 KiB more otherwise).
+    gradcheck_suite()  # caches and first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        kept = [gradcheck_suite() for _ in range(3)]
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(report.rows) == 600 for report in kept)
+    per_report = (after - before) / len(kept)
+    assert per_report < 20 * 2**10, f"{per_report / 2**10:.1f} KiB per kept report"
+
+
+def flip_last_bit(rows, name):
+    """rows with the last bit of field `name`'s first float flipped."""
+    columns = list(rows.columns)
+    k = [f.name for f in dataclasses.fields(rows.row_type)].index(name)
+    columns[k] = columns[k].copy()
+    columns[k].view(np.uint64)[0] ^= 1
+    return Rows(rows.row_type, columns)
+
+
+@pytest.mark.parametrize(
+    "run, sequences",
+    [
+        (lambda: gradcheck_suite(), {"rows": "max_rel_error"}),
+        (lambda: distcheck_suite(num_maps=1, draws=2_000, seed=7), {"reference": "ks", "relaxed": "ks_sharp"}),
+        (lambda: variance_compare(num_seeds=2, draws=200), {"rows": "trace_reparam"}),
+    ],
+    ids=["gradcheck", "distcheck", "varcompare"],
+)
+def test_reports_compare_by_value_and_read_back_csv_types(run, sequences):
+    # A benchmark checks each repeat's report against the first with ==, so
+    # equal reports must compare equal, one flipped bit must not, and a row
+    # read back must hold the Python types its CSV cells print.
+    first, second = run(), run()
+    assert first == second and first is not second
+    for attr, name in sequences.items():
+        rows = getattr(first, attr)
+        assert rows == getattr(second, attr) and tuple(rows) == tuple(getattr(second, attr))
+        changed = dataclasses.replace(first, **{attr: flip_last_bit(rows, name)})
+        assert changed != first and getattr(changed, attr) != rows
+        kinds = field_kinds(rows.row_type)
+        for row in (rows[0], rows[-1], *rows):
+            for field in dataclasses.fields(row):
+                (kind,) = kinds[field.name]
+                assert type(getattr(row, field.name)) is kind, (attr, field.name)
 
 
 def frozen_noise(support, basis, count, num_samples=suites.GRADCHECK_NUM_SAMPLES):
@@ -1158,8 +1217,8 @@ class TestDistcheckSuite:
         draws = 2 * mixture._BLOCK_DRAWS + 17
         report = distcheck_suite(num_maps=2, draws=draws)
         reference, relaxed = whole_array_distcheck(num_maps=2, draws=draws)
-        assert report.reference == reference
-        assert report.relaxed == relaxed
+        assert tuple(report.reference) == reference
+        assert tuple(report.relaxed) == relaxed
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -1201,7 +1260,7 @@ class TestDistcheckSuite:
         monkeypatch.setattr(suites, "_usable_cpus", lambda: workers)
         draws = 2 * mixture._BLOCK_DRAWS + 17
         report = distcheck_suite(num_maps=1, draws=draws)
-        assert (report.reference, report.relaxed) == whole_array_distcheck(num_maps=1, draws=draws)
+        assert (tuple(report.reference), tuple(report.relaxed)) == whole_array_distcheck(num_maps=1, draws=draws)
 
     def test_two_rows_in_flight_stay_within_memory(self, monkeypatch):
         # Two workers at the 4096-draw block peaked at 12.8 MiB.  scipy.special
@@ -1397,7 +1456,7 @@ class TestVarianceCompare:
     def test_blocked_run_matches_whole_array_formulation(self):
         # Two full blocks and a ragged third, every float's bits kept.
         draws = 2 * mixture._BLOCK_DRAWS + 17
-        assert variance_compare(num_seeds=2, draws=draws).rows == whole_array_variance_compare(2, draws)
+        assert tuple(variance_compare(num_seeds=2, draws=draws).rows) == whole_array_variance_compare(2, draws)
 
     def test_memory_is_bounded_by_the_block_size(self):
         # Built whole, the default call's (draws, n) temporaries peaked at

@@ -29,6 +29,7 @@ from diffloc.mixture import (
     per_stream,
     reference_sample_batch,
 )
+from diffloc.operators import soft_argmax
 
 
 # Mean of the standard Gumbel distribution.
@@ -274,7 +275,8 @@ class TestCdf:
         assert blocked.tobytes() == whole[: ys.size].tobytes()
         per_point = np.array([mixture_cdf(pmap, spec, y) for y in ys])
         assert blocked.tobytes() == per_point.tobytes()
-        assert mixture_cdf(pmap, spec, ys.reshape(-1, 1)).shape == (len(ys), 1)
+        column = mixture_cdf(pmap, spec, ys.reshape(-1, 1))
+        assert column.shape == (len(ys),) and column.tobytes() == blocked.tobytes()
 
     @pytest.mark.parametrize("n", [5, 32, 64])
     @pytest.mark.parametrize("basis", BASES)
@@ -316,6 +318,24 @@ class TestCdf:
             assert oracle(pmap, spec, np.array([1.3, 2.0])).shape == (2,)
             lone = oracle(pmap, spec, 1.3)
             assert isinstance(lone, float) and one[0] == lone
+
+    def test_pdf_and_cdf_read_a_1d_query_alike(self):
+        # Both oracles read the last axis as coordinates: a scalar is one
+        # point, (m,) and (m, 1) are m points, and (a, b) is a * b points.
+        # The cdf read [[1.3], [2.0]] as a (2, 1) grid of points and gave a
+        # (2, 1) result where the pdf gave (2,).
+        pmap = random_map(n=4, seed=15)
+        spec = MixtureSpec("triangular")
+        flat = np.array([1.3, 2.0, -0.4, 3.7, 0.9, 2.5])
+        for oracle in (mixture_pdf, mixture_cdf):
+            whole = oracle(pmap, spec, flat)
+            assert whole.shape == (6,), oracle.__name__
+            lone = oracle(pmap, spec, 1.3)
+            assert type(lone) is float and lone == whole[0], oracle.__name__
+            for query, shape in ((flat[:, None], (6,)), (flat.reshape(2, 3), (2, 3)), (flat[:2, None], (2,))):
+                got = oracle(pmap, spec, query)
+                assert got.shape == shape, (oracle.__name__, query.shape)
+                assert got.tobytes() == whole[: got.size].tobytes(), (oracle.__name__, query.shape)
 
     def test_cdf_rejects_multi_axis_supports(self):
         sup = Support.regular_grid((3, 3))
@@ -420,6 +440,28 @@ class TestMoments:
         for basis in BASES:
             mean, _ = mixture_moments(pmap, MixtureSpec(basis))
             np.testing.assert_array_equal(mean, expected)
+
+    def test_mean_has_the_bits_of_soft_argmax(self):
+        # One row-by-row product gives the mean, soft_argmax and
+        # inference_localize: on criterion 5's 50 maps under every basis and
+        # on distcheck's 20 maps.
+        rng = np.random.default_rng(20260814)
+        maps = []
+        for _ in range(50):
+            # Drawn as criterion 5 draws each map and then its 20 queries.
+            n = int(rng.integers(4, 24))
+            spacing = float(rng.uniform(0.5, 3.0))
+            weights = softmax_values(rng.normal(0.0, 1.5, n))
+            rng.uniform(0.0, (n - 1) * spacing, 20)
+            maps.append(ProbabilityMap(Support.regular_grid(n, spacing=spacing), Tensor(weights)))
+        for m in range(20):
+            weights = softmax_values(np.random.default_rng([20260814, m]).normal(0.0, 1.5, 16), axis=-1)
+            maps.append(ProbabilityMap(Support.regular_grid(16), Tensor(weights)))
+        for pmap in maps:
+            soft = soft_argmax(pmap).values
+            for basis in BASES:
+                mean, _ = mixture_moments(pmap, MixtureSpec(basis))
+                assert mean.tobytes() == soft.tobytes(), (pmap.n, basis)
 
     def test_multi_axis_moments(self):
         sup = Support.regular_grid((3, 4))

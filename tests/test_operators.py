@@ -25,7 +25,6 @@ from diffloc.operators import (
     discrete_expected_error_loss,
     error_of_expectation_loss,
     gaussian_target_weights,
-    gumbel_softmax,
     gumbel_softmax_values,
     inference_localize,
     js_regularizer,
@@ -40,6 +39,13 @@ from looped_gradcheck import grad_check
 def make_map(n=8, seed=0, spacing=1.0):
     weights = softmax_values(np.random.default_rng(seed).normal(0.0, 1.5, n))
     return ProbabilityMap(Support.regular_grid(n, spacing=spacing), Tensor(weights))
+
+
+def gumbel_softmax(pmap, gumbels, tau):
+    """The taped Gumbel-softmax, softmax((log w + g) / tau) with the weights
+    floored at WEIGHT_FLOOR, as one softmax-over-axis record: gumbels is
+    (*batch, *draws, n) for the map's (*batch, n) weights."""
+    return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
 
 
 def one_draw(source, n, ndim=1):
