@@ -34,7 +34,7 @@ from ..mixture import (
     per_stream,
     reference_sample_batch,
 )
-from ..operators import DISTANCES, _is_kind, gumbel_softmax_values, inference_localize
+from ..operators import DISTANCES, _is_kind, inference_localize, sampled_expected_error_loss
 from ..rows import Rows
 from .tasks import _scaled
 from .training import LOSS_KINDS, make_loss
@@ -301,10 +301,11 @@ def distcheck_suite(num_maps: int = 20, draws: int = 100_000, seed: int = 202608
             stop = start + len(gumbels)
             scores = gumbel_scores(weights, gumbels)
             counts += np.bincount(np.argmax(scores, axis=1), minlength=n)
-            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
+            y_hat = basis_sample_all(spec, support, uniforms)
             for row, tau in zip(y_relaxed, DISTCHECK_TAUS):
-                relaxed = ad.softmax_values(scores / float(tau), axis=-1)
-                row[start:stop] = (relaxed * y_hat).sum(axis=1)
+                # Training's relaxed sample: the tempered softmax of the
+                # shared scores times each draw's basis samples, row by row.
+                row[start:stop] = ad._rows_product(ad.softmax_values(scores / float(tau), axis=-1), y_hat)[:, 0]
             start = stop
         freq_gap = float(np.abs(counts / draws - weights).max())
         ks_sharp, ks_smooth = (ks_statistic(row, cdf) for row in y_relaxed)
@@ -420,30 +421,32 @@ def score_function_gradients(
 
 
 def reparam_gradients(
-    weights: np.ndarray,
-    positions: np.ndarray,
-    y_t: float,
-    gumbels: np.ndarray,
-    y_hat: np.ndarray,
-    tau: float,
+    logits: np.ndarray, support: Support, y_t: float, gumbels: np.ndarray, y_hat: np.ndarray, tau: float
 ) -> np.ndarray:
-    """Per-draw pathwise gradient of |relaxed sample - y_t| w.r.t. the logits.
+    """Per-draw pathwise gradient of |relaxed sample - y_t| w.r.t. the
+    logits, as the samp loss's tape gives it.
 
-    With z = (log pi + g) / tau, pi_hat = softmax(z) and Y = sum pi_hat*y_hat,
-    dY/dz_k = pi_hat_k (y_hat_k - Y), and dz/dlogits folds in another softmax
-    Jacobian and the 1/tau; the pi_k term cancels because sum_k dY/dz_k = 0.
+    Draw i is map i: the (n,) logits repeated as a (draws, n) leaf, its
+    softmax, and sampled_expected_error_loss with one draw, gumbels[i] and
+    the 1-D basis samples y_hat[i], and the l1 distance.  One backward of
+    the summed losses gives each map its own gradient.
     """
-    relaxed = gumbel_softmax_values(weights, gumbels, tau)
-    y_relaxed = (relaxed * y_hat).sum(axis=1)
-    sign = np.sign(y_relaxed - y_t)
-    b = relaxed * (y_hat - y_relaxed[:, None])
-    return sign[:, None] * b / tau
+    count = len(gumbels)
+    x = Tensor(np.broadcast_to(logits, (count, support.n)), requires_grad=True)
+    with ad.GradientTape():
+        pmap = ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
+        losses = sampled_expected_error_loss(
+            pmap, np.full((count, 1), y_t), gumbels[:, None], y_hat[:, None, :, None], tau, "l1"
+        )
+        ad.backward(ad.sum_over_axis(losses))
+    return x.grad
 
 
 def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0) -> VarianceCompareReport:
     """Gradient variance of the score-function estimator vs the relaxed
     pathwise estimator, per logit coordinate and in trace, one draw per
-    estimate.
+    estimate.  The pathwise estimates are the samp loss's taped gradients
+    (reparam_gradients), one map per draw.
 
     A seed passes when the score-function trace exceeds the pathwise trace
     and the pathwise trace is positive: at a huge tau every relaxed sample
@@ -463,7 +466,8 @@ def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0)
     rows: list[tuple] = []
     for s in range(num_seeds):
         rng = np.random.default_rng([4171, s])
-        weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
+        logits = rng.normal(0.0, 1.5, n)
+        weights = ad.softmax_values(logits, axis=-1)
         y_t = float(rng.uniform(0.5, n - 1.5))
 
         grads_sf = np.empty((draws, n))
@@ -477,7 +481,7 @@ def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0)
             stop = start + len(g_sf)
             grads_sf[start:stop] = score_function_gradients(weights, positions, y_t, g_sf)
             y_hat = basis_sample_all(spec, support, u_rp)[..., 0]
-            grads_rp[start:stop] = reparam_gradients(weights, positions, y_t, g_rp, y_hat, tau)
+            grads_rp[start:stop] = reparam_gradients(logits, support, y_t, g_rp, y_hat, tau)
             start = stop
 
         var_sf = grads_sf.var(axis=0)

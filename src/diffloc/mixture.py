@@ -331,14 +331,15 @@ def mixture_moments(pmap: ProbabilityMap, spec: MixtureSpec) -> tuple[np.ndarray
     The mean is basis-independent: sum_i w_i y_i, the row-by-row product
     that soft_argmax and inference_localize take, so it has their bits.
     Each axis variance is sum_i w_i (y_id^2 + v_b) - mean_d^2 where v_b is
-    the basis variance.
+    the basis variance, its second moment the same product of the squared
+    positions that variance_regularizer takes.
     """
     _single_map(pmap, "mixture_moments")
     w = pmap.weight_values
     pos = pmap.support.positions
     v_b = basis_variance(spec, pmap.support)
     mean = _rows_product(w, pos)
-    second = w @ (pos * pos) + v_b
+    second = _rows_product(w, pos * pos) + v_b
     return mean, second - mean * mean
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "soft_argmax",
     "error_of_expectation_loss",
     "discrete_expected_error_loss",
-    "gumbel_softmax_values",
     "sample_differentiable",
     "sampled_expected_error_loss",
     "anneal_tau",
@@ -171,15 +170,6 @@ def discrete_expected_error_loss(pmap: ProbabilityMap, y_t, distance: str = "l1"
 
 # ---------------------------------------------------------------------------
 # Relaxed sampling
-
-
-def gumbel_softmax_values(weights: np.ndarray, gumbels: np.ndarray, tau: float) -> np.ndarray:
-    """Relaxed one-hot over components, softmax((log w + g) / tau), the
-    weights floored at WEIGHT_FLOOR: the taped Gumbel-softmax record run
-    under no_grad on (..., n) weights and (..., *draws, n) gumbels.  tau
-    must be positive and finite."""
-    with ad.no_grad():
-        return ad.softmax_over_axis(weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels).values
 
 
 def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_samples: np.ndarray, tau: float) -> Tensor:

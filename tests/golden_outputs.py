@@ -10,8 +10,9 @@ manifest records those too.
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-rewrites tests/golden/manifest.json from the code as it stands.  A change
-that means to move bits runs it and says which digests moved and why.
+rewrites tests/golden/manifest.json from the code as it stands and prints
+each file whose digest moved, or "no digest moved".  A change that means to
+move bits runs it and says which digests moved and why.
 """
 
 from __future__ import annotations
@@ -90,17 +91,22 @@ def generate(directory: Path) -> dict[str, str]:
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in commands()}
 
 
-def write_manifest(directory: Path) -> None:
+def write_manifest(directory: Path) -> list[str]:
+    """Rewrite the manifest from the files made in `directory`; the names
+    whose digest differs from the manifest's before, or that it lacked."""
+    old = json.loads(MANIFEST.read_text())["files"] if MANIFEST.exists() else {}
     digests = generate(directory)
     calls = commands()
     files = {name: {"sha256": digests[name], "command": "diffloc " + " ".join(calls[name])} for name in calls}
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps({"environment": environment(), "files": files}, indent=1) + "\n")
+    return [name for name in files if old.get(name, {}).get("sha256") != digests[name]]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        write_manifest(Path(tmp))
+        moved = write_manifest(Path(tmp))
     print(f"wrote {MANIFEST}", file=sys.stderr)
+    print("\n".join(f"moved: {name}" for name in moved) or "no digest moved")

@@ -66,6 +66,7 @@ from diffloc.mixture import (
     basis_sample_all,
     draw_noise_batch,
     gumbel_from_uniform,
+    gumbel_scores,
     ks_critical_value,
     ks_statistic,
     mixture_moments,
@@ -76,8 +77,8 @@ from diffloc.operators import (
     discrete_expected_error_loss,
     error_of_expectation_loss,
     field_kinds,
-    gumbel_softmax_values,
     js_regularizer,
+    sample_differentiable,
     sampled_expected_error_loss,
     variance_regularizer,
 )
@@ -1404,11 +1405,13 @@ def whole_array_distcheck(num_maps, draws, seed=20260814):
             gumbels, uniforms = draw_noise_batch(NoiseSource([seed, m, basis_idx, 2]), draws, n, 1)
             winners = np.argmax(gumbels + np.log(weights), axis=1)
             freq_gap = float(np.abs(np.bincount(winners, minlength=n) / draws - weights).max())
-            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
-            ks_sharp, ks_smooth = (
-                ks_statistic((gumbel_softmax_values(weights, gumbels, tau) * y_hat).sum(axis=1), cdf)
-                for tau in suites.DISTCHECK_TAUS
-            )
+            # The relaxed samples of the op that training records.
+            y_hat = basis_sample_all(spec, support, uniforms)
+            with ad.no_grad():
+                y_relaxed = [
+                    sample_differentiable(pmap, gumbels, y_hat, tau).values[:, 0] for tau in suites.DISTCHECK_TAUS
+                ]
+            ks_sharp, ks_smooth = (ks_statistic(row, cdf) for row in y_relaxed)
             relaxed.append(
                 RelaxedRow(
                     m, basis, freq_gap, freq_gap <= suites.DISTCHECK_FREQ_TOL, ks_sharp, ks_smooth, ks_sharp < ks_smooth
@@ -1501,40 +1504,37 @@ class TestVarianceCompare:
         assert np.isfinite(grads).all()
 
     def test_reparam_gradients_match_autodiff(self):
-        n = 6
-        rng = np.random.default_rng(11)
-        logits = rng.normal(0.0, 1.0, n)
-        weights = ad.softmax_values(logits)
-        positions = np.arange(n, dtype=np.float64)
-        y_t = 2.6
-        tau = 0.9
-        gumbels, uniforms = draw_noise_batch(NoiseSource(12), 5, n, 1)
-        y_hat = uniforms[..., 0] + positions  # any fixed per-component samples
-        manual = reparam_gradients(weights, positions, y_t, gumbels, y_hat, tau)
-        for k in range(5):
-            x = Tensor(logits, requires_grad=True)
-            with ad.GradientTape():
-                w = ad.softmax_over_axis(x, axis=-1)
-                scores = ad.divide(
-                    ad.add(ad.logarithm(w), Tensor(gumbels[k])), Tensor(tau)
-                )
-                relaxed = ad.softmax_over_axis(scores, axis=-1)
-                y_rel = ad.sum_over_axis(ad.multiply(relaxed, Tensor(y_hat[k])))
-                loss = ad.absolute_value(ad.subtract(y_rel, Tensor(y_t)))
-                ad.backward(loss)
-            np.testing.assert_allclose(x.grad, manual[k], rtol=1e-9, atol=1e-12)
+        # The taped per-draw gradients against the closed form: with
+        # pi_hat = softmax((log w + g) / tau) and Y = sum_k pi_hat_k y_hat_k,
+        # dY/dz_k = pi_hat_k (y_hat_k - Y) for z = (log w + g) / tau, and the
+        # softmax Jacobian from the logits to log w adds nothing, since the
+        # dY/dz_k sum to 0.  On varcompare's seeds, maps and noise.
+        n = suites.MAP_POINTS
+        support = Support.regular_grid(n)
+        spec = MixtureSpec(suites.VARCOMPARE_BASIS)
+        for s in range(10):
+            rng = np.random.default_rng([4171, s])
+            logits = rng.normal(0.0, 1.5, n)
+            y_t = float(rng.uniform(0.5, n - 1.5))
+            gumbels, uniforms = draw_noise_batch(NoiseSource([4171, s, 2]), 500, n, 1)
+            y_hat = basis_sample_all(spec, support, uniforms)[..., 0]
+            for tau in (1.0, 0.1, 0.05):
+                relaxed = ad.softmax_values(gumbel_scores(ad.softmax_values(logits), gumbels) / tau)
+                y_relaxed = (relaxed * y_hat).sum(axis=1)
+                closed = np.sign(y_relaxed - y_t)[:, None] * relaxed * (y_hat - y_relaxed[:, None]) / tau
+                taped = reparam_gradients(logits, support, y_t, gumbels, y_hat, tau)
+                np.testing.assert_allclose(taped, closed, rtol=1e-9, atol=1e-12, err_msg=f"seed {s}, tau {tau}")
 
     def test_relaxed_estimator_variance_shrinks_with_tau(self):
         # Smoother relaxations average more components: lower variance.
         n = 12
-        rng = np.random.default_rng(13)
-        weights = ad.softmax_values(rng.normal(0.0, 1.5, n))
-        positions = np.arange(n, dtype=np.float64)
+        support = Support.regular_grid(n)
+        logits = np.random.default_rng(13).normal(0.0, 1.5, n)
         gumbels, uniforms = draw_noise_batch(NoiseSource(14), 20_000, n, 1)
-        y_hat = positions + (uniforms[..., 0] - 0.5)
+        y_hat = support.positions[:, 0] + (uniforms[..., 0] - 0.5)
         traces = []
         for tau in (0.1, 1.0, 4.0):
-            grads = reparam_gradients(weights, positions, 4.2, gumbels, y_hat, tau)
+            grads = reparam_gradients(logits, support, 4.2, gumbels, y_hat, tau)
             traces.append(float(grads.var(axis=0).sum()))
         assert traces[0] > traces[1] > traces[2]
 
@@ -1548,13 +1548,14 @@ def whole_array_variance_compare(num_seeds, draws, tau=1.0):
     rows = []
     for s in range(num_seeds):
         rng = np.random.default_rng([4171, s])
-        weights = ad.softmax_values(rng.normal(0.0, 1.5, n), axis=-1)
+        logits = rng.normal(0.0, 1.5, n)
+        weights = ad.softmax_values(logits, axis=-1)
         y_t = float(rng.uniform(0.5, n - 1.5))
         g_sf, _ = draw_noise_batch(NoiseSource([4171, s, 1]), draws, n, 1)
         var_sf = score_function_gradients(weights, positions, y_t, g_sf).var(axis=0)
         g_rp, u_rp = draw_noise_batch(NoiseSource([4171, s, 2]), draws, n, 1)
         y_hat = basis_sample_all(MixtureSpec(suites.VARCOMPARE_BASIS), support, u_rp)[..., 0]
-        var_rp = reparam_gradients(weights, positions, y_t, g_rp, y_hat, tau).var(axis=0)
+        var_rp = reparam_gradients(logits, support, y_t, g_rp, y_hat, tau).var(axis=0)
         trace_sf, trace_rp = float(var_sf.sum()), float(var_rp.sum())
         rows.append(
             VarianceCompareRow(s, trace_sf, trace_rp, float((var_sf > var_rp).mean()), trace_sf > trace_rp > 0.0)

@@ -25,7 +25,6 @@ from diffloc.operators import (
     discrete_expected_error_loss,
     error_of_expectation_loss,
     gaussian_target_weights,
-    gumbel_softmax_values,
     inference_localize,
     js_regularizer,
     sample_differentiable,
@@ -46,6 +45,13 @@ def gumbel_softmax(pmap, gumbels, tau):
     floored at WEIGHT_FLOOR, as one softmax-over-axis record: gumbels is
     (*batch, *draws, n) for the map's (*batch, n) weights."""
     return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
+
+
+def gumbel_softmax_values(weights, gumbels, tau):
+    """The same record run under no_grad on (..., n) weights and
+    (..., *draws, n) gumbels: the relaxed one-hots as an array."""
+    with ad.no_grad():
+        return ad.softmax_over_axis(weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels).values
 
 
 def one_draw(source, n, ndim=1):
