@@ -7,9 +7,10 @@ block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
 elementwise arithmetic, a few shape ops, matrix multiply (with an optional
 addend and relu after it, or row by row), relu, the distances |a - b| and
-(a - b)^2 (optionally summed over an axis), and softmax (optionally
-tempered, of floored log weights, plus constant gumbels and times constant
-values row by row: relaxed mixture samples in one record).
+(a - b)^2 (optionally summed over an axis), and softmax in two forms: the
+plain softmax over the last axis, and the relaxed mixture sample
+sum_i softmax((log w + g) / tau)_i y_i of constant gumbels g and values y
+in one record.
 Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
@@ -59,16 +60,13 @@ __all__ = [
     "add",
     "subtract",
     "multiply",
-    "divide",
     "logarithm",
     "sum_over_axis",
     "mean_over_axis",
     "matrix_multiply",
-    "relu",
     "softmax_over_axis",
     "absolute_value",
     "square",
-    "index_select",
     "softmax_values",
     "floored_values",
 ]
@@ -359,7 +357,6 @@ def _build_add(arrays, params, needs):
 
 
 def _build_subtract(arrays, params, needs):
-    a, b = arrays
     return _difference(arrays, needs)
 
 
@@ -545,67 +542,56 @@ def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _build_softmax_over_axis(arrays, params, needs):
-    """softmax over axis of the scores a; with params["floor"] the scores are
-    log(max(a, floor)), as the logarithm op given a floor takes them.  A
-    second input, the gumbels g, a constant shaped (*lead, *draws, n) for an
-    (*lead, n) input, is added to the scores of every draw, whose softmax is
-    then over the last axis; with params["tau"] the softmax is of the scores
-    / tau.  A third input, the values v, a constant (*lead, *draws, n, m) or
-    one shared (n, m), turns each draw's softmax p into sum_i p_i v_i, as
-    matrix-multiply's rows mode gives p times v.  The backward repeats the
+    """One of two forms.  [a]: the softmax of a over its last axis.  [w,
+    gumbels, values] with params tau and floor: the relaxed mixture sample
+    sum_i p_i values_i, p = softmax((log(max(w, floor)) + gumbels) / tau),
+    the floored log taken as the logarithm op given a floor takes it.  The
+    gumbels, a constant (*lead, *draws, n) for (*lead, n) weights, are added
+    to the scores of every draw; the values, a constant (*lead, *draws, n,
+    m) or one shared (n, m), give each draw's p times them as
+    matrix-multiply's rows mode does.  The relaxed backward repeats the
     arithmetic of that chain taped op by op: the rows product's, the
     softmax's, the divide by tau, the draws added one by one from 0.0 in C
     order, as index-select added the gradients of a per-draw gather, then
     the floored log's."""
+    relaxed = len(arrays) == 3 and params.keys() == {"tau", "floor"} and None not in params.values()
+    if not relaxed and (len(arrays) != 1 or params):
+        raise ValueError(
+            "softmax-over-axis takes [a], softmaxed over its last axis, or [w, gumbels, values] with tau and "
+            f"floor, the relaxed mixture sample; got {len(arrays)} inputs and params {params}"
+        )
     a = arrays[0]
     if a.ndim == 0:
         raise ShapeError("softmax-over-axis needs at least one axis")
-    tau, floor = params.get("tau"), params.get("floor")
-    if tau is not None:
-        if not 0.0 < tau < math.inf:
-            raise ValueError(f"softmax-over-axis: tau must be positive and finite, got {tau}")
-        tau = float(tau)
-    if any(needs[1:]):
+    if not relaxed:
+        out = softmax_values(a)
+        return out, lambda g: (_softmax_grad(g, out),)
+    tau, gumbels, values = params["tau"], arrays[1], arrays[2]
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"softmax-over-axis: tau must be positive and finite, got {tau}")
+    tau = float(tau)
+    if needs[1] or needs[2]:
         raise ValueError("softmax-over-axis: the gumbels and values are constants and cannot require a gradient")
-    scores = a
-    if floor is not None:
-        scores, log_bwd = _floored_log(a, floor, "softmax-over-axis")
-    gumbels = len(arrays) > 1
-    if gumbels:
-        g = arrays[1]
-        lead = a.shape[:-1]
-        if g.ndim < a.ndim or g.shape[: len(lead)] != lead or g.shape[-1] != a.shape[-1]:
-            raise ShapeError(
-                f"softmax-over-axis: gumbels {g.shape} do not match input {a.shape}: "
-                "they need its lead axes, then any draw axes, then its support axis"
-            )
-        scores = scores.reshape(lead + (1,) * (g.ndim - a.ndim) + a.shape[-1:]) + g
-    axis = _axis_param(params, scores.ndim, allow_none=False) if "axis" in params else scores.ndim - 1
-    if gumbels and axis != scores.ndim - 1:
-        # Over any other axis, a's scores are constant along the draw axes or
-        # mix maps: not a Gumbel-softmax.
-        raise ValueError("softmax-over-axis: with gumbels the softmax runs over the last axis")
-    if tau is not None:
-        scores = scores / tau
-    out = softmax_values(scores, axis=axis)
-    values = arrays[2] if len(arrays) > 2 else None
+    log_w, log_bwd = _floored_log(a, params["floor"], "softmax-over-axis")
+    lead = a.shape[:-1]
+    if gumbels.ndim < a.ndim or gumbels.shape[: len(lead)] != lead or gumbels.shape[-1] != a.shape[-1]:
+        raise ShapeError(
+            f"softmax-over-axis: gumbels {gumbels.shape} do not match input {a.shape}: "
+            "they need its lead axes, then any draw axes, then its support axis"
+        )
+    p = softmax_values((log_w.reshape(lead + (1,) * (gumbels.ndim - a.ndim) + a.shape[-1:]) + gumbels) / tau)
 
-    def bwd(g_out):
-        if values is not None:
-            g_out = _rows_product_grad(g_out, values)
-        inner = np.add.reduce(g_out * out, axis=axis, keepdims=True)
-        ga = out * (g_out - inner)
-        if tau is not None:
-            ga = ga / tau
-        if gumbels:
-            ga = _sum_draws(ga, a.shape)
-        if floor is not None:
-            ga = log_bwd(ga)
-        return (ga,) + (None,) * (len(arrays) - 1)
+    def bwd(g):
+        ga = _softmax_grad(_rows_product_grad(g, values), p) / tau
+        return log_bwd(_sum_draws(ga, a.shape)), None, None
 
-    if values is None:
-        return out, bwd
-    return _rows_product(out, values, "softmax-over-axis values"), bwd
+    return _rows_product(p, values, "softmax-over-axis values"), bwd
+
+
+def _softmax_grad(g, out):
+    """The gradient at the scores of out = softmax(scores) over the last
+    axis, given the gradient g at out."""
+    return out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))
 
 
 def _sum_draws(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -735,10 +721,6 @@ def multiply(a, b) -> Tensor:
     return forward_op("multiply", [a, b])
 
 
-def divide(a, b) -> Tensor:
-    return forward_op("divide", [a, b])
-
-
 def logarithm(a, floor: float | None = None) -> Tensor:
     """log(a), or with a floor log(max(a, floor)), max taken as
     floored_values takes it, with gradient 0 where a <= floor."""
@@ -764,30 +746,10 @@ def matrix_multiply(a, b, c=None, *, relu: bool = False, rows: bool = False) -> 
     return forward_op("matrix-multiply", [a, b] if c is None else [a, b, c], relu=relu, rows=rows)
 
 
-def relu(a) -> Tensor:
-    return forward_op("relu", [a])
-
-
-def softmax_over_axis(
-    a, axis: int = -1, tau: float | None = None, floor: float | None = None, gumbels=None, values=None
-) -> Tensor:
-    """softmax(a) over axis, or at temperature tau (positive and finite),
-    softmax(a / tau).  With a floor the scores are log(max(a, floor)), as
-    logarithm(a, floor) takes them, with gradient 0 where a <= floor.  With
-    gumbels, a constant (*lead, *draws, n) for an (*lead, n) input, every
-    draw adds its gumbels to the scores, and the softmax is over the last
-    axis.  floor, gumbels and tau together give the Gumbel-softmax
-    softmax((log w + g) / tau) in one record, with the bits of that chain
-    taped op by op.  values, a constant (*lead, *draws, n, m) or one shared
-    (n, m), needs gumbels and turns each draw's softmax p into
-    sum_i p_i values_i, (*lead, *draws, m), with the bits of p times values
-    in matrix_multiply's rows mode."""
-    inputs = [a] if gumbels is None else [a, gumbels]
-    if values is not None:
-        if gumbels is None:
-            raise ValueError("softmax-over-axis: values need gumbels")
-        inputs.append(values)
-    return forward_op("softmax-over-axis", inputs, axis=axis, tau=tau, floor=floor)
+def softmax_over_axis(a) -> Tensor:
+    """softmax(a) over its last axis.  The op's other form, the relaxed
+    mixture sample, is operators.sample_differentiable's one call."""
+    return forward_op("softmax-over-axis", [a])
 
 
 def absolute_value(a, b=None, axis: int | None = None) -> Tensor:
@@ -802,10 +764,6 @@ def square(a, b=None, axis: int | None = None) -> Tensor:
     in one record with the bits of subtract and square.  Given axis, that
     summed over axis, with the bits of sum_over_axis after them."""
     return forward_op("square", [a] if b is None else [a, b], axis=axis)
-
-
-def index_select(a, index, axis: int = 0) -> Tensor:
-    return forward_op("index-select", [a], index=index, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def _loss_closure(loss_name, support, noise, y_ts, distance, x0s):
     )
 
     def f(x: Tensor) -> Tensor:
-        pmap = ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
+        pmap = ProbabilityMap(support, ad.softmax_over_axis(x))
         return loss_fn(pmap, per_point(pmap, y_ts), GRADCHECK_TAU)
 
     return f
@@ -434,7 +434,7 @@ def reparam_gradients(
     count = len(gumbels)
     x = Tensor(np.broadcast_to(logits, (count, support.n)), requires_grad=True)
     with ad.GradientTape():
-        pmap = ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1))
+        pmap = ProbabilityMap(support, ad.softmax_over_axis(x))
         losses = sampled_expected_error_loss(
             pmap, np.full((count, 1), y_t), gumbels[:, None], y_hat[:, None, :, None], tau, "l1"
         )

@@ -465,8 +465,8 @@ def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
 
 
 def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
-    """log w + g, the weights floored at WEIGHT_FLOOR as the taped
-    Gumbel-softmax, softmax_over_axis with floor=WEIGHT_FLOOR, floors them.
+    """log w + g, the weights floored at WEIGHT_FLOOR as the taped relaxed
+    sample, operators.sample_differentiable, floors them.
     Their argmax along the last axis picks a component exactly (Gumbel-max);
     their softmax at a temperature tau is the relaxed choice, and callers at
     several temperatures can share them."""

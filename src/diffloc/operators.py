@@ -188,7 +188,7 @@ def sample_differentiable(pmap: ProbabilityMap, gumbels: np.ndarray, basis_sampl
         )
     # Each draw's relaxed weights times its own (n, ndim) samples, row by
     # row, in the Gumbel-softmax's one record.
-    return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels, values=basis_samples)
+    return ad.forward_op("softmax-over-axis", [pmap.weights, gumbels, basis_samples], tau=tau, floor=WEIGHT_FLOOR)
 
 
 def sampled_expected_error_loss(

@@ -24,6 +24,7 @@ from diffloc.autodiff import (
 )
 from diffloc.mixture import WEIGHT_FLOOR
 from looped_gradcheck import grad_check
+from relaxed_chain import relaxed_sample_chain
 
 STANDARD_OPS = (
     "add",
@@ -133,28 +134,19 @@ def _sample(kind, rng):
     if kind in ("relu", "absolute-value"):
         return [_away_from_zero(rng, (5,), floor=0.1)], {}, (0,)
     if kind == "softmax-over-axis":
-        params = {"axis": int(rng.choice([0, 1, -1]))}
         if rng.random() < 0.5:
-            params["tau"] = float(rng.uniform(0.2, 2.0))
-        a = rng.uniform(-2, 2, (2, 4))
-        mode = rng.integers(4)
-        if mode in (1, 3):
-            # Floored log scores, every input at least 0.05 from the kink.
-            params["floor"] = float(rng.uniform(0.1, 1.0))
-            a = params["floor"] + _away_from_zero(rng, a.shape, floor=0.05)
-        if mode < 2:
-            return [a], params, (0,)
-        # Constant gumbels over no, one or two draw axes, softmaxed over the
-        # last axis, the only one the op takes with them, and kept small so
-        # that no softmax saturates below the finite differences' noise.
+            return [rng.uniform(-2, 2, (2, 4))], {}, (0,)
+        # The relaxed mixture sample: floored log scores, every weight at
+        # least 0.05 from the kink; constant gumbels over no, one or two draw
+        # axes, kept small so that no softmax saturates below the finite
+        # differences' noise; constant values, each draw's own or one shared
+        # (n, m).
+        params = {"tau": float(rng.uniform(0.2, 2.0)), "floor": float(rng.uniform(0.1, 1.0))}
+        a = params["floor"] + _away_from_zero(rng, (2, 4), floor=0.05)
         draws = ((), (1,), (3,), (2, 2))[rng.integers(4)]
         gumbels = rng.uniform(-0.5, 0.5, (2,) + draws + (4,))
-        if rng.random() < 0.5:
-            return [a, gumbels], {**params, "axis": -1}, (0,)
-        # Constant values, each draw's own or one shared (n, m): every draw's
-        # softmax times them, row by row.
         values = rng.uniform(-2, 2, gumbels.shape + (3,) if rng.random() < 0.5 else (4, 3))
-        return [a, gumbels, values], {**params, "axis": -1}, (0,)
+        return [a, gumbels, values], params, (0,)
     if kind == "concatenate":
         parts = [rng.uniform(-2, 2, (int(rng.integers(1, 3)), 2)) for _ in range(3)]
         return parts, {"axis": 0}, (0, 1, 2)
@@ -489,7 +481,7 @@ def test_domain_errors():
     with pytest.raises(ValueError, match="positive"):
         ad.logarithm(Tensor([1.0, 0.0]))
     with pytest.raises(ZeroDivisionError):
-        ad.divide(Tensor([1.0]), Tensor([0.0]))
+        forward_op("divide", [Tensor([1.0]), Tensor([0.0])])
     with pytest.raises(ValueError, match="fractional"):
         forward_op("power", [Tensor([-1.0])], exponent=0.5)
     with pytest.raises(ValueError, match="unknown op"):
@@ -728,13 +720,13 @@ def test_softmax_is_stable_for_large_inputs():
 
 def test_index_select_scalar_drops_axis_and_accumulates_repeats():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    row = ad.index_select(x, 1, axis=0)
+    row = forward_op("index-select", [x], index=1, axis=0)
     assert row.shape == (2,)
     np.testing.assert_array_equal(row.values, [2.0, 3.0])
 
     with GradientTape():
         x = Tensor(np.arange(3.0), requires_grad=True)
-        picked = ad.index_select(x, [0, 0, 2], axis=0)
+        picked = forward_op("index-select", [x], index=[0, 0, 2], axis=0)
         backward(ad.sum_over_axis(picked))
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
@@ -783,7 +775,8 @@ def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
     with GradientTape():
         x = Tensor(a, requires_grad=True)
         weights = rng.normal(size=out.shape)
-        backward(ad.sum_over_axis(ad.multiply(ad.index_select(x, index, axis=axis), Tensor(weights))))
+        picked = forward_op("index-select", [x], index=index, axis=axis)
+        backward(ad.sum_over_axis(ad.multiply(picked, Tensor(weights))))
     reference = np.zeros_like(a)
     np.add.at(reference, where, weights)
     assert np.array_equal(x.grad, reference)
@@ -804,7 +797,7 @@ def test_floored_logarithm_keeps_the_bits_of_its_four_op_chain():
                 out = ad.logarithm(x, floor=floor)
             else:
                 c = Tensor(floor)
-                out = ad.logarithm(ad.add(ad.relu(ad.subtract(x, c)), c))
+                out = ad.logarithm(ad.add(forward_op("relu", [ad.subtract(x, c)]), c))
             backward(ad.sum_over_axis(ad.multiply(out, Tensor(weights))))
         grads.append((out.values, x.grad))
     (fused_out, fused_grad), (chain_out, chain_grad) = grads
@@ -812,14 +805,6 @@ def test_floored_logarithm_keeps_the_bits_of_its_four_op_chain():
     assert np.array_equal(fused_grad, chain_grad)
     assert np.array_equal(np.signbit(fused_grad), np.signbit(chain_grad))
     np.testing.assert_array_equal(fused_out, np.log(ad.floored_values(t, floor)))
-
-
-def _gumbel_softmax_chain(w, gumbels, tau):
-    """The Gumbel-softmax taped op by op: the floored log of the weights, a
-    per-draw gather of it, the gumbels added, the tempered softmax."""
-    per_draw = np.broadcast_to(np.arange(w.shape[-1]), gumbels.shape[w.ndim - 1 :])
-    log_w = ad.index_select(ad.logarithm(w, floor=WEIGHT_FLOOR), per_draw, axis=-1)
-    return ad.softmax_over_axis(ad.add(log_w, Tensor(gumbels)), tau=tau)
 
 
 def _backward_through(fn, arrays, needs, g):
@@ -839,54 +824,18 @@ def _backward_through(fn, arrays, needs, g):
 
 
 @pytest.mark.parametrize(
-    "lead, draws",
-    [((), ()), ((), (1,)), ((), (5,)), ((4,), ()), ((4,), (1,)), ((4,), (5,)), ((4,), (1, 1)), ((4,), (2, 3)),
-     ((2, 3), (3, 1))],
-)
-@pytest.mark.parametrize("tau", [0.01, 0.7])
-def test_one_softmax_keeps_the_bits_of_the_gumbel_softmax_chain(lead, draws, tau):
-    # One draw and two draw axes; weights below, at and just above the floor;
-    # -0.0 upstream gradients, a whole draw of them included.  At tau = 0.01
-    # the floored weights' relaxed weights underflow to 0, so their gradients
-    # are signed zeros before the draws are added.
-    rng = np.random.default_rng([len(lead), len(draws), *draws, int(tau * 100)])
-    w = rng.uniform(0.0, 1.0, lead + (7,))
-    w[..., :4] = [0.0, WEIGHT_FLOOR / 2, WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0)]
-    gumbels = rng.gumbel(size=lead + draws + (7,))
-    weights = np.where(rng.random(gumbels.shape) < 0.3, -0.0, rng.normal(size=gumbels.shape))
-    weights.reshape(lead + (-1, 7))[..., -1, :] = -0.0
-
-    def fused(x):
-        return ad.softmax_over_axis(x, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
-
-    def chain(x):
-        return _gumbel_softmax_chain(x, gumbels, tau)
-
-    # The losses and the leaf's gradient.
-    results = []
-    for fn in (fused, chain):
-        with GradientTape():
-            x = Tensor(w, requires_grad=True)
-            loss = ad.sum_over_axis(ad.multiply(fn(x), Tensor(weights)))
-            backward(loss)
-        results.append((loss.values, x.grad))
-    assert all(_bitwise_equal(f, c) for f, c in zip(*results))
-    # The op's own output and backward, signed zeros included.
-    (out, (grad,)), (chain_out, (chain_grad,)) = (_backward_through(fn, [w], [True], weights) for fn in (fused, chain))
-    assert out.shape == gumbels.shape and _bitwise_equal(out, chain_out)
-    assert _bitwise_equal(grad, chain_grad)
-
-
-@pytest.mark.parametrize(
     "lead, draws, shared",
-    [((), (), False), ((), (5,), True), ((4,), (), True), ((4,), (1,), False), ((4,), (5,), False),
-     ((4,), (5,), True), ((2, 3), (3, 1), False), ((4,), (9,), False)],
+    [((), (), False), ((), (1,), False), ((), (5,), False), ((), (5,), True), ((4,), (), False), ((4,), (), True),
+     ((4,), (1,), False), ((4,), (5,), False), ((4,), (5,), True), ((4,), (9,), False), ((4,), (1, 1), False),
+     ((4,), (1, 1), True), ((4,), (2, 3), False), ((2, 3), (3, 1), False)],
 )
 @pytest.mark.parametrize("tau", [0.01, 0.7])
-def test_relaxed_samples_keep_the_bits_of_a_rows_product_after_the_softmax(lead, draws, shared, tau):
-    # Each draw's own (n, m) values or one shared (n, m); weights below, at
-    # and just above the floor; -0.0 upstream gradients, a whole draw of
-    # them included.
+def test_the_relaxed_sample_keeps_the_bits_of_its_op_by_op_chain(lead, draws, shared, tau):
+    # One draw and two draw axes; each draw's own (n, m) values or one shared
+    # (n, m); weights below, at and just above the floor; -0.0 upstream
+    # gradients, a whole draw of them included.  At tau = 0.01 the floored
+    # weights' relaxed weights underflow to 0, so their gradients are signed
+    # zeros before the draws are added.
     rng = np.random.default_rng([len(lead), len(draws), *draws, int(tau * 100), shared])
     w = rng.uniform(0.0, 1.0, lead + (7,))
     w[..., :4] = [0.0, WEIGHT_FLOOR / 2, WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0)]
@@ -897,12 +846,12 @@ def test_relaxed_samples_keep_the_bits_of_a_rows_product_after_the_softmax(lead,
     weights.reshape(lead + (-1, 3))[..., -1, :] = -0.0
 
     def fused(x):
-        return ad.softmax_over_axis(x, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels, values=values)
+        return forward_op("softmax-over-axis", [x, gumbels, values], tau=tau, floor=WEIGHT_FLOOR)
 
     def chain(x):
-        relaxed = ad.softmax_over_axis(x, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
-        return ad.matrix_multiply(relaxed, Tensor(values), rows=True)
+        return relaxed_sample_chain(x, gumbels, values, tau)
 
+    # The losses and the leaf's gradient, from one record and from six.
     results = []
     for fn in (fused, chain):
         with GradientTape() as tape:
@@ -910,8 +859,9 @@ def test_relaxed_samples_keep_the_bits_of_a_rows_product_after_the_softmax(lead,
             loss = ad.sum_over_axis(ad.multiply(fn(x), Tensor(weights)))
             backward(loss)
         results.append((loss.values, x.grad))
-    assert len(tape) == 4
+        assert len(tape) == (3 if fn is fused else 8)
     assert all(_bitwise_equal(f, c) for f, c in zip(*results))
+    # The op's own output and backward, signed zeros included.
     (out, (grad,)), (chain_out, (chain_grad,)) = (_backward_through(fn, [w], [True], weights) for fn in (fused, chain))
     assert out.shape == out_shape and _bitwise_equal(out, chain_out)
     assert _bitwise_equal(grad, chain_grad)
@@ -989,9 +939,10 @@ def test_a_one_point_softmax_sums_zeros_over_its_draws():
     # With n = 1 numpy sums the draws pairwise, not one by one; a one-point
     # softmax's backward is +0.0 everywhere, so any order gives +0.0.
     gumbels = np.random.default_rng(19).gumbel(size=(3, 20, 1))
-    out, bwd = ad._REGISTRY["softmax-over-axis"]([np.full((3, 1), 0.5), gumbels], {"tau": 0.3}, (True, False))
+    arrays = [np.full((3, 1), 0.5), gumbels, np.random.default_rng(21).normal(size=(1, 2))]
+    out, bwd = ad._REGISTRY["softmax-over-axis"](arrays, {"tau": 0.3, "floor": WEIGHT_FLOOR}, (True, False, False))
     for g in (np.random.default_rng(23).normal(size=out.shape), np.full(out.shape, -0.0)):
-        ga, _ = bwd(g)
+        ga, _, _ = bwd(g)
         assert _bitwise_equal(ga, np.zeros((3, 1)))
 
 
@@ -1030,6 +981,11 @@ def test_a_distance_to_its_target_keeps_the_bits_of_a_subtract_first(kind, sa, s
             assert [v is None for v in f[1:]] == [not need for need in needs]
 
 
+def _row_pick_product(a, b):
+    """The (..., 1, k) @ b product, then its one row picked."""
+    return forward_op("index-select", [ad.matrix_multiply(a, b)], index=0, axis=-2)
+
+
 def _fused_cases():
     """(name, fused, its inputs, chain, the chain's inputs): each fused
     form next to the chain of ops it replaces, on (16, 32) maps, their
@@ -1043,15 +999,12 @@ def _fused_cases():
         cases.append(("affine", lambda x, w, c: ad.matrix_multiply(x, w, c), [x, w, c],
                       lambda x, w, c: ad.add(ad.matrix_multiply(x, w), c), [x, w, c]))
         cases.append(("affine relu", lambda x, w, c: ad.matrix_multiply(x, w, c, relu=True), [x, w, c],
-                      lambda x, w, c: ad.relu(ad.add(ad.matrix_multiply(x, w), c)), [x, w, c]))
+                      lambda x, w, c: forward_op("relu", [ad.add(ad.matrix_multiply(x, w), c)]), [x, w, c]))
         samples = rng.normal(size=lead + (32, 3))
         cases.append(("rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, samples],
-                      lambda a, b: ad.index_select(ad.matrix_multiply(a, b), 0, axis=-2), [x[..., None, :], samples]))
+                      _row_pick_product, [x[..., None, :], samples]))
         cases.append(("shared rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, w],
-                      lambda a, b: ad.index_select(ad.matrix_multiply(a, b), 0, axis=-2), [x[..., None, :], w]))
-        tau = 0.37
-        cases.append(("tempered softmax", lambda a: ad.softmax_over_axis(a, tau=tau), [x],
-                      lambda a: ad.softmax_over_axis(ad.divide(a, Tensor(tau))), [x]))
+                      _row_pick_product, [x[..., None, :], w]))
         for axis in (-1, 0, None):
             count = x.size if axis is None else x.shape[axis]
             cases.append((f"mean over {axis}", lambda a, axis=axis: ad.mean_over_axis(a, axis), [x],
@@ -1098,11 +1051,16 @@ def test_fused_product_shape_errors():
             ad.matrix_multiply(Tensor(np.ones(sa)), Tensor(np.ones(sb)), rows=True)
 
 
+def _relaxed_sample(w, gumbels, values, tau=1.0, floor=WEIGHT_FLOOR):
+    return forward_op("softmax-over-axis", [w, gumbels, values], tau=tau, floor=floor)
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf"), -float("inf")])
 def test_softmax_tau_must_be_positive(tau):
-    # At tau = inf every softmax would be the uniform one, whatever its input.
+    # At tau = inf every relaxed sample would be the mean of its values,
+    # whatever the weights.
     with pytest.raises(ValueError, match="tau must be positive and finite"):
-        ad.softmax_over_axis(Tensor([1.0, 0.5]), tau=tau)
+        _relaxed_sample(Tensor([1.0, 0.5]), np.zeros(2), np.zeros((2, 1)), tau=tau)
 
 
 @pytest.mark.parametrize("floor", [0.0, -1e-3, float("nan")])
@@ -1110,7 +1068,7 @@ def test_logarithm_floor_must_be_positive(floor):
     with pytest.raises(ValueError, match="floor must be positive"):
         ad.logarithm(Tensor([1.0, 0.5]), floor=floor)
     with pytest.raises(ValueError, match="floor must be positive"):
-        ad.softmax_over_axis(Tensor([1.0, 0.5]), floor=floor)
+        _relaxed_sample(Tensor([1.0, 0.5]), np.zeros(2), np.zeros((2, 1)), floor=floor)
 
 
 def test_softmax_gumbels_and_distance_targets_must_fit():
@@ -1118,20 +1076,15 @@ def test_softmax_gumbels_and_distance_targets_must_fit():
     for shape in ((5,), (3, 5), (4, 3, 6), (4, 2, 4)):
         # Lower rank, other lead axes, another last axis.
         with pytest.raises(ShapeError, match="gumbels"):
-            ad.softmax_over_axis(w, gumbels=np.zeros(shape), floor=1e-12)
+            _relaxed_sample(w, np.zeros(shape), np.zeros((5, 2)))
     with pytest.raises(ValueError, match="constant"):
-        ad.softmax_over_axis(w, gumbels=Tensor(np.zeros((4, 5)), requires_grad=True))
-    for axis in (0, 1, -2):
-        with pytest.raises(ValueError, match="last axis"):
-            ad.softmax_over_axis(w, axis=axis, gumbels=np.zeros((4, 3, 5)))
+        _relaxed_sample(w, Tensor(np.zeros((4, 5)), requires_grad=True), np.zeros((5, 2)))
     for shape in ((5,), (4, 5, 2), (3, 5, 2), (4, 3, 6, 2), (2, 4, 3, 5, 2)):
         # Neither one shared (n, m) nor each draw's own.
         with pytest.raises(ShapeError, match="values"):
-            ad.softmax_over_axis(w, gumbels=np.zeros((4, 3, 5)), values=np.zeros(shape))
+            _relaxed_sample(w, np.zeros((4, 3, 5)), np.zeros(shape))
     with pytest.raises(ValueError, match="constant"):
-        ad.softmax_over_axis(w, gumbels=np.zeros((4, 5)), values=Tensor(np.zeros((5, 2)), requires_grad=True))
-    with pytest.raises(ValueError, match="values need gumbels"):
-        ad.softmax_over_axis(w, values=np.zeros((5, 2)))
+        _relaxed_sample(w, np.zeros((4, 5)), Tensor(np.zeros((5, 2)), requires_grad=True))
     for op in (ad.absolute_value, ad.square):
         for axis in (2, -3):
             with pytest.raises(ShapeError, match="axis"):
@@ -1140,6 +1093,22 @@ def test_softmax_gumbels_and_distance_targets_must_fit():
         for sb in ((4,), (5, 4), (1, 5), (2, 5, 4)):
             with pytest.raises(ShapeError, match="suffix-broadcast"):
                 op(Tensor(np.ones((4, 5)), requires_grad=True), Tensor(np.ones(sb)))
+
+
+@pytest.mark.parametrize(
+    "count, params",
+    [(0, {}), (1, {"tau": 0.5}), (1, {"floor": 1e-12}), (1, {"axis": -1}), (1, {"axis": 0}),
+     (1, {"tau": 0.5, "floor": 1e-12}), (2, {}), (2, {"tau": 0.5, "floor": 1e-12}), (3, {}), (3, {"tau": 0.5}),
+     (3, {"floor": 1e-12}), (3, {"tau": None, "floor": 1e-12}), (3, {"tau": 0.5, "floor": None}),
+     (3, {"tau": 0.5, "floor": 1e-12, "axis": -1}), (4, {"tau": 0.5, "floor": 1e-12})],
+)
+def test_softmax_takes_only_its_two_forms(count, params):
+    # [a] alone, or [w, gumbels, values] with tau and floor: anything else,
+    # a tau or floor of None included, fails naming both, and no parameter
+    # is ignored.
+    arrays = [np.full((4, 5), 0.2), np.zeros((4, 3, 5)), np.zeros((5, 2)), np.zeros((5, 2))][:count]
+    with pytest.raises(ValueError, match=r"takes \[a\], .* or \[w, gumbels, values\] with tau and floor"):
+        forward_op("softmax-over-axis", arrays, **params)
 
 
 def test_concatenate_backward_splits():
@@ -1252,7 +1221,9 @@ def test_batched_grad_check_rejects_mixed_rows():
     [
         (lambda x: ad.sum_over_axis(ad.square(x)), "f gave 1 values for 5 stack rows"),
         (
-            lambda x: ad.index_select(_squares(x), np.arange(x.shape[0] - 1)) if x.shape[0] > 1 else _squares(x),
+            lambda x: forward_op("index-select", [_squares(x)], index=np.arange(x.shape[0] - 1))
+            if x.shape[0] > 1
+            else _squares(x),
             "f gave 4 values for 5 stack rows",
         ),
         (lambda x: ad.sum_over_axis(ad.square(x)), "f gave 1 values for 2 points"),

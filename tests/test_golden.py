@@ -8,11 +8,17 @@ from golden_outputs import MANIFEST, commands, environment, generate
 
 
 def test_outputs_keep_their_bits(tmp_path):
+    # The file list and the commands, each of which must exit 0, are checked
+    # on any machine; the bits depend on Python, numpy and the BLAS kernel,
+    # so the digests are compared only where the manifest was made.
     manifest = json.loads(MANIFEST.read_text())
-    if manifest["environment"] != environment():
-        pytest.skip(f"the manifest was made on {manifest['environment']}, this is {environment()}")
     assert sorted(manifest["files"]) == sorted(commands())
     digests = generate(tmp_path)
+    if manifest["environment"] != environment():
+        pytest.skip(
+            f"all {len(digests)} golden files were made, but their digests are not compared: "
+            f"the manifest was made on {manifest['environment']}, this is {environment()}"
+        )
     moved = [
         f"{name} ({entry['command']})"
         for name, entry in manifest["files"].items()

@@ -733,7 +733,7 @@ class TestBatchedStep:
         logits = model.logits(obs)
         terms, total = [], None
         for r in range(obs.shape[0]):
-            weights = ad.softmax_over_axis(ad.index_select(logits, r, axis=0), axis=-1)
+            weights = ad.softmax_over_axis(ad.forward_op("index-select", [logits], index=r, axis=0))
             pmap, y = ProbabilityMap(support, weights), targets[r]
             if config.loss == "soft":
                 term = error_of_expectation_loss(pmap, y, distance)

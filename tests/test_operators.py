@@ -33,6 +33,7 @@ from diffloc.operators import (
     variance_regularizer,
 )
 from looped_gradcheck import grad_check
+from relaxed_chain import gumbel_softmax_chain
 
 
 def make_map(n=8, seed=0, spacing=1.0):
@@ -40,18 +41,19 @@ def make_map(n=8, seed=0, spacing=1.0):
     return ProbabilityMap(Support.regular_grid(n, spacing=spacing), Tensor(weights))
 
 
-def gumbel_softmax(pmap, gumbels, tau):
-    """The taped Gumbel-softmax, softmax((log w + g) / tau) with the weights
-    floored at WEIGHT_FLOOR, as one softmax-over-axis record: gumbels is
-    (*batch, *draws, n) for the map's (*batch, n) weights."""
-    return ad.softmax_over_axis(pmap.weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels)
+def gumbel_softmax(weights, gumbels, tau):
+    """The relaxed one-hots softmax((log w + g) / tau), the weights floored
+    at WEIGHT_FLOOR, as distcheck spells them: an array, for (*lead, n)
+    weights and (*lead, *draws, n) gumbels."""
+    per_draw = weights.reshape(weights.shape[:-1] + (1,) * (gumbels.ndim - weights.ndim) + weights.shape[-1:])
+    return softmax_values(gumbel_scores(per_draw, gumbels) / tau)
 
 
-def gumbel_softmax_values(weights, gumbels, tau):
-    """The same record run under no_grad on (..., n) weights and
-    (..., *draws, n) gumbels: the relaxed one-hots as an array."""
-    with ad.no_grad():
-        return ad.softmax_over_axis(weights, tau=tau, floor=WEIGHT_FLOOR, gumbels=gumbels).values
+def relaxed_weights(weights, gumbels, tau):
+    """softmax-over-axis's relaxed sample of the identity's rows: the op's
+    own relaxed weights, an array."""
+    n = weights.shape[-1]
+    return ad.forward_op("softmax-over-axis", [weights, gumbels, np.eye(n)], tau=tau, floor=WEIGHT_FLOOR).values
 
 
 def one_draw(source, n, ndim=1):
@@ -159,7 +161,7 @@ class TestErrorOfExpectation:
         y = np.array([2.3])
 
         def f(logits):
-            w = ad.softmax_over_axis(logits, axis=-1)
+            w = ad.softmax_over_axis(logits)
             return error_of_expectation_loss(ProbabilityMap(sup, w), y, "l2-squared")
 
         x0 = np.random.default_rng(4).normal(0.0, 1.0, 6)
@@ -195,7 +197,7 @@ class TestDiscreteExpectedError:
         y = np.array([1.7])
 
         def f(logits):
-            w = ad.softmax_over_axis(logits, axis=-1)
+            w = ad.softmax_over_axis(logits)
             return discrete_expected_error_loss(ProbabilityMap(sup, w), y, "l1")
 
         x0 = np.random.default_rng(6).normal(0.0, 1.0, 5)
@@ -211,65 +213,32 @@ class TestGumbelSoftmax:
         pmap = make_map(seed=7)
         for tau in (0.05, 0.5, 2.0):
             gumbels, _ = one_draw(NoiseSource(8), pmap.n)
-            relaxed = gumbel_softmax(pmap, gumbels, tau)
-            assert relaxed.values.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(relaxed.values >= 0.0)
+            relaxed = gumbel_softmax(pmap.weight_values, gumbels, tau)
+            assert relaxed.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(relaxed >= 0.0)
 
     def test_sharp_tau_is_one_hot_at_gumbel_max(self):
         pmap = make_map(seed=9)
         gumbels, _ = one_draw(NoiseSource(10), pmap.n)
         winner = int(np.argmax(np.log(pmap.weight_values) + gumbels))
-        relaxed = gumbel_softmax(pmap, gumbels, 0.001).values
+        relaxed = gumbel_softmax(pmap.weight_values, gumbels, 0.001)
         assert int(np.argmax(relaxed)) == winner
         assert relaxed[winner] == pytest.approx(1.0, abs=1e-6)
 
-    def test_values_twin_is_bitwise_equal(self):
-        pmap = make_map(seed=11)
-        gumbels, _ = one_draw(NoiseSource(12), pmap.n)
-        for tau in (0.05, 1.0):
-            t = gumbel_softmax(pmap, gumbels, tau).values
-            v = gumbel_softmax_values(pmap.weight_values, gumbels, tau)
-            np.testing.assert_array_equal(t, v)
-
-    def test_values_twin_batches_rows(self):
-        w = softmax_values(np.random.default_rng(13).normal(0, 1, (4, 6)), axis=-1)
-        g = np.random.default_rng(14).gumbel(size=(4, 6))
-        batch = gumbel_softmax_values(w, g, 0.7)
-        for i in range(4):
-            np.testing.assert_array_equal(batch[i], gumbel_softmax_values(w[i], g[i], 0.7))
-
     @pytest.mark.parametrize("lead, draws", [((), ()), ((), (5,)), ((4,), ()), ((4,), (5,)), ((4,), (2, 3))])
-    def test_one_op_keeps_the_bits_of_the_numpy_formula(self, lead, draws):
-        # A lone map and a batch, with and without draw axes: the op's
-        # forward, its no_grad twin and softmax((log w + g) / tau) over the
-        # Gumbel-max scores.
+    def test_the_op_keeps_the_bits_of_the_numpy_formula(self, lead, draws):
+        # A lone map and a batch, with and without draw axes: the relaxed
+        # weights inside the op are softmax((log w + g) / tau) over the
+        # Gumbel-max scores, and each map of a batch gets the bits it gets
+        # alone.
         rng = np.random.default_rng([len(lead), len(draws)])
         w = softmax_values(rng.normal(0.0, 1.5, lead + (8,)))
         gumbels = rng.gumbel(size=lead + draws + (8,))
-        pmap = ProbabilityMap(Support.regular_grid(8), Tensor(w))
         for tau in (0.05, 0.7):
-            formula = softmax_values(gumbel_scores(w.reshape(lead + (1,) * len(draws) + (8,)), gumbels) / tau)
-            assert gumbel_softmax(pmap, gumbels, tau).values.tobytes() == formula.tobytes()
-            assert gumbel_softmax_values(w, gumbels, tau).tobytes() == formula.tobytes()
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tau_must_be_positive_and_finite(self, tau):
-        # At tau = inf every relaxed sample would be the uniform map.
-        pmap = make_map()
-        gumbels, _ = one_draw(NoiseSource(0), pmap.n)
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            gumbel_softmax(pmap, gumbels, tau)
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            gumbel_softmax_values(pmap.weight_values, gumbels, tau)
-
-    def test_rejects_bad_inputs(self):
-        pmap = make_map()
-        gumbels, _ = one_draw(NoiseSource(0), pmap.n)
-        with pytest.raises(ValueError, match="tau"):
-            gumbel_softmax(pmap, gumbels, 0.0)
-        short_gumbels, _ = one_draw(NoiseSource(0), pmap.n - 1)
-        with pytest.raises(ValueError, match="support"):
-            gumbel_softmax(pmap, short_gumbels, 1.0)
+            relaxed = relaxed_weights(w, gumbels, tau)
+            assert relaxed.tobytes() == gumbel_softmax(w, gumbels, tau).tobytes()
+            for i in np.ndindex(lead):
+                assert relaxed_weights(w[i], gumbels[i], tau).tobytes() == relaxed[i].tobytes()
 
     def test_argmax_frequency_tracks_weights(self):
         # Over many draws the sharp-relaxation winner follows the weights.
@@ -279,7 +248,7 @@ class TestGumbelSoftmax:
         draws = 20_000
         for _ in range(draws):
             gumbels, _ = one_draw(source, 5)
-            counts[int(np.argmax(gumbel_softmax(pmap, gumbels, 0.05).values))] += 1
+            counts[int(np.argmax(gumbel_softmax(pmap.weight_values, gumbels, 0.05)))] += 1
         np.testing.assert_allclose(counts / draws, pmap.weight_values, atol=0.01)
 
 
@@ -309,6 +278,23 @@ class TestSampleDifferentiable:
         with pytest.raises(ValueError, match="dimensionality"):
             sample_differentiable(pmap, gumbels, one_axis, 1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        # At tau = inf every relaxed sample would be the mean of its basis
+        # samples, whatever the map.
+        pmap = make_map()
+        gumbels, uniforms = one_draw(NoiseSource(0), pmap.n)
+        samples = basis_sample_all(MixtureSpec("triangular"), pmap.support, uniforms)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            sample_differentiable(pmap, gumbels, samples, tau)
+
+    def test_gumbels_must_fit_the_support(self):
+        pmap = make_map()
+        gumbels, uniforms = one_draw(NoiseSource(0), pmap.n - 1)
+        samples = basis_sample_all(MixtureSpec("triangular"), Support.regular_grid(pmap.n - 1), uniforms)
+        with pytest.raises(ValueError, match="support"):
+            sample_differentiable(pmap, gumbels, samples, 1.0)
+
 
 def draws(seed, count, n, spec=MixtureSpec("triangular")):
     """(count, n) gumbels and (count, n, 1) basis samples under `spec` on a
@@ -320,9 +306,9 @@ def draws(seed, count, n, spec=MixtureSpec("triangular")):
 def spec_chain_loss(pmap, spec, y_t, gumbels, uniforms, tau, distance):
     """The sampled loss as written when it took a spec and basis uniforms
     and drew its basis samples itself."""
-    rows = gumbel_softmax(pmap, gumbels[..., None, :], tau)
+    rows = gumbel_softmax_chain(pmap.weights, gumbels[..., None, :], tau)
     samples = basis_sample_all(spec, pmap.support, uniforms)
-    relaxed = ad.index_select(ad.matrix_multiply(rows, Tensor(samples)), 0, axis=-2)
+    relaxed = ad.forward_op("index-select", [ad.matrix_multiply(rows, Tensor(samples))], index=0, axis=-2)
     diff = ad.subtract(relaxed, Tensor(np.broadcast_to(y_t[..., None, :], relaxed.shape)))
     per_draw = ad.sum_over_axis(ad.absolute_value(diff) if distance == "l1" else ad.square(diff), axis=-1)
     return ad.multiply(ad.sum_over_axis(per_draw, axis=-1), Tensor(1.0 / gumbels.shape[-2]))
@@ -339,7 +325,7 @@ class TestSampledExpectedErrorLoss:
         total = 0.0
         for _ in range(4):
             gumbels, uniforms = one_draw(source, pmap.n)
-            relaxed = gumbel_softmax_values(pmap.weight_values, gumbels, tau)
+            relaxed = gumbel_softmax(pmap.weight_values, gumbels, tau)
             samples = basis_sample_all(spec, pmap.support, uniforms)
             total = total + np.abs(relaxed @ samples - y).sum()
         assert loss.item() == pytest.approx(total * (1.0 / 4.0), rel=1e-15)
@@ -379,7 +365,7 @@ class TestSampledExpectedErrorLoss:
         def loss_and_grad(loss_fn):
             with GradientTape():
                 x = Tensor(logits, requires_grad=True)
-                loss = loss_fn(ProbabilityMap(support, ad.softmax_over_axis(x, axis=-1)))
+                loss = loss_fn(ProbabilityMap(support, ad.softmax_over_axis(x)))
                 ad.backward(ad.sum_over_axis(loss))
                 return loss.values.tobytes(), x.grad.tobytes()
 
@@ -394,7 +380,7 @@ class TestSampledExpectedErrorLoss:
         frozen = draws(27, 3, 6)
 
         def f(logits):
-            pmap = ProbabilityMap(sup, ad.softmax_over_axis(logits, axis=-1))
+            pmap = ProbabilityMap(sup, ad.softmax_over_axis(logits))
             return sampled_expected_error_loss(pmap, y, *frozen, 0.7)
 
         x0 = np.random.default_rng(28).normal(0.0, 1.0, 6)
@@ -470,7 +456,7 @@ class TestVarianceRegularizer:
         sup = Support.regular_grid(6)
 
         def f(logits):
-            w = ad.softmax_over_axis(logits, axis=-1)
+            w = ad.softmax_over_axis(logits)
             return variance_regularizer(ProbabilityMap(sup, w), 3.0)
 
         assert grad_check(f, np.random.default_rng(30).normal(0, 1, 6)).passed
@@ -525,7 +511,7 @@ class TestJsRegularizer:
         center0 = softmax_values(x0) @ sup.positions
 
         def f(logits):
-            w = ad.softmax_over_axis(logits, axis=-1)
+            w = ad.softmax_over_axis(logits)
             return js_regularizer(ProbabilityMap(sup, w), 4.0, center=center0)
 
         assert grad_check(f, x0).passed
