@@ -6,11 +6,12 @@ walks the tape once in reverse and gives the leaves their gradients.  The
 block owns its tape: reference counting frees it when the block ends.
 Outside a tape nothing is recorded.  The op set is small and closed:
 elementwise arithmetic, a few shape ops, matrix multiply (with an optional
-addend and relu after it, or row by row), relu, the distances |a - b| and
-(a - b)^2 (optionally summed over an axis), and softmax in two forms: the
-plain softmax over the last axis, and the relaxed mixture sample
+addend and relu after it), relu, the distances |a - b| and (a - b)^2
+(optionally summed over an axis), and softmax in two forms: the plain
+softmax over the last axis, and the relaxed mixture sample
 sum_i softmax((log w + g) / tau)_i y_i of constant gumbels g and values y
-in one record.
+in one record.  Every matrix product is one rows product, in which a row
+has the bits it has alone, wherever it sits in a batch.
 Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
@@ -466,42 +467,35 @@ def _build_mean_over_axis(arrays, params, needs):
     return np.add.reduce(a, axis=axis) * scale, bwd
 
 
-def _rows_product(a, b, what="matrix-multiply rows"):
-    """(..., k) @ (..., k, m) or (k, m) -> (..., m): each row of a times its
-    own matrix of b, or every row times the one shared matrix, as the stacked
-    (..., 1, k) @ b product."""
-    stacked = b.ndim == a.ndim + 1 and a.shape[:-1] == b.shape[:-2]
-    if a.ndim == 0 or not (stacked or b.ndim == 2) or a.shape[-1:] != b.shape[-2:-1]:
-        raise ShapeError(f"{what}: need (..., k) @ (..., k, m) or (k, m), got {a.shape} @ {b.shape}")
-    return (a[..., None, :] @ b)[..., 0, :]
-
-
-def _rows_product_grad(g, b):
-    """The gradient at a of _rows_product(a, b) given the gradient g at it."""
-    return (g[..., None, :] @ b.swapaxes(-1, -2))[..., 0, :]
+def _rows_product(a, b, what="matrix-multiply"):
+    """(..., k) @ (k, m) or (..., k, m) -> (..., m), each row with the bits it
+    has alone.  A shared (k, m) matrix takes the rows in fixed blocks of four,
+    padded with copies of the last row and the pad dropped, so every BLAS call
+    has one shape; a stack takes each row with its own matrix."""
+    if b.ndim == 2 and a.ndim and a.shape[-1] == b.shape[0]:
+        lead, (k, m) = a.shape[:-1], b.shape
+        count = math.prod(lead)
+        pad = -count % 4
+        if not pad:
+            return (a.reshape(count // 4, 4, k) @ b).reshape(*lead, m)
+        flat = a.reshape(count, k)
+        flat = np.concatenate((flat, flat[[-1] * pad])).reshape((count + pad) // 4, 4, k)
+        return (flat @ b).reshape(count + pad, m)[:count].reshape(*lead, m)
+    if a.ndim and b.ndim == a.ndim + 1 and a.shape == b.shape[:-1]:
+        return (a[..., None, :] @ b)[..., 0, :]
+    raise ShapeError(f"{what}: need (..., k) @ (k, m) or (..., k, m), got {a.shape} @ {b.shape}")
 
 
 def _build_matrix_multiply(arrays, params, needs):
-    """a @ b, then the addend c (a @ b + c, c suffix-broadcast onto the
-    product) when given as a third input, then relu when params["relu"].
-    Without params["rows"] both operands have 2 or more axes.  With it, a is
-    a stack of rows, each multiplied by its own matrix, (..., k) @ (..., k, m),
-    or every one by the same matrix, (..., k) @ (k, m): (..., m)."""
+    """The rows product a @ b (see _rows_product), then the addend c
+    (a @ b + c, c suffix-broadcast onto the product) when given as a third
+    input, then relu when params["relu"]."""
+    if len(arrays) not in (2, 3):
+        raise ValueError(f"matrix-multiply takes 2 or 3 inputs, [a, b] or [a, b, c], got {len(arrays)}")
     a, b = arrays[:2]
-    rows = params.get("rows", False)
-    if rows:
-        out = _rows_product(a, b)
-    else:
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError(f"matrix-multiply: {a.shape} @ {b.shape}: need 2+ axes each; a (k,) row takes rows=True")
-        if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-            raise ShapeError(f"matrix-multiply: batch dims differ, {a.shape} @ {b.shape}")
-        try:
-            out = a @ b
-        except ValueError as err:
-            raise ShapeError(f"matrix-multiply: {a.shape} @ {b.shape}") from err
+    out = _rows_product(a, b)
     if len(arrays) > 2:
-        (c,) = arrays[2:]
+        c = arrays[2]
         if c.ndim > out.ndim or out.shape[out.ndim - c.ndim :] != c.shape:
             raise ShapeError(f"matrix-multiply: addend {c.shape} does not suffix-broadcast onto {out.shape}")
         out += c
@@ -516,13 +510,10 @@ def _build_matrix_multiply(arrays, params, needs):
             # out > 0 exactly where the product plus addend is.
             g = g * (out > 0.0)
         gc = (_reduce_to(g, arrays[2].shape),) if need_c else (None,) * (len(arrays) - 2)
-        if rows:
-            ga = _rows_product_grad(g, b) if need_a else None
-            gb = _reduce_to(a[..., :, None] @ g[..., None, :], b.shape) if need_b else None
-        else:
-            ga = _reduce_to(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
-            gb = _reduce_to(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
-        return (ga, gb) + gc
+        ga = _rows_product(g, b.swapaxes(-1, -2)) if need_a else None
+        if need_b and b.ndim == 2:
+            return (ga, a.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])) + gc
+        return (ga, a[..., :, None] @ g[..., None, :] if need_b else None) + gc
 
     return out, bwd
 
@@ -549,7 +540,7 @@ def _build_softmax_over_axis(arrays, params, needs):
     gumbels, a constant (*lead, *draws, n) for (*lead, n) weights, are added
     to the scores of every draw; the values, a constant (*lead, *draws, n,
     m) or one shared (n, m), give each draw's p times them as
-    matrix-multiply's rows mode does.  The relaxed backward repeats the
+    matrix-multiply does.  The relaxed backward repeats the
     arithmetic of that chain taped op by op: the rows product's, the
     softmax's, the divide by tau, the draws added one by one from 0.0 in C
     order, as index-select added the gradients of a per-draw gather, then
@@ -582,7 +573,7 @@ def _build_softmax_over_axis(arrays, params, needs):
     p = softmax_values((log_w.reshape(lead + (1,) * (gumbels.ndim - a.ndim) + a.shape[-1:]) + gumbels) / tau)
 
     def bwd(g):
-        ga = _softmax_grad(_rows_product_grad(g, values), p) / tau
+        ga = _softmax_grad(_rows_product(g, values.swapaxes(-1, -2)), p) / tau
         return log_bwd(_sum_draws(ga, a.shape)), None, None
 
     return _rows_product(p, values, "softmax-over-axis values"), bwd
@@ -737,13 +728,12 @@ def mean_over_axis(a, axis: int | None = None) -> Tensor:
     return forward_op("mean-over-axis", [a], axis=axis)
 
 
-def matrix_multiply(a, b, c=None, *, relu: bool = False, rows: bool = False) -> Tensor:
-    """a @ b of operands with 2 or more axes; plus the addend c,
-    suffix-broadcast onto the product, when given; then relu when asked.
-    With rows, a (..., k) stack of rows times a (..., k, m) stack of
-    matrices, row by row, or times one shared (k, m) matrix: (..., m).  A
-    row's product then has the bits it has alone."""
-    return forward_op("matrix-multiply", [a, b] if c is None else [a, b, c], relu=relu, rows=rows)
+def matrix_multiply(a, b, c=None, *, relu: bool = False) -> Tensor:
+    """A (..., k) stack of rows times one shared (k, m) matrix, or each row
+    times its own of a (..., k, m) stack: (..., m), each row's product with
+    the bits it has alone.  Plus the addend c, suffix-broadcast onto the
+    product, when given; then relu when asked."""
+    return forward_op("matrix-multiply", [a, b] if c is None else [a, b, c], relu=relu)
 
 
 def softmax_over_axis(a) -> Tensor:

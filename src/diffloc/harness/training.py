@@ -300,7 +300,7 @@ def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
 
 def _predict(model, support, obs, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weight rows, predictions, L1 errors) of a split, each prediction
-    the bits soft_argmax gives that example's lone map."""
+    with the bits its example gets alone, wherever it sits in the split."""
     rows = ad.softmax_values(model.logit_values(obs), axis=-1)
     preds = inference_localize(ProbabilityMap(support, Tensor(rows)))
     return rows, preds, np.abs(preds - targets).sum(axis=-1)

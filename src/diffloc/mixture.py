@@ -10,6 +10,9 @@ basis cdf.
 
 Bases are never truncated at the support bounds; a little mass may sit
 outside and that is intentional, it keeps every formula exact.
+
+Every weighted sum is autodiff's rows product or, for the pdf and cdf, its
+one-column case, so a query point or a map gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -291,7 +294,9 @@ def _weighted_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     OpenBLAS sums a matrix-vector product's rows in groups of four and the
     rest, or a lone vector's dot product, another way; so the rows are padded
-    to a multiple of 4 with copies of the last, and the pad dropped."""
+    to a multiple of 4 with copies of the last, and the pad dropped.  Those
+    are the bits of _rows_product(rows, w[:, None])[..., 0], in one call
+    instead of one per block: a third of the time at 1 024 rows of 16."""
     flat = rows.reshape(-1, rows.shape[-1])
     count = flat.shape[0]
     if count % 4:
@@ -328,8 +333,8 @@ def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | floa
 def mixture_moments(pmap: ProbabilityMap, spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Exact (mean, per-axis variance) of the mixture.
 
-    The mean is basis-independent: sum_i w_i y_i, the row-by-row product
-    that soft_argmax and inference_localize take, so it has their bits.
+    The mean is basis-independent: sum_i w_i y_i, the rows product that
+    soft_argmax and inference_localize take, so it has their bits.
     Each axis variance is sum_i w_i (y_id^2 + v_b) - mean_d^2 where v_b is
     the basis variance, its second moment the same product of the squared
     positions that variance_regularizer takes.

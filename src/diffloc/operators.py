@@ -10,8 +10,8 @@ randomness, no temperature.
 
 Every loss and regularizer takes a map whose weights are (..., n) and returns
 one loss per map, shape (...).  A map in a batch gets the bits it gets alone:
-each expectation is a row-by-row product (matrix_multiply's rows mode), not
-one matrix product over the batch, which can round differently.
+each expectation is matrix_multiply's rows product, whose rows are
+multiplied in fixed blocks of four, so no row's bits depend on the others.
 
 Relaxed sampling takes all of its randomness as arrays: the gumbels and the
 per-component basis samples y_hat_i, which mixture.basis_sample_all makes
@@ -141,9 +141,9 @@ def _target_points(pmap: ProbabilityMap, y_t) -> np.ndarray:
 
 
 def soft_argmax(pmap: ProbabilityMap) -> Tensor:
-    """Expectation of each map: weights @ positions, row by row, shape
+    """Expectation of each map: weights @ positions, the rows product, shape
     (..., ndim)."""
-    return ad.matrix_multiply(pmap.weights, Tensor(pmap.support.positions), rows=True)
+    return ad.matrix_multiply(pmap.weights, Tensor(pmap.support.positions))
 
 
 def error_of_expectation_loss(pmap: ProbabilityMap, y_t, distance: str = "l1") -> Tensor:
@@ -238,7 +238,7 @@ def variance_regularizer(pmap: ProbabilityMap, sigma_t_sq: float) -> Tensor:
         raise ValueError("sigma_t_sq must be positive")
     mean = soft_argmax(pmap)
     pos = pmap.support.positions
-    second = ad.matrix_multiply(pmap.weights, Tensor(pos * pos), rows=True)
+    second = ad.matrix_multiply(pmap.weights, Tensor(pos * pos))
     per_axis = ad.subtract(second, ad.square(mean))
     total = ad.sum_over_axis(per_axis, axis=-1)
     return ad.square(total, float(sigma_t_sq))
@@ -284,6 +284,6 @@ def js_regularizer(pmap: ProbabilityMap, sigma_t_sq: float, center=None) -> Tens
 
 def inference_localize(pmap: ProbabilityMap) -> np.ndarray:
     """Test-time prediction: the map's expectation, computed without tensors,
-    tapes, or randomness.  Matches soft_argmax values bitwise: the same
-    row-by-row product."""
+    tapes, or randomness.  Matches soft_argmax values bitwise: the same rows
+    product."""
     return ad._rows_product(pmap.weight_values, pmap.support.positions)

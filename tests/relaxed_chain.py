@@ -21,4 +21,4 @@ def gumbel_softmax_chain(w, gumbels, tau):
 def relaxed_sample_chain(w, gumbels, values, tau):
     """sum_i p_i values_i of the chain's relaxed weights p and constant
     values, (*lead, *draws, n, m) or one shared (n, m): a rows product."""
-    return ad.matrix_multiply(gumbel_softmax_chain(w, gumbels, tau), Tensor(values), rows=True)
+    return ad.matrix_multiply(gumbel_softmax_chain(w, gumbels, tau), Tensor(values))

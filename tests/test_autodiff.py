@@ -127,7 +127,7 @@ def _sample(kind, rng):
         if case < 3:
             # Rows times one shared matrix: a lone row, a stack, a stack of stacks.
             lead = ((), (2,), (2, 3))[case]
-            return [rng.uniform(-2, 2, lead + (k,)), rng.uniform(-2, 2, (k, 2))], {"rows": True}, (0, 1)
+            return [rng.uniform(-2, 2, lead + (k,)), rng.uniform(-2, 2, (k, 2))], {}, (0, 1)
         if case == 3:
             return [rng.uniform(-2, 2, (2, k)), rng.uniform(-2, 2, (k, 3))], {}, (0, 1)
         return [rng.uniform(-2, 2, (2, 2, k)), rng.uniform(-2, 2, (k, 3))], {}, (0, 1)
@@ -172,21 +172,20 @@ def _sample_distance(rng):
 
 
 def _sample_fused_product(rng, k, case):
-    """matrix-multiply with an addend, a relu epilogue or in row mode.  A
-    relu's addend puts every entry of the sum at least 0.25 from its kink."""
+    """matrix-multiply with an addend or a relu epilogue, or of rows each
+    times its own matrix.  A relu's addend puts every entry of the sum at
+    least 0.25 from its kink."""
     if case in (5, 6):
         a, b = rng.uniform(-2, 2, (2, 2, k)), rng.uniform(-2, 2, (k, 3))
-        params = {}
     else:
         a, b = rng.uniform(-2, 2, (2, 3, k)), rng.uniform(-2, 2, (2, 3, k, 2))
-        params = {"rows": True}
     if case == 7:
-        return [a, b], params, (0, 1)
+        return [a, b], {}, (0, 1)
     if case == 5:
-        return [a, b, rng.uniform(-2, 2, 3)], params, (0, 1, 2)
-    product = (a[..., None, :] @ b)[..., 0, :] if params else a @ b
+        return [a, b, rng.uniform(-2, 2, 3)], {}, (0, 1, 2)
+    product = ad._rows_product(a, b)
     c = _away_from_zero(rng, product.shape) - product
-    return [a, b, c], {**params, "relu": True}, (0, 1, 2)
+    return [a, b, c], {"relu": True}, (0, 1, 2)
 
 
 # Each op kind's seed index, written out so that adding or removing an op kind
@@ -469,11 +468,11 @@ def test_shape_errors():
 
 
 def test_a_vector_times_a_stack_is_rejected_at_the_call():
-    # A plain product takes operands of 2 or more axes; a (k,) row is a
-    # product with rows=True.
+    # A (k,) row takes one shared (k, m) matrix; a stack of matrices needs a
+    # row for each, and b needs 2 or more axes.
     for need in (True, False):
-        for sa, sb in (((4,), (5, 4, 3)), ((4,), (4, 3)), ((2, 4), (4,))):
-            with pytest.raises(ShapeError, match=rf"{re.escape(str(sa))} @ {re.escape(str(sb))}: .*rows=True"):
+        for sa, sb in (((4,), (5, 4, 3)), ((4,), (1, 4, 3)), ((2, 4), (4,)), ((2, 4), (3, 4, 3))):
+            with pytest.raises(ShapeError, match=rf"need .*, got {re.escape(str(sa))} @ {re.escape(str(sb))}"):
                 ad.matrix_multiply(Tensor(np.ones(sa), requires_grad=need), Tensor(np.ones(sb)))
 
 
@@ -571,7 +570,7 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
     with pytest.raises(NonFiniteError, match="output of 'multiply'"):
         ad.multiply(opposite, Tensor(1e200))
     with pytest.raises(NonFiniteError, match="output of 'matrix-multiply'"):
-        ad.matrix_multiply(Tensor([1e200, 1e200]), Tensor([[1e200], [-1e200]]), rows=True)
+        ad.matrix_multiply(Tensor([1e200, 1e200]), Tensor([[1e200], [-1e200]]))
     with pytest.raises(NonFiniteError, match="'square'"):
         ad.square(Tensor([1e200, -1e200]))
     with GradientTape():
@@ -584,7 +583,7 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
             backward(root)
         a = Tensor([1e-300], requires_grad=True)
         rows = Tensor([[1e200, -1e200]])
-        root = ad.sum_over_axis(ad.multiply(ad.matrix_multiply(a, rows, rows=True), Tensor(1e200)))
+        root = ad.sum_over_axis(ad.multiply(ad.matrix_multiply(a, rows), Tensor(1e200)))
         with pytest.raises(NonFiniteError, match="backward of 'matrix-multiply'"):
             backward(root)
         # Each gradient is finite, their sums are inf and -inf.
@@ -605,11 +604,14 @@ _BINARY_CASES = [
     for kind in ("add", "subtract", "multiply", "divide")
     for sa, sb in (((3, 4), (3, 4)), ((2, 3, 4), (4,)), ((4,), (2, 3, 4)), ((), (3,)))
 ] + [
+    # Rows times one shared matrix: a lone row of m = 3 and of m = 1, a
+    # padded stack, two blocks and a pad, a stack of stacks; then rows each
+    # times its own matrix.
     ("matrix-multiply", sa, sb, {})
-    for sa, sb in (((2, 4), (4, 3)), ((2, 3, 1, 4), (2, 3, 4, 2)), ((5, 2, 4), (4, 3)))
-] + [
-    ("matrix-multiply", sa, sb, {"rows": True})
-    for sa, sb in (((4,), (4, 3)), ((2, 4), (4, 3)), ((5, 2, 4), (4, 3)), ((2, 4), (2, 4, 3)))
+    for sa, sb in (
+        ((4,), (4, 3)), ((4,), (4, 1)), ((2, 4), (4, 3)), ((9, 4), (4, 3)), ((5, 2, 4), (4, 3)),
+        ((2, 4), (2, 4, 3)), ((2, 3, 4), (2, 3, 4, 2)),
+    )
 ] + [
     (kind, sa, sb, {})
     for kind in ("absolute-value", "square")
@@ -982,7 +984,8 @@ def test_a_distance_to_its_target_keeps_the_bits_of_a_subtract_first(kind, sa, s
 
 
 def _row_pick_product(a, b):
-    """The (..., 1, k) @ b product, then its one row picked."""
+    """The rows product of a (..., 1, k) stack of one-row stacks, times one
+    shared matrix or each row's own (..., 1, k, m), then its one row picked."""
     return forward_op("index-select", [ad.matrix_multiply(a, b)], index=0, axis=-2)
 
 
@@ -1001,9 +1004,9 @@ def _fused_cases():
         cases.append(("affine relu", lambda x, w, c: ad.matrix_multiply(x, w, c, relu=True), [x, w, c],
                       lambda x, w, c: forward_op("relu", [ad.add(ad.matrix_multiply(x, w), c)]), [x, w, c]))
         samples = rng.normal(size=lead + (32, 3))
-        cases.append(("rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, samples],
-                      _row_pick_product, [x[..., None, :], samples]))
-        cases.append(("shared rows", lambda a, b: ad.matrix_multiply(a, b, rows=True), [x, w],
+        cases.append(("rows", ad.matrix_multiply, [x, samples],
+                      _row_pick_product, [x[..., None, :], samples[..., None, :, :]]))
+        cases.append(("shared rows", ad.matrix_multiply, [x, w],
                       _row_pick_product, [x[..., None, :], w]))
         for axis in (-1, 0, None):
             count = x.size if axis is None else x.shape[axis]
@@ -1048,7 +1051,16 @@ def test_fused_product_shape_errors():
     for sa, sb in (((2, 3), (2, 4, 5)), ((2, 3), (3, 3, 5)), ((2, 3), (2, 3)), ((), (3, 2))):
         pattern = rf"{re.escape(str(sa))} @ {re.escape(str(sb))}"
         with pytest.raises(ShapeError, match=pattern):
-            ad.matrix_multiply(Tensor(np.ones(sa)), Tensor(np.ones(sb)), rows=True)
+            ad.matrix_multiply(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_matrix_multiply_takes_two_or_three_inputs(count):
+    # A wrong input count fails naming the op and what it takes, not with an
+    # unpacking error.
+    arrays = [np.ones((2, 3)), np.ones((3, 4)), np.ones(4), np.ones(4)][:count]
+    with pytest.raises(ValueError, match=rf"matrix-multiply takes 2 or 3 inputs, .*, got {count}$"):
+        forward_op("matrix-multiply", arrays)
 
 
 def _relaxed_sample(w, gumbels, values, tau=1.0, floor=WEIGHT_FLOOR):

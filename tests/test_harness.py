@@ -721,6 +721,55 @@ class TestTraining:
             assert np.array_equal(a, b)
 
 
+class TestPredictionsKeepTheirBits:
+    """A prediction has the bits its example gets alone, wherever the example
+    sits in the split: every matrix product multiplies rows in fixed blocks
+    of four."""
+
+    @staticmethod
+    def trained(kind):
+        task = SyntheticTask(kind, train_count=64, seed=1)
+        model, _ = train(RunConfig(task=task, loss="soft", epochs=2, seed=1))
+        return model, task
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_alone_in_chunks_and_reversed(self, kind):
+        model, task = self.trained(kind)
+        support = task_support(task)
+        obs, targets = generate_split(task, "test")
+        count = obs.shape[0]
+
+        def predict(order, chunk):
+            preds = np.empty_like(targets)
+            for start in range(0, count, chunk):
+                picked = order[start : start + chunk]
+                preds[picked] = training._predict(model, support, obs[picked], targets[picked])[1]
+            return preds
+
+        forward = np.arange(count)
+        whole = predict(forward, count)
+        for order, chunk in ((forward, 1), (forward, 7), (forward[::-1], count)):
+            assert np.array_equal(predict(order, chunk), whole), (kind, chunk)
+
+    def test_a_shorter_test_split_gives_its_examples_the_same_predictions(self):
+        model, task = self.trained("heat2d")
+        short, _ = evaluate(model, dataclasses.replace(task, test_count=7))
+        full, _ = evaluate(model, task)
+        assert task.test_count == 128
+        assert np.array_equal(short.preds, full.preds[:7])
+
+    @pytest.mark.parametrize("k", [32, 576])
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_a_lone_row_has_the_bits_of_every_row_of_a_batch(self, k, m):
+        rng = np.random.default_rng(k + m)
+        b = rng.normal(size=(k, m))
+        for count in range(1, 10):
+            batch = rng.normal(size=(count, k))
+            out = ad.matrix_multiply(batch, b).values
+            for i, row in enumerate(batch):
+                assert np.array_equal(ad.matrix_multiply(row, b).values, out[i]), (count, i)
+
+
 class TestBatchedStep:
     """The batched training step against the per-example formulation: one
     (n,) map per row, one loss call per map, summed in order."""

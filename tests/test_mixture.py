@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from diffloc import mixture
-from diffloc.autodiff import Tensor, softmax_values
+from diffloc.autodiff import Tensor, _rows_product, softmax_values
 from diffloc.mixture import (
     BASES,
     WEIGHT_FLOOR,
@@ -298,6 +298,21 @@ class TestCdf:
             for other in (alone, chunked, reversed_):
                 assert other.tobytes() == whole.tobytes(), oracle.__name__
 
+    @pytest.mark.parametrize("n", [5, 16, 32])
+    def test_weighted_rows_is_the_one_column_rows_product(self, n):
+        # The oracles' one matrix-vector product over every padded row has
+        # the bits of the rows product, block by block, of a one-column
+        # matrix: on 1 to 1 024 rows and on a stack of stacks.
+        rng = np.random.default_rng(n)
+        w = softmax_values(rng.normal(0.0, 1.5, n))
+        rows = rng.uniform(0.0, 1.0, (1024, n))
+        for count in range(1, rows.shape[0] + 1):
+            got = mixture._weighted_rows(rows[:count], w)
+            assert got.tobytes() == _rows_product(rows[:count], w[:, None])[..., 0].tobytes(), count
+        stacked = rows[:30].reshape(2, 5, 3, n)
+        got = mixture._weighted_rows(stacked, w)
+        assert got.shape == (2, 5, 3) and got.tobytes() == _rows_product(stacked, w[:, None])[..., 0].tobytes()
+
     def test_each_2d_query_point_keeps_its_density_bits(self):
         sup = Support.regular_grid((4, 4))
         pmap = ProbabilityMap(sup, Tensor(softmax_values(np.random.default_rng(3).normal(0.0, 1.5, sup.n))))
@@ -435,8 +450,11 @@ class TestMoments:
         assert var[0] == pytest.approx(v_quad, abs=1e-7)
 
     def test_mean_is_basis_free_and_matches_weighted_positions(self):
+        # The lone map's weights, multiplied as one block of four rows.
         pmap = random_map(seed=13)
-        expected = pmap.weight_values @ pmap.support.positions
+        w = pmap.weight_values
+        assert w.ndim == 1
+        expected = (np.repeat(w[None], 4, axis=0) @ pmap.support.positions)[0]
         for basis in BASES:
             mean, _ = mixture_moments(pmap, MixtureSpec(basis))
             np.testing.assert_array_equal(mean, expected)

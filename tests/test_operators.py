@@ -33,7 +33,7 @@ from diffloc.operators import (
     variance_regularizer,
 )
 from looped_gradcheck import grad_check
-from relaxed_chain import gumbel_softmax_chain
+from relaxed_chain import relaxed_sample_chain
 
 
 def make_map(n=8, seed=0, spacing=1.0):
@@ -112,9 +112,12 @@ class TestConfigs:
 
 class TestSoftArgmax:
     def test_matches_weighted_positions(self):
+        # A lone map's weights are multiplied as one block of four rows.
         pmap = make_map(seed=1)
+        w = pmap.weight_values
+        assert w.ndim == 1
         np.testing.assert_array_equal(
-            soft_argmax(pmap).values, pmap.weight_values @ pmap.support.positions
+            soft_argmax(pmap).values, (np.repeat(w[None], 4, axis=0) @ pmap.support.positions)[0]
         )
 
     def test_gradient_is_positions(self):
@@ -306,9 +309,8 @@ def draws(seed, count, n, spec=MixtureSpec("triangular")):
 def spec_chain_loss(pmap, spec, y_t, gumbels, uniforms, tau, distance):
     """The sampled loss as written when it took a spec and basis uniforms
     and drew its basis samples itself."""
-    rows = gumbel_softmax_chain(pmap.weights, gumbels[..., None, :], tau)
     samples = basis_sample_all(spec, pmap.support, uniforms)
-    relaxed = ad.forward_op("index-select", [ad.matrix_multiply(rows, Tensor(samples))], index=0, axis=-2)
+    relaxed = relaxed_sample_chain(pmap.weights, gumbels, samples, tau)
     diff = ad.subtract(relaxed, Tensor(np.broadcast_to(y_t[..., None, :], relaxed.shape)))
     per_draw = ad.sum_over_axis(ad.absolute_value(diff) if distance == "l1" else ad.square(diff), axis=-1)
     return ad.multiply(ad.sum_over_axis(per_draw, axis=-1), Tensor(1.0 / gumbels.shape[-2]))
