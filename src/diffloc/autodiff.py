@@ -16,8 +16,9 @@ Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
 
-Each op's builder is told which of its inputs require a gradient, and its
-backward computes nothing for the others, the constants.
+Each op's builder names its params as keywords, so a param it does not
+take is a TypeError at the call.  It is told which of its inputs require a
+gradient, and its backward computes nothing for the others, the constants.
 
 All values are float64 and must stay finite.  Each array is checked once,
 where it is made: a constant when it is built, an op output in
@@ -207,13 +208,14 @@ def as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # Op registry
 
-# An op builder takes (arrays, params, needs) and returns (out_values,
+# An op builder takes (arrays, needs, **params) and returns (out_values,
 # backward_fn) where backward_fn maps the output gradient to one gradient (or
 # None) per input, already reduced to the input's shape.  needs holds one
 # flag per input, whether it requires a gradient; backward_fn computes nothing
-# for an input whose flag is False and gives it None.  _REGISTRY, below the
-# builders, maps each op kind to its builder.
-OpBuilder = Callable[[list[np.ndarray], dict, tuple[bool, ...]], tuple[np.ndarray, Callable]]
+# for an input whose flag is False and gives it None.  Each param is a
+# keyword the builder names, with its default, and the builder takes no
+# other.  _REGISTRY, below the builders, maps each op kind to its builder.
+OpBuilder = Callable[..., tuple[np.ndarray, Callable]]
 
 
 def registered_ops() -> tuple[str, ...]:
@@ -230,7 +232,7 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     needs = tuple([t.requires_grad for t in tensors])
     state = _STATE
     with _errstate(state):
-        out_values, backward_fn = build([t.values for t in tensors], params, needs)
+        out_values, backward_fn = build([t.values for t in tensors], needs, **params)
         if out_values.__class__ is not np.ndarray or out_values.dtype != np.float64:
             out_values = np.asarray(out_values, dtype=np.float64)
         _check_finite(out_values, "output of {!r}", kind)
@@ -330,11 +332,10 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _axis_param(params: dict, ndim: int, allow_none: bool = True) -> int | None:
-    axis = params.get("axis", None)
+def _axis(axis: int, ndim: int) -> int:
+    """axis, one of ndim axes, counted from 0.  None is refused, so an op
+    that takes None for every axis tests for it first."""
     if axis is None:
-        if allow_none:
-            return None
         raise ValueError("axis is required")
     axis = int(axis)
     if not -ndim <= axis < ndim:
@@ -346,7 +347,7 @@ def _axis_param(params: dict, ndim: int, allow_none: bool = True) -> int | None:
 # Builders for the standard op set
 
 
-def _build_add(arrays, params, needs):
+def _build_add(arrays, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
     need_a, need_b = needs
@@ -357,11 +358,11 @@ def _build_add(arrays, params, needs):
     return a + b, bwd
 
 
-def _build_subtract(arrays, params, needs):
+def _build_subtract(arrays, needs):
     return _difference(arrays, needs)
 
 
-def _build_multiply(arrays, params, needs):
+def _build_multiply(arrays, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
     need_a, need_b = needs
@@ -372,7 +373,7 @@ def _build_multiply(arrays, params, needs):
     return a * b, bwd
 
 
-def _build_divide(arrays, params, needs):
+def _build_divide(arrays, needs):
     a, b = arrays
     _suffix_shape(a.shape, b.shape)
     if (b == 0.0).any():
@@ -388,12 +389,12 @@ def _build_divide(arrays, params, needs):
     return a / b, bwd
 
 
-def _build_negate(arrays, params, needs):
+def _build_negate(arrays, needs):
     (a,) = arrays
     return -a, lambda g: (-g,)
 
 
-def _build_exponent(arrays, params, needs):
+def _build_exponent(arrays, needs):
     (a,) = arrays
     out = np.exp(a)
     return out, lambda g: (g * out,)
@@ -405,9 +406,8 @@ def floored_values(a: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(a - floor, 0.0) + floor
 
 
-def _build_logarithm(arrays, params, needs):
+def _build_logarithm(arrays, needs, floor=None):
     (a,) = arrays
-    floor = params.get("floor")
     if floor is None:
         if np.any(a <= 0.0):
             raise ValueError("logarithm: input must be strictly positive")
@@ -427,9 +427,9 @@ def _floored_log(a, floor, kind):
     return np.log(lifted), lambda g: (g / lifted) * (a > floor)
 
 
-def _build_power(arrays, params, needs):
+def _build_power(arrays, needs, exponent):
     (a,) = arrays
-    p = float(params["exponent"])
+    p = float(exponent)
     if p != round(p) and np.any(a < 0.0):
         raise ValueError("power: negative base with fractional exponent")
     out = a ** p
@@ -440,9 +440,9 @@ def _build_power(arrays, params, needs):
     return out, bwd
 
 
-def _build_sum_over_axis(arrays, params, needs):
+def _build_sum_over_axis(arrays, needs, axis=None):
     (a,) = arrays
-    axis = _axis_param(params, a.ndim)
+    axis = None if axis is None else _axis(axis, a.ndim)
 
     def bwd(g):
         if axis is None:
@@ -452,26 +452,20 @@ def _build_sum_over_axis(arrays, params, needs):
     return np.add.reduce(a, axis=axis), bwd
 
 
-def _build_mean_over_axis(arrays, params, needs):
-    (a,) = arrays
-    axis = _axis_param(params, a.ndim)
+def _build_mean_over_axis(arrays, needs, axis=None):
     # Times 1/count, not divided by count: the bits of sum-over-axis and a
     # multiply by 1/count taped one by one.
-    scale = 1.0 / (a.size if axis is None else a.shape[axis])
-
-    def bwd(g):
-        if axis is None:
-            return (np.full_like(a, float(g * scale)),)
-        return (np.repeat(np.expand_dims(g * scale, axis), a.shape[axis], axis=axis),)
-
-    return np.add.reduce(a, axis=axis) * scale, bwd
+    total, sum_bwd = _build_sum_over_axis(arrays, needs, axis)
+    scale = 1.0 / (arrays[0].size if axis is None else arrays[0].shape[axis])
+    return total * scale, lambda g: sum_bwd(g * scale)
 
 
 def _rows_product(a, b, what="matrix-multiply"):
     """(..., k) @ (k, m) or (..., k, m) -> (..., m), each row with the bits it
-    has alone.  A shared (k, m) matrix takes the rows in fixed blocks of four,
-    padded with copies of the last row and the pad dropped, so every BLAS call
-    has one shape; a stack takes each row with its own matrix."""
+    has alone.  A shared (k, m) matrix, one column or more, takes the rows in
+    fixed blocks of four, padded with copies of the last row and the pad
+    dropped, so every BLAS call has one shape; a stack takes each row with
+    its own matrix."""
     if b.ndim == 2 and a.ndim and a.shape[-1] == b.shape[0]:
         lead, (k, m) = a.shape[:-1], b.shape
         count = math.prod(lead)
@@ -486,10 +480,10 @@ def _rows_product(a, b, what="matrix-multiply"):
     raise ShapeError(f"{what}: need (..., k) @ (k, m) or (..., k, m), got {a.shape} @ {b.shape}")
 
 
-def _build_matrix_multiply(arrays, params, needs):
+def _build_matrix_multiply(arrays, needs, relu=False):
     """The rows product a @ b (see _rows_product), then the addend c
     (a @ b + c, c suffix-broadcast onto the product) when given as a third
-    input, then relu when params["relu"]."""
+    input, then relu when asked."""
     if len(arrays) not in (2, 3):
         raise ValueError(f"matrix-multiply takes 2 or 3 inputs, [a, b] or [a, b, c], got {len(arrays)}")
     a, b = arrays[:2]
@@ -499,7 +493,6 @@ def _build_matrix_multiply(arrays, params, needs):
         if c.ndim > out.ndim or out.shape[out.ndim - c.ndim :] != c.shape:
             raise ShapeError(f"matrix-multiply: addend {c.shape} does not suffix-broadcast onto {out.shape}")
         out += c
-    relu = params.get("relu", False)
     if relu:
         out = np.maximum(out, 0.0)
     need_a, need_b = needs[:2]
@@ -518,7 +511,7 @@ def _build_matrix_multiply(arrays, params, needs):
     return out, bwd
 
 
-def _build_relu(arrays, params, needs):
+def _build_relu(arrays, needs):
     (a,) = arrays
     out = np.maximum(a, 0.0)
     return out, lambda g: (g * (a > 0.0),)
@@ -532,7 +525,7 @@ def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-def _build_softmax_over_axis(arrays, params, needs):
+def _build_softmax_over_axis(arrays, needs, tau=None, floor=None):
     """One of two forms.  [a]: the softmax of a over its last axis.  [w,
     gumbels, values] with params tau and floor: the relaxed mixture sample
     sum_i p_i values_i, p = softmax((log(max(w, floor)) + gumbels) / tau),
@@ -545,11 +538,11 @@ def _build_softmax_over_axis(arrays, params, needs):
     softmax's, the divide by tau, the draws added one by one from 0.0 in C
     order, as index-select added the gradients of a per-draw gather, then
     the floored log's."""
-    relaxed = len(arrays) == 3 and params.keys() == {"tau", "floor"} and None not in params.values()
-    if not relaxed and (len(arrays) != 1 or params):
+    relaxed = len(arrays) == 3 and tau is not None and floor is not None
+    if not relaxed and (len(arrays) != 1 or tau is not None or floor is not None):
         raise ValueError(
             "softmax-over-axis takes [a], softmaxed over its last axis, or [w, gumbels, values] with tau and "
-            f"floor, the relaxed mixture sample; got {len(arrays)} inputs and params {params}"
+            f"floor, the relaxed mixture sample; got {len(arrays)} inputs, tau {tau} and floor {floor}"
         )
     a = arrays[0]
     if a.ndim == 0:
@@ -557,13 +550,13 @@ def _build_softmax_over_axis(arrays, params, needs):
     if not relaxed:
         out = softmax_values(a)
         return out, lambda g: (_softmax_grad(g, out),)
-    tau, gumbels, values = params["tau"], arrays[1], arrays[2]
+    gumbels, values = arrays[1], arrays[2]
     if not 0.0 < tau < math.inf:
         raise ValueError(f"softmax-over-axis: tau must be positive and finite, got {tau}")
     tau = float(tau)
     if needs[1] or needs[2]:
         raise ValueError("softmax-over-axis: the gumbels and values are constants and cannot require a gradient")
-    log_w, log_bwd = _floored_log(a, params["floor"], "softmax-over-axis")
+    log_w, log_bwd = _floored_log(a, floor, "softmax-over-axis")
     lead = a.shape[:-1]
     if gumbels.ndim < a.ndim or gumbels.shape[: len(lead)] != lead or gumbels.shape[-1] != a.shape[-1]:
         raise ShapeError(
@@ -612,32 +605,31 @@ def _difference(arrays, needs):
     return a - b, bwd
 
 
-def _build_absolute_value(arrays, params, needs):
+def _build_absolute_value(arrays, needs, axis=None):
     """|a|, or |a - b| given b: the bits of subtract then absolute-value.
-    With params["axis"], that summed over axis: the bits of sum-over-axis
-    after them."""
+    Given axis, that summed over axis: the bits of sum-over-axis after
+    them."""
     d, spread = _difference(arrays, needs)
-    axis = _axis_param(params, d.ndim)
+    axis = None if axis is None else _axis(axis, d.ndim)
     if axis is None:
         return np.abs(d), lambda g: spread(g * np.sign(d))
     return np.add.reduce(np.abs(d), axis=axis), lambda g: spread(np.expand_dims(g, axis) * np.sign(d))
 
 
-def _build_square(arrays, params, needs):
-    """a * a, or (a - b)^2 given b: the bits of subtract then square.  With
-    params["axis"], that summed over axis: the bits of sum-over-axis after
-    them."""
+def _build_square(arrays, needs, axis=None):
+    """a * a, or (a - b)^2 given b: the bits of subtract then square.  Given
+    axis, that summed over axis: the bits of sum-over-axis after them."""
     d, spread = _difference(arrays, needs)
-    axis = _axis_param(params, d.ndim)
+    axis = None if axis is None else _axis(axis, d.ndim)
     if axis is None:
         return d * d, lambda g: spread(g * 2.0 * d)
     return np.add.reduce(d * d, axis=axis), lambda g: spread(np.expand_dims(g, axis) * 2.0 * d)
 
 
-def _build_concatenate(arrays, params, needs):
+def _build_concatenate(arrays, needs, axis=0):
     if not arrays:
         raise ValueError("concatenate needs at least one input")
-    axis = _axis_param(params, arrays[0].ndim, allow_none=False) if "axis" in params else 0
+    axis = _axis(axis, arrays[0].ndim)
     try:
         out = np.concatenate(arrays, axis=axis)
     except ValueError as err:
@@ -651,10 +643,10 @@ def _build_concatenate(arrays, params, needs):
     return out, bwd
 
 
-def _build_index_select(arrays, params, needs):
+def _build_index_select(arrays, needs, index, axis=0):
     (a,) = arrays
-    axis = _axis_param(params, a.ndim, allow_none=False) if "axis" in params else 0
-    idx = np.asarray(params["index"], dtype=np.intp)
+    axis = _axis(axis, a.ndim)
+    idx = np.asarray(index, dtype=np.intp)
     out = a.take(idx, axis=axis)
 
     def bwd(g):
@@ -665,9 +657,9 @@ def _build_index_select(arrays, params, needs):
     return out, bwd
 
 
-def _build_broadcast(arrays, params, needs):
+def _build_broadcast(arrays, needs, shape):
     (a,) = arrays
-    shape = tuple(int(s) for s in params["shape"])
+    shape = tuple(int(s) for s in shape)
     if shape[len(shape) - a.ndim:] != a.shape:
         raise ShapeError(f"broadcast: {a.shape} is not a suffix of {shape}")
     out = np.broadcast_to(a, shape).copy()

@@ -11,8 +11,9 @@ basis cdf.
 Bases are never truncated at the support bounds; a little mass may sit
 outside and that is intentional, it keeps every formula exact.
 
-Every weighted sum is autodiff's rows product or, for the pdf and cdf, its
-one-column case, so a query point or a map gets the bits it gets alone.
+Every weighted sum is autodiff's rows product, the pdf's and the cdf's
+with the weights as its one column, so a query point or a map gets the bits
+it gets alone.
 """
 
 from __future__ import annotations
@@ -289,28 +290,13 @@ def _single_map(pmap: ProbabilityMap, what: str) -> None:
         raise ValueError(f"{what} takes a single map, got a batch of shape {pmap.batch_shape}")
 
 
-def _weighted_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """rows @ w for (..., n) rows, each row's bits independent of the others.
-
-    OpenBLAS sums a matrix-vector product's rows in groups of four and the
-    rest, or a lone vector's dot product, another way; so the rows are padded
-    to a multiple of 4 with copies of the last, and the pad dropped.  Those
-    are the bits of _rows_product(rows, w[:, None])[..., 0], in one call
-    instead of one per block: a third of the time at 1 024 rows of 16."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    count = flat.shape[0]
-    if count % 4:
-        flat = np.concatenate([flat, np.repeat(flat[-1:], -count % 4, axis=0)])
-    return (flat @ w)[:count].reshape(rows.shape[:-1])
-
-
 def mixture_pdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | float:
     """Mixture density at point(s) y; y is (..., ndim) or a scalar in 1-D.
     Each point's density has the bits it has alone."""
     _single_map(pmap, "mixture_pdf")
     basis, c, sigma = _resolve(spec, pmap.support)
     off = _offsets(pmap.support, np.asarray(y, dtype=np.float64))
-    val = _weighted_rows(_pdf_1d(basis, off, c, sigma).prod(axis=-1), pmap.weight_values)
+    val = _rows_product(_pdf_1d(basis, off, c, sigma).prod(axis=-1), pmap.weight_values[:, None])[..., 0]
     return float(val) if val.ndim == 0 else val
 
 
@@ -323,10 +309,11 @@ def mixture_cdf(pmap: ProbabilityMap, spec: MixtureSpec, y) -> np.ndarray | floa
     basis, c, sigma = _resolve(spec, pmap.support)
     points = _query_points(pmap.support, y)[..., 0]
     flat = points.reshape(-1)
+    w = pmap.weight_values[:, None]
     out = np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK_DRAWS):
         off = flat[start : start + _BLOCK_DRAWS, None] - pmap.support.positions[:, 0]
-        out[start : start + _BLOCK_DRAWS] = _weighted_rows(_cdf_1d(basis, off, c, sigma), pmap.weight_values)
+        out[start : start + _BLOCK_DRAWS] = _rows_product(_cdf_1d(basis, off, c, sigma), w)[:, 0]
     return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
 
 

@@ -1,6 +1,7 @@
 """Tensor, tape, and gradient tests for the autodiff core."""
 
 import gc
+import inspect
 import json
 import re
 import threading
@@ -485,6 +486,45 @@ def test_domain_errors():
         forward_op("power", [Tensor([-1.0])], exponent=0.5)
     with pytest.raises(ValueError, match="unknown op"):
         forward_op("no-such-op", [Tensor(1.0)])
+    # An axis of None would flatten: these ops need an axis.
+    with pytest.raises(ValueError, match="axis is required"):
+        forward_op("concatenate", [Tensor([1.0]), Tensor([2.0])], axis=None)
+    with pytest.raises(ValueError, match="axis is required"):
+        forward_op("index-select", [Tensor(np.ones((2, 3)))], index=0, axis=None)
+
+
+@pytest.mark.parametrize("kind", registered_ops())
+def test_a_param_the_op_does_not_take_fails_at_the_call(kind):
+    # Valid inputs and params, and one unknown param: a TypeError naming it.
+    inputs, params, _ = _sample(kind, np.random.default_rng([103, _GRAD_SEED_INDEX[kind]]))
+    with pytest.raises(TypeError, match="'unknown_param'"):
+        forward_op(kind, [Tensor(v) for v in inputs], unknown_param=1, **params)
+
+
+@pytest.mark.parametrize(
+    "kind, inputs, params",
+    [
+        ("sum-over-axis", [np.ones((2, 3))], {"axes": 1}),
+        ("add", [np.ones(3), np.ones(3)], {"axis": 0}),
+        ("matrix-multiply", [np.ones((2, 3)), np.ones((3, 4))], {"rows": True}),
+        ("logarithm", [np.array([1e-15, 1.0])], {"flor": 1e-12}),
+    ],
+)
+def test_a_misspelt_or_stale_param_is_not_ignored(kind, inputs, params):
+    # Each of these once ran as if the param were not given: a sum over
+    # every axis, a plain add, a plain product, a log without its floor.
+    with pytest.raises(TypeError, match=f"'{next(iter(params))}'"):
+        forward_op(kind, [Tensor(v) for v in inputs], **params)
+
+
+def test_each_builder_names_its_params():
+    # (arrays, needs, then keywords): a builder that took *args or **kwargs
+    # could ignore a param again.
+    variadic = {inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD}
+    for kind, build in ad._REGISTRY.items():
+        parameters = list(inspect.signature(build).parameters.values())
+        assert [p.name for p in parameters[:2]] == ["arrays", "needs"], kind
+        assert not {p.kind for p in parameters} & variadic, kind
 
 
 def test_non_finite_values_are_rejected():
@@ -633,12 +673,12 @@ def test_a_builder_computes_only_the_gradients_its_inputs_need(kind, sa, sb, par
     a = rng.normal(size=sa)
     b = rng.uniform(0.5, 2.0, size=sb) * rng.choice([-1.0, 1.0], size=sb)
     build = ad._REGISTRY[kind]
-    out, bwd = build([a, b], params, (True, True))
+    out, bwd = build([a, b], (True, True), **params)
     g = np.where(rng.random(np.shape(out)) < 0.2, -0.0, rng.normal(size=np.shape(out)))
     both = bwd(g)
     assert all(grad is not None for grad in both)
     for needs in ((True, False), (False, True)):
-        values, partial = build([a, b], params, needs)
+        values, partial = build([a, b], needs, **params)
         assert _bitwise_equal(values, out)
         for need, grad, full in zip(needs, partial(g), both):
             if need:
@@ -704,7 +744,7 @@ def test_sum_over_axis_backward_repeats_the_gradient():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 4, 5))
     for axis in range(3):
-        out, bwd = ad._REGISTRY["sum-over-axis"]([a], {"axis": axis}, (True,))
+        out, bwd = ad._REGISTRY["sum-over-axis"]([a], (True,), axis=axis)
         g = np.where(rng.random(out.shape) < 0.3, -0.0, rng.normal(size=out.shape))
         (ga,) = bwd(g)
         assert _bitwise_equal(out, a.sum(axis=axis))
@@ -766,7 +806,7 @@ def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
     # must carry np.add.at's bits, a -0.0 upstream gradient's +0.0 included.
     rng = np.random.default_rng(5)
     a = rng.normal(size=shape)
-    out, bwd = ad._REGISTRY["index-select"]([a], {"index": index, "axis": axis}, (True,))
+    out, bwd = ad._REGISTRY["index-select"]([a], (True,), index=index, axis=axis)
     where = (slice(None),) * (axis % a.ndim) + (np.asarray(index, dtype=np.intp),)
     for g in (rng.normal(size=out.shape), np.full(out.shape, -0.0), np.where(rng.random(out.shape) < 0.5, -0.0, 1.5)):
         reference = np.zeros_like(a)
@@ -942,7 +982,7 @@ def test_a_one_point_softmax_sums_zeros_over_its_draws():
     # softmax's backward is +0.0 everywhere, so any order gives +0.0.
     gumbels = np.random.default_rng(19).gumbel(size=(3, 20, 1))
     arrays = [np.full((3, 1), 0.5), gumbels, np.random.default_rng(21).normal(size=(1, 2))]
-    out, bwd = ad._REGISTRY["softmax-over-axis"](arrays, {"tau": 0.3, "floor": WEIGHT_FLOOR}, (True, False, False))
+    out, bwd = ad._REGISTRY["softmax-over-axis"](arrays, (True, False, False), tau=0.3, floor=WEIGHT_FLOOR)
     for g in (np.random.default_rng(23).normal(size=out.shape), np.full(out.shape, -0.0)):
         ga, _, _ = bwd(g)
         assert _bitwise_equal(ga, np.zeros((3, 1)))
@@ -1116,11 +1156,24 @@ def test_softmax_gumbels_and_distance_targets_must_fit():
 )
 def test_softmax_takes_only_its_two_forms(count, params):
     # [a] alone, or [w, gumbels, values] with tau and floor: anything else,
-    # a tau or floor of None included, fails naming both, and no parameter
-    # is ignored.
+    # three inputs with a tau or floor of None included, fails naming both,
+    # and an axis, a param the op does not take, fails naming it.
     arrays = [np.full((4, 5), 0.2), np.zeros((4, 3, 5)), np.zeros((5, 2)), np.zeros((5, 2))][:count]
-    with pytest.raises(ValueError, match=r"takes \[a\], .* or \[w, gumbels, values\] with tau and floor"):
+    if "axis" in params:
+        expected = pytest.raises(TypeError, match="'axis'")
+    else:
+        expected = pytest.raises(ValueError, match=r"takes \[a\], .* or \[w, gumbels, values\] with tau and floor")
+    with expected:
         forward_op("softmax-over-axis", arrays, **params)
+
+
+@pytest.mark.parametrize("params", [{"tau": None}, {"floor": None}, {"tau": None, "floor": None}])
+def test_a_tau_or_floor_of_none_is_one_not_given(params):
+    # As with logarithm's floor, an explicit None is the param omitted: [a]
+    # with it is the plain softmax, bit for bit.
+    a = np.random.default_rng(2).normal(0.0, 1.5, (4, 5))
+    got = forward_op("softmax-over-axis", [a], **params).values
+    assert got.tobytes() == forward_op("softmax-over-axis", [a]).values.tobytes()
 
 
 def test_concatenate_backward_splits():

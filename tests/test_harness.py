@@ -1007,9 +1007,9 @@ class TestGradcheckSuite:
         calls = []
 
         def counted(kind, build):
-            def run(arrays, params, needs):
+            def run(arrays, needs, **params):
                 calls.append(kind)
-                return build(arrays, params, needs)
+                return build(arrays, needs, **params)
 
             return run
 

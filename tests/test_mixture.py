@@ -299,19 +299,29 @@ class TestCdf:
                 assert other.tobytes() == whole.tobytes(), oracle.__name__
 
     @pytest.mark.parametrize("n", [5, 16, 32])
-    def test_weighted_rows_is_the_one_column_rows_product(self, n):
-        # The oracles' one matrix-vector product over every padded row has
-        # the bits of the rows product, block by block, of a one-column
-        # matrix: on 1 to 1 024 rows and on a stack of stacks.
+    def test_the_one_column_rows_product_keeps_the_block_bits(self, n):
+        # The oracles' rows product of a one-column matrix has the bits of
+        # the product taken block by block, four rows a block: on 1 to 1 024
+        # rows, on a stack of stacks, and on 16 388 rows, which one
+        # matrix-vector product over every row rounds differently when
+        # OpenBLAS splits it between threads.
         rng = np.random.default_rng(n)
-        w = softmax_values(rng.normal(0.0, 1.5, n))
+        w = softmax_values(rng.normal(0.0, 1.5, n))[:, None]
         rows = rng.uniform(0.0, 1.0, (1024, n))
+
+        def by_blocks(a):
+            flat = a.reshape(-1, n)
+            count = flat.shape[0]
+            padded = np.concatenate([flat, np.repeat(flat[-1:], -count % 4, axis=0)])
+            return (padded.reshape(-1, 4, n) @ w).reshape(-1, 1)[:count].reshape(a.shape[:-1] + (1,))
+
         for count in range(1, rows.shape[0] + 1):
-            got = mixture._weighted_rows(rows[:count], w)
-            assert got.tobytes() == _rows_product(rows[:count], w[:, None])[..., 0].tobytes(), count
+            assert _rows_product(rows[:count], w).tobytes() == by_blocks(rows[:count]).tobytes(), count
         stacked = rows[:30].reshape(2, 5, 3, n)
-        got = mixture._weighted_rows(stacked, w)
-        assert got.shape == (2, 5, 3) and got.tobytes() == _rows_product(stacked, w[:, None])[..., 0].tobytes()
+        got = _rows_product(stacked, w)
+        assert got.shape == (2, 5, 3, 1) and got.tobytes() == by_blocks(stacked).tobytes()
+        many = rng.uniform(0.0, 1.0, (16388, n))
+        assert _rows_product(many, w).tobytes() == by_blocks(many).tobytes()
 
     def test_each_2d_query_point_keeps_its_density_bits(self):
         sup = Support.regular_grid((4, 4))
