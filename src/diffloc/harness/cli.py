@@ -291,14 +291,14 @@ def _cmd_eval(args) -> int:
         )
     _check_out("--out", out, {"--model": args.model})
     records, summary = evaluate(model, task, split=opts["split"])
-    ndim = records.preds.shape[1]
+    ndim = records.column("pred").shape[1]
     header = (
         ["idx"]
         + [f"pred_{d}" for d in range(ndim)]
         + [f"gt_{d}" for d in range(ndim)]
         + ["peak", "err"]
     )
-    columns = (records.preds.tolist(), records.targets.tolist(), records.peaks.tolist(), records.errors.tolist())
+    columns = [records.column(name).tolist() for name in ("pred", "target", "peak", "error")]
     rows = [(i, *pred, *target, peak, err) for i, (pred, target, peak, err) in enumerate(zip(*columns))]
     write_csv(out, header, rows)
     cal = calibration_report(records)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .training import TrialRecords
+from ..rows import Rows
 
 __all__ = ["pearson", "CalibrationResult", "calibration_report"]
 
@@ -37,17 +37,16 @@ class CalibrationResult:
     """Correlation between map confidence and localization accuracy."""
 
     r: float | None
-    count: int
 
     @property
     def defined(self) -> bool:
         return self.r is not None
 
 
-def calibration_report(records: TrialRecords) -> CalibrationResult:
-    """Pearson r between peak weight and negated error: higher confidence
-    should mean lower error for a well-calibrated model.  Undefined for
-    fewer than two records."""
+def calibration_report(records: Rows) -> CalibrationResult:
+    """Pearson r between peak weight and negated error over evaluate()'s
+    records: higher confidence should mean lower error for a
+    well-calibrated model.  Undefined for fewer than two records."""
     if len(records) < 2:
-        return CalibrationResult(None, len(records))
-    return CalibrationResult(pearson(records.peaks, -records.errors), len(records))
+        return CalibrationResult(None)
+    return CalibrationResult(pearson(records.column("peak"), -records.column("error")))

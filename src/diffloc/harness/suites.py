@@ -91,7 +91,6 @@ class GradCheckRow:
 @dataclass(frozen=True)
 class GradCheckReport:
     rows: Rows  # of GradCheckRow
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -168,7 +167,7 @@ def gradcheck_suite(seeds: int = 20, step: float = 1e-5, tol: float = 1e-4) -> G
         errors.reshape(-1),
         passed.reshape(-1),
     )
-    return GradCheckReport(Rows(GradCheckRow, columns), tol)
+    return GradCheckReport(Rows(GradCheckRow, columns))
 
 
 def _frozen_noise(support: Support, basis_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -397,8 +396,6 @@ class VarianceCompareRow:
 @dataclass(frozen=True)
 class VarianceCompareReport:
     rows: Rows  # of VarianceCompareRow
-    draws: int
-    tau: float
 
     @property
     def passed(self) -> bool:
@@ -489,4 +486,4 @@ def variance_compare(num_seeds: int = 10, draws: int = 10_000, tau: float = 1.0)
         trace_sf = float(var_sf.sum())
         trace_rp = float(var_rp.sum())
         rows.append((s, trace_sf, trace_rp, float((var_sf > var_rp).mean()), trace_sf > trace_rp > 0.0))
-    return VarianceCompareReport(Rows.from_tuples(VarianceCompareRow, rows), draws, tau)
+    return VarianceCompareReport(Rows.from_tuples(VarianceCompareRow, rows))

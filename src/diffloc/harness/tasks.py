@@ -96,7 +96,7 @@ def task_support(task: SyntheticTask) -> Support:
         return Support.regular_grid(task.size)
     if task.kind == "heat2d":
         return Support.regular_grid((task.size, task.size))
-    return Support.scattered(_cloud(task), bounds=((0.0, 2.0),) * 3)
+    return Support(_cloud(task))
 
 
 def _cloud_geometry(task: SyntheticTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -32,7 +32,6 @@ __all__ = [
     "RunConfig",
     "HistoryRow",
     "TrialRecord",
-    "TrialRecords",
     "EvalSummary",
     "TrainingDiverged",
     "learning_rate_at",
@@ -137,34 +136,6 @@ class TrialRecord:
             and np.array_equal(self.pred, other.pred)
             and np.array_equal(self.target, other.target)
         )
-
-
-class TrialRecords(Rows):
-    """The evaluated examples of a split: Rows of TrialRecord held as four
-    columns, (m, ndim) preds and targets and (m,) peaks and errors.  Each
-    record's index is its position, pred and target are row views, and peak
-    and error Python floats."""
-
-    __slots__ = ()
-
-    def __init__(self, preds: np.ndarray, targets: np.ndarray, peaks: np.ndarray, errors: np.ndarray):
-        Rows.__init__(self, TrialRecord, (range(len(errors)), preds, targets, peaks, errors))
-
-    @property
-    def preds(self) -> np.ndarray:
-        return self.columns[1]
-
-    @property
-    def targets(self) -> np.ndarray:
-        return self.columns[2]
-
-    @property
-    def peaks(self) -> np.ndarray:
-        return self.columns[3]
-
-    @property
-    def errors(self) -> np.ndarray:
-        return self.columns[4]
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,12 +277,16 @@ def _predict(model, support, obs, targets) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, preds, np.abs(preds - targets).sum(axis=-1)
 
 
-def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple[TrialRecords, EvalSummary]:
-    """Inference-only pass over a split; no randomness anywhere."""
+def evaluate(model: MLPModel, task: SyntheticTask, split: str = "test") -> tuple[Rows, EvalSummary]:
+    """Inference-only pass over a split; no randomness anywhere.  The
+    records are Rows of TrialRecord held as four columns, (m, ndim) preds
+    and targets and (m,) peaks and errors: a record's index is its
+    position, its pred and target are row views, its peak and error Python
+    floats."""
     support = task_support(task)
     obs, targets = generate_split(task, split)
     rows, preds, errors = _predict(model, support, obs, targets)
-    records = TrialRecords(preds, targets, rows.max(axis=-1), errors)
+    records = Rows(TrialRecord, (range(len(errors)), preds, targets, rows.max(axis=-1), errors))
     cell = support.spacing if support.spacing is not None else 1.0
     summary = EvalSummary(
         count=len(errors),

@@ -8,7 +8,7 @@ noise plumbing for reproducible sampling, and an exact but non-differentiable
 reference sampler: pick a component by the Gumbel-max rule, then invert the
 basis cdf.
 
-Bases are never truncated at the support bounds; a little mass may sit
+Bases are never truncated at the support's edge; a little mass may sit
 outside and that is intentional, it keeps every formula exact.
 
 Every weighted sum is autodiff's rows product, the pdf's and the cdf's
@@ -67,21 +67,19 @@ _BLOCK_DRAWS = 1024
 
 @dataclass(eq=False)
 class Support:
-    """Point set a probability map lives on.
+    """Point set a probability map lives on: positions is (n, ndim) with
+    ndim in {1, 2, 3}.  A support with a spacing c is a regular grid
+    (axis-aligned, equal spacing c on every axis); one without is a
+    scattered cloud."""
 
-    kind is "regular-grid" (axis-aligned, equal spacing c on every axis) or
-    "scattered" (arbitrary points, no spacing).  positions is (n, ndim) with
-    ndim in {1, 2, 3}; bounds is one (lo, hi) pair per axis.
-    """
-
-    kind: str
     positions: np.ndarray
-    spacing: float | None
-    bounds: tuple[tuple[float, float], ...]
+    spacing: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("regular-grid", "scattered"):
-            raise ValueError(f"unknown support kind: {self.kind!r}")
+        if self.spacing is not None:
+            if not 0 < self.spacing < np.inf:
+                raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
+            self.spacing = float(self.spacing)
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim == 1:
             pos = pos[:, None]
@@ -90,19 +88,6 @@ class Support:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         self.positions = pos
-        if self.kind == "regular-grid":
-            if self.spacing is None or not self.spacing > 0:
-                raise ValueError("regular-grid support needs spacing > 0")
-            self.spacing = float(self.spacing)
-        else:
-            self.spacing = None
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if len(bounds) != pos.shape[1]:
-            raise ValueError("need one (lo, hi) bounds pair per axis")
-        for lo, hi in bounds:
-            if not lo < hi:
-                raise ValueError(f"bad bounds ({lo}, {hi})")
-        self.bounds = bounds
 
     @property
     def n(self) -> int:
@@ -121,18 +106,12 @@ class Support:
             raise ValueError("regular grids support 1 to 3 axes")
         axes = [np.arange(k, dtype=np.float64) * spacing for k in shape]
         mesh = np.meshgrid(*axes, indexing="ij")
-        positions = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        bounds = tuple((0.0, (k - 1) * spacing) if k > 1 else (0.0, spacing) for k in shape)
-        return cls("regular-grid", positions, spacing, bounds)
+        return cls(np.stack([m.reshape(-1) for m in mesh], axis=1), spacing)
 
     @classmethod
-    def scattered(cls, positions, bounds=None) -> "Support":
-        pos = np.asarray(positions, dtype=np.float64)
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        if bounds is None:
-            bounds = tuple((float(pos[:, d].min()), float(pos[:, d].max())) for d in range(pos.shape[1]))
-        return cls("scattered", pos, None, tuple(bounds))
+    def scattered(cls, positions) -> "Support":
+        """The scattered cloud at `positions`: Support(positions)."""
+        return cls(positions)
 
 
 @dataclass(eq=False)
@@ -197,7 +176,7 @@ class MixtureSpec:
 def _resolve(spec: MixtureSpec, support: Support) -> tuple[str, float | None, float | None]:
     """Return (basis, spacing c, sigma) with defaults applied and combinations
     validated."""
-    if support.kind == "scattered":
+    if support.spacing is None:
         if spec.basis != "gaussian":
             raise ValueError("scattered supports require the gaussian basis")
         if spec.sigma is None:

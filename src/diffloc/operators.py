@@ -73,8 +73,7 @@ class SamplingConfig:
             raise ValueError("need tau_start >= tau_end > 0")
         if self.anneal not in ANNEALS:
             raise ValueError(f"unknown anneal schedule: {self.anneal!r}")
-        if self.distance not in DISTANCES:
-            raise ValueError(f"unknown distance: {self.distance!r}")
+        _check_distance(self.distance)
 
 
 _KIND_NAMES = {int: "an int", float: "a number", str: "a string", type(None): "None"}

@@ -1,12 +1,14 @@
 """Package surface: every name a module exports must exist, and importing the
 package loads nothing heavy that a run may never use."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import diffloc
 
@@ -28,6 +30,47 @@ def test_every_all_entry_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ lists {missing}, which the module does not define"
         exec(f"from {module.__name__} import *", {})
+
+
+# The benchmark's worker calls diffloc by name, and a name it calls that
+# diffloc no longer has shows only as a failed benchmark run.  The worker
+# keeps these harness modules as attributes of its workload objects.
+# perfbench/tracing.py patches targets of its own and is not checked here.
+_WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+_WORKER_MODULES = ("metrics", "model", "tasks", "training", "suites")
+
+
+def _resolves(module_name: str, name: str) -> bool:
+    """Whether `from module_name import name` finds name, as an attribute
+    or as a submodule."""
+    if hasattr(importlib.import_module(module_name), name):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_name_the_benchmark_worker_calls_resolves():
+    imported, called = set(), set()
+    for node in ast.walk(ast.parse(_WORKER.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "diffloc":
+            imported.update((node.module, alias.name) for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "self"
+            and node.value.attr in _WORKER_MODULES
+        ):
+            called.add((f"diffloc.harness.{node.value.attr}", node.attr))
+    # The parse found what the worker is known to use, so an empty check
+    # cannot pass.
+    assert ("diffloc.harness", "training") in imported
+    assert {module for module, _ in called} == {f"diffloc.harness.{name}" for name in _WORKER_MODULES}
+    missing = sorted(f"{module}.{name}" for module, name in imported | called if not _resolves(module, name))
+    assert not missing, f"perfbench/worker.py uses {missing}, which diffloc does not define"
 
 
 # Runs in a fresh interpreter: this test session has scipy.special loaded

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import diffloc
 from diffloc import autodiff as ad
 from diffloc.autodiff import Tensor
-from diffloc.harness.metrics import calibration_report, pearson
+from diffloc.harness.metrics import CalibrationResult, calibration_report, pearson
 from diffloc.harness.model import MLPModel
 from diffloc.harness import suites
 from diffloc.harness.suites import (
@@ -121,7 +121,7 @@ class TestTasks:
         assert task_support(SyntheticTask(kind="signal1d")).n == 32
         assert task_support(SyntheticTask(kind="heat2d", size=12)).n == 144
         sup3 = task_support(SyntheticTask(kind="scatter3d", size=64))
-        assert sup3.kind == "scattered" and sup3.n == 64 and sup3.ndim == 3
+        assert sup3.spacing is None and sup3.n == 64 and sup3.ndim == 3
 
     def test_examples_are_deterministic(self):
         for kind in TASK_KINDS:
@@ -148,12 +148,12 @@ class TestTasks:
         assert not np.array_equal(a, b)
 
     def test_targets_inside_bounds(self):
+        # Each target lies within its support's per-axis position range.
         for kind in TASK_KINDS:
             task = small_task(kind, size=16 if kind != "scatter3d" else 64)
-            support = task_support(task)
+            positions = task_support(task).positions
             _, targets = generate_split(task, "train")
-            for d, (lo, hi) in enumerate(support.bounds):
-                assert np.all(targets[:, d] >= lo) and np.all(targets[:, d] <= hi)
+            assert np.all(targets >= positions.min(axis=0)) and np.all(targets <= positions.max(axis=0))
 
     @pytest.mark.parametrize("kind", TASK_KINDS)
     def test_noiseless_argmax_is_nearest_support_point(self, kind):
@@ -693,31 +693,37 @@ class TestTraining:
             hash(first)
 
     def test_evaluate_keeps_four_columns_and_builds_no_record(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("evaluate() built a TrialRecord")
+        # A TrialRecord with its fields, whose construction fails: evaluate()
+        # may name it as its row type but never build one.
+        class Refused(training.TrialRecord):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                raise AssertionError("evaluate() built a TrialRecord")
 
         task = small_task(test_count=12)
         n = task_support(task).n
         model = MLPModel(n, 8, n, seed=5)
-        monkeypatch.setattr(training, "TrialRecord", refuse)
+        monkeypatch.setattr(training, "TrialRecord", Refused)
         records, summary = evaluate(model, task)
+        assert records.row_type is Refused
         assert summary.count == len(records) == 12
-        assert records.preds.shape == records.targets.shape == (12, 1)
-        assert records.peaks.shape == records.errors.shape == (12,)
+        assert records.column("pred").shape == records.column("target").shape == (12, 1)
+        assert records.column("peak").shape == records.column("error").shape == (12,)
         # The peaks are their own array, not a view that keeps the weight rows.
-        assert records.peaks.base is None
+        assert records.column("peak").base is None
 
     def test_evaluate_results_do_not_share_arrays(self):
         task = small_task(test_count=12)
         n = task_support(task).n
         model = MLPModel(n, 8, n, seed=6)
         first, _ = evaluate(model, task)
-        kept = [a.copy() for a in (first.preds, first.targets, first.peaks, first.errors)]
+        kept = [a.copy() for a in first.columns[1:]]
         for p in model.parameters():
             p.values = p.values * 1.5
         second, _ = evaluate(model, task)
-        assert not np.array_equal(second.preds, first.preds)
-        for a, b in zip((first.preds, first.targets, first.peaks, first.errors), kept):
+        assert not np.array_equal(second.column("pred"), first.column("pred"))
+        for a, b in zip(first.columns[1:], kept):
             assert np.array_equal(a, b)
 
 
@@ -756,7 +762,7 @@ class TestPredictionsKeepTheirBits:
         short, _ = evaluate(model, dataclasses.replace(task, test_count=7))
         full, _ = evaluate(model, task)
         assert task.test_count == 128
-        assert np.array_equal(short.preds, full.preds[:7])
+        assert np.array_equal(short.column("pred"), full.column("pred")[:7])
 
     @pytest.mark.parametrize("k", [32, 576])
     @pytest.mark.parametrize("m", [1, 3, 64])
@@ -899,7 +905,7 @@ class TestPearson:
         # confident predictions err less: positive correlation
         records = scored_records([0.9, 0.7, 0.4, 0.2], [0.1, 0.5, 1.2, 2.0])
         report = calibration_report(records)
-        assert report.defined and report.count == 4
+        assert report.defined
         assert report.r > 0.9
         assert report.r == pearson([r.peak for r in records], [-r.error for r in records])
         flat = scored_records([0.5] * 3, [0.1, 0.5, 1.2])
@@ -908,15 +914,15 @@ class TestPearson:
     @pytest.mark.parametrize("count", [0, 1])
     def test_calibration_of_fewer_than_two_records_is_undefined(self, count):
         report = calibration_report(scored_records([0.5] * count, [0.1] * count))
-        assert report.r is None and report.count == count
+        assert report.r is None and not report.defined
 
 
 def scored_records(peaks, errors):
-    """TrialRecords with the given peaks and errors and zero 1-D predictions
-    and targets."""
+    """evaluate()'s records with the given peaks and errors and zero 1-D
+    predictions and targets."""
     count = len(peaks)
     columns = np.zeros((count, 1)), np.zeros((count, 1)), np.array(peaks, float), np.array(errors, float)
-    return training.TrialRecords(*columns)
+    return Rows(training.TrialRecord, (range(count), *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +934,7 @@ class TestGradcheckSuite:
         report = gradcheck_suite(seeds=2)
         assert len(report.rows) == 5 * 3 * 2 * 2
         assert report.passed
-        assert report.worst < report.tol
+        assert report.worst < 1e-4  # gradcheck_suite's default tol
 
     def test_detects_wrong_gradients(self, monkeypatch):
         def crooked(pmap, sigma_t_sq):
@@ -1100,11 +1106,23 @@ def test_suite_rows_are_slotted(row_type):
     assert "__slots__" in vars(row_type)
 
 
-@pytest.mark.parametrize(
-    "record_type", [training.HistoryRow, training.TrialRecord, training.TrialRecords, training.EvalSummary]
-)
+@pytest.mark.parametrize("record_type", [training.HistoryRow, training.TrialRecord, training.EvalSummary])
 def test_run_records_are_slotted(record_type):
     assert "__slots__" in vars(record_type)
+
+
+@pytest.mark.parametrize(
+    "report_type, names",
+    [
+        (suites.GradCheckReport, ["rows"]),
+        (suites.VarianceCompareReport, ["rows"]),
+        (CalibrationResult, ["r"]),
+    ],
+)
+def test_reports_hold_no_echoed_argument(report_type, names):
+    # A report holds what its call computed; its caller already has the
+    # call's arguments and the records' length.
+    assert [f.name for f in dataclasses.fields(report_type)] == names
 
 
 def test_kept_evaluate_results_stay_small():

@@ -1,5 +1,7 @@
 """Mixture distributions: closed forms, samplers, and noise plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,7 @@ class TestSupport:
         sup = Support.regular_grid(5, spacing=2.0)
         assert sup.n == 5 and sup.ndim == 1
         np.testing.assert_array_equal(sup.positions[:, 0], [0.0, 2.0, 4.0, 6.0, 8.0])
-        assert sup.bounds == ((0.0, 8.0),)
+        assert sup.spacing == 2.0
 
     def test_regular_grid_2d_row_major(self):
         sup = Support.regular_grid((2, 3))
@@ -91,22 +93,23 @@ class TestSupport:
         np.testing.assert_array_equal(sup.positions[1], [0.0, 1.0])
         np.testing.assert_array_equal(sup.positions[3], [1.0, 0.0])
 
-    def test_scattered_infers_bounds(self):
+    def test_scattered_has_no_spacing(self):
         pts = np.array([[0.5, 1.0], [2.0, 3.0], [1.0, 0.25]])
-        sup = Support.scattered(pts)
-        assert sup.kind == "scattered"
+        sup = Support(pts)
         assert sup.spacing is None
-        assert sup.bounds == ((0.5, 2.0), (0.25, 3.0))
+        np.testing.assert_array_equal(sup.positions, pts)
+
+    def test_a_support_is_its_positions_and_spacing(self):
+        assert [f.name for f in dataclasses.fields(Support)] == ["positions", "spacing"]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            Support("hexagonal", np.zeros((2, 1)), 1.0, ((0.0, 1.0),))
         with pytest.raises(ValueError, match="spacing"):
             Support.regular_grid(4, spacing=0.0)
+        for spacing in (-1.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {spacing}"):
+                Support([[0.0], [1.0]], spacing)
         with pytest.raises(ValueError, match="ndim"):
-            Support.scattered(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="bounds"):
-            Support("regular-grid", np.zeros((2, 1)), 1.0, ((0.0, 1.0), (0.0, 1.0)))
+            Support(np.zeros((3, 4)))
 
 
 class TestProbabilityMap:
@@ -157,7 +160,7 @@ class TestMixtureSpec:
                 MixtureSpec("gaussian", sigma=sigma)
 
     def test_scattered_requires_gaussian_with_sigma(self):
-        sup = Support.scattered(np.random.default_rng(0).uniform(0, 1, (5, 2)))
+        sup = Support(np.random.default_rng(0).uniform(0, 1, (5, 2)))
         pmap = ProbabilityMap(sup, Tensor(np.full(5, 0.2)))
         with pytest.raises(ValueError, match="gaussian"):
             mixture_pdf(pmap, MixtureSpec("uniform"), np.array([0.5, 0.5]))
@@ -704,7 +707,7 @@ class TestGaussianBasis:
         "support, spec, sigma",
         [
             (Support.regular_grid(7, spacing=1.5), MixtureSpec("gaussian"), 1.5),
-            (Support.scattered([0.3, -1.1, 2.4, 0.9, 5.2]), MixtureSpec("gaussian", sigma=0.7), 0.7),
+            (Support([0.3, -1.1, 2.4, 0.9, 5.2]), MixtureSpec("gaussian", sigma=0.7), 0.7),
         ],
         ids=["grid-default-sigma", "scattered-explicit-sigma"],
     )
@@ -766,7 +769,7 @@ class TestReferenceSampler:
 
     def test_scattered_gaussian_sampling(self):
         rng = np.random.default_rng(30)
-        sup = Support.scattered(rng.uniform(0, 2, (6, 3)))
+        sup = Support(rng.uniform(0, 2, (6, 3)))
         pmap = ProbabilityMap(sup, Tensor(softmax_values(rng.normal(0, 1, 6))))
         spec = MixtureSpec("gaussian", sigma=0.15)
         samples = reference_sample_batch(pmap, spec, 50_000, NoiseSource(31))
