@@ -20,19 +20,28 @@ Each op's builder names its params as keywords, so a param it does not
 take is a TypeError at the call.  It is told which of its inputs require a
 gradient, and its backward computes nothing for the others, the constants.
 
-All values are float64 and must stay finite.  Each array is checked once,
-where it is made: a constant when it is built, an op output in
-``forward_op``, a gradient when a backward function returns it, and the sum
-of two gradients.  A backward function that returns its incoming gradient
-itself, as the same-shape sides of add and subtract do, returns an array
-checked already, so it is not checked twice.  NaN or Inf raises immediately
-instead of letting the poison spread.  Every tensor is checked, inside a
-block or not; the check first tests the array's sum and reads each entry
-only when that sum is not finite, since a finite array can overflow its
-sum.  An overflow therefore shows as a NonFiniteError, not as numpy's
-warning: a ``GradientTape`` or ``no_grad`` block silences numpy's
-over/invalid warnings once for the whole block, and an op or a constructor
-called outside both silences them for itself alone.
+All values are float64 and must stay finite: a NaN or Inf raises a
+NonFiniteError naming where it was made, instead of letting the poison
+spread.  Inside a ``GradientTape`` or ``no_grad`` block, and for an op or a
+constructor called outside both, numpy's overflow, invalid and divide flags
+raise, and an underflow, which is finite, is ignored.  A value made under
+those flags, or scanned, is finite, and a finite computation makes an inf
+or a NaN only by raising one of them, so ``forward_op`` and ``backward``
+name the op whose output or backward raised and scan nothing.  The flags
+vouch only for code run under the block's error state: an op run under an
+``np.errstate`` that a caller sets inside a block may return an inf that
+nothing names.  A FloatingPointError from numpy code outside an op, such
+as a noise draw, leaves the block as a NonFiniteError.  Scans remain where
+the flags cannot vouch for a value: a constant when it is built; the sum of two gradients
+and each accumulation into a leaf's grad, which may run under an error
+state a caller set inside the block; and a BLAS product of more than
+_BLAS_SCAN_SIZE multiply-adds in one call, because threaded OpenBLAS
+raises no flag for an overflow in a worker thread's share.  A scan sums
+the array first and reads each entry only when that sum is not finite or
+overflows, since a finite array can overflow its sum.  An overflow that a
+later step of the same op masks, such as relu of a -inf product, raises
+too; the relaxed softmax, whose scores over a tiny tau may overflow to
+-inf and get weight 0, is the one op that ignores it.
 """
 
 from __future__ import annotations
@@ -85,12 +94,38 @@ class NonFiniteError(FloatingPointError):
 def _check_finite(values: np.ndarray, where: str, kind: str = "") -> None:
     """NonFiniteError naming where.format(kind) unless every entry is finite.
 
-    A sum is finite only when every entry is; when it is not, an entry may
-    still be finite throughout and the sum have overflowed, so each entry is
-    tested then.  Call it where numpy's over/invalid warnings are silenced.
+    For the values the floating-point flags cannot vouch for: constants,
+    gradient sums, accumulations and the large BLAS products.  A sum is
+    finite only when every entry is; when it is not, or when it overflows
+    and the error state raises, an entry may still be finite throughout, so
+    each entry is tested then.  Call it where numpy's overflow and invalid
+    flags raise or are ignored, not where they warn.
     """
-    if not math.isfinite(np.add.reduce(values, axis=None)) and not np.isfinite(values).all():
+    try:
+        if math.isfinite(np.add.reduce(values, axis=None)):
+            return
+    except FloatingPointError:
+        pass
+    if not np.isfinite(values).all():
         raise NonFiniteError("non-finite value in " + where.format(kind))
+
+
+def _checked_sum(x: np.ndarray, y: np.ndarray, where: str, kind: str = "") -> np.ndarray:
+    """x + y, or NonFiniteError naming where.format(kind) if it is not finite."""
+    try:
+        total = x + y
+    except FloatingPointError as err:
+        raise NonFiniteError("non-finite value in " + where.format(kind)) from err
+    _check_finite(total, where, kind)
+    return total
+
+
+def _raise_as_non_finite(err: BaseException | None) -> None:
+    """Raise a NonFiniteError for a FloatingPointError that numpy code
+    outside an op raised inside a block, such as a noise draw or a
+    regularizer's target; let anything else through."""
+    if isinstance(err, FloatingPointError) and not isinstance(err, NonFiniteError):
+        raise NonFiniteError(f"non-finite value outside an op: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +182,22 @@ class TapeRecord:
 class GradientTape:
     """Ordered record of executed ops; reverse order is a valid backward order.
 
-    Inside the block numpy's over/invalid warnings are off on this thread."""
+    Inside the block numpy's overflow, invalid and divide flags raise on this
+    thread, and a FloatingPointError leaves it as a NonFiniteError."""
 
     records: list[TapeRecord] = field(default_factory=list)
 
     def __enter__(self) -> "GradientTape":
-        self._quiet = np.errstate(**_QUIET)
-        self._quiet.__enter__()
+        self._flags = np.errstate(**_FLAGS)
+        self._flags.__enter__()
         _STATE.stack.append(self)
         return self
 
-    def __exit__(self, *exc) -> bool:
-        self._quiet.__exit__(*exc)
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._flags.__exit__(exc_type, exc, tb)
         popped = _STATE.stack.pop()
         assert popped is self
+        _raise_as_non_finite(exc)
         return False
 
     def __len__(self) -> int:
@@ -176,27 +213,33 @@ class _ThreadState(threading.local):
 _STATE = _ThreadState()
 
 # numpy's error state inside every GradientTape and no_grad block, and for
-# each op outside them: an overflow or invalid result surfaces as the
-# NonFiniteError of the check that follows, not as numpy's warning.
-_QUIET = {"over": "ignore", "invalid": "ignore"}
+# each op outside them.  A value made under these flags is finite, and under
+# IEEE 754 a finite computation makes an inf or a NaN only by raising the
+# overflow, invalid or divide flag, which numpy tests after each ufunc and
+# matmul: the op that made the first non-finite value raises, and nothing
+# scans its output.  An underflow is finite, so it never raises.
+_FLAGS = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
 _SET_BY_BLOCK = nullcontext()
 
 
 def _errstate(state: _ThreadState):
     """The context an op runs in: nothing inside a block, whose state is set
-    already, and np.errstate(**_QUIET) outside every block."""
-    return _SET_BY_BLOCK if state.stack or not state.enabled else np.errstate(**_QUIET)
+    already, and np.errstate(**_FLAGS) outside every block."""
+    return _SET_BY_BLOCK if state.stack or not state.enabled else np.errstate(**_FLAGS)
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Disable recording inside the block; values flow, gradients do not.
-    numpy's over/invalid warnings are off inside it, as in a GradientTape."""
+    numpy's flags raise inside it, as in a GradientTape."""
     prev = _STATE.enabled
     _STATE.enabled = False
     try:
-        with np.errstate(**_QUIET):
+        with np.errstate(**_FLAGS):
             yield
+    except FloatingPointError as err:
+        _raise_as_non_finite(err)
+        raise
     finally:
         _STATE.enabled = prev
 
@@ -231,12 +274,14 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     tensors = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
     needs = tuple([t.requires_grad for t in tensors])
     state = _STATE
-    with _errstate(state):
-        out_values, backward_fn = build([t.values for t in tensors], needs, **params)
-        if out_values.__class__ is not np.ndarray or out_values.dtype != np.float64:
-            out_values = np.asarray(out_values, dtype=np.float64)
-        _check_finite(out_values, "output of {!r}", kind)
-    # Checked just above, so bypass the constructor's copy and second check.
+    try:
+        with _errstate(state):
+            out_values, backward_fn = build([t.values for t in tensors], needs, **params)
+    except FloatingPointError as err:
+        raise NonFiniteError(f"non-finite value in output of {kind!r}") from err
+    if out_values.__class__ is not np.ndarray or out_values.dtype != np.float64:
+        out_values = np.asarray(out_values, dtype=np.float64)
+    # Finite, as no flag raised, so bypass the constructor's copy and check.
     out = Tensor.__new__(Tensor)
     out.values, out.requires_grad, out.grad = out_values, False, None
     if state.enabled and state.stack and any(needs):
@@ -277,8 +322,11 @@ def backward(root: Tensor) -> None:
         entry = pending.pop(id(rec.output), None)
         if entry is None:
             continue
-        g_out = entry[1]
-        for tensor, g_in in zip(rec.inputs, rec.backward_fn(g_out)):
+        try:
+            grads = rec.backward_fn(entry[1])
+        except FloatingPointError as err:
+            raise NonFiniteError(f"non-finite value in backward of {rec.kind!r}") from err
+        for tensor, g_in in zip(rec.inputs, grads):
             # Recorded outputs always require grad, so a no-grad input is a
             # dead end: a constant.
             if g_in is None or not tensor.requires_grad:
@@ -288,12 +336,9 @@ def backward(root: Tensor) -> None:
                     f"backward of {rec.kind!r} produced gradient shape {g_in.shape} "
                     f"for input shape {tensor.shape}"
                 )
-            if g_in is not g_out:
-                _check_finite(g_in, "backward of {!r}", rec.kind)
             prev = pending.get(id(tensor))
             if prev is not None:
-                g_in = prev[1] + g_in
-                _check_finite(g_in, "gradient sum in backward of {!r}", rec.kind)
+                g_in = _checked_sum(prev[1], g_in, "gradient sum in backward of {!r}", rec.kind)
             pending[id(tensor)] = (tensor, g_in)
     # Every produced tensor was popped at its record; the rest are leaves.
     for tensor, g in pending.values():
@@ -305,9 +350,7 @@ def _accumulate(tensor: Tensor, g: np.ndarray) -> None:
     if tensor.grad is None:
         tensor.grad = g + 0.0
         return
-    total = tensor.grad + g
-    _check_finite(total, "gradient accumulation")
-    tensor.grad = total
+    tensor.grad = _checked_sum(tensor.grad, g, "gradient accumulation")
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +503,24 @@ def _build_mean_over_axis(arrays, needs, axis=None):
     return total * scale, lambda g: sum_bwd(g * scale)
 
 
+# numpy raises only the flags set on its own thread.  Threaded OpenBLAS
+# splits a large product among worker threads, and an overflow confined to
+# a worker's share raises nothing: with two threads of OpenBLAS 0.3.31
+# (Haswell kernel), one in the last column of a 16 x 1024 @ 1024 x 64
+# product went unseen, though every product tested up to 96^3 multiply-adds
+# raised.  A BLAS call of more multiply-adds than this is scanned.
+_BLAS_SCAN_SIZE = 65_536
+
+
+def _product(a, b):
+    """a @ b for a and b of two axes or more, scanned when each BLAS call
+    makes more than _BLAS_SCAN_SIZE multiply-adds."""
+    out = a @ b
+    if a.shape[-2] * a.shape[-1] * b.shape[-1] > _BLAS_SCAN_SIZE:
+        _check_finite(out, "BLAS product")
+    return out
+
+
 def _rows_product(a, b, what="matrix-multiply"):
     """(..., k) @ (k, m) or (..., k, m) -> (..., m), each row with the bits it
     has alone.  A shared (k, m) matrix, one column or more, takes the rows in
@@ -471,12 +532,12 @@ def _rows_product(a, b, what="matrix-multiply"):
         count = math.prod(lead)
         pad = -count % 4
         if not pad:
-            return (a.reshape(count // 4, 4, k) @ b).reshape(*lead, m)
+            return _product(a.reshape(count // 4, 4, k), b).reshape(*lead, m)
         flat = a.reshape(count, k)
         flat = np.concatenate((flat, flat[[-1] * pad])).reshape((count + pad) // 4, 4, k)
-        return (flat @ b).reshape(count + pad, m)[:count].reshape(*lead, m)
+        return _product(flat, b).reshape(count + pad, m)[:count].reshape(*lead, m)
     if a.ndim and b.ndim == a.ndim + 1 and a.shape == b.shape[:-1]:
-        return (a[..., None, :] @ b)[..., 0, :]
+        return _product(a[..., None, :], b)[..., 0, :]
     raise ShapeError(f"{what}: need (..., k) @ (k, m) or (..., k, m), got {a.shape} @ {b.shape}")
 
 
@@ -505,8 +566,8 @@ def _build_matrix_multiply(arrays, needs, relu=False):
         gc = (_reduce_to(g, arrays[2].shape),) if need_c else (None,) * (len(arrays) - 2)
         ga = _rows_product(g, b.swapaxes(-1, -2)) if need_a else None
         if need_b and b.ndim == 2:
-            return (ga, a.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])) + gc
-        return (ga, a[..., :, None] @ g[..., None, :] if need_b else None) + gc
+            return (ga, _product(a.reshape(-1, b.shape[0]).T, g.reshape(-1, b.shape[1]))) + gc
+        return (ga, _product(a[..., :, None], g[..., None, :]) if need_b else None) + gc
 
     return out, bwd
 
@@ -563,7 +624,13 @@ def _build_softmax_over_axis(arrays, needs, tau=None, floor=None):
             f"softmax-over-axis: gumbels {gumbels.shape} do not match input {a.shape}: "
             "they need its lead axes, then any draw axes, then its support axis"
         )
-    p = softmax_values((log_w.reshape(lead + (1,) * (gumbels.ndim - a.ndim) + a.shape[-1:]) + gumbels) / tau)
+    scores = log_w.reshape(lead + (1,) * (gumbels.ndim - a.ndim) + a.shape[-1:]) + gumbels
+    # At a tiny tau a score over tau, or its distance below the largest, may
+    # overflow to -inf, and the softmax gives it weight 0: no fault.  An inf
+    # the softmax cannot absorb, every score -inf or one +inf, makes a NaN
+    # there, which the invalid flag raises.
+    with np.errstate(over="ignore"):
+        p = softmax_values(scores / tau)
 
     def bwd(g):
         ga = _softmax_grad(_rows_product(g, values.swapaxes(-1, -2)), p) / tau

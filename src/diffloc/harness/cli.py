@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from ..autodiff import NonFiniteError
 from ..mixture import BASES
 from ..operators import ANNEALS, DISTANCES, SamplingConfig, field_kinds
 from .metrics import calibration_report, pearson
@@ -290,7 +291,10 @@ def _cmd_eval(args) -> int:
             f"{task.kind} of size {task.size} has {n} of each"
         )
     _check_out("--out", out, {"--model": args.model})
-    records, summary = evaluate(model, task, split=opts["split"])
+    try:
+        records, summary = evaluate(model, task, split=opts["split"])
+    except NonFiniteError as exc:
+        raise SystemExit(f"--model {args.model}: {exc}") from None
     ndim = records.column("pred").shape[1]
     header = (
         ["idx"]

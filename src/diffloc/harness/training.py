@@ -262,10 +262,13 @@ def _train_batch(model, support, loss_fn, obs, targets, tau, lr) -> float:
     with ad.GradientTape():
         _, batch_loss = _batch_losses(model, support, loss_fn, obs, targets, tau)
         ad.backward(batch_loss)
-    for p in model.parameters():
-        if p.grad is not None:
-            p.values -= lr * p.grad
-        p.zero_grad()
+        # Under the tape's flags, whatever the caller's error state, so an
+        # update that overflows a parameter raises instead of leaving an inf
+        # that no later op would name.
+        for p in model.parameters():
+            if p.grad is not None:
+                p.values -= lr * p.grad
+            p.zero_grad()
     return batch_loss.item()
 
 

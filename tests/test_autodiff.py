@@ -3,7 +3,10 @@
 import gc
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import weakref
 from contextlib import nullcontext
@@ -23,7 +26,8 @@ from diffloc.autodiff import (
     grad_check_rows,
     registered_ops,
 )
-from diffloc.mixture import WEIGHT_FLOOR
+from diffloc.mixture import WEIGHT_FLOOR, ProbabilityMap, Support
+from diffloc.operators import sampled_expected_error_loss
 from looped_gradcheck import grad_check
 from relaxed_chain import relaxed_sample_chain
 
@@ -352,31 +356,33 @@ def test_no_grad_blocks_recording_and_matches_values():
     np.testing.assert_array_equal(recorded.values, quiet.values)
 
 
-def _quiet(state: dict) -> bool:
-    return state["over"] == "ignore" and state["invalid"] == "ignore"
+def _raising(state: dict) -> bool:
+    return state == {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
 
 
-def test_blocks_silence_numpy_warnings_and_restore_the_error_state():
-    with np.errstate(over="raise", invalid="warn", divide="raise"):
+def test_blocks_raise_numpy_flags_and_restore_the_error_state():
+    with np.errstate(over="ignore", invalid="warn", divide="ignore", under="raise"):
         outer = np.geterr()
         for block in (GradientTape, ad.no_grad):
             with block():
-                assert _quiet(np.geterr())
-                assert np.geterr()["divide"] == "raise"
+                assert _raising(np.geterr())
+                # An underflow is finite: exp(-1000) is 0.
+                assert forward_op("exponent", [Tensor([-1000.0])]).values[0] == 0.0
             assert np.geterr() == outer
         with GradientTape():
             with ad.no_grad():
                 with GradientTape():
-                    assert _quiet(np.geterr())
-                assert _quiet(np.geterr())
-            assert _quiet(np.geterr())
+                    assert _raising(np.geterr())
+                assert _raising(np.geterr())
+            assert _raising(np.geterr())
         assert np.geterr() == outer
         with ad.no_grad():
             with GradientTape():
-                assert _quiet(np.geterr())
-            assert _quiet(np.geterr())
+                assert _raising(np.geterr())
+            assert _raising(np.geterr())
         assert np.geterr() == outer
-        # An op outside every block silences the warning for itself alone.
+        # An op outside every block raises the flags for itself alone, so
+        # its overflow is found although the caller ignores overflows.
         with pytest.raises(NonFiniteError, match="'exponent'"):
             forward_op("exponent", [Tensor([1000.0])])
         assert np.geterr() == outer
@@ -397,10 +403,10 @@ def test_a_non_finite_error_leaves_the_error_state_as_it_found_it():
     assert np.geterr() == before
 
 
-def test_a_tape_on_one_thread_does_not_silence_another():
+def test_a_tape_on_one_thread_does_not_set_the_flags_of_another():
     # Each thread has its own block stack and numpy error state: an op on a
-    # second thread outside any block silences its own warning, and a tape
-    # there sets and restores only that thread's state.
+    # second thread outside any block raises its own flags, and a tape there
+    # sets and restores only that thread's state.
     entered, release = threading.Event(), threading.Event()
     seen, errors = {}, []
 
@@ -428,14 +434,14 @@ def test_a_tape_on_one_thread_does_not_silence_another():
     with GradientTape() as tape:
         entered.set()
         assert release.wait(10)
-        assert _quiet(np.geterr())
+        assert _raising(np.geterr())
         assert len(tape) == 0
     worker.join(10)
     assert not worker.is_alive()
     assert not errors, errors
     assert np.geterr() == before
-    assert not _quiet(seen["outside"])
-    assert _quiet(seen["inside"])
+    assert not _raising(seen["outside"])
+    assert _raising(seen["inside"])
     assert seen["after"] == seen["outside"]
     assert seen["records"] == 2
     np.testing.assert_array_equal(seen["grad"], [2.0, 4.0])
@@ -637,6 +643,209 @@ def test_a_nan_or_mixed_infinities_fail_every_check_site():
         backward(root)
         with pytest.raises(NonFiniteError, match="accumulation"):
             backward(root)
+
+
+# ---------------------------------------------------------------------------
+# The floating-point flags name the op that made the first non-finite value
+
+# Finite inputs whose output overflows, per op kind, as (kind, inputs,
+# params).  No output of the other kinds can be non-finite: they copy,
+# negate or mask finite values, or take the log of one.
+_FORWARD_OVERFLOWS = [
+    ("add", [[1e308], [1e308]], {}),
+    ("subtract", [[1e308], [-1e308]], {}),
+    ("multiply", [[1e200], [1e200]], {}),
+    ("divide", [[1e200], [1e-200]], {}),
+    ("exponent", [[1000.0]], {}),
+    ("power", [[1e200]], {"exponent": 2.0}),
+    ("sum-over-axis", [OVERFLOWING_SUM], {}),
+    ("mean-over-axis", [OVERFLOWING_SUM], {"axis": -1}),
+    ("matrix-multiply", [[1e200, 1e200], [[1e200], [1e200]]], {}),
+    # A gumbel of 1e308 over tau = 0.5 is +inf.
+    ("softmax-over-axis", [[0.5, 0.5], [1e308, 0.0], [[0.0], [1.0]]], {"tau": 0.5, "floor": WEIGHT_FLOOR}),
+    ("absolute-value", [[1e308], [-1e308]], {}),
+    ("square", [[1e200]], {}),
+]
+_NO_FORWARD_OVERFLOW = {"negate", "logarithm", "relu", "concatenate", "index-select", "broadcast"}
+
+
+def _spread(out):
+    """A finite root whose gradient at out, equal pairs along its last axis,
+    is 5e307 and -5e307 per pair: the softmax of each pair is [0.5, 0.5],
+    times [1e308, -1e308]."""
+    return ad.sum_over_axis(ad.multiply(ad.softmax_over_axis(out), Tensor([1e308, -1e308])))
+
+
+# A finite root of x whose backward overflows first in the op named, per op
+# kind, as (kind, x, root).  No backward of the other kinds can: they copy,
+# split, negate or mask the gradient, or scale it down.
+_BACKWARD_OVERFLOWS = [
+    # Four rows of the gradient summed onto x's one.
+    ("add", [0.0, 0.0], lambda x: _spread(ad.add(x, Tensor(np.zeros((4, 2)))))),
+    ("subtract", [0.0, 0.0], lambda x: _spread(ad.subtract(x, Tensor(np.zeros((4, 2)))))),
+    ("broadcast", [0.0, 0.0], lambda x: _spread(forward_op("broadcast", [x], shape=(4, 2)))),
+    ("index-select", np.zeros((2, 2)), lambda x: _spread(forward_op("index-select", [x], index=[0, 0, 0, 0]))),
+    ("absolute-value", [0.0, 0.0], lambda x: _spread(ad.absolute_value(x, Tensor(np.ones((4, 2)))))),
+    # The gradient times or over a factor.
+    ("multiply", [1.0, 1.0], lambda x: _spread(ad.multiply(x, Tensor(4.0)))),
+    ("divide", [1.0, 1.0], lambda x: _spread(forward_op("divide", [x, Tensor(0.25)]))),
+    ("exponent", [2.0, 2.0], lambda x: _spread(forward_op("exponent", [x]))),
+    ("logarithm", [0.1, 0.1], lambda x: _spread(ad.logarithm(x))),
+    ("power", [2.0, 2.0], lambda x: _spread(forward_op("power", [x], exponent=3.0))),
+    ("square", [2.0, 2.0], lambda x: _spread(ad.square(x))),
+    ("matrix-multiply", [0.0, 0.0, 0.0], lambda x: _spread(ad.matrix_multiply(x, Tensor([[4.0, -4.0]] * 3)))),
+    # softmax([log 9, 0]) is [0.9, 0.1]: the gradient at its scores is
+    # [1.5e308, -1.5e308] less their mean under it, 1.2e308.
+    ("softmax-over-axis", [np.log(9.0), 0.0],
+     lambda x: ad.sum_over_axis(ad.multiply(ad.softmax_over_axis(x), Tensor([1.5e308, -1.5e308])))),
+    # The relaxed form divides the gradient at its scores by tau.
+    ("softmax-over-axis", [0.5, 0.5],
+     lambda x: ad.multiply(forward_op("softmax-over-axis", [x, [0.0, 0.0], [[1.0], [-1.0]]], tau=1e-300,
+                                      floor=WEIGHT_FLOOR), Tensor(1e10))),
+]
+_NO_BACKWARD_OVERFLOW = {"negate", "sum-over-axis", "mean-over-axis", "relu", "concatenate"}
+
+
+_EXTREMES = np.array([[np.finfo(np.float64).max, -np.finfo(np.float64).max], [5e-324, -0.0]])
+# The kinds that cannot overflow, each with inputs built from _EXTREMES.
+_EXTREME_CALLS = {
+    "negate": ([_EXTREMES], {}),
+    "logarithm": ([_EXTREMES], {"floor": WEIGHT_FLOOR}),
+    "relu": ([_EXTREMES], {}),
+    "concatenate": ([_EXTREMES, _EXTREMES], {}),
+    "index-select": ([_EXTREMES], {"index": [1, 0, 0]}),
+    "broadcast": ([_EXTREMES], {"shape": (3, 2, 2)}),
+    "sum-over-axis": ([_EXTREMES], {"axis": 0}),
+    "mean-over-axis": ([_EXTREMES], {"axis": 0}),
+}
+
+
+def test_each_op_kind_has_an_overflow_case_or_none_can_overflow():
+    for cases, cannot in ((_FORWARD_OVERFLOWS, _NO_FORWARD_OVERFLOW), (_BACKWARD_OVERFLOWS, _NO_BACKWARD_OVERFLOW)):
+        kinds = {case[0] for case in cases}
+        assert not kinds & cannot
+        assert kinds | cannot == set(registered_ops())
+    assert set(_EXTREME_CALLS) == _NO_FORWARD_OVERFLOW | _NO_BACKWARD_OVERFLOW
+
+
+@pytest.mark.parametrize(
+    "kind, inputs, params", _FORWARD_OVERFLOWS, ids=[case[0] for case in _FORWARD_OVERFLOWS]
+)
+def test_an_overflowing_output_names_its_op(kind, inputs, params):
+    for block in (nullcontext, ad.no_grad, GradientTape):
+        with block():
+            with pytest.raises(NonFiniteError, match=rf"^non-finite value in output of '{kind}'$"):
+                forward_op(kind, inputs, **params)
+
+
+@pytest.mark.parametrize("kind, x0, root", _BACKWARD_OVERFLOWS, ids=[case[0] for case in _BACKWARD_OVERFLOWS])
+def test_an_overflowing_backward_names_its_op(kind, x0, root):
+    with GradientTape():
+        x = Tensor(x0, requires_grad=True)
+        out = root(x)
+        assert np.isfinite(out.values).all()
+        with pytest.raises(NonFiniteError, match=rf"^non-finite value in backward of '{kind}'$"):
+            backward(out)
+
+
+@pytest.mark.parametrize("kind", sorted(_EXTREME_CALLS))
+def test_an_op_that_cannot_overflow_takes_the_extremes(kind):
+    # Its output, or the gradient its backward returns for a gradient of
+    # extremes, is finite, and no flag is raised on the way.
+    inputs, params = _EXTREME_CALLS[kind]
+    with np.errstate(**ad._FLAGS):
+        out, bwd = ad._REGISTRY[kind](inputs, (True,) * len(inputs), **params)
+        grads = bwd(np.resize(_EXTREMES, np.shape(out))) if kind in _NO_BACKWARD_OVERFLOW else ()
+    assert kind not in _NO_FORWARD_OVERFLOW or np.isfinite(out).all()
+    assert all(np.isfinite(g).all() for g in grads)
+
+
+def test_relaxed_samples_of_weights_at_the_floor_keep_the_chains_bits():
+    # Weights at and below the floor: the floored log's mask and a gradient
+    # divided by the floor raise no flag.
+    w0 = np.array([[WEIGHT_FLOOR, WEIGHT_FLOOR, 1.0 - 2.0 * WEIGHT_FLOOR], [0.0, 1.0, 0.0]])
+    gumbels = np.random.default_rng(29).gumbel(size=(2, 5, 3))
+    values = np.random.default_rng(31).normal(size=(3, 2))
+    results = []
+    for relaxed in (
+        lambda w: forward_op("softmax-over-axis", [w, gumbels, values], tau=0.1, floor=WEIGHT_FLOOR),
+        lambda w: relaxed_sample_chain(w, gumbels, values, 0.1),
+    ):
+        with GradientTape():
+            w = Tensor(w0, requires_grad=True)
+            out = relaxed(w)
+            backward(ad.sum_over_axis(ad.multiply(out, Tensor(np.random.default_rng(37).normal(size=out.shape)))))
+        assert np.isfinite(out.values).all() and np.isfinite(w.grad).all()
+        results.append((out.values, w.grad))
+    assert _bitwise_equal(results[0][0], results[1][0]) and _bitwise_equal(results[0][1], results[1][1])
+
+
+@pytest.mark.parametrize("tau", [0.3, 1e-300])
+def test_a_one_point_softmax_raises_no_flag(tau):
+    with GradientTape():
+        a = Tensor([[3.0], [-700.0]], requires_grad=True)
+        w = Tensor([[1.0], [WEIGHT_FLOOR]], requires_grad=True)
+        plain = ad.softmax_over_axis(a)
+        relaxed = forward_op("softmax-over-axis", [w, np.full((2, 4, 1), 30.0), [[2.5]]], tau=tau,
+                             floor=WEIGHT_FLOOR)
+        backward(ad.add(ad.sum_over_axis(plain), ad.sum_over_axis(relaxed)))
+    np.testing.assert_array_equal(plain.values, [[1.0], [1.0]])
+    np.testing.assert_array_equal(relaxed.values, np.full((2, 4, 1), 2.5))
+    assert _bitwise_equal(a.grad, np.zeros((2, 1))) and _bitwise_equal(w.grad, np.zeros((2, 1)))
+
+
+def test_a_relaxed_loss_at_a_tiny_tau_is_the_hard_samples_loss():
+    # At tau = 1e-307, (log w + g) / tau overflows to -inf for the component
+    # of weight 1e-9 unless its gumbel lifts it, and the softmax gives that
+    # -inf weight 0: each draw takes the sample of the larger score whole.
+    gumbels = np.array([[0.3, -0.2], [25.0, 0.1], [-0.4, 2.0]])
+    samples = np.array([[[0.1], [0.9]], [[-0.2], [1.3]], [[0.05], [1.1]]])
+    with GradientTape():
+        w = Tensor([1e-9, 1.0 - 1e-9], requires_grad=True)
+        pmap = ProbabilityMap(Support.regular_grid(2), w)
+        loss = sampled_expected_error_loss(pmap, [0.5], gumbels, samples, 1e-307)
+        backward(loss)
+    hard = np.array([0.9, -0.2, 1.1])
+    assert loss.item() == np.add.reduce(np.abs(hard - 0.5)) * (1.0 / 3.0) == 0.5666666666666667
+    assert _bitwise_equal(w.grad, np.zeros(2))
+
+
+def test_a_large_product_is_scanned_where_threaded_blas_leaves_no_flag():
+    # With two OpenBLAS threads a product of more than _BLAS_SCAN_SIZE
+    # multiply-adds is split among them, and an overflow in a worker's
+    # share sets no flag on the calling thread.  Each product below
+    # overflows in its last column or row only.
+    code = """
+import numpy as np
+from diffloc import autodiff as ad
+from diffloc.autodiff import GradientTape, NonFiniteError, Tensor
+
+for m in (64, 256):
+    b = np.full((1024, m), 1e-3)
+    b[:, -1] = 1e306
+    try:
+        ad.matrix_multiply(Tensor(np.ones((16, 1024))), Tensor(b))
+        raise SystemExit(f"no error in the output of 16 x 1024 @ 1024 x {m}")
+    except NonFiniteError as err:
+        assert str(err) == "non-finite value in output of 'matrix-multiply'", err
+
+# The weight gradient a^T g, 1024 x 16 @ 16 x 64, overflows in its last row.
+a = np.ones((16, 1024))
+a[:, -1] = 1e300
+with GradientTape():
+    w = Tensor(np.full((1024, 64), 1e-12), requires_grad=True)
+    root = ad.sum_over_axis(ad.multiply(ad.matrix_multiply(Tensor(a), w), Tensor(np.full((16, 64), 1e10))))
+    try:
+        ad.backward(root)
+        raise SystemExit("no error in the weight gradient")
+    except NonFiniteError as err:
+        assert str(err) == "non-finite value in backward of 'matrix-multiply'", err
+"""
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 _BINARY_CASES = [

@@ -155,6 +155,28 @@ class TestTrain:
         assert exited.value.code == "training diverged at epoch 0: non-finite value in output of 'matrix-multiply'"
         assert list(tmp_path.iterdir()) == []
 
+    def test_divergence_outside_an_op_ends_in_one_line(self, tmp_path):
+        # The JS target's q / q.sum() is 0 / 0: numpy code outside any op.
+        out = tmp_path / "history.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["train", *FAST, "--loss", "soft-dr", "--sigma-t-sq", "1e-300", "--out", str(out)])
+        assert exited.value.code == (
+            "training diverged at epoch 0: non-finite value outside an op: invalid value encountered in divide"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_of_weights_that_overflow_ends_in_one_line(self, tmp_path):
+        task = SyntheticTask("signal1d", size=16, train_count=2, val_count=2, test_count=2)
+        n = task_support(task).n
+        model = MLPModel(n, 4, n)
+        model.w1.values[:] = model.w2.values[:] = 1e200
+        path, out = tmp_path / "m.npz", tmp_path / "eval.csv"
+        model.save(path, task)
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--model", str(path), "--out", str(out)])
+        assert exited.value.code == f"--model {path}: non-finite value in output of 'matrix-multiply'"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_no_flags_use_dataclass_defaults(self, tmp_path, monkeypatch):
         seen = []
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import diffloc
 from diffloc import autodiff as ad
-from diffloc.autodiff import Tensor
+from diffloc.autodiff import NonFiniteError, Tensor
 from diffloc.harness.metrics import CalibrationResult, calibration_report, pearson
 from diffloc.harness.model import MLPModel
 from diffloc.harness import suites
@@ -500,6 +500,51 @@ class TestTraining:
             with np.errstate(over="ignore", invalid="ignore"):
                 train(config)
         assert diverged.value.history == clean[:1]
+
+    def test_an_update_that_overflows_a_parameter_is_a_training_divergence(self, monkeypatch):
+        # A dead hidden layer leaves b2 the one parameter with a gradient,
+        # about 1e300 / n on its first entry, and lr * grad overflows: b2[0]
+        # would be -inf, its softmax weight 0, and every later loss and
+        # gradient finite.  The update runs under the tape's flags, so the
+        # caller's error state cannot let that step pass.
+        class DeadHidden(MLPModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.w1.values[...] = 0.0
+                self.b1.values[...] = -1.0
+
+        def make_loss(*args, **kwargs):
+            def loss_fn(pmap, targets, tau):
+                scale = np.zeros(pmap.support.n)
+                scale[0] = 1e300
+                return ad.sum_over_axis(ad.multiply(pmap.weights, Tensor(scale)), axis=-1)
+
+            return loss_fn
+
+        monkeypatch.setattr(training, "MLPModel", DeadHidden)
+        monkeypatch.setattr(training, "make_loss", make_loss)
+        task = small_task(train_count=16, val_count=8)
+        config = RunConfig(task=task, loss="soft", epochs=2, lr=1e10, lr_schedule="constant")
+        with pytest.raises(TrainingDiverged) as diverged:
+            with np.errstate(all="ignore"):
+                train(config)
+        assert str(diverged.value) == (
+            "diverged at epoch 0: non-finite value outside an op: overflow encountered in multiply"
+        )
+        assert diverged.value.history == []
+
+    def test_divergence_outside_an_op_is_a_training_divergence(self):
+        # At sigma_t_sq = 1e-300 the JS target's q / q.sum() is 0 / 0, in
+        # numpy code that no op runs: the tape's error state raises there,
+        # and train() still reports a divergence, not numpy's error.
+        task = small_task(train_count=16, val_count=8)
+        config = RunConfig(task=task, loss="soft-dr", epochs=2, sigma_t_sq=1e-300)
+        with pytest.raises(TrainingDiverged) as diverged:
+            train(config)
+        assert str(diverged.value) == (
+            "diverged at epoch 0: non-finite value outside an op: invalid value encountered in divide"
+        )
+        assert isinstance(diverged.value.__cause__, NonFiniteError) and diverged.value.history == []
 
     def test_consumes_one_draw_per_sample(self, monkeypatch):
         sources = []
