@@ -8,12 +8,14 @@ the support point nearest y_t; tests rely on that anchor.
 
 Examples are pinned by (task seed, split, index), and the three splits use
 disjoint seed streams.  mixture.per_stream seeds every example of a split
-from one generator.  A grid split takes every example's draws first, in one
-pass over the examples, and then computes all of them at once, elementwise,
-so each example keeps the bits it has when generated alone.  Grid draws are
-scalar rng.integers() calls and scaled rng.random(k) draws: the bits of
-rng.integers(size=k) and of k rng.uniform(lo, hi) calls, with the stream
-left where those leave it, at a fraction of their argument handling.
+from one generator.  Per example, a grid split only draws and finds what
+decides the next draw: y_t and the distractor's position.  Every other
+transform of the draws runs once per split, elementwise, so each example
+keeps the bits it has alone; only -0.5 / width**2 is taken width by width,
+as Python's w**2 is C pow(), which numpy's w**2 and np.power need not match.
+Grid draws are scalar rng.integers() calls and scaled rng.random(k) draws,
+with the bits and stream position of rng.integers(size=k) and of k
+rng.uniform(lo, hi) calls, at a fraction of their argument handling.
 """
 
 from __future__ import annotations
@@ -204,61 +206,42 @@ def _cell_offset(u: float) -> float:
 _BUMP_DRAWS = 3
 
 
-def _bump_draws(center: float | np.ndarray, u: list[float]) -> list[tuple]:
-    """A separable multi-axis bump at the grid point center from
-    _BUMP_DRAWS random() draws per axis: per axis its (center, width,
-    -0.5 / width**2, lam_lo, lam_hi)."""
-    rows = []
-    for axis, c in enumerate((center,) if isinstance(center, float) else center):
-        width, lam_lo, lam_hi = u[_BUMP_DRAWS * axis : _BUMP_DRAWS * (axis + 1)]
-        width = _scaled(width, *_WIDTH_RANGE)
-        rows.append((float(c), width, -0.5 / width**2, _scaled(lam_lo, *_LAM_RANGE), _scaled(lam_hi, *_LAM_RANGE)))
-    return rows
-
-
-def _bump_profiles(x: np.ndarray, draws: list[list[tuple]]) -> np.ndarray:
-    """(len(draws), n**ndim): each bump of _bump_draws on the grid with axis
-    coordinates x, the product of its axes' bumps in row-major order."""
-    center, width, edge_arg, lam_lo, lam_hi = np.array(draws).transpose(2, 1, 0).copy()[..., None]
-    out = None
-    for axis in range(center.shape[0]):
-        vals = _bump(x, center[axis], width[axis], np.exp(edge_arg[axis]), lam_lo[axis], lam_hi[axis])
-        out = vals if out is None else (out[:, :, None] * vals[:, None, :]).reshape(vals.shape[0], -1)
-    return out
+def _bump_params(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(width, -0.5 / width**2, lam_lo, lam_hi) of bump axes from their
+    random() draws, (..., _BUMP_DRAWS), bit for bit as Python computes them
+    from one axis's floats.  The edge exponent is taken width by width:
+    Python's w**2 is C pow(), which numpy's w**2 (w * w) and np.power need
+    not match in the last bit."""
+    width = _scaled(draws[..., 0], *_WIDTH_RANGE)
+    edge_arg = np.array([-0.5 / w**2 for w in width.ravel().tolist()]).reshape(width.shape)
+    return width, edge_arg, _scaled(draws[..., 1], *_LAM_RANGE), _scaled(draws[..., 2], *_LAM_RANGE)
 
 
 def _grid_draws(task: SyntheticTask, ndim: int, roomy: bool, rng: np.random.Generator) -> tuple:
-    """One grid example's draws, in stream order: (y_t, its bump's
-    _bump_draws, its noise scale, (rho, the distractor's _bump_draws, boost)
-    or None, its standard normals).  y_t is a grid point, a float on one
-    axis.  The fixed-count uniforms come from one random(k) call after the
-    integers and one after a distractor is placed; each is mapped by the
-    same Python-float formula as a scalar draw."""
+    """One grid example's draws and what decides its next draw: (y_t, u,
+    d_pos, v, its standard normals).  y_t is a grid point, a float on one
+    axis.  u, one random(k) call after the integers, holds y_t's cell
+    offsets, its bump's draws and the difficulty.  d_pos is the distractor's
+    grid point and v, drawn once it is placed, holds rho, its bump's draws
+    and the boost; both are None without a distractor."""
     n = task.size
     cells = [int(rng.integers(1, n - 2)) for _ in range(ndim)]
-    u = rng.random(ndim + _BUMP_DRAWS * ndim + 1).tolist()
-    center = [c + _cell_offset(v) for c, v in zip(cells, u)]
+    u = rng.random(ndim + _BUMP_DRAWS * ndim + 1)
+    center = [c + _cell_offset(x) for c, x in zip(cells, u[:ndim].tolist())]
     y_t = center[0] if ndim == 1 else np.array(center)
-    bump = _bump_draws(y_t, u[ndim:-1])
-    difficulty = _scaled(u[-1], 0.1, 1.0)
-    lift = None
+    d_pos = v = None
     if roomy and _corner_distance(y_t, n) > _MIN_SEP:
         d_pos = _place_distractor(rng, 1.0, n - 2.0, y_t, min_sep=_MIN_SEP)
         if d_pos is not None:
-            v = rng.random(1 + _BUMP_DRAWS * ndim + 1).tolist()
-            # Confusable component of the noise: on hard examples it can grow
-            # the distractor toward main-peak height, so which bump is the
-            # real one becomes genuinely uncertain.
-            boost = task.noise * difficulty * _scaled(v[-1], 0.0, 0.55)
-            lift = _scaled(v[0], *_RHO_RANGE), _bump_draws(d_pos, v[1:-1]), boost
-    return y_t, bump, task.noise * difficulty, lift, rng.standard_normal(n**ndim)
+            v = rng.random(1 + _BUMP_DRAWS * ndim + 1)
+    return y_t, u, d_pos, v, rng.standard_normal(n**ndim)
 
 
 def _grid_examples(task: SyntheticTask, seeds: list[list[int]], ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """(observations, targets) of the grid examples seeded by `seeds`.
 
-    Each example's draws are taken from its stream in one pass; the
-    arithmetic on them then runs for all examples at once, elementwise, so
+    Each example's draws are taken from its stream in one pass; everything
+    computed from them then runs for all examples at once, elementwise, so
     each example's bits are those of the example alone.
     """
     n = task.size
@@ -267,21 +250,37 @@ def _grid_examples(task: SyntheticTask, seeds: list[list[int]], ndim: int) -> tu
     # lands beyond it.
     roomy = (n - 3) * np.sqrt(ndim) >= 1.3 * _MIN_SEP
     examples = per_stream(seeds, functools.partial(_grid_draws, task, ndim, roomy))
-    targets, bumps, scales, lifts, normals = zip(*examples)
-    lifted = [i for i, lift in enumerate(lifts) if lift is not None]
-    rhos, distractors, boosts = zip(*(lifts[i] for i in lifted)) if lifted else ((), (), ())
-
+    targets, us, d_pos, vs, normals = zip(*examples)
+    lifted = [i for i, v in enumerate(vs) if v is not None]
     count = len(examples)
-    profiles = _bump_profiles(np.arange(n, dtype=np.float64), bumps + distractors)
+    targets = np.array(targets).reshape(count, ndim)
+    u = np.concatenate(us).reshape(count, -1)
+    v = np.array([vs[i] for i in lifted]).reshape(len(lifted), 2 + _BUMP_DRAWS * ndim)
+
+    # One row per bump, the main bumps first; each parameter is (ndim, rows, 1).
+    center = np.concatenate([targets, np.array([d_pos[i] for i in lifted]).reshape(-1, ndim)]).T[..., None]
+    draws = np.concatenate([u[:, ndim:-1], v[:, 1:-1]]).reshape(-1, ndim, 1, _BUMP_DRAWS).transpose(1, 0, 2, 3)
+    width, edge_arg, lam_lo, lam_hi = _bump_params(draws)
+    x = np.arange(n, dtype=np.float64)
+    profiles = None
+    for axis in range(ndim):
+        vals = _bump(x, center[axis], width[axis], np.exp(edge_arg[axis]), lam_lo[axis], lam_hi[axis])
+        profiles = vals if profiles is None else (profiles[:, :, None] * vals[:, None, :]).reshape(len(vals), -1)
+
+    scale = task.noise * _scaled(u[:, -1], 0.1, 1.0)
     signal = noisy = profiles[:count]
     if lifted:
         d_profile = profiles[count:]
-        raised = signal[lifted] + np.array(rhos)[:, None] * d_profile
+        raised = signal[lifted] + _scaled(v[:, :1], *_RHO_RANGE) * d_profile
         signal[lifted] = raised
         noisy = signal.copy()
-        noisy[lifted] = raised + np.array(boosts)[:, None] * d_profile
-    std = np.array(scales)[:, None] * (0.05 + 0.25 * signal)
-    return noisy + std * np.stack(normals), np.array(targets).reshape(count, ndim)
+        # Confusable component of the noise: on hard examples it can grow
+        # the distractor toward main-peak height, so which bump is the real
+        # one becomes genuinely uncertain.
+        boost = scale[lifted, None] * _scaled(v[:, -1:], 0.0, 0.55)
+        noisy[lifted] = raised + boost * d_profile
+    std = scale[:, None] * (0.05 + 0.25 * signal)
+    return noisy + std * np.concatenate(normals).reshape(count, -1), targets
 
 
 def _scatter_example(task: SyntheticTask, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -258,6 +258,31 @@ class TestTasks:
             for k in (1 + 4 * 1, 1 + 4 * 2, 2 + 3 * 1, 2 + 3 * 2):
                 same(rng.random(k).tolist(), [ref.random() for _ in range(k)])
 
+    def test_bump_parameters_keep_the_bits_of_the_scalar_formula(self):
+        # A split's bump parameters come from its stacked draws.  Python's
+        # w**2 is C pow(); numpy's w**2 and np.square compute w * w and
+        # np.power with an array exponent differs again, each in the last bit
+        # for some widths.  The widths here are the ones where pow(w, 2) and
+        # w * w differ.
+        lo, hi = tasks._WIDTH_RANGE
+        rng = np.random.default_rng(5)
+        widths = [(x, lo + (hi - lo) * x) for x in rng.random(100_000).tolist()]
+        picked = [x for x, w in widths if w**2 != w * w]
+        assert len(picked) >= 20
+        draws = np.column_stack([picked, rng.random((len(picked), 2))])
+        width, edge_arg, lam_lo, lam_hi = tasks._bump_params(draws)
+        expected = [[], [], [], []]
+        lam_a, lam_b = tasks._LAM_RANGE
+        for x, y, z in draws.tolist():
+            w = lo + (hi - lo) * x
+            expected[0].append(w)
+            expected[1].append(-0.5 / w**2)
+            expected[2].append(lam_a + (lam_b - lam_a) * y)
+            expected[3].append(lam_a + (lam_b - lam_a) * z)
+        for got, want in zip((width, edge_arg, lam_lo, lam_hi), expected):
+            assert got.shape == draws.shape[:-1]
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+
     @pytest.mark.parametrize(
         "kind, sizes, counts",
         [
@@ -1186,6 +1211,51 @@ def test_kept_evaluate_results_stay_small():
         tracemalloc.stop()
     per_result = (after - before) / len(kept)
     assert per_result < 8 * 2**10, f"{per_result / 2**10:.1f} KiB per kept result"
+
+
+def test_kept_train_results_stay_small():
+    # A caller may keep many results: a kept train() holds its model and its
+    # history, and nothing of the splits it generated or the steps it took.
+    config = RunConfig(SyntheticTask("signal1d", noise=1.5, train_count=32, seed=2), epochs=2, hidden_dim=64, seed=2)
+    train(config)  # caches and first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        kept = [train(config) for _ in range(10)]
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.values.nbytes for p in kept[0][0].parameters())
+    per_result = (after - before) / len(kept)
+    assert per_result <= weights + 4 * 2**10, f"{per_result / 2**10:.1f} KiB per kept result, {weights / 2**10:.2f} KiB of weights"
+
+
+def test_discarded_calls_keep_nothing():
+    # Nothing of a call outlives it: no cache, buffer or module state grows
+    # with the number of train(), evaluate() or generate_split() calls.
+    task = SyntheticTask("signal1d", noise=1.5, train_count=32, seed=2)
+    config = RunConfig(task, epochs=2, hidden_dim=64, seed=2)
+    heat = SyntheticTask("heat2d", train_count=32, seed=2)
+
+    def calls():
+        model, _ = train(config)
+        evaluate(model, task)
+        generate_split(heat, "train")
+
+    calls()  # caches and first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(20):
+            calls()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 16 * 2**10, f"{(after - before) / 2**10:.1f} KiB kept by 20 discarded rounds"
 
 
 def test_kept_gradcheck_reports_stay_small():
