@@ -16,9 +16,10 @@ Broadcasting is deliberately limited to the leading-batch case (one
 operand's shape is a trailing suffix of the other's); anything else is a
 shape error rather than a silent numpy broadcast.
 
-Each op's builder names its params as keywords, so a param it does not
-take is a TypeError at the call.  It is told which of its inputs require a
-gradient, and its backward computes nothing for the others, the constants.
+Each op's builder names its inputs as positional parameters and its params
+as keywords, so a wrong input count or a param it does not take is a
+TypeError at the call.  It is told which of its inputs require a gradient,
+and its backward computes nothing for the others, the constants.
 
 All values are float64 and must stay finite: a NaN or Inf raises a
 NonFiniteError naming where it was made, instead of letting the poison
@@ -251,13 +252,14 @@ def as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # Op registry
 
-# An op builder takes (arrays, needs, **params) and returns (out_values,
+# An op builder takes (*arrays, needs, **params) and returns (out_values,
 # backward_fn) where backward_fn maps the output gradient to one gradient (or
-# None) per input, already reduced to the input's shape.  needs holds one
-# flag per input, whether it requires a gradient; backward_fn computes nothing
-# for an input whose flag is False and gives it None.  Each param is a
-# keyword the builder names, with its default, and the builder takes no
-# other.  _REGISTRY, below the builders, maps each op kind to its builder.
+# None) per input, already reduced to the input's shape.  Each input is a
+# positional parameter, and needs, keyword-only, holds one flag per input,
+# whether it requires a gradient; backward_fn computes nothing for an input
+# whose flag is False and gives it None.  Each param is a keyword-only
+# parameter with its default, and the builder takes no other.  _REGISTRY,
+# below the builders, maps each op kind to its builder.
 OpBuilder = Callable[..., tuple[np.ndarray, Callable]]
 
 
@@ -276,7 +278,7 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     state = _STATE
     try:
         with _errstate(state):
-            out_values, backward_fn = build([t.values for t in tensors], needs, **params)
+            out_values, backward_fn = build(*[t.values for t in tensors], needs=needs, **params)
     except FloatingPointError as err:
         raise NonFiniteError(f"non-finite value in output of {kind!r}") from err
     if out_values.__class__ is not np.ndarray or out_values.dtype != np.float64:
@@ -390,8 +392,7 @@ def _axis(axis: int, ndim: int) -> int:
 # Builders for the standard op set
 
 
-def _build_add(arrays, needs):
-    a, b = arrays
+def _build_add(a, b, *, needs):
     _suffix_shape(a.shape, b.shape)
     need_a, need_b = needs
 
@@ -401,12 +402,11 @@ def _build_add(arrays, needs):
     return a + b, bwd
 
 
-def _build_subtract(arrays, needs):
-    return _difference(arrays, needs)
+def _build_subtract(a, b, *, needs):
+    return _difference(a, b, needs)
 
 
-def _build_multiply(arrays, needs):
-    a, b = arrays
+def _build_multiply(a, b, *, needs):
     _suffix_shape(a.shape, b.shape)
     need_a, need_b = needs
 
@@ -416,8 +416,7 @@ def _build_multiply(arrays, needs):
     return a * b, bwd
 
 
-def _build_divide(arrays, needs):
-    a, b = arrays
+def _build_divide(a, b, *, needs):
     _suffix_shape(a.shape, b.shape)
     if (b == 0.0).any():
         raise ZeroDivisionError("divide: zero in denominator")
@@ -432,13 +431,11 @@ def _build_divide(arrays, needs):
     return a / b, bwd
 
 
-def _build_negate(arrays, needs):
-    (a,) = arrays
+def _build_negate(a, *, needs):
     return -a, lambda g: (-g,)
 
 
-def _build_exponent(arrays, needs):
-    (a,) = arrays
+def _build_exponent(a, *, needs):
     out = np.exp(a)
     return out, lambda g: (g * out,)
 
@@ -449,8 +446,7 @@ def floored_values(a: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(a - floor, 0.0) + floor
 
 
-def _build_logarithm(arrays, needs, floor=None):
-    (a,) = arrays
+def _build_logarithm(a, *, needs, floor=None):
     if floor is None:
         if np.any(a <= 0.0):
             raise ValueError("logarithm: input must be strictly positive")
@@ -470,8 +466,7 @@ def _floored_log(a, floor, kind):
     return np.log(lifted), lambda g: (g / lifted) * (a > floor)
 
 
-def _build_power(arrays, needs, exponent):
-    (a,) = arrays
+def _build_power(a, *, needs, exponent):
     p = float(exponent)
     if p != round(p) and np.any(a < 0.0):
         raise ValueError("power: negative base with fractional exponent")
@@ -483,8 +478,7 @@ def _build_power(arrays, needs, exponent):
     return out, bwd
 
 
-def _build_sum_over_axis(arrays, needs, axis=None):
-    (a,) = arrays
+def _build_sum_over_axis(a, *, needs, axis=None):
     axis = None if axis is None else _axis(axis, a.ndim)
 
     def bwd(g):
@@ -495,11 +489,11 @@ def _build_sum_over_axis(arrays, needs, axis=None):
     return np.add.reduce(a, axis=axis), bwd
 
 
-def _build_mean_over_axis(arrays, needs, axis=None):
+def _build_mean_over_axis(a, *, needs, axis=None):
     # Times 1/count, not divided by count: the bits of sum-over-axis and a
     # multiply by 1/count taped one by one.
-    total, sum_bwd = _build_sum_over_axis(arrays, needs, axis)
-    scale = 1.0 / (arrays[0].size if axis is None else arrays[0].shape[axis])
+    total, sum_bwd = _build_sum_over_axis(a, needs=needs, axis=axis)
+    scale = 1.0 / (a.size if axis is None else a.shape[axis])
     return total * scale, lambda g: sum_bwd(g * scale)
 
 
@@ -541,29 +535,24 @@ def _rows_product(a, b, what="matrix-multiply"):
     raise ShapeError(f"{what}: need (..., k) @ (k, m) or (..., k, m), got {a.shape} @ {b.shape}")
 
 
-def _build_matrix_multiply(arrays, needs, relu=False):
+def _build_matrix_multiply(a, b, c=None, *, needs, relu=False):
     """The rows product a @ b (see _rows_product), then the addend c
     (a @ b + c, c suffix-broadcast onto the product) when given as a third
     input, then relu when asked."""
-    if len(arrays) not in (2, 3):
-        raise ValueError(f"matrix-multiply takes 2 or 3 inputs, [a, b] or [a, b, c], got {len(arrays)}")
-    a, b = arrays[:2]
     out = _rows_product(a, b)
-    if len(arrays) > 2:
-        c = arrays[2]
+    if c is not None:
         if c.ndim > out.ndim or out.shape[out.ndim - c.ndim :] != c.shape:
             raise ShapeError(f"matrix-multiply: addend {c.shape} does not suffix-broadcast onto {out.shape}")
         out += c
     if relu:
         out = np.maximum(out, 0.0)
     need_a, need_b = needs[:2]
-    need_c = len(needs) > 2 and needs[2]
 
     def bwd(g):
         if relu:
             # out > 0 exactly where the product plus addend is.
             g = g * (out > 0.0)
-        gc = (_reduce_to(g, arrays[2].shape),) if need_c else (None,) * (len(arrays) - 2)
+        gc = () if c is None else (_reduce_to(g, c.shape) if needs[2] else None,)
         ga = _rows_product(g, b.swapaxes(-1, -2)) if need_a else None
         if need_b and b.ndim == 2:
             return (ga, _product(a.reshape(-1, b.shape[0]).T, g.reshape(-1, b.shape[1]))) + gc
@@ -572,8 +561,7 @@ def _build_matrix_multiply(arrays, needs, relu=False):
     return out, bwd
 
 
-def _build_relu(arrays, needs):
-    (a,) = arrays
+def _build_relu(a, *, needs):
     out = np.maximum(a, 0.0)
     return out, lambda g: (g * (a > 0.0),)
 
@@ -586,7 +574,7 @@ def softmax_values(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-def _build_softmax_over_axis(arrays, needs, tau=None, floor=None):
+def _build_softmax_over_axis(a, gumbels=None, values=None, *, needs, tau=None, floor=None):
     """One of two forms.  [a]: the softmax of a over its last axis.  [w,
     gumbels, values] with params tau and floor: the relaxed mixture sample
     sum_i p_i values_i, p = softmax((log(max(w, floor)) + gumbels) / tau),
@@ -599,19 +587,17 @@ def _build_softmax_over_axis(arrays, needs, tau=None, floor=None):
     softmax's, the divide by tau, the draws added one by one from 0.0 in C
     order, as index-select added the gradients of a per-draw gather, then
     the floored log's."""
-    relaxed = len(arrays) == 3 and tau is not None and floor is not None
-    if not relaxed and (len(arrays) != 1 or tau is not None or floor is not None):
+    relaxed = values is not None and tau is not None and floor is not None
+    if not relaxed and (gumbels is not None or tau is not None or floor is not None):
         raise ValueError(
             "softmax-over-axis takes [a], softmaxed over its last axis, or [w, gumbels, values] with tau and "
-            f"floor, the relaxed mixture sample; got {len(arrays)} inputs, tau {tau} and floor {floor}"
+            f"floor, the relaxed mixture sample; got {len(needs)} inputs, tau {tau} and floor {floor}"
         )
-    a = arrays[0]
     if a.ndim == 0:
         raise ShapeError("softmax-over-axis needs at least one axis")
     if not relaxed:
         out = softmax_values(a)
         return out, lambda g: (_softmax_grad(g, out),)
-    gumbels, values = arrays[1], arrays[2]
     if not 0.0 < tau < math.inf:
         raise ValueError(f"softmax-over-axis: tau must be positive and finite, got {tau}")
     tau = float(tau)
@@ -657,12 +643,11 @@ def _sum_draws(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.add.reduce(g.reshape(shape[:-1] + (count,) + shape[-1:]), axis=-2, initial=0.0)
 
 
-def _difference(arrays, needs):
+def _difference(a, b, needs):
     """a, or a - b given b suffix-broadcast, and the map from the gradient at
     it to its inputs' gradients, as subtract gives them."""
-    if len(arrays) == 1:
-        return arrays[0], lambda g: (g,)
-    a, b = arrays
+    if b is None:
+        return a, lambda g: (g,)
     _suffix_shape(a.shape, b.shape)
     need_a, need_b = needs
 
@@ -672,36 +657,35 @@ def _difference(arrays, needs):
     return a - b, bwd
 
 
-def _build_absolute_value(arrays, needs, axis=None):
+def _build_absolute_value(a, b=None, *, needs, axis=None):
     """|a|, or |a - b| given b: the bits of subtract then absolute-value.
     Given axis, that summed over axis: the bits of sum-over-axis after
     them."""
-    d, spread = _difference(arrays, needs)
+    d, spread = _difference(a, b, needs)
     axis = None if axis is None else _axis(axis, d.ndim)
     if axis is None:
         return np.abs(d), lambda g: spread(g * np.sign(d))
     return np.add.reduce(np.abs(d), axis=axis), lambda g: spread(np.expand_dims(g, axis) * np.sign(d))
 
 
-def _build_square(arrays, needs, axis=None):
+def _build_square(a, b=None, *, needs, axis=None):
     """a * a, or (a - b)^2 given b: the bits of subtract then square.  Given
     axis, that summed over axis: the bits of sum-over-axis after them."""
-    d, spread = _difference(arrays, needs)
+    d, spread = _difference(a, b, needs)
     axis = None if axis is None else _axis(axis, d.ndim)
     if axis is None:
         return d * d, lambda g: spread(g * 2.0 * d)
     return np.add.reduce(d * d, axis=axis), lambda g: spread(np.expand_dims(g, axis) * 2.0 * d)
 
 
-def _build_concatenate(arrays, needs, axis=0):
-    if not arrays:
-        raise ValueError("concatenate needs at least one input")
-    axis = _axis(axis, arrays[0].ndim)
+def _build_concatenate(a, *rest, needs, axis=0):
+    arrays = (a, *rest)
+    axis = _axis(axis, a.ndim)
     try:
         out = np.concatenate(arrays, axis=axis)
     except ValueError as err:
-        raise ShapeError(f"concatenate: {[a.shape for a in arrays]}") from err
-    sizes = [a.shape[axis] for a in arrays]
+        raise ShapeError(f"concatenate: {[x.shape for x in arrays]}") from err
+    sizes = [x.shape[axis] for x in arrays]
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
@@ -710,8 +694,7 @@ def _build_concatenate(arrays, needs, axis=0):
     return out, bwd
 
 
-def _build_index_select(arrays, needs, index, axis=0):
-    (a,) = arrays
+def _build_index_select(a, *, needs, index, axis=0):
     axis = _axis(axis, a.ndim)
     idx = np.asarray(index, dtype=np.intp)
     out = a.take(idx, axis=axis)
@@ -724,8 +707,7 @@ def _build_index_select(arrays, needs, index, axis=0):
     return out, bwd
 
 
-def _build_broadcast(arrays, needs, shape):
-    (a,) = arrays
+def _build_broadcast(a, *, needs, shape):
     shape = tuple(int(s) for s in shape)
     if shape[len(shape) - a.ndim:] != a.shape:
         raise ShapeError(f"broadcast: {a.shape} is not a suffix of {shape}")

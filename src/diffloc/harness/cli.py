@@ -46,12 +46,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _check_out(flag: str, path: str, others: dict[str, str] | None = None) -> None:
+def _check_out(flag: str, path: str, others: dict[str, str | None] | None = None) -> None:
     """Exit with one line, `<flag> <path>: <reason>`, when the command could
     not write a file at `path`; run before any work.  `others` maps flags to
     the files the command reads or writes before this one, which `path` must
-    neither be nor lie under."""
-    taken = {os.path.abspath(file): other for other, file in (others or {}).items()}
+    neither be nor lie under; a flag not given maps to None."""
+    taken = {os.path.abspath(file): other for other, file in (others or {}).items() if file}
     reason = None
     if not path:
         reason = "no file name"
@@ -249,9 +249,9 @@ def _cmd_train(args) -> int:
         raise SystemExit(f"invalid option value: out must be a string, got {opts['out']!r}")
     if not isinstance(opts["model_out"], (str, type(None))):
         raise SystemExit(f"invalid option value: model_out must be a string or None, got {opts['model_out']!r}")
-    _check_out("--out", opts["out"])
+    _check_out("--out", opts["out"], {"--config": args.config})
     if opts["model_out"]:
-        _check_out("--model-out", opts["model_out"], {"--out": opts["out"]})
+        _check_out("--model-out", opts["model_out"], {"--config": args.config, "--out": opts["out"]})
     try:
         model, history = train(config)
     except TrainingDiverged as exc:
@@ -290,7 +290,7 @@ def _cmd_eval(args) -> int:
             f"model {args.model} maps {model.in_dim} inputs to {model.out_dim} points, but task "
             f"{task.kind} of size {task.size} has {n} of each"
         )
-    _check_out("--out", out, {"--model": args.model})
+    _check_out("--out", out, {"--config": args.config, "--model": args.model})
     try:
         records, summary = evaluate(model, task, split=opts["split"])
     except NonFiniteError as exc:

@@ -52,14 +52,16 @@ class MLPModel:
         """Write the weights and, in the `meta` entry, the task they were trained on."""
         meta = {"in_dim": self.in_dim, "hidden_dim": self.hidden_dim, "out_dim": self.out_dim,
                 "task": dataclasses.asdict(task)}
-        np.savez(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-            w1=self.w1.values,
-            b1=self.b1.values,
-            w2=self.w2.values,
-            b2=self.b2.values,
-        )
+        # Through a file object, as np.savez appends .npz to a path that lacks it.
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                w1=self.w1.values,
+                b1=self.b1.values,
+                w2=self.w2.values,
+                b2=self.b2.values,
+            )
 
     @classmethod
     def load(cls, path) -> tuple["MLPModel", SyntheticTask]:

@@ -524,13 +524,56 @@ def test_a_misspelt_or_stale_param_is_not_ignored(kind, inputs, params):
 
 
 def test_each_builder_names_its_params():
-    # (arrays, needs, then keywords): a builder that took *args or **kwargs
-    # could ignore a param again.
-    variadic = {inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD}
+    # The inputs positional, concatenate's the one variadic list, then needs
+    # and the params keyword-only: a builder that took **kwargs could ignore
+    # a param again, and one that took *args could ignore an input.
+    P = inspect.Parameter
     for kind, build in ad._REGISTRY.items():
         parameters = list(inspect.signature(build).parameters.values())
-        assert [p.name for p in parameters[:2]] == ["arrays", "needs"], kind
-        assert not {p.kind for p in parameters} & variadic, kind
+        kinds = [p.kind for p in parameters]
+        inputs = kinds.index(P.KEYWORD_ONLY)
+        assert inputs >= 1 and kinds[0] is P.POSITIONAL_OR_KEYWORD, kind
+        assert set(kinds[:inputs]) <= {P.POSITIONAL_OR_KEYWORD, P.VAR_POSITIONAL}, kind
+        assert (P.VAR_POSITIONAL in kinds) == (kind == "concatenate"), kind
+        assert set(kinds[inputs:]) == {P.KEYWORD_ONLY}, kind
+        assert parameters[inputs].name == "needs" and parameters[inputs].default is P.empty, kind
+
+
+# Each kind's fewest and most inputs; concatenate's are a list of any length.
+_INPUT_COUNTS = {
+    "add": (2, 2),
+    "subtract": (2, 2),
+    "multiply": (2, 2),
+    "divide": (2, 2),
+    "negate": (1, 1),
+    "exponent": (1, 1),
+    "logarithm": (1, 1),
+    "power": (1, 1),
+    "sum-over-axis": (1, 1),
+    "mean-over-axis": (1, 1),
+    "matrix-multiply": (2, 3),
+    "relu": (1, 1),
+    "softmax-over-axis": (1, 3),
+    "absolute-value": (1, 2),
+    "square": (1, 2),
+    "concatenate": (1, None),
+    "index-select": (1, 1),
+    "broadcast": (1, 1),
+}
+
+
+@pytest.mark.parametrize("kind", registered_ops())
+def test_a_wrong_input_count_fails_at_the_call(kind):
+    # One input too few or too many, with valid params: a TypeError naming
+    # the builder, before it computes anything.  subtract given one input
+    # once returned it unchanged.
+    inputs, params, _ = _sample(kind, np.random.default_rng([107, _GRAD_SEED_INDEX[kind]]))
+    fewest, most = _INPUT_COUNTS[kind]
+    pattern = rf"^{ad._REGISTRY[kind].__name__}\(\) (missing|takes)"
+    for count in [fewest - 1] + ([] if most is None else [most + 1]):
+        arrays = (inputs + inputs[:1] * 4)[:count]
+        with pytest.raises(TypeError, match=pattern):
+            forward_op(kind, [Tensor(v) for v in arrays], **params)
 
 
 def test_non_finite_values_are_rejected():
@@ -754,7 +797,7 @@ def test_an_op_that_cannot_overflow_takes_the_extremes(kind):
     # extremes, is finite, and no flag is raised on the way.
     inputs, params = _EXTREME_CALLS[kind]
     with np.errstate(**ad._FLAGS):
-        out, bwd = ad._REGISTRY[kind](inputs, (True,) * len(inputs), **params)
+        out, bwd = ad._REGISTRY[kind](*inputs, needs=(True,) * len(inputs), **params)
         grads = bwd(np.resize(_EXTREMES, np.shape(out))) if kind in _NO_BACKWARD_OVERFLOW else ()
     assert kind not in _NO_FORWARD_OVERFLOW or np.isfinite(out).all()
     assert all(np.isfinite(g).all() for g in grads)
@@ -882,12 +925,12 @@ def test_a_builder_computes_only_the_gradients_its_inputs_need(kind, sa, sb, par
     a = rng.normal(size=sa)
     b = rng.uniform(0.5, 2.0, size=sb) * rng.choice([-1.0, 1.0], size=sb)
     build = ad._REGISTRY[kind]
-    out, bwd = build([a, b], (True, True), **params)
+    out, bwd = build(a, b, needs=(True, True), **params)
     g = np.where(rng.random(np.shape(out)) < 0.2, -0.0, rng.normal(size=np.shape(out)))
     both = bwd(g)
     assert all(grad is not None for grad in both)
     for needs in ((True, False), (False, True)):
-        values, partial = build([a, b], needs, **params)
+        values, partial = build(a, b, needs=needs, **params)
         assert _bitwise_equal(values, out)
         for need, grad, full in zip(needs, partial(g), both):
             if need:
@@ -953,7 +996,7 @@ def test_sum_over_axis_backward_repeats_the_gradient():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 4, 5))
     for axis in range(3):
-        out, bwd = ad._REGISTRY["sum-over-axis"]([a], (True,), axis=axis)
+        out, bwd = ad._REGISTRY["sum-over-axis"](a, needs=(True,), axis=axis)
         g = np.where(rng.random(out.shape) < 0.3, -0.0, rng.normal(size=out.shape))
         (ga,) = bwd(g)
         assert _bitwise_equal(out, a.sum(axis=axis))
@@ -1015,7 +1058,7 @@ def test_index_select_backward_matches_add_at_bit_for_bit(shape, index, axis):
     # must carry np.add.at's bits, a -0.0 upstream gradient's +0.0 included.
     rng = np.random.default_rng(5)
     a = rng.normal(size=shape)
-    out, bwd = ad._REGISTRY["index-select"]([a], (True,), index=index, axis=axis)
+    out, bwd = ad._REGISTRY["index-select"](a, needs=(True,), index=index, axis=axis)
     where = (slice(None),) * (axis % a.ndim) + (np.asarray(index, dtype=np.intp),)
     for g in (rng.normal(size=out.shape), np.full(out.shape, -0.0), np.where(rng.random(out.shape) < 0.5, -0.0, 1.5)):
         reference = np.zeros_like(a)
@@ -1191,7 +1234,7 @@ def test_a_one_point_softmax_sums_zeros_over_its_draws():
     # softmax's backward is +0.0 everywhere, so any order gives +0.0.
     gumbels = np.random.default_rng(19).gumbel(size=(3, 20, 1))
     arrays = [np.full((3, 1), 0.5), gumbels, np.random.default_rng(21).normal(size=(1, 2))]
-    out, bwd = ad._REGISTRY["softmax-over-axis"](arrays, (True, False, False), tau=0.3, floor=WEIGHT_FLOOR)
+    out, bwd = ad._REGISTRY["softmax-over-axis"](*arrays, needs=(True, False, False), tau=0.3, floor=WEIGHT_FLOOR)
     for g in (np.random.default_rng(23).normal(size=out.shape), np.full(out.shape, -0.0)):
         ga, _, _ = bwd(g)
         assert _bitwise_equal(ga, np.zeros((3, 1)))
@@ -1305,10 +1348,10 @@ def test_fused_product_shape_errors():
 
 @pytest.mark.parametrize("count", [0, 1, 4])
 def test_matrix_multiply_takes_two_or_three_inputs(count):
-    # A wrong input count fails naming the op and what it takes, not with an
+    # A wrong input count fails at the call, naming the builder, not with an
     # unpacking error.
     arrays = [np.ones((2, 3)), np.ones((3, 4)), np.ones(4), np.ones(4)][:count]
-    with pytest.raises(ValueError, match=rf"matrix-multiply takes 2 or 3 inputs, .*, got {count}$"):
+    with pytest.raises(TypeError, match=r"^_build_matrix_multiply\(\) (missing|takes)"):
         forward_op("matrix-multiply", arrays)
 
 
@@ -1365,11 +1408,14 @@ def test_softmax_gumbels_and_distance_targets_must_fit():
 )
 def test_softmax_takes_only_its_two_forms(count, params):
     # [a] alone, or [w, gumbels, values] with tau and floor: anything else,
-    # three inputs with a tau or floor of None included, fails naming both,
-    # and an axis, a param the op does not take, fails naming it.
+    # three inputs with a tau or floor of None included, fails naming both;
+    # an axis, a param the op does not take, fails naming it, and no input
+    # or four fail at the call, naming the builder.
     arrays = [np.full((4, 5), 0.2), np.zeros((4, 3, 5)), np.zeros((5, 2)), np.zeros((5, 2))][:count]
     if "axis" in params:
         expected = pytest.raises(TypeError, match="'axis'")
+    elif count in (0, 4):
+        expected = pytest.raises(TypeError, match=r"^_build_softmax_over_axis\(\) (missing|takes)")
     else:
         expected = pytest.raises(ValueError, match=r"takes \[a\], .* or \[w, gumbels, values\] with tau and floor")
     with expected:

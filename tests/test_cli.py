@@ -634,6 +634,43 @@ def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().out == ""
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
+CONFIG_OUTPUTS = [
+    (["train", "--out", "run.json"], "--out run.json: is the --config file"),
+    (["train", "--model-out", "run.json"], "--model-out run.json: is the --config file"),
+    (["train", "--model-out", "./run.json/m.npz"], "--model-out ./run.json/m.npz: ./run.json is the --config file"),
+    (["eval", "--model", "m.npz", "--out", "run.json"], "--out run.json: is the --config file"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CONFIG_OUTPUTS, ids=[" ".join(argv) for argv, _ in CONFIG_OUTPUTS])
+def test_an_output_never_overwrites_the_config_file(tmp_path, monkeypatch, capsys, argv, message):
+    # Once each of these trained or evaluated, then wrote over run.json.
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "train", never)
+    monkeypatch.setattr(cli, "evaluate", never)
+    monkeypatch.chdir(tmp_path)
+    config = json.dumps({"seed": 3, "epochs": 1}).encode()
+    (tmp_path / "run.json").write_bytes(config)
+    save_model(tmp_path / "m.npz", SyntheticTask("signal1d"))
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--config", "run.json"])
+    assert exited.value.code == message
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "run.json").read_bytes() == config
+
+
+def test_a_model_path_without_a_suffix_is_the_file_written(tmp_path, monkeypatch, capsys):
+    # np.savez given a path would write model_a.npz, and eval --model model_a
+    # would find no file.
+    monkeypatch.chdir(tmp_path)
+    run_train(tmp_path, "history.csv", extra=["--model-out", "model_a"])
+    assert "model written to model_a\n" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["history.csv", "model_a"]
+    assert main(["eval", "--model", "model_a", "--out", "eval.csv"]) == 0
+    assert len((tmp_path / "eval.csv").read_text().splitlines()) == 9  # header + test_count rows
+
 
 class TestSuiteCommands:
     def test_gradcheck_passes_and_writes_rows(self, tmp_path):

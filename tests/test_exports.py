@@ -3,6 +3,7 @@ package loads nothing heavy that a run may never use."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -33,8 +34,9 @@ def test_every_all_entry_resolves():
 
 
 # The benchmark's worker calls diffloc by name, and a name it calls that
-# diffloc no longer has shows only as a failed benchmark run.  The worker
-# keeps these harness modules as attributes of its workload objects.
+# diffloc no longer has, or a keyword it passes that the callable no longer
+# takes, shows only as a failed benchmark run.  The worker keeps these
+# harness modules as attributes of its workload objects.
 # perfbench/tracing.py patches targets of its own and is not checked here.
 _WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 _WORKER_MODULES = ("metrics", "model", "tasks", "training", "suites")
@@ -52,11 +54,37 @@ def _resolves(module_name: str, name: str) -> bool:
     return True
 
 
+def _diffloc_target(func: ast.expr, local: dict[str, str]) -> str | None:
+    """The dotted diffloc name a call of func calls, for self.<harness
+    module>.<name>, a name imported from diffloc, or an attribute of one;
+    None for anything else."""
+    parts = []
+    while isinstance(func, ast.Attribute):
+        parts.insert(0, func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    if func.id == "self" and len(parts) == 2 and parts[0] in _WORKER_MODULES:
+        return f"diffloc.harness.{parts[0]}.{parts[1]}"
+    return ".".join([local[func.id], *parts]) if func.id in local else None
+
+
+def _takes(target: str, keyword: str) -> bool:
+    """Whether the callable at the dotted name target takes keyword."""
+    module, _, name = target.rpartition(".")
+    parameters = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+        return True
+    return keyword in parameters and parameters[keyword].kind is not inspect.Parameter.POSITIONAL_ONLY
+
+
 def test_every_name_the_benchmark_worker_calls_resolves():
-    imported, called = set(), set()
-    for node in ast.walk(ast.parse(_WORKER.read_text())):
+    imported, called, local = set(), set(), {}
+    tree = ast.parse(_WORKER.read_text())
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "diffloc":
             imported.update((node.module, alias.name) for alias in node.names)
+            local.update((alias.asname or alias.name, f"{node.module}.{alias.name}") for alias in node.names)
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Attribute)
@@ -71,6 +99,20 @@ def test_every_name_the_benchmark_worker_calls_resolves():
     assert {module for module, _ in called} == {f"diffloc.harness.{name}" for name in _WORKER_MODULES}
     missing = sorted(f"{module}.{name}" for module, name in imported | called if not _resolves(module, name))
     assert not missing, f"perfbench/worker.py uses {missing}, which diffloc does not define"
+
+    # Each keyword the worker passes to a diffloc callable is a parameter of it.
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (target := _diffloc_target(node.func, local)):
+            passed.update((target, kw.arg) for kw in node.keywords if kw.arg is not None)
+    assert {
+        ("diffloc.autodiff.softmax_values", "axis"),
+        ("diffloc.harness.training.RunConfig", "lr_schedule"),
+        ("diffloc.harness.tasks.SyntheticTask", "kind"),
+        ("diffloc.harness.model.MLPModel", "seed"),
+    } <= passed
+    unknown = sorted(f"{target}({keyword}=)" for target, keyword in passed if not _takes(target, keyword))
+    assert not unknown, f"perfbench/worker.py passes {unknown}, which diffloc does not take"
 
 
 # Runs in a fresh interpreter: this test session has scipy.special loaded

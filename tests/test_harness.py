@@ -1083,9 +1083,9 @@ class TestGradcheckSuite:
         calls = []
 
         def counted(kind, build):
-            def run(arrays, needs, **params):
+            def run(*arrays, needs, **params):
                 calls.append(kind)
-                return build(arrays, needs, **params)
+                return build(*arrays, needs=needs, **params)
 
             return run
 
