@@ -25,7 +25,10 @@ All values are float64 and must stay finite: a NaN or Inf raises a
 NonFiniteError naming where it was made, instead of letting the poison
 spread.  Inside a ``GradientTape`` or ``no_grad`` block, and for an op or a
 constructor called outside both, numpy's overflow, invalid and divide flags
-raise, and an underflow, which is finite, is ignored.  A value made under
+raise, and an underflow, which is finite, is ignored.  The block sets those
+flags once as it opens; an op or a constructor tests whether a block is
+open and, inside one, runs under the flags as they are, entering
+``np.errstate`` itself only outside every block.  A value made under
 those flags, or scanned, is finite, and a finite computation makes an inf
 or a NaN only by raising one of them, so ``forward_op`` and ``backward``
 name the op whose output or backward raised and scan nothing.  The flags
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -140,8 +143,11 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.array(values, dtype=np.float64)
-        with _errstate(_STATE):
+        if _STATE.stack or not _STATE.enabled:
             _check_finite(arr, "tensor construction")
+        else:
+            with np.errstate(**_FLAGS):
+                _check_finite(arr, "tensor construction")
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -219,14 +225,9 @@ _STATE = _ThreadState()
 # overflow, invalid or divide flag, which numpy tests after each ufunc and
 # matmul: the op that made the first non-finite value raises, and nothing
 # scans its output.  An underflow is finite, so it never raises.
+# A block enters this state once; an op or a constructor enters it only
+# outside every block.
 _FLAGS = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
-_SET_BY_BLOCK = nullcontext()
-
-
-def _errstate(state: _ThreadState):
-    """The context an op runs in: nothing inside a block, whose state is set
-    already, and np.errstate(**_FLAGS) outside every block."""
-    return _SET_BY_BLOCK if state.stack or not state.enabled else np.errstate(**_FLAGS)
 
 
 @contextmanager
@@ -273,12 +274,16 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
     build = _REGISTRY.get(kind)
     if build is None:
         raise ValueError(f"unknown op kind: {kind!r}")
-    tensors = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
+    tensors = tuple([x if isinstance(x, Tensor) else _constant(x, kind, inputs) for x in inputs])
     needs = tuple([t.requires_grad for t in tensors])
+    values = [t.values for t in tensors]
     state = _STATE
     try:
-        with _errstate(state):
-            out_values, backward_fn = build(*[t.values for t in tensors], needs=needs, **params)
+        if state.stack or not state.enabled:
+            out_values, backward_fn = build(*values, needs=needs, **params)
+        else:
+            with np.errstate(**_FLAGS):
+                out_values, backward_fn = build(*values, needs=needs, **params)
     except FloatingPointError as err:
         raise NonFiniteError(f"non-finite value in output of {kind!r}") from err
     if out_values.__class__ is not np.ndarray or out_values.dtype != np.float64:
@@ -290,6 +295,16 @@ def forward_op(kind: str, inputs: Sequence, **params) -> Tensor:
         out.requires_grad = True
         state.stack[-1].records.append(TapeRecord(kind, tensors, out, backward_fn))
     return out
+
+
+def _constant(x, kind: str, inputs: Sequence) -> Tensor:
+    """Tensor(x) for an input of op kind that is not a Tensor.  None, an
+    omitted optional input passed explicitly, is a TypeError naming its
+    position, not the NaN np.array(None, dtype=float) would make."""
+    if x is None:
+        position = next(i for i, y in enumerate(inputs) if y is None)
+        raise TypeError(f"op {kind!r}: input {position} is None; leave an omitted input out of the list")
+    return Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +332,9 @@ def backward(root: Tensor) -> None:
     # pending maps id(tensor) -> (tensor, accumulated output-side gradient).
     # Reverse tape order guarantees every use of a tensor is processed before
     # the record that produced it, so its entry is complete when consumed.
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {
-        id(root): (root, np.ones_like(root.values))
-    }
+    seed = np.empty_like(root.values)
+    seed.fill(1.0)
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(root): (root, seed)}
     for rec in reversed(tape.records):
         entry = pending.pop(id(rec.output), None)
         if entry is None:
@@ -478,15 +493,24 @@ def _build_power(a, *, needs, exponent):
     return out, bwd
 
 
+def _kept_axis(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
+    """shape with axis kept at length 1: the shape a gradient summed over
+    axis is reshaped to, to spread it back over that axis."""
+    return shape[:axis] + (1,) + shape[axis + 1 :]
+
+
 def _build_sum_over_axis(a, *, needs, axis=None):
-    axis = None if axis is None else _axis(axis, a.ndim)
+    if axis is None:
 
-    def bwd(g):
-        if axis is None:
-            return (np.full_like(a, float(g)),)
-        return (np.repeat(np.expand_dims(g, axis), a.shape[axis], axis=axis),)
+        def bwd(g):
+            ga = np.empty_like(a)
+            ga.fill(g)
+            return (ga,)
 
-    return np.add.reduce(a, axis=axis), bwd
+        return np.add.reduce(a, axis=None), bwd
+    axis = _axis(axis, a.ndim)
+    kept, count = _kept_axis(a.shape, axis), a.shape[axis]
+    return np.add.reduce(a, axis=axis), lambda g: (g.reshape(kept).repeat(count, axis=axis),)
 
 
 def _build_mean_over_axis(a, *, needs, axis=None):
@@ -662,20 +686,22 @@ def _build_absolute_value(a, b=None, *, needs, axis=None):
     Given axis, that summed over axis: the bits of sum-over-axis after
     them."""
     d, spread = _difference(a, b, needs)
-    axis = None if axis is None else _axis(axis, d.ndim)
     if axis is None:
         return np.abs(d), lambda g: spread(g * np.sign(d))
-    return np.add.reduce(np.abs(d), axis=axis), lambda g: spread(np.expand_dims(g, axis) * np.sign(d))
+    axis = _axis(axis, d.ndim)
+    kept = _kept_axis(d.shape, axis)
+    return np.add.reduce(np.abs(d), axis=axis), lambda g: spread(g.reshape(kept) * np.sign(d))
 
 
 def _build_square(a, b=None, *, needs, axis=None):
     """a * a, or (a - b)^2 given b: the bits of subtract then square.  Given
     axis, that summed over axis: the bits of sum-over-axis after them."""
     d, spread = _difference(a, b, needs)
-    axis = None if axis is None else _axis(axis, d.ndim)
     if axis is None:
         return d * d, lambda g: spread(g * 2.0 * d)
-    return np.add.reduce(d * d, axis=axis), lambda g: spread(np.expand_dims(g, axis) * 2.0 * d)
+    axis = _axis(axis, d.ndim)
+    kept = _kept_axis(d.shape, axis)
+    return np.add.reduce(d * d, axis=axis), lambda g: spread(g.reshape(kept) * 2.0 * d)
 
 
 def _build_concatenate(a, *rest, needs, axis=0):

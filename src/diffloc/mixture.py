@@ -131,11 +131,15 @@ class ProbabilityMap:
         w = self.weights.values
         if w.ndim < 1 or w.shape[-1] != self.support.n:
             raise ValueError(f"weights must be (..., {self.support.n}), got {w.shape}")
-        if (w < 0.0).any():
+        # Each reduction starts from a value that passes, so an empty batch
+        # passes; a NaN fails the sum's test.
+        if np.minimum.reduce(w, axis=None, initial=0.0) < 0.0:
             raise ValueError("weights must be non-negative")
-        off = np.abs(w.sum(axis=-1) - 1.0)
-        if not (off <= 1e-9).all():
-            raise ValueError(f"weights must sum to 1, off by {float(off.max())!r}")
+        off = np.add.reduce(w, axis=-1, keepdims=True)
+        np.subtract(off, 1.0, out=off)
+        worst = np.maximum.reduce(np.abs(off, out=off), axis=None, initial=0.0)
+        if not worst <= 1e-9:
+            raise ValueError(f"weights must sum to 1, off by {float(worst)!r}")
 
     @property
     def weight_values(self) -> np.ndarray:
@@ -219,9 +223,17 @@ def _inverse_cdf_1d(basis: str, u: np.ndarray, c: float | None, sigma: float | N
     if basis == "uniform":
         return c * (u - 0.5)
     if basis == "triangular":
-        left = c * (np.sqrt(2.0 * u) - 1.0)
-        right = c * (1.0 - np.sqrt(2.0 * (1.0 - u)))
-        return np.where(u < 0.5, left, right)
+        # c (sqrt(2u) - 1) below u = 0.5 and c (1 - sqrt(2 (1 - u))) from it
+        # on, bit for bit, with one square root: fl(s - 1) = -fl(1 - s), 1 - u
+        # is exact for u >= 0.5, and both forms give +0 at u = 0.5, where
+        # u - 0.5 is +0 too.
+        s = np.subtract(1.0, u)
+        np.minimum(u, s, out=s)
+        np.multiply(s, 2.0, out=s)
+        np.sqrt(s, out=s)
+        np.subtract(1.0, s, out=s)
+        np.multiply(s, c, out=s)
+        return np.copysign(s, np.subtract(u, 0.5), out=s)
     from scipy.special import ndtri
 
     return sigma * ndtri(u)
@@ -445,6 +457,8 @@ def gumbel_scores(weights: np.ndarray, gumbels: np.ndarray) -> np.ndarray:
 
 
 def _require_count(count: int) -> None:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise TypeError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
 
@@ -480,12 +494,19 @@ def draw_noise_blocks(
 
 def basis_sample_all(spec: MixtureSpec, support: Support, uniforms: np.ndarray) -> np.ndarray:
     """One inverse-cdf sample per component; uniforms is (..., n, ndim) and
-    leading axes batch independent draws."""
+    leading axes batch independent draws, each uniform in [0, 1]."""
     basis, c, sigma = _resolve(spec, support)
     u = np.asarray(uniforms, dtype=np.float64)
     if u.shape[-2:] != (support.n, support.ndim):
         raise ValueError(f"uniforms must end in ({support.n}, {support.ndim}), got {u.shape}")
-    return support.positions + _inverse_cdf_1d(basis, u, c, sigma)
+    # A NaN makes both reductions NaN, which fails both tests.
+    low = float(np.minimum.reduce(u, axis=None, initial=0.5))
+    high = float(np.maximum.reduce(u, axis=None, initial=0.5))
+    if not (0.0 <= low and high <= 1.0):
+        raise ValueError(f"uniforms must lie in [0, 1], got values from {low!r} to {high!r}")
+    samples = _inverse_cdf_1d(basis, u, c, sigma)
+    samples += support.positions
+    return samples
 
 
 def reference_sample_batch(

@@ -576,6 +576,26 @@ def test_a_wrong_input_count_fails_at_the_call(kind):
             forward_op(kind, [Tensor(v) for v in arrays], **params)
 
 
+@pytest.mark.parametrize(
+    "kind, inputs, position",
+    [
+        ("absolute-value", [np.ones(3), None], 1),
+        ("matrix-multiply", [np.ones((2, 3)), np.ones((3, 4)), None], 2),
+        ("add", [None, Tensor([1.0, 2.0], requires_grad=True)], 0),
+    ],
+    ids=["absolute-value", "matrix-multiply", "add"],
+)
+def test_a_none_input_is_a_type_error_naming_its_position(kind, inputs, position):
+    # The error names the None, not the NaN np.array(None, dtype=float)
+    # would make of it.
+    with GradientTape() as tape:
+        with pytest.raises(TypeError, match=rf"^op '{kind}': input {position} is None"):
+            forward_op(kind, inputs)
+    assert len(tape) == 0
+    with pytest.raises(TypeError, match=rf"^op '{kind}': input {position} is None"):
+        forward_op(kind, inputs)
+
+
 def test_non_finite_values_are_rejected():
     with pytest.raises(NonFiniteError):
         Tensor([1.0, np.inf])
@@ -1001,6 +1021,52 @@ def test_sum_over_axis_backward_repeats_the_gradient():
         (ga,) = bwd(g)
         assert _bitwise_equal(out, a.sum(axis=axis))
         assert ga.flags.c_contiguous and _bitwise_equal(ga, np.broadcast_to(np.expand_dims(g, axis), a.shape))
+
+
+def _helper_form(kind, a, b, axis, g):
+    """The gradients the four reducing kinds gave through numpy's
+    Python-level helpers (np.full_like, np.expand_dims, np.repeat), kept
+    here as the reference for their ndarray-method forms."""
+    if kind in ("sum-over-axis", "mean-over-axis"):
+        if kind == "mean-over-axis":
+            g = g * (1.0 / (a.size if axis is None else a.shape[axis]))
+        if axis is None:
+            return (np.full_like(a, float(g)),)
+        return (np.repeat(np.expand_dims(g, axis), a.shape[axis], axis=axis),)
+    d = a if b is None else a - b
+    spread = g if axis is None else np.expand_dims(g, axis)
+    ga = spread * np.sign(d) if kind == "absolute-value" else spread * 2.0 * d
+    if b is None:
+        return (ga,)
+    return ga, np.add.reduce(-ga, axis=tuple(range(ga.ndim - b.ndim)))
+
+
+_REDUCING_CASES = [
+    ("sum-over-axis", False),
+    ("mean-over-axis", False),
+    ("absolute-value", False),
+    ("absolute-value", True),
+    ("square", False),
+    ("square", True),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, with_b", _REDUCING_CASES, ids=[kind + ("-a-b" if with_b else "-a") for kind, with_b in _REDUCING_CASES]
+)
+def test_a_reducing_backward_keeps_the_bits_of_its_helper_form(kind, with_b):
+    rng = np.random.default_rng([211, len(kind), with_b])
+    a = rng.normal(size=(3, 4, 5))
+    b = rng.normal(size=(4, 5)) if with_b else None
+    arrays = (a,) if b is None else (a, b)
+    for axis in (None, 0, 1, 2, -1, -2, -3):
+        out, bwd = ad._REGISTRY[kind](*arrays, needs=(True,) * len(arrays), axis=axis)
+        g = np.where(rng.random(out.shape) < 0.3, -0.0, rng.normal(size=out.shape))
+        grads = bwd(g)
+        expected = _helper_form(kind, a, b, None if axis is None else axis % a.ndim, g)
+        assert len(grads) == len(expected)
+        for got, want in zip(grads, expected):
+            assert got.flags.c_contiguous and _bitwise_equal(got, want), (kind, axis)
 
 
 def test_softmax_is_stable_for_large_inputs():

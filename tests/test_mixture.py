@@ -1,6 +1,7 @@
 """Mixture distributions: closed forms, samplers, and noise plumbing."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -121,8 +122,14 @@ class TestProbabilityMap:
         sup = Support.regular_grid(3)
         with pytest.raises(ValueError, match="sum"):
             ProbabilityMap(sup, Tensor([0.5, 0.2, 0.2]))
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^weights must be non-negative$"):
             ProbabilityMap(sup, Tensor([1.2, -0.1, -0.1]))
+        # The worst row's distance from 1, as abs(w.sum(axis=-1) - 1).max()
+        # gives it.
+        w = np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.2]])
+        off = float(np.abs(w.sum(axis=-1) - 1.0).max())
+        with pytest.raises(ValueError, match=f"^weights must sum to 1, off by {re.escape(repr(off))}$"):
+            ProbabilityMap(sup, Tensor(w))
         with pytest.raises(ValueError, match="weights must be"):
             ProbabilityMap(sup, Tensor([0.5, 0.5]))
 
@@ -131,6 +138,7 @@ class TestProbabilityMap:
         w = softmax_values(np.random.default_rng(1).normal(0.0, 1.0, (3, 1, 4)))
         pmap = ProbabilityMap(sup, Tensor(w))
         assert pmap.batch_shape == (3, 1) and random_map().batch_shape == ()
+        assert ProbabilityMap(sup, Tensor(np.empty((0, 4)))).batch_shape == (0,)
         w[1, 0] = [0.5, 0.5, 0.5, 0.0]
         with pytest.raises(ValueError, match="sum"):
             ProbabilityMap(sup, Tensor(w))
@@ -593,6 +601,16 @@ class TestNoise:
             assert src.draws_taken == 0
         np.testing.assert_array_equal(one_draw(src, 4)[0], one_draw(NoiseSource(43), 4)[0])
 
+    @pytest.mark.parametrize("count", [2.5, 20.0, True, np.float64(3.0)], ids=["2.5", "20.0", "True", "float64"])
+    def test_a_count_that_is_not_an_int_fails_before_the_stream_moves(self, count):
+        src = NoiseSource(44)
+        for call in (draw_noise_batch, draw_noise_blocks):
+            with pytest.raises(TypeError, match=f"^{re.escape(f'count must be an int, got {count!r}')}$"):
+                call(src, count, 4, 1)
+            assert src.draws_taken == 0
+        g, _ = draw_noise_batch(src, np.int64(2), 4, 1)
+        assert g.shape == (2, 4) and src.draws_taken == 2
+
     def test_gumbel_transform_is_clamped_and_distributed(self):
         vals = gumbel_from_uniform(np.array([0.0, 1.0, 0.5]))
         assert np.all(np.isfinite(vals))
@@ -690,6 +708,37 @@ class TestBasisSampling:
             all_samples = basis_sample_all(spec, sup, u)
             for i in (0, 4, 8):
                 np.testing.assert_array_equal(all_samples[i], component_sample(spec, sup, i, u[i]))
+
+    @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.5, 1.0, 3.0])
+    def test_triangular_inverse_cdf_keeps_the_bits_of_the_two_branch_formula(self, spacing):
+        # The two-branch form is the reference: the one-square-root form must
+        # give its bits, sign of zero included.
+        edges = [0.0, 5e-324, 1e-12, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0 - 1e-12]
+        edges += [np.nextafter(1.0, 0.0), 1.0]
+        u = np.concatenate([edges, np.random.default_rng(int(spacing * 1000)).random(1_000_000)])
+        two_branch = np.where(
+            u < 0.5, spacing * (np.sqrt(2.0 * u) - 1.0), spacing * (1.0 - np.sqrt(2.0 * (1.0 - u)))
+        )
+        one_root = mixture._inverse_cdf_1d("triangular", u, spacing, None)
+        np.testing.assert_array_equal(one_root.view(np.int64), two_branch.view(np.int64))
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_uniforms_off_the_unit_interval_are_rejected(self, basis):
+        # Outside [0, 1] the triangular and gaussian inverse cdfs give NaN and
+        # the uniform one a sample off its component's support.
+        sup = Support.regular_grid(3)
+        spec = MixtureSpec(basis)
+        for bad in (1.5, -0.25, np.nan):
+            u = np.full((2, 3, 1), 0.5)
+            u[1, 2, 0] = bad
+            with pytest.raises(ValueError, match=r"^uniforms must lie in \[0, 1\]"):
+                basis_sample_all(spec, sup, u)
+        assert basis_sample_all(spec, sup, np.empty((0, 3, 1))).shape == (0, 3, 1)
+        # The interval's ends are the ends of each component's support.
+        ends = {"uniform": [-0.5, 1.5, 2.0], "triangular": [-1.0, 2.0, 2.0]}
+        if basis in ends:
+            samples = basis_sample_all(spec, sup, np.array([[0.0], [1.0], [0.5]]))
+            np.testing.assert_array_equal(samples[:, 0], ends[basis])
 
     def test_basis_sample_all_batches(self):
         sup = Support.regular_grid(5)
